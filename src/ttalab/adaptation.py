@@ -38,11 +38,6 @@ def flip_signal(x):
     return np.ascontiguousarray(np.asarray(x)[..., ::-1])
 
 
-def identity_aug(x):
-    """No-op augmentation; adapters treat it as 'no augmented branch'."""
-    return x
-
-
 def default_q(batch_size):
     """Accumulation length matching an effective batch of about 200 samples."""
     return max(1, round(200 / batch_size))
@@ -257,6 +252,10 @@ class Adapter:
     procedure is online: permuting the stream may change the final
     parameters, so reproducibility comes from fixing the stream order, not
     from the algorithm being order-free.
+
+    With gradient accumulation the optimizer steps on every Q-th batch only;
+    gradients accumulated after the last step of a stream are discarded.
+    ``aug=None`` turns robust label assignment off.
     """
 
     def __init__(self, net, config, batch_size=None, aug=flip_signal):
@@ -280,7 +279,7 @@ class Adapter:
 
     def _use_rla(self):
         return (self.config.strategy == "ttc" and self.config.rla_enabled
-                and self.aug is not None and self.aug is not identity_aug)
+                and self.aug is not None)
 
     def adapt_batch(self, batch):
         """Process one batch: predict, then (for gradient strategies) update.
@@ -339,8 +338,3 @@ class Adapter:
         accumulate_and_maybe_step(self.accumulator, grads, self.optimizer,
                                   bn_affine_params(self.net))
         return preds, probs
-
-
-def adapt_batch(state, batch):
-    """Operation form of Adapter.adapt_batch."""
-    return state.adapt_batch(batch)

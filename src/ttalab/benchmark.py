@@ -22,7 +22,7 @@ from scipy.ndimage import uniform_filter1d
 from .adaptation import Adapter, flip_signal, make_optimizer
 from .errors import InvalidInput, TrainingDiverged
 from .network import (BNMode, all_params, backward_all, forward,
-                      make_network, network_to_dict)
+                      make_network, network_to_dict, penultimate_features)
 from .numeric import softmax
 
 SIGNAL_LENGTH = 32
@@ -207,17 +207,30 @@ def accuracy_score(predictions, labels):
 # streaming protocol
 # ---------------------------------------------------------------------------
 
+def batch_slices(m, n):
+    """Consecutive slices of range(m) in batches of n rows.
+
+    A last batch of one row is folded into the batch before it, which then
+    has n + 1 rows, because batch statistics need at least two rows.
+    Otherwise the slices start at range(0, m, n).
+    """
+    starts = list(range(0, m, n))
+    if m > 1 and m % n == 1:
+        del starts[-1]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [m])]
+
+
 @dataclass
 class StreamProtocol:
+    """One pass over the stream in batches from batch_slices: each sample is
+    predicted exactly once."""
+
     batch_size: int = 100
     seed: int = 0
-    one_pass: bool = True
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise InvalidInput("batch_size must be positive")
-        if not self.one_pass:
-            raise InvalidInput("only the one-pass protocol is supported")
 
 
 @dataclass
@@ -287,8 +300,8 @@ def adapt_over_stream(net, dataset, corruption, protocol, config):
     predictions = np.empty(m, dtype=np.int64)
     per_batch = []
     seen = 0
-    for start in range(0, m, protocol.batch_size):
-        idx = order[start:start + protocol.batch_size]
+    for batch in batch_slices(m, protocol.batch_size):
+        idx = order[batch]
         preds, _ = adapter.adapt_batch(inputs[idx])
         predictions[idx] = preds
         per_batch.append(accuracy_score(preds, dataset.labels[idx]))
@@ -316,12 +329,8 @@ def adapt_over_stream(net, dataset, corruption, protocol, config):
 
 def collect_features(net, inputs, batch_size, mode):
     """Penultimate features over a stream of batches, stacked (m, feature_dim)."""
-    from .network import penultimate_features
-
-    chunks = []
-    for start in range(0, inputs.shape[0], batch_size):
-        chunks.append(penultimate_features(net, inputs[start:start + batch_size], mode))
-    return np.vstack(chunks)
+    return np.vstack([penultimate_features(net, inputs[batch], mode)
+                      for batch in batch_slices(inputs.shape[0], batch_size)])
 
 
 def feature_histograms(features_by_name, bins=64):

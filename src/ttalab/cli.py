@@ -14,14 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptation import AdaptationConfig
+from .adaptation import STRATEGIES, AdaptationConfig
 from .benchmark import (CORRUPTION_KINDS, Corruption, StreamProtocol,
                         adapt_over_stream, apply_corruption, collect_features,
                         evaluate_accuracy, feature_histograms,
                         generate_dataset, histogram_overlap, stream_eval,
                         train_source)
-from .errors import (InvalidInput, ParseError, SchemaError, TrainingDiverged,
-                     TTALabError)
+from .errors import TrainingDiverged, TTALabError
 from .network import BNMode, load_checkpoint, save_checkpoint
 from .numeric import simulate_entropy_descent, trajectory_csv
 
@@ -30,7 +29,6 @@ EXIT_PROPERTY = 1
 EXIT_TRAINING = 2
 EXIT_SPEC = 3
 
-STRATEGY_CHOICES = ("source", "norm", "tent", "tent-filtered", "ttc")
 DEFAULT_TEST_M = 3000
 DEFAULT_DATA_SEED = 777
 
@@ -47,7 +45,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_config_flags(p):
-    p.add_argument("--strategy", choices=STRATEGY_CHOICES, default="ttc")
+    p.add_argument("--strategy", choices=STRATEGIES, default="ttc")
     p.add_argument("--lr", type=float, default=None,
                    help="adaptation learning rate (default: config default)")
     p.add_argument("--optimizer", choices=("sgd", "adam"), default="adam")
@@ -116,8 +114,8 @@ def build_parser():
     p = sub.add_parser("density",
                        help="per-channel feature histograms for two strategies")
     p.add_argument("--checkpoint", default="out/source.json")
-    p.add_argument("--strategy-a", choices=STRATEGY_CHOICES, default="ttc")
-    p.add_argument("--strategy-b", choices=STRATEGY_CHOICES, default="tent")
+    p.add_argument("--strategy-a", choices=STRATEGIES, default="ttc")
+    p.add_argument("--strategy-b", choices=STRATEGIES, default="tent")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out")
     p.add_argument("--bins", type=int, default=64)
@@ -384,19 +382,17 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _SpecError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SPEC
     except TrainingDiverged as e:
         print(f"training failed: {e}", file=sys.stderr)
         return EXIT_TRAINING
-    except (InvalidInput, ParseError, SchemaError, FileNotFoundError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SPEC
-    except TTALabError as e:
+    except (_SpecError, TTALabError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SPEC
 
 
 def entrypoint():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

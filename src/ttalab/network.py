@@ -1,11 +1,11 @@
 """Minimal feedforward classifier with batch normalization.
 
-The network is a flat list of dense and batch-norm layers. A dense layer's
-activation is applied after the batch-norm layer that immediately follows
-it, if any, so ``[Dense(relu), BN]`` composes as affine -> normalize -> relu
-(normalization before the nonlinearity). Only the BN affine parameters
-(gamma, beta) are trainable at test time; full-parameter gradients exist
-solely for source training.
+The flat layer list must form dense-led blocks: a dense layer, optionally
+one batch-norm layer right after it, then the dense layer's activation. So
+``[Dense(relu), BN]`` composes as affine -> normalize -> relu (normalization
+before the nonlinearity). Only the BN affine parameters (gamma, beta) are
+trainable at test time; full-parameter gradients exist solely for source
+training.
 
 Checkpoints are a single JSON document so they stay inspectable and portable.
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,23 +65,47 @@ class BatchNormLayer:
         )
 
 
+class Block(NamedTuple):
+    """Layer indices of a dense layer and its BN layer; whether a ReLU follows."""
+
+    dense: int
+    bn: int | None
+    relu: bool
+
+
+def _blocks(layers):
+    """Group a flat layer list into dense-led blocks."""
+    blocks = []
+    i = 0
+    while i < len(layers):
+        layer = layers[i]
+        if not isinstance(layer, DenseLayer):
+            raise InvalidInput(
+                f"layer {i} is a {type(layer).__name__}; every block must start"
+                " with a dense layer, optionally followed by one batch-norm layer")
+        bn = i + 1 if (i + 1 < len(layers)
+                       and isinstance(layers[i + 1], BatchNormLayer)) else None
+        blocks.append(Block(i, bn, layer.activation == "relu"))
+        i += 1 if bn is None else 2
+    if not blocks:
+        raise InvalidInput("network has no dense layer")
+    return tuple(blocks)
+
+
 @dataclass
 class Network:
     layers: list
     k: int
     meta: dict = field(default_factory=dict)
+    blocks: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.blocks = _blocks(self.layers)
 
     @property
     def feature_dim(self):
         """Width of the input to the final dense layer."""
-        last = self._dense_indices()[-1]
-        return self.layers[last].weight.shape[1]
-
-    def _dense_indices(self):
-        idx = [i for i, l in enumerate(self.layers) if isinstance(l, DenseLayer)]
-        if not idx:
-            raise InvalidInput("network has no dense layer")
-        return idx
+        return self.layers[self.blocks[-1].dense].weight.shape[1]
 
 
 def make_network(input_dim=32, hidden=64, k=3, seed=0):
@@ -108,34 +133,10 @@ def make_network(input_dim=32, hidden=64, k=3, seed=0):
 @dataclass
 class ForwardCache:
     net: Network
-    mode: BNMode
+    # one (dense input, (xhat, inv_std, batch_stats) | None, relu mask | None)
+    # per block
     records: list
-    penultimate: np.ndarray
     logits_shape: tuple
-
-
-def _build_ops(net):
-    """Flatten layers into (op, layer_index) steps honoring the block order."""
-    ops = []
-    i = 0
-    layers = net.layers
-    while i < len(layers):
-        layer = layers[i]
-        if isinstance(layer, DenseLayer):
-            ops.append(("dense", i))
-            j = i + 1
-            if j < len(layers) and isinstance(layers[j], BatchNormLayer):
-                ops.append(("bn", j))
-                j += 1
-            if layer.activation == "relu":
-                ops.append(("relu", i))
-            i = j
-        elif isinstance(layer, BatchNormLayer):
-            ops.append(("bn", i))
-            i += 1
-        else:
-            raise InvalidInput(f"unknown layer type at index {i}")
-    return ops
 
 
 def forward(net, batch, mode):
@@ -152,32 +153,21 @@ def forward(net, batch, mode):
     if mode is BNMode.TEST_BATCH_STATS and x.shape[0] < 2:
         raise DegenerateBatch("TEST_BATCH_STATS needs a batch of at least 2")
 
-    ops = _build_ops(net)
-    dense_positions = [p for p, (kind, _) in enumerate(ops) if kind == "dense"]
-    if not dense_positions:
-        raise InvalidInput("network has no dense layer")
-    last_dense_pos = dense_positions[-1]
     records = []
-    penultimate = None
-    for pos, (kind, idx) in enumerate(ops):
-        layer = net.layers[idx]
-        if kind == "dense":
-            if pos == last_dense_pos:
-                penultimate = x
-            records.append(("dense", idx, {"x": x}))
-            x = x @ layer.weight.T + layer.bias
-        elif kind == "bn":
-            x, rec = _bn_forward(layer, x, mode)
-            records.append(("bn", idx, rec))
-        else:  # relu
+    for dense, bn, relu in net.blocks:
+        layer = net.layers[dense]
+        x_in = x
+        x = x @ layer.weight.T + layer.bias
+        bn_rec = mask = None
+        if bn is not None:
+            x, bn_rec = _bn_forward(net.layers[bn], x, mode)
+        if relu:
             mask = x > 0.0
-            records.append(("relu", idx, {"mask": mask}))
             x = x * mask
+        records.append((x_in, bn_rec, mask))
     if not np.all(np.isfinite(x)):
         raise InvalidInput("forward produced non-finite logits")
-    cache = ForwardCache(net=net, mode=mode, records=records,
-                         penultimate=penultimate, logits_shape=x.shape)
-    return x, cache
+    return x, ForwardCache(net=net, records=records, logits_shape=x.shape)
 
 
 def _bn_forward(layer, x, mode):
@@ -193,13 +183,12 @@ def _bn_forward(layer, x, mode):
     inv_std = 1.0 / np.sqrt(var + layer.eps)
     xhat = (x - mean) * inv_std
     out = layer.gamma * xhat + layer.beta
-    rec = {"xhat": xhat, "inv_std": inv_std,
-           "batch_stats": mode is not BNMode.EVAL_STATS}
-    return out, rec
+    return out, (xhat, inv_std, mode is not BNMode.EVAL_STATS)
 
 
-def _backward(net, cache, loss_grad_logits):
-    """Reverse pass; returns gradients for every parameter."""
+def _backward(net, cache, loss_grad_logits, affine_only):
+    """Reverse pass over the blocks: gradients for every BN gamma/beta, plus
+    every dense weight/bias unless ``affine_only``."""
     if cache.net is not net:
         raise InvalidInput("cache was produced by a different network")
     g = np.asarray(loss_grad_logits, dtype=np.float64)
@@ -207,19 +196,16 @@ def _backward(net, cache, loss_grad_logits):
         raise InvalidInput(
             f"loss gradient shape {g.shape} does not match logits {cache.logits_shape}")
     grads = {}
-    for kind, idx, rec in reversed(cache.records):
-        layer = net.layers[idx]
-        if kind == "dense":
-            x = rec["x"]
-            grads[f"{idx}.weight"] = g.T @ x
-            grads[f"{idx}.bias"] = g.sum(axis=0)
-            g = g @ layer.weight
-        elif kind == "bn":
-            xhat, inv_std = rec["xhat"], rec["inv_std"]
-            grads[f"{idx}.gamma"] = (g * xhat).sum(axis=0)
-            grads[f"{idx}.beta"] = g.sum(axis=0)
-            dxhat = g * layer.gamma
-            if rec["batch_stats"]:
+    for (dense, bn, _), (x, bn_rec, mask) in zip(reversed(net.blocks),
+                                                 reversed(cache.records)):
+        if mask is not None:
+            g = g * mask
+        if bn is not None:
+            xhat, inv_std, batch_stats = bn_rec
+            grads[f"{bn}.gamma"] = (g * xhat).sum(axis=0)
+            grads[f"{bn}.beta"] = g.sum(axis=0)
+            dxhat = g * net.layers[bn].gamma
+            if batch_stats:
                 n = xhat.shape[0]
                 g = (inv_std / n) * (
                     n * dxhat
@@ -228,27 +214,28 @@ def _backward(net, cache, loss_grad_logits):
                 )
             else:
                 g = dxhat * inv_std
-        else:  # relu
-            g = g * rec["mask"]
+        if not affine_only:
+            grads[f"{dense}.weight"] = g.T @ x
+            grads[f"{dense}.bias"] = g.sum(axis=0)
+        if dense:  # layer 0 reads the network input, which needs no gradient
+            g = g @ net.layers[dense].weight
     return grads
 
 
 def backward_bn_affine(net, cache, loss_grad_logits):
     """Gradients of the loss with respect to every BN gamma and beta only."""
-    grads = _backward(net, cache, loss_grad_logits)
-    return {k: v for k, v in grads.items()
-            if k.endswith(".gamma") or k.endswith(".beta")}
+    return _backward(net, cache, loss_grad_logits, affine_only=True)
 
 
 def backward_all(net, cache, loss_grad_logits):
     """Gradients for every parameter; used for source training only."""
-    return _backward(net, cache, loss_grad_logits)
+    return _backward(net, cache, loss_grad_logits, affine_only=False)
 
 
 def penultimate_features(net, batch, mode):
-    """Activations entering the final dense layer."""
+    """Activations entering the final dense layer: the last block's input."""
     _, cache = forward(net, batch, mode)
-    return cache.penultimate
+    return cache.records[-1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +354,11 @@ def network_from_dict(doc, expect_k=None):
             ))
         else:
             raise SchemaError(f"unknown layer kind {kind!r}")
-    net = Network(layers=layers, k=k, meta=dict(doc.get("meta", {})))
-    last_dense = net.layers[net._dense_indices()[-1]]
+    try:
+        net = Network(layers=layers, k=k, meta=dict(doc.get("meta", {})))
+    except InvalidInput as e:
+        raise SchemaError(str(e)) from None
+    last_dense = net.layers[net.blocks[-1].dense]
     if last_dense.weight.shape[0] != k:
         raise SchemaError(
             f"final dense layer outputs {last_dense.weight.shape[0]}, expected k={k}")

@@ -12,8 +12,8 @@ from contextlib import contextmanager
 import numpy as np
 
 from ttalab.adaptation import (AdaptationConfig, Adapter, GradientAccumulator,
-                               SGD, accumulate_and_maybe_step, identity_aug,
-                               sample_weights, tent_loss, ttc_loss)
+                               SGD, accumulate_and_maybe_step, sample_weights,
+                               tent_loss, ttc_loss)
 from ttalab.benchmark import (CORRUPTION_KINDS, Corruption, StreamProtocol,
                               apply_corruption, stream_eval)
 from ttalab.clustering import (FULL_BATCH, assign_step, kmeans_objective,
@@ -132,7 +132,7 @@ def test_criterion_03_degeneration(source_net, test_dataset):
                                      Corruption("gaussian_noise", 5), seed=0)
         batches = [corrupted[i * 20:(i + 1) * 20] for i in range(50)]
         variants = {
-            "identity-aug": dict(strategy="ttc", tau=0.0, accumulation_q=1),
+            "no-aug": dict(strategy="ttc", tau=0.0, accumulation_q=1),
             "flags-off": dict(strategy="ttc", rla_enabled=False,
                               wa_enabled=False, ga_enabled=False),
         }
@@ -141,8 +141,7 @@ def test_criterion_03_degeneration(source_net, test_dataset):
             net_tent = copy.deepcopy(source_net)
             net_ttc = copy.deepcopy(source_net)
             tent = Adapter(net_tent, AdaptationConfig(strategy="tent"))
-            ttc = Adapter(net_ttc, AdaptationConfig(**kwargs),
-                          aug=identity_aug)
+            ttc = Adapter(net_ttc, AdaptationConfig(**kwargs), aug=None)
             for x in batches:
                 p_a, _ = tent.adapt_batch(x)
                 p_b, _ = ttc.adapt_batch(x)

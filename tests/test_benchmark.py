@@ -2,11 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ttalab.adaptation import AdaptationConfig, flip_signal
 from ttalab.benchmark import (CORRUPTION_KINDS, NOISE_SIGMA, Corruption,
                               SignalDataset, StreamProtocol, accuracy_score,
-                              apply_corruption, class_templates,
+                              apply_corruption, batch_slices, class_templates,
                               evaluate_accuracy, generate_dataset,
                               histogram_overlap, stream_eval, train_source)
 from ttalab.errors import InvalidInput, TrainingDiverged
@@ -152,6 +153,19 @@ class TestAccuracyMetric:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidInput):
             accuracy_score(np.zeros(3), np.zeros(4))
+
+
+class TestBatchSlices:
+    @given(m=st.integers(0, 500), n=st.integers(1, 120))
+    def test_cover_in_order_and_fold_only_a_one_row_tail(self, m, n):
+        slices = batch_slices(m, n)
+        covered = [i for s in slices for i in range(m)[s]]
+        assert covered == list(range(m))
+        smallest = 2 if m >= 2 and n >= 2 else 1
+        assert all(s.stop - s.start >= smallest for s in slices)
+        if m % n != 1:
+            assert slices == [slice(a, min(a + n, m))
+                              for a in range(0, m, n)]
 
 
 class TestStreamEval:

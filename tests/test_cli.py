@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ttalab
+from ttalab.adaptation import STRATEGIES
 from ttalab.benchmark import generate_dataset, evaluate_accuracy
 from ttalab.cli import main
 from ttalab.network import load_checkpoint
@@ -78,6 +84,16 @@ class TestAdapt:
         tent = json.loads((tmp_path / "tent" /
                            "report_tent_gaussian_noise5_seed0.json").read_text())
         assert ttc["accuracy"] == tent["accuracy"]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_tail_batch_of_one_joins_previous_batch(self, workdir, tmp_path,
+                                                    strategy):
+        assert run_adapt(workdir, tmp_path, "--strategy", strategy,
+                         "--test-m", "301", "--batch-size", "100") == 0
+        report = json.loads((tmp_path / f"report_{strategy}_gaussian_noise5"
+                             "_seed0.json").read_text())
+        assert report["n_test"] == 301
+        assert len(report["per_batch_accuracy"]) == 3
 
     def test_missing_checkpoint_exits_three(self, tmp_path, capsys):
         code = main(["adapt", "--checkpoint", str(tmp_path / "nope.json")])
@@ -210,6 +226,25 @@ class TestDensity:
         lines = (tmp_path / "density_hist.csv").read_text().strip().split("\n")
         net = load_checkpoint(workdir / "source.json")
         assert len(lines) == 1 + net.feature_dim * 16
+
+    def test_tail_batch_of_one_completes(self, workdir, tmp_path):
+        code = main(["density", "--checkpoint", str(workdir / "source.json"),
+                     "--out", str(tmp_path), "--test-m", "301",
+                     "--batch-size", "100", "--bins", "8"])
+        assert code == 0
+
+
+class TestModuleEntryPoint:
+    def test_python_m_runs_the_cli(self, tmp_path):
+        src = str(Path(ttalab.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ttalab.cli", "lemma-check", "--steps", "10",
+             "--random-starts", "2", "--out", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "lemma_summary.csv").exists()
 
 
 class TestArgumentValidation:

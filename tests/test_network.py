@@ -9,10 +9,10 @@ from ttalab.benchmark import StreamProtocol, adapt_over_stream
 from ttalab.errors import (DegenerateBatch, InvalidInput, ParseError,
                            SchemaError)
 from ttalab.network import (BatchNormLayer, BNMode, DenseLayer, Network,
-                            backward_bn_affine, bn_affine_params, forward,
-                            load_checkpoint, make_network, network_from_dict,
-                            network_to_dict, penultimate_features,
-                            save_checkpoint)
+                            backward_all, backward_bn_affine, bn_affine_params,
+                            forward, load_checkpoint, make_network,
+                            network_from_dict, network_to_dict,
+                            penultimate_features, save_checkpoint)
 
 
 def random_net(rng, widths=(5, 8, 6), k=3):
@@ -69,10 +69,9 @@ class TestForward:
             net = random_net(np.random.default_rng(seed))
             x = np.random.default_rng(seed + 10).normal(size=(64, 5))
             _, cache = forward(net, x, BNMode.TEST_BATCH_STATS)
-            bn_records = [rec for kind, _, rec in cache.records if kind == "bn"]
+            bn_records = [bn for _, bn, _ in cache.records if bn is not None]
             assert bn_records
-            for rec in bn_records:
-                xhat = rec["xhat"]
+            for xhat, _, _ in bn_records:
                 assert np.abs(xhat.mean(axis=0)).max() < 1e-6
                 # biased variance of xhat is var/(var+eps), within 1e-6 of 1
                 np.testing.assert_allclose(xhat.var(axis=0), 1.0, atol=1e-6)
@@ -156,6 +155,18 @@ class TestBackwardBnAffine:
                 fd = (hi - lo) / (2 * h)
                 assert abs(g[j] - fd) / max(1.0, abs(g[j])) < 1e-4
 
+    @pytest.mark.parametrize("mode", list(BNMode))
+    def test_equals_affine_entries_of_backward_all_bitwise(self, mode):
+        rng = np.random.default_rng(4)
+        net = random_net(rng)
+        logits, cache = forward(net, rng.normal(size=(9, 5)), mode)
+        g = rng.normal(size=logits.shape)
+        affine = backward_bn_affine(net, cache, g)
+        full = backward_all(net, cache, g)
+        assert set(affine) == set(bn_affine_params(net))
+        for key, value in affine.items():
+            np.testing.assert_array_equal(value, full[key])
+
     def test_mismatched_cache_rejected(self, rng):
         net_a = random_net(rng)
         net_b = random_net(rng)
@@ -165,6 +176,23 @@ class TestBackwardBnAffine:
             backward_bn_affine(net_b, cache, np.zeros_like(logits))
         with pytest.raises(InvalidInput):
             backward_bn_affine(net_a, cache, np.zeros((2, 2)))
+
+
+class TestBlockLayout:
+    def test_blocks_follow_dense_bn_relu_grouping(self, rng):
+        net = random_net(rng)
+        assert net.blocks == ((0, 1, True), (2, 3, True), (4, None, False))
+
+    @pytest.mark.parametrize("order", [[1, 2, 3, 4], [0, 1, 1, 2, 3, 4], []],
+                             ids=["bn-first", "bn-after-bn", "empty"])
+    def test_non_block_layouts_rejected(self, rng, order):
+        net = random_net(rng)
+        with pytest.raises(InvalidInput):
+            Network(layers=[net.layers[i] for i in order], k=3)
+        doc = network_to_dict(net)
+        doc["layers"] = [doc["layers"][i] for i in order]
+        with pytest.raises(SchemaError):
+            network_from_dict(doc)
 
 
 class TestPenultimateFeatures:
