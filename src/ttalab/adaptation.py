@@ -10,8 +10,8 @@ Strategies:
                   sample weights, and gradient accumulation; each component
                   individually toggleable
 
-All strategies return predictions computed before any parameter update in
-the same call.
+An Adapter fixes its stream's plan at construction. All strategies return
+predictions computed before any parameter update in the same call.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ OPTIMIZERS = ("sgd", "adam")
 
 # Entropy clamp inside the sample weights; H^(-tau) diverges as H -> 0.
 EPS_ENTROPY = 1e-6
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def flip_signal(x):
@@ -65,10 +69,14 @@ class AdaptationConfig:
             raise InvalidInput(f"unknown strategy {self.strategy!r}")
         if self.optimizer not in OPTIMIZERS:
             raise InvalidInput(f"unknown optimizer {self.optimizer!r}")
-        if self.lr <= 0:
-            raise InvalidInput("lr must be positive")
-        if self.tau < 0:
-            raise InvalidInput("tau must be non-negative")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise InvalidInput(f"lr must be finite and positive, got {self.lr}")
+        if not (math.isfinite(self.tau) and self.tau >= 0):
+            raise InvalidInput(
+                f"tau must be finite and non-negative, got {self.tau}")
+        if self.filter_threshold is not None and not self.filter_threshold > 0:
+            raise InvalidInput(
+                f"filter_threshold must be positive, got {self.filter_threshold}")
         if self.accumulation_q is not None and self.accumulation_q < 1:
             raise InvalidInput("accumulation_q must be a positive integer")
 
@@ -98,18 +106,14 @@ class SGD:
 
 
 class Adam:
-    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, lr):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {}
         self.v = {}
 
     def step(self, params, grads):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
         for key, g in grads.items():
             m = self.m.get(key)
             if m is None:
@@ -117,11 +121,11 @@ class Adam:
                 self.m[key] = m
                 self.v[key] = np.zeros_like(g)
             v = self.v[key]
-            m += (1.0 - b1) * (g - m)
-            v += (1.0 - b2) * (g * g - v)
-            mhat = m / (1.0 - b1 ** self.t)
-            vhat = v / (1.0 - b2 ** self.t)
-            params[key] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            m += (1.0 - ADAM_BETA1) * (g - m)
+            v += (1.0 - ADAM_BETA2) * (g * g - v)
+            mhat = m / (1.0 - ADAM_BETA1 ** self.t)
+            vhat = v / (1.0 - ADAM_BETA2 ** self.t)
+            params[key] -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def make_optimizer(name, lr):
@@ -186,10 +190,10 @@ def entropy_filter(entropies, threshold):
 # robust label assignment
 # ---------------------------------------------------------------------------
 
-def rla_forward(net, batch, aug, mode=BNMode.TEST_BATCH_STATS):
+def rla_forward(net, batch, aug):
     """Average the logits of a batch and its augmented view.
 
-    Both forwards run in the same BN mode, each normalizing with its own
+    Both forwards run in TEST_BATCH_STATS mode, each normalizing with its own
     batch statistics. Gradients flow only through the un-augmented branch;
     because the combination is (live + frozen)/2, the gradient reaching the
     live logits is half the gradient at the combined logits.
@@ -201,8 +205,8 @@ def rla_forward(net, batch, aug, mode=BNMode.TEST_BATCH_STATS):
     aug_x = np.asarray(aug(x), dtype=np.float64)
     if aug_x.shape != x.shape:
         raise InvalidInput("augmentation changed the input shape")
-    logits, cache = forward(net, x, mode)
-    aug_logits, _ = forward(net, aug_x, mode)
+    logits, cache = forward(net, x, BNMode.TEST_BATCH_STATS)
+    aug_logits, _ = forward(net, aug_x, BNMode.TEST_BATCH_STATS)
     combined = 0.5 * (logits + aug_logits)
     return combined, cache, aug_logits
 
@@ -247,39 +251,41 @@ def accumulate_and_maybe_step(acc, grads, optimizer, params):
 class Adapter:
     """Owns a network and adapts it over a stream of unlabeled batches.
 
-    One adapter per stream; calls are strictly sequential. Optimizer state
-    persists across batches and is zero-initialized at construction. The
-    procedure is online: permuting the stream may change the final
-    parameters, so reproducibility comes from fixing the stream order, not
-    from the algorithm being order-free.
+    One adapter per stream; calls are strictly sequential. The stream's plan
+    is resolved once, here: the BN mode, whether parameters move (not for
+    ``source``/``norm``), RLA with ``flip_signal`` (``ttc`` with
+    ``rla_enabled``), the WA exponent (``ttc`` with ``wa_enabled``), the
+    ``tent-filtered`` threshold, and Q (``ttc`` with ``ga_enabled``:
+    ``accumulation_q``, else ``default_q(batch_size)``). Optimizer state
+    persists across batches. The procedure is online: reproducibility comes
+    from fixing the stream order.
 
     With gradient accumulation the optimizer steps on every Q-th batch only;
     gradients accumulated after the last step of a stream are discarded.
-    ``aug=None`` turns robust label assignment off.
     """
 
-    def __init__(self, net, config, batch_size=None, aug=flip_signal):
+    def __init__(self, net, config, batch_size):
+        if batch_size < 1:
+            raise InvalidInput("batch_size must be positive")
+        strategy = config.strategy
+        ttc = strategy == "ttc"
         self.net = net
-        self.config = config
-        self.aug = aug
         self.optimizer = make_optimizer(config.optimizer, config.lr)
-        self._q = None
-        self.accumulator = None
-        if batch_size is not None:
-            self._resolve_q(batch_size)
-
-    def _resolve_q(self, batch_size):
-        cfg = self.config
-        if cfg.strategy == "ttc" and cfg.ga_enabled:
-            q = cfg.accumulation_q or default_q(batch_size)
-        else:
-            q = 1
-        self._q = q
+        self.mode = (BNMode.EVAL_STATS if strategy == "source"
+                     else BNMode.TEST_BATCH_STATS)
+        self.learns = strategy not in ("source", "norm")
+        self.rla = ttc and config.rla_enabled
+        self.tau = config.tau if ttc and config.wa_enabled else None
+        self.threshold = None
+        if strategy == "tent-filtered":  # a set threshold is positive
+            self.threshold = (config.filter_threshold
+                              or default_filter_threshold(net.k))
+        q = 1
+        if ttc and config.ga_enabled:
+            q = config.accumulation_q or default_q(batch_size)
         self.accumulator = GradientAccumulator(q=q)
-
-    def _use_rla(self):
-        return (self.config.strategy == "ttc" and self.config.rla_enabled
-                and self.aug is not None)
+        # under RLA the live logits get half the combined-logit gradient
+        self.grad_scale = (0.5 if self.rla else 1.0) / q
 
     def adapt_batch(self, batch):
         """Process one batch: predict, then (for gradient strategies) update.
@@ -290,51 +296,26 @@ class Adapter:
         x = np.asarray(batch, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] == 0:
             raise InvalidInput("batch must be a non-empty 2-D array")
-        cfg = self.config
-        if self._q is None:
-            self._resolve_q(x.shape[0])
-
-        if cfg.strategy == "source":
-            logits, _ = forward(self.net, x, BNMode.EVAL_STATS)
-            probs = softmax(logits)
-            return np.argmax(probs, axis=1), probs
-
-        if cfg.strategy == "norm":
-            logits, _ = forward(self.net, x, BNMode.TEST_BATCH_STATS)
-            probs = softmax(logits)
-            return np.argmax(probs, axis=1), probs
-
-        if self._use_rla():
-            combined, cache, _ = rla_forward(self.net, x, self.aug)
-            live_factor = 0.5
+        if self.rla:
+            logits, cache, _ = rla_forward(self.net, x, flip_signal)
         else:
-            combined, cache = forward(self.net, x, BNMode.TEST_BATCH_STATS)
-            live_factor = 1.0
-        probs = softmax(combined)
+            logits, cache = forward(self.net, x, self.mode)
+        probs = softmax(logits)
         preds = np.argmax(probs, axis=1)
+        if not self.learns:
+            return preds, probs
 
-        n = x.shape[0]
-        if cfg.strategy == "tent":
-            _, grad = tent_loss(combined)
-        elif cfg.strategy == "tent-filtered":
-            threshold = cfg.filter_threshold
-            if threshold is None:
-                threshold = default_filter_threshold(self.net.k)
-            h = entropy(probs)
-            mask = entropy_filter(h, threshold)
+        if self.threshold is not None:
+            mask = entropy_filter(entropy(probs), self.threshold)
             if not mask.any():
                 return preds, probs
-            grad = np.zeros_like(combined)
-            _, g_sub = tent_loss(combined[mask])
-            grad[mask] = g_sub
-        else:  # ttc
-            if cfg.wa_enabled:
-                _, grad = ttc_loss(combined, cfg.tau, n)
-            else:
-                _, grad = tent_loss(combined)
-
-        grad_logits = (live_factor / self._q) * grad
-        grads = backward_bn_affine(self.net, cache, grad_logits)
+            grad = np.zeros_like(logits)
+            grad[mask] = tent_loss(logits[mask])[1]
+        elif self.tau is not None:
+            _, grad = ttc_loss(logits, self.tau, x.shape[0])
+        else:
+            _, grad = tent_loss(logits)
+        grads = backward_bn_affine(self.net, cache, self.grad_scale * grad)
         accumulate_and_maybe_step(self.accumulator, grads, self.optimizer,
                                   bn_affine_params(self.net))
         return preds, probs

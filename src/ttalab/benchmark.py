@@ -14,7 +14,8 @@ import copy as _copy
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.ndimage import uniform_filter1d
@@ -27,6 +28,15 @@ from .numeric import softmax
 
 SIGNAL_LENGTH = 32
 NOISE_SIGMA = 0.1
+
+# Class templates: bump width (grid points), bump amplitude, constant baseline.
+TEMPLATE_WIDTH = 1.2
+TEMPLATE_AMPLITUDE = 0.3
+TEMPLATE_BASELINE = 1.0
+
+# Source training: minibatch size and the probability of flipping a signal.
+TRAIN_BATCH_SIZE = 64
+TRAIN_FLIP_PROB = 0.5
 
 CORRUPTION_KINDS = ("gaussian_noise", "impulse_noise", "smooth_blur",
                     "contrast", "brightness")
@@ -56,8 +66,7 @@ class SignalDataset:
         return self.inputs.shape[0]
 
 
-def class_templates(k, length=SIGNAL_LENGTH, width=1.2, amplitude=0.3,
-                    baseline=1.0):
+def class_templates(k):
     """Flip-symmetric class templates: a baseline plus a bump and its mirror.
 
     Bump centers are evenly spaced over the left half of the grid, so the
@@ -70,14 +79,15 @@ def class_templates(k, length=SIGNAL_LENGTH, width=1.2, amplitude=0.3,
     """
     if k < 2:
         raise InvalidInput("k must be at least 2")
-    grid = np.arange(length, dtype=np.float64)
+    grid = np.arange(SIGNAL_LENGTH, dtype=np.float64)
     lo, hi = 2.0, 13.5
     positions = np.linspace(lo, hi, k)
-    templates = np.empty((k, length))
+    templates = np.empty((k, SIGNAL_LENGTH))
     for c, pos in enumerate(positions):
-        bump = np.exp(-((grid - pos) ** 2) / (2.0 * width ** 2))
+        bump = np.exp(-((grid - pos) ** 2) / (2.0 * TEMPLATE_WIDTH ** 2))
         # adding the reversed bump keeps the template symmetric bit for bit
-        templates[c] = baseline + amplitude * (bump + bump[::-1])
+        templates[c] = TEMPLATE_BASELINE + TEMPLATE_AMPLITUDE * (
+            bump + bump[::-1])
     return templates
 
 
@@ -144,13 +154,16 @@ def apply_corruption(x, corruption, seed):
 # source training
 # ---------------------------------------------------------------------------
 
-def train_source(dataset, epochs, seed, lr=1e-2, batch_size=64, hidden=64,
-                 flip_prob=0.5):
+def train_source(dataset, epochs, seed, lr=1e-2, hidden=64):
     """Train the canonical network on a clean dataset with random flips.
 
     Uses Adam on all parameters with BN in training mode, so running
     statistics are populated. Raises TrainingDiverged on a non-finite loss.
     """
+    if epochs < 0:
+        raise InvalidInput(f"epochs must be non-negative, got {epochs}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise InvalidInput(f"lr must be finite and positive, got {lr}")
     k = dataset.num_classes
     net = make_network(input_dim=dataset.inputs.shape[1], hidden=hidden,
                        k=k, seed=seed)
@@ -159,13 +172,13 @@ def train_source(dataset, epochs, seed, lr=1e-2, batch_size=64, hidden=64,
     m = len(dataset)
     for _ in range(epochs):
         order = rng.permutation(m)
-        for start in range(0, m, batch_size):
-            idx = order[start:start + batch_size]
+        for start in range(0, m, TRAIN_BATCH_SIZE):
+            idx = order[start:start + TRAIN_BATCH_SIZE]
             if len(idx) < 2:
                 continue  # BN batch statistics need two samples
             x = dataset.inputs[idx]
             y = dataset.labels[idx]
-            flips = rng.random(len(idx)) < flip_prob
+            flips = rng.random(len(idx)) < TRAIN_FLIP_PROB
             if flips.any():
                 x = x.copy()
                 x[flips] = flip_signal(x[flips])
@@ -186,9 +199,9 @@ def train_source(dataset, epochs, seed, lr=1e-2, batch_size=64, hidden=64,
     return net
 
 
-def evaluate_accuracy(net, dataset, mode=BNMode.EVAL_STATS):
-    """Plain accuracy of the network on a dataset, no adaptation."""
-    logits, _ = forward(net, dataset.inputs, mode)
+def evaluate_accuracy(net, dataset):
+    """Plain accuracy under running statistics, no adaptation."""
+    logits, _ = forward(net, dataset.inputs, BNMode.EVAL_STATS)
     return accuracy_score(np.argmax(logits, axis=1), dataset.labels)
 
 
@@ -244,21 +257,9 @@ class RunReport:
     per_batch_accuracy: list
     config: dict
     params_digest: str
-    predictions: np.ndarray = field(repr=False, default=None)
-    labels: np.ndarray = field(repr=False, default=None)
 
     def to_json(self):
-        return {
-            "strategy": self.strategy,
-            "corruption": self.corruption,
-            "severity": self.severity,
-            "seed": self.seed,
-            "n_test": self.n_test,
-            "accuracy": self.accuracy,
-            "per_batch_accuracy": self.per_batch_accuracy,
-            "config": self.config,
-            "params_digest": self.params_digest,
-        }
+        return asdict(self)
 
     def json_str(self):
         return json.dumps(self.to_json(), sort_keys=True) + "\n"
@@ -295,8 +296,7 @@ def adapt_over_stream(net, dataset, corruption, protocol, config):
         inputs = apply_corruption(inputs, corruption, protocol.seed)
     m = len(dataset)
     order = np.random.default_rng(protocol.seed).permutation(m)
-    adapter = Adapter(work, config, batch_size=protocol.batch_size,
-                      aug=flip_signal)
+    adapter = Adapter(work, config, protocol.batch_size)
     predictions = np.empty(m, dtype=np.int64)
     per_batch = []
     seen = 0
@@ -317,8 +317,6 @@ def adapt_over_stream(net, dataset, corruption, protocol, config):
         per_batch_accuracy=per_batch,
         config=config.to_json(),
         params_digest=params_digest(work),
-        predictions=predictions,
-        labels=dataset.labels.copy(),
     )
     return report, work
 
@@ -340,6 +338,8 @@ def feature_histograms(features_by_name, bins=64):
     each name to a (channels, bins) array of densities summing to 1 per
     channel.
     """
+    if bins < 1:
+        raise InvalidInput(f"bins must be positive, got {bins}")
     names = list(features_by_name)
     stacked = np.vstack([features_by_name[n] for n in names])
     channels = stacked.shape[1]

@@ -14,13 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptation import STRATEGIES, AdaptationConfig
+from .adaptation import OPTIMIZERS, STRATEGIES, AdaptationConfig
 from .benchmark import (CORRUPTION_KINDS, Corruption, StreamProtocol,
                         adapt_over_stream, apply_corruption, collect_features,
                         evaluate_accuracy, feature_histograms,
                         generate_dataset, histogram_overlap, stream_eval,
                         train_source)
-from .errors import TrainingDiverged, TTALabError
+from .errors import InvalidInput, TrainingDiverged, TTALabError
 from .network import BNMode, load_checkpoint, save_checkpoint
 from .numeric import simulate_entropy_descent, trajectory_csv
 
@@ -44,12 +44,16 @@ class _Parser(argparse.ArgumentParser):
         raise _SpecError(message)
 
 
-def _add_config_flags(p):
-    p.add_argument("--strategy", choices=STRATEGIES, default="ttc")
+def _add_optimizer_flags(p):
     p.add_argument("--lr", type=float, default=None,
                    help="adaptation learning rate (default: config default)")
-    p.add_argument("--optimizer", choices=("sgd", "adam"), default="adam")
+    p.add_argument("--optimizer", choices=OPTIMIZERS, default="adam")
     p.add_argument("--tau", type=float, default=0.5)
+
+
+def _add_config_flags(p):
+    p.add_argument("--strategy", choices=STRATEGIES, default="ttc")
+    _add_optimizer_flags(p)
     p.add_argument("--q", type=int, default=None,
                    help="gradient accumulation length (default: ~200/N)")
     p.add_argument("--no-rla", dest="rla", action="store_false")
@@ -96,9 +100,7 @@ def build_parser():
     p.add_argument("--seeds", type=int, default=5,
                    help="number of stream seeds to average over")
     p.add_argument("--out", default="out")
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--optimizer", choices=("sgd", "adam"), default="adam")
-    p.add_argument("--tau", type=float, default=0.5)
+    _add_optimizer_flags(p)
     _add_data_flags(p)
 
     p = sub.add_parser("lemma-check",
@@ -119,9 +121,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out")
     p.add_argument("--bins", type=int, default=64)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--optimizer", choices=("sgd", "adam"), default="adam")
-    p.add_argument("--tau", type=float, default=0.5)
+    _add_optimizer_flags(p)
     _add_data_flags(p)
 
     return parser
@@ -177,9 +177,13 @@ def cmd_train_source(args):
     dataset = generate_dataset(args.k, args.m, args.seed)
     net = train_source(dataset, epochs=args.epochs, seed=args.seed,
                        lr=args.lr, hidden=args.hidden)
+    # a last step that diverges shows only here, so no checkpoint is written
+    try:
+        train_acc = evaluate_accuracy(net, dataset)
+    except InvalidInput as e:
+        raise TrainingDiverged(f"trained network is unusable: {e}") from None
     ckpt = out / "source.json"
     save_checkpoint(net, ckpt)
-    train_acc = evaluate_accuracy(net, dataset)
     log = out / "train_log.txt"
     log.write_text(
         f"k={args.k} m={args.m} seed={args.seed} epochs={args.epochs} "
@@ -218,6 +222,8 @@ def cmd_sweep_batch_size(args):
         if n < 2:
             raise _SpecError(
                 f"--batch-sizes: {n} too small, per-batch statistics need >= 2")
+    if args.seeds < 1:
+        raise _SpecError(f"--seeds: {args.seeds} too small, need >= 1")
     net = _load_checkpoint(args.checkpoint)
     out = _outdir(args)
     corruption = _corruption_of(args)

@@ -53,15 +53,13 @@ class BatchNormLayer:
     momentum: float = 0.1
 
     @classmethod
-    def identity(cls, num_features, eps=1e-8, momentum=0.1):
+    def identity(cls, num_features):
         """BN initialized to a no-op under running stats (0, 1)."""
         return cls(
             gamma=np.ones(num_features),
             beta=np.zeros(num_features),
             running_mean=np.zeros(num_features),
             running_var=np.ones(num_features),
-            eps=eps,
-            momentum=momentum,
         )
 
 
@@ -110,6 +108,11 @@ class Network:
 
 def make_network(input_dim=32, hidden=64, k=3, seed=0):
     """Canonical experiment architecture: d -> Dense(h)+BN+relu twice -> Dense(k)."""
+    if input_dim < 1 or hidden < 1:
+        raise InvalidInput(
+            f"input_dim and hidden must be positive, got {input_dim}, {hidden}")
+    if k < 2:
+        raise InvalidInput(f"k must be at least 2, got {k}")
     rng = np.random.default_rng(seed)
 
     def dense(n_in, n_out, act):

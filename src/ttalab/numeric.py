@@ -90,14 +90,14 @@ def entropy_grad_logits(z):
     return -p * (logp + h)
 
 
-def finite_diff_check(f, x, analytic, step=FD_STEP):
-    """Max relative error between an analytic gradient and central differences.
+def finite_diff_check(f, x, analytic):
+    """Max relative error between an analytic gradient and central differences
+    with step FD_STEP.
 
     Args:
         f: scalar-valued function of a 1-D vector.
         x: point at which to check.
         analytic: claimed gradient of f at x, same shape as x.
-        step: central-difference step; must be nonzero.
 
     Returns:
         max over coordinates of |analytic - fd| / max(1, |analytic|).
@@ -106,17 +106,15 @@ def finite_diff_check(f, x, analytic, step=FD_STEP):
     analytic = np.asarray(analytic, dtype=np.float64)
     if analytic.shape != x.shape:
         raise InvalidInput("analytic gradient shape does not match x")
-    if step == 0:
-        raise InvalidInput("finite-difference step must be nonzero")
     worst = 0.0
     for i in range(x.size):
         bump = np.zeros_like(x)
-        bump.flat[i] = step
+        bump.flat[i] = FD_STEP
         hi = float(f(x + bump))
         lo = float(f(x - bump))
         if not (np.isfinite(hi) and np.isfinite(lo)):
             raise InvalidInput("f returned a non-finite value near x")
-        fd = (hi - lo) / (2.0 * step)
+        fd = (hi - lo) / (2.0 * FD_STEP)
         a = analytic.flat[i]
         worst = max(worst, abs(a - fd) / max(1.0, abs(a)))
     return worst
@@ -133,8 +131,10 @@ def simulate_entropy_descent(p0, lr, steps):
     p0 = _validate_probs(np.asarray(p0, dtype=np.float64))
     if p0.ndim != 1:
         raise InvalidInput("p0 must be a single probability vector")
-    if lr <= 0:
-        raise InvalidInput("learning rate must be positive")
+    if not (np.isfinite(lr) and lr > 0):
+        raise InvalidInput(f"learning rate must be finite and positive, got {lr}")
+    if steps < 0:
+        raise InvalidInput(f"steps must be non-negative, got {steps}")
     traj = np.empty((steps + 1, p0.size), dtype=np.float64)
     traj[0] = p0
     z = np.log(np.maximum(p0, EPS_PROB))

@@ -132,7 +132,8 @@ def test_criterion_03_degeneration(source_net, test_dataset):
                                      Corruption("gaussian_noise", 5), seed=0)
         batches = [corrupted[i * 20:(i + 1) * 20] for i in range(50)]
         variants = {
-            "no-aug": dict(strategy="ttc", tau=0.0, accumulation_q=1),
+            "no-aug": dict(strategy="ttc", rla_enabled=False, tau=0.0,
+                           accumulation_q=1),
             "flags-off": dict(strategy="ttc", rla_enabled=False,
                               wa_enabled=False, ga_enabled=False),
         }
@@ -140,8 +141,8 @@ def test_criterion_03_degeneration(source_net, test_dataset):
             import copy
             net_tent = copy.deepcopy(source_net)
             net_ttc = copy.deepcopy(source_net)
-            tent = Adapter(net_tent, AdaptationConfig(strategy="tent"))
-            ttc = Adapter(net_ttc, AdaptationConfig(**kwargs), aug=None)
+            tent = Adapter(net_tent, AdaptationConfig(strategy="tent"), 20)
+            ttc = Adapter(net_ttc, AdaptationConfig(**kwargs), 20)
             for x in batches:
                 p_a, _ = tent.adapt_batch(x)
                 p_b, _ = ttc.adapt_batch(x)

@@ -3,8 +3,8 @@ import copy
 import numpy as np
 import pytest
 
-from ttalab.adaptation import (EPS_ENTROPY, AdaptationConfig, Adapter,
-                               GradientAccumulator, SGD,
+from ttalab.adaptation import (EPS_ENTROPY, STRATEGIES, AdaptationConfig,
+                               Adapter, GradientAccumulator, SGD,
                                accumulate_and_maybe_step, default_q,
                                entropy_filter, flip_signal, rla_forward,
                                sample_weights, tent_loss, ttc_loss)
@@ -135,7 +135,7 @@ class TestEntropyFilter:
         net = small_net()
         config = AdaptationConfig(strategy="tent-filtered",
                                   filter_threshold=1e-9, optimizer="sgd")
-        adapter = Adapter(net, config)
+        adapter = Adapter(net, config, 10)
         before = network_to_dict(net)
         adapter.adapt_batch(small_batch(rng))
         assert network_to_dict(net) == before
@@ -213,11 +213,11 @@ class TestRlaForward:
         x = small_batch(rng)
         net_a = small_net(seed=7)
         net_b = small_net(seed=7)
-        cfg_a = AdaptationConfig(strategy="ttc", tau=0.0, accumulation_q=1,
-                                 optimizer="sgd", lr=0.05)
+        cfg_a = AdaptationConfig(strategy="ttc", rla_enabled=False, tau=0.0,
+                                 accumulation_q=1, optimizer="sgd", lr=0.05)
         cfg_b = AdaptationConfig(strategy="tent", optimizer="sgd", lr=0.05)
-        Adapter(net_a, cfg_a, aug=None).adapt_batch(x)
-        Adapter(net_b, cfg_b).adapt_batch(x)
+        Adapter(net_a, cfg_a, 10).adapt_batch(x)
+        Adapter(net_b, cfg_b, 10).adapt_batch(x)
         assert network_to_dict(net_a) == network_to_dict(net_b)
 
 
@@ -295,7 +295,7 @@ class TestGradientAccumulation:
 class TestAdaptBatch:
     def test_source_strategy_is_idempotent(self, rng):
         net = small_net()
-        adapter = Adapter(net, AdaptationConfig(strategy="source"))
+        adapter = Adapter(net, AdaptationConfig(strategy="source"), 10)
         x = small_batch(rng)
         before = network_to_dict(net)
         p1, _ = adapter.adapt_batch(x)
@@ -305,7 +305,7 @@ class TestAdaptBatch:
 
     def test_norm_strategy_never_steps(self, rng):
         net = small_net()
-        adapter = Adapter(net, AdaptationConfig(strategy="norm"))
+        adapter = Adapter(net, AdaptationConfig(strategy="norm"), 10)
         before = network_to_dict(net)
         for _ in range(3):
             adapter.adapt_batch(small_batch(rng))
@@ -322,7 +322,7 @@ class TestAdaptBatch:
         expected = {key: arr - lr * manual[key]
                     for key, arr in bn_affine_params(reference).items()}
         adapter = Adapter(net, AdaptationConfig(strategy="tent", lr=lr,
-                                                optimizer="sgd"))
+                                                optimizer="sgd"), 10)
         adapter.adapt_batch(x)
         for key, arr in bn_affine_params(net).items():
             np.testing.assert_array_equal(arr, expected[key])
@@ -331,10 +331,10 @@ class TestAdaptBatch:
         x_batches = [small_batch(rng) for _ in range(10)]
         net_tent = small_net(seed=6)
         net_ttc = small_net(seed=6)
-        tent = Adapter(net_tent, AdaptationConfig(strategy="tent"))
+        tent = Adapter(net_tent, AdaptationConfig(strategy="tent"), 10)
         ttc = Adapter(net_ttc, AdaptationConfig(
             strategy="ttc", rla_enabled=False, wa_enabled=False,
-            ga_enabled=True, accumulation_q=1))
+            ga_enabled=True, accumulation_q=1), 10)
         for x in x_batches:
             p_a, _ = tent.adapt_batch(x)
             p_b, _ = ttc.adapt_batch(x)
@@ -349,10 +349,10 @@ class TestAdaptBatch:
         net_wait = small_net(seed=8)
         stepping = Adapter(net_step, AdaptationConfig(
             strategy="ttc", rla_enabled=False, wa_enabled=False,
-            accumulation_q=1, lr=5.0, optimizer="sgd"))
+            accumulation_q=1, lr=5.0, optimizer="sgd"), 10)
         waiting = Adapter(net_wait, AdaptationConfig(
             strategy="ttc", rla_enabled=False, wa_enabled=False,
-            accumulation_q=100, lr=5.0, optimizer="sgd"))
+            accumulation_q=100, lr=5.0, optimizer="sgd"), 10)
         frozen = copy.deepcopy(net_step)
         pre_logits, _ = forward(frozen, x, BNMode.TEST_BATCH_STATS)
         expected = np.argmax(softmax(pre_logits), axis=1)
@@ -362,14 +362,25 @@ class TestAdaptBatch:
         np.testing.assert_array_equal(p_wait, expected)
 
     def test_empty_batch_rejected(self):
-        adapter = Adapter(small_net(), AdaptationConfig(strategy="tent"))
+        adapter = Adapter(small_net(), AdaptationConfig(strategy="tent"), 10)
         with pytest.raises(InvalidInput):
             adapter.adapt_batch(np.empty((0, 8)))
+
+    @pytest.mark.parametrize("ga", [True, False])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_q_resolved_at_construction(self, strategy, ga):
+        config = AdaptationConfig(strategy=strategy, ga_enabled=ga)
+        q = Adapter(small_net(), config, 10).accumulator.q
+        assert q == (default_q(10) if strategy == "ttc" and ga else 1)
+
+    def test_nonpositive_batch_size_rejected(self):
+        with pytest.raises(InvalidInput):
+            Adapter(small_net(), AdaptationConfig(), 0)
 
     def test_adam_moments_persist_across_batches(self, rng):
         net = small_net(seed=9)
         adapter = Adapter(net, AdaptationConfig(strategy="tent",
-                                                optimizer="adam"))
+                                                optimizer="adam"), 10)
         adapter.adapt_batch(small_batch(rng))
         assert adapter.optimizer.t == 1
         adapter.adapt_batch(small_batch(rng))

@@ -1,17 +1,20 @@
+import copy
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from ttalab.adaptation import AdaptationConfig, flip_signal
-from ttalab.benchmark import (CORRUPTION_KINDS, NOISE_SIGMA, Corruption,
-                              SignalDataset, StreamProtocol, accuracy_score,
+from ttalab.adaptation import STRATEGIES, AdaptationConfig, Adapter, flip_signal
+from ttalab.benchmark import (CORRUPTION_KINDS, NOISE_SIGMA, SIGNAL_LENGTH,
+                              Corruption, SignalDataset, StreamProtocol,
+                              accuracy_score, adapt_over_stream,
                               apply_corruption, batch_slices, class_templates,
                               evaluate_accuracy, generate_dataset,
-                              histogram_overlap, stream_eval, train_source)
-from ttalab.errors import InvalidInput, TrainingDiverged
-from ttalab.network import network_to_dict
+                              histogram_overlap, params_digest, stream_eval,
+                              train_source)
+from ttalab.errors import DegenerateBatch, InvalidInput, TrainingDiverged
+from ttalab.network import bn_affine_params, make_network, network_to_dict
 
 
 class TestGenerateDataset:
@@ -183,18 +186,47 @@ class TestStreamEval:
                              Corruption("gaussian_noise", 5),
                              StreamProtocol(batch_size=100, seed=1),
                              AdaptationConfig(strategy="tent"))
-        recount = np.mean(report.predictions == report.labels)
-        assert report.accuracy == recount
+        sizes = [s.stop - s.start for s in batch_slices(len(test_dataset), 100)]
+        recount = np.dot(report.per_batch_accuracy, sizes) / sum(sizes)
+        assert report.accuracy == pytest.approx(recount, rel=1e-12)
 
     def test_one_pass_touches_every_sample(self, source_net, test_dataset):
         report = stream_eval(source_net, test_dataset, None,
                              StreamProtocol(batch_size=128, seed=2),
                              AdaptationConfig(strategy="norm"))
         assert report.n_test == len(test_dataset)
-        assert report.predictions.shape == (len(test_dataset),)
-        assert np.all((report.predictions >= 0)
-                      & (report.predictions < test_dataset.num_classes))
         assert len(report.per_batch_accuracy) == int(np.ceil(3000 / 128))
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(3, 60), n=st.integers(1, 12),
+           strategy=st.sampled_from(STRATEGIES), q=st.integers(1, 5))
+    def test_one_pass_property(self, m, n, strategy, q):
+        net = make_network(input_dim=SIGNAL_LENGTH, hidden=4, k=3, seed=0)
+        dataset = generate_dataset(3, m, seed=m)
+        config = AdaptationConfig(strategy=strategy, accumulation_q=q)
+        protocol = StreamProtocol(batch_size=n, seed=0)
+        if n == 1 and strategy != "source":
+            with pytest.raises(DegenerateBatch):
+                adapt_over_stream(net, dataset, None, protocol, config)
+            return
+        report, adapted = adapt_over_stream(net, dataset, None, protocol,
+                                            config)
+        slices = batch_slices(m, n)
+        sizes = [s.stop - s.start for s in slices]
+        assert len(report.per_batch_accuracy) == len(slices)
+        assert report.accuracy == pytest.approx(
+            np.dot(report.per_batch_accuracy, sizes) / m, rel=1e-12)
+        for arr in bn_affine_params(adapted).values():
+            assert np.all(np.isfinite(arr))
+        if strategy in ("source", "norm") or (strategy == "ttc"
+                                              and len(slices) < q):
+            assert report.params_digest == params_digest(net)
+        if strategy in ("tent", "ttc"):
+            adapter = Adapter(copy.deepcopy(net), config, n)
+            for s in slices:
+                adapter.adapt_batch(dataset.inputs[s])
+            steps_every = q if strategy == "ttc" else 1
+            assert adapter.optimizer.t == len(slices) // steps_every
 
     def test_identical_runs_produce_identical_reports(self, source_net,
                                                       test_dataset):

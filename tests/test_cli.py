@@ -264,6 +264,43 @@ class TestArgumentValidation:
         assert main(["fine-tune"]) == 3
 
 
+# argv, exit code, a word the error message must name
+BAD_ARGUMENTS = [
+    (["adapt", "--lr", "nan"], 3, "lr"),
+    (["adapt", "--lr", "inf"], 3, "lr"),
+    (["adapt", "--tau", "nan"], 3, "tau"),
+    (["adapt", "--tau", "inf"], 3, "tau"),
+    (["adapt", "--strategy", "tent-filtered", "--filter-threshold", "nan"], 3,
+     "filter_threshold"),
+    (["train-source", "--hidden", "0"], 3, "hidden"),
+    (["lemma-check", "--steps", "-1"], 3, "steps"),
+    (["train-source", "--epochs", "-1"], 3, "epochs"),
+    (["density", "--bins", "0"], 3, "bins"),
+    (["sweep-batch-size", "--seeds", "0"], 3, "--seeds"),
+    # diverges on its last step: caught before the checkpoint is written
+    (["train-source", "--lr", "1e306", "--m", "30", "--epochs", "1"], 2,
+     "non-finite"),
+]
+
+
+@pytest.mark.parametrize("argv, expected, word", BAD_ARGUMENTS,
+                         ids=[" ".join(a) for a, _, _ in BAD_ARGUMENTS])
+def test_bad_argument_exits_with_precise_error(workdir, tmp_path, capsys,
+                                               argv, expected, word):
+    command, *flags = argv
+    paths = ["--out", str(tmp_path)]
+    if command in ("adapt", "sweep-batch-size", "density"):
+        paths += ["--checkpoint", str(workdir / "source.json")]
+    with np.errstate(all="ignore"):
+        code = main([command, *paths, *flags])
+    err = capsys.readouterr().err
+    assert code == expected
+    assert [line for line in err.splitlines()
+            if line.startswith(("error:", "training failed:")) and word in line]
+    assert "Traceback" not in err
+    assert not (tmp_path / "source.json").exists()
+
+
 class TestDensityAlignmentDirection:
     def test_ttc_features_align_better_than_tent_at_small_batch(
             self, source_net, test_dataset):
