@@ -190,23 +190,21 @@ def entropy_filter(entropies, threshold):
 # robust label assignment
 # ---------------------------------------------------------------------------
 
-def rla_forward(net, batch, aug):
-    """Average the logits of a batch and its augmented view.
+def rla_forward(net, batch):
+    """Average the logits of a batch and of its flip (``flip_signal``).
 
     Both forwards run in TEST_BATCH_STATS mode, each normalizing with its own
-    batch statistics. Gradients flow only through the un-augmented branch;
+    batch statistics. Gradients flow only through the un-flipped branch;
     because the combination is (live + frozen)/2, the gradient reaching the
     live logits is half the gradient at the combined logits.
 
     Returns (combined_logits, cache, aug_logits) where cache belongs to the
-    un-augmented forward and aug_logits carry no gradient path.
+    un-flipped forward and aug_logits, the flipped branch's logits, carry no
+    gradient path.
     """
     x = np.asarray(batch, dtype=np.float64)
-    aug_x = np.asarray(aug(x), dtype=np.float64)
-    if aug_x.shape != x.shape:
-        raise InvalidInput("augmentation changed the input shape")
     logits, cache = forward(net, x, BNMode.TEST_BATCH_STATS)
-    aug_logits, _ = forward(net, aug_x, BNMode.TEST_BATCH_STATS)
+    aug_logits, _ = forward(net, flip_signal(x), BNMode.TEST_BATCH_STATS)
     combined = 0.5 * (logits + aug_logits)
     return combined, cache, aug_logits
 
@@ -297,7 +295,7 @@ class Adapter:
         if x.ndim != 2 or x.shape[0] == 0:
             raise InvalidInput("batch must be a non-empty 2-D array")
         if self.rla:
-            logits, cache, _ = rla_forward(self.net, x, flip_signal)
+            logits, cache, _ = rla_forward(self.net, x)
         else:
             logits, cache = forward(self.net, x, self.mode)
         probs = softmax(logits)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,46 +30,47 @@ EXIT_PROPERTY = 1
 EXIT_TRAINING = 2
 EXIT_SPEC = 3
 
-DEFAULT_TEST_M = 3000
-DEFAULT_DATA_SEED = 777
-
 
 class _SpecError(Exception):
     pass
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports bad flags through our exit-code convention."""
+    """argparse that reports bad flags through our exit-code convention and
+    takes no abbreviations, so ``--batch-size`` never means ``--batch-sizes``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise _SpecError(message)
 
 
 def _add_optimizer_flags(p):
-    p.add_argument("--lr", type=float, default=None,
-                   help="adaptation learning rate (default: config default)")
-    p.add_argument("--optimizer", choices=OPTIMIZERS, default="adam")
-    p.add_argument("--tau", type=float, default=0.5)
+    """Flags whose dest is an AdaptationConfig field; defaults come from it."""
+    p.add_argument("--lr", type=float, help="adaptation learning rate")
+    p.add_argument("--optimizer", choices=OPTIMIZERS)
+    p.add_argument("--tau", type=float)
+    p.set_defaults(**AdaptationConfig().to_json())
 
 
 def _add_config_flags(p):
-    p.add_argument("--strategy", choices=STRATEGIES, default="ttc")
+    p.add_argument("--strategy", choices=STRATEGIES)
     _add_optimizer_flags(p)
-    p.add_argument("--q", type=int, default=None,
+    p.add_argument("--q", dest="accumulation_q", type=int,
                    help="gradient accumulation length (default: ~200/N)")
-    p.add_argument("--no-rla", dest="rla", action="store_false")
-    p.add_argument("--no-wa", dest="wa", action="store_false")
-    p.add_argument("--no-ga", dest="ga", action="store_false")
-    p.add_argument("--filter-threshold", type=float, default=None)
+    p.add_argument("--no-rla", dest="rla_enabled", action="store_false")
+    p.add_argument("--no-wa", dest="wa_enabled", action="store_false")
+    p.add_argument("--no-ga", dest="ga_enabled", action="store_false")
+    p.add_argument("--filter-threshold", type=float)
 
 
 def _add_data_flags(p):
     p.add_argument("--corruption", choices=CORRUPTION_KINDS + ("none",),
                    default="gaussian_noise")
     p.add_argument("--severity", type=int, choices=range(1, 6), default=5)
-    p.add_argument("--batch-size", type=int, default=100)
-    p.add_argument("--test-m", type=int, default=DEFAULT_TEST_M)
-    p.add_argument("--data-seed", type=int, default=DEFAULT_DATA_SEED,
+    p.add_argument("--test-m", type=int, default=3000)
+    p.add_argument("--data-seed", type=int, default=777,
                    help="seed of the held-out test set (shared across runs)")
 
 
@@ -89,6 +91,7 @@ def build_parser():
     p.add_argument("--checkpoint", default="out/source.json")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out")
+    p.add_argument("--batch-size", type=int, default=100)
     _add_config_flags(p)
     _add_data_flags(p)
 
@@ -121,36 +124,17 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out")
     p.add_argument("--bins", type=int, default=64)
+    p.add_argument("--batch-size", type=int, default=100)
     _add_optimizer_flags(p)
     _add_data_flags(p)
 
     return parser
 
 
-def _build_config(args, strategy=None):
-    kwargs = {
-        "strategy": strategy or args.strategy,
-        "optimizer": args.optimizer,
-        "tau": args.tau,
-    }
-    if args.lr is not None:
-        kwargs["lr"] = args.lr
-    if getattr(args, "q", None) is not None:
-        kwargs["accumulation_q"] = args.q
-    if getattr(args, "filter_threshold", None) is not None:
-        kwargs["filter_threshold"] = args.filter_threshold
-    for name, dest in (("rla_enabled", "rla"), ("wa_enabled", "wa"),
-                       ("ga_enabled", "ga")):
-        if hasattr(args, dest):
-            kwargs[name] = getattr(args, dest)
-    return AdaptationConfig(**kwargs)
-
-
-def _load_checkpoint(path):
-    p = Path(path)
-    if not p.exists():
-        raise _SpecError(f"checkpoint not found: {path}")
-    return load_checkpoint(p)
+def _config(args, **changes):
+    """The stream config the flags set, with ``changes`` applied on top."""
+    flags = {f.name: vars(args)[f.name] for f in fields(AdaptationConfig)}
+    return AdaptationConfig(**(flags | changes))
 
 
 def _corruption_of(args):
@@ -200,9 +184,9 @@ def _report_stem(strategy, corruption, severity, seed):
 
 
 def cmd_adapt(args):
-    net = _load_checkpoint(args.checkpoint)
+    net = load_checkpoint(args.checkpoint)
     out = _outdir(args)
-    config = _build_config(args)
+    config = _config(args)
     corruption = _corruption_of(args)
     dataset = generate_dataset(net.k, args.test_m, args.data_seed)
     protocol = StreamProtocol(batch_size=args.batch_size, seed=args.seed)
@@ -224,38 +208,32 @@ def cmd_sweep_batch_size(args):
                 f"--batch-sizes: {n} too small, per-batch statistics need >= 2")
     if args.seeds < 1:
         raise _SpecError(f"--seeds: {args.seeds} too small, need >= 1")
-    net = _load_checkpoint(args.checkpoint)
+    net = load_checkpoint(args.checkpoint)
     out = _outdir(args)
     corruption = _corruption_of(args)
     dataset = generate_dataset(net.k, args.test_m, args.data_seed)
-
-    def variant_config(strategy, ga):
-        kwargs = {"optimizer": args.optimizer, "tau": args.tau}
-        if args.lr is not None:
-            kwargs["lr"] = args.lr
-        if strategy == "tent" and ga:
-            # tent plus accumulation is ttc with both other components off
-            return AdaptationConfig(strategy="ttc", rla_enabled=False,
-                                    wa_enabled=False, ga_enabled=True, **kwargs)
-        if strategy == "tent":
-            return AdaptationConfig(strategy="tent", **kwargs)
-        return AdaptationConfig(strategy="ttc", ga_enabled=ga, **kwargs)
+    ttc = _config(args, strategy="ttc")
+    variants = {
+        ("tent", False): replace(ttc, strategy="tent"),
+        # tent plus accumulation is ttc with both other components off
+        ("tent", True): replace(ttc, rla_enabled=False, wa_enabled=False),
+        ("ttc", False): replace(ttc, ga_enabled=False),
+        ("ttc", True): ttc,
+    }
 
     lines = ["strategy,batch_size,ga,accuracy_mean,accuracy_std"]
-    for strategy in ("tent", "ttc"):
-        for ga in (False, True):
-            config = variant_config(strategy, ga)
-            for n in args.batch_sizes:
-                accs = []
-                for seed in range(args.seeds):
-                    protocol = StreamProtocol(batch_size=n, seed=seed)
-                    report = stream_eval(net, dataset, corruption, protocol,
-                                         config)
-                    accs.append(report.accuracy)
-                mean = float(np.mean(accs))
-                std = float(np.std(accs))
-                lines.append(f"{strategy},{n},{str(ga).lower()},{mean!r},{std!r}")
-                print(f"{strategy} ga={ga} N={n}: {mean:.4f} +- {std:.4f}")
+    for (strategy, ga), config in variants.items():
+        for n in args.batch_sizes:
+            accs = []
+            for seed in range(args.seeds):
+                protocol = StreamProtocol(batch_size=n, seed=seed)
+                report = stream_eval(net, dataset, corruption, protocol,
+                                     config)
+                accs.append(report.accuracy)
+            mean = float(np.mean(accs))
+            std = float(np.std(accs))
+            lines.append(f"{strategy},{n},{str(ga).lower()},{mean!r},{std!r}")
+            print(f"{strategy} ga={ga} N={n}: {mean:.4f} +- {std:.4f}")
     path = out / "sweep_batch_size.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"sweep written to {path}")
@@ -269,6 +247,12 @@ def _tilted_start(k):
 
 
 def cmd_lemma_check(args):
+    if min(args.k_list) < 2:
+        raise _SpecError(f"--k-list: {min(args.k_list)} too small, need >= 2")
+    for flag, value in (("--random-starts", args.random_starts),
+                        ("--random-steps", args.random_steps)):
+        if value < 0:
+            raise _SpecError(f"{flag}: {value} is negative")
     out = _outdir(args)
     failures = []
     summary = ["k,final_max_prob,monotone"]
@@ -310,33 +294,29 @@ def cmd_lemma_check(args):
     return EXIT_OK
 
 
-def _strategy_features(net, dataset, corruption, args, strategy):
-    """Adapt under one strategy, then collect penultimate features."""
+def cmd_density(args):
+    net = load_checkpoint(args.checkpoint)
+    out = _outdir(args)
+    corruption = _corruption_of(args)
+    dataset = generate_dataset(net.k, args.test_m, args.data_seed)
     protocol = StreamProtocol(batch_size=args.batch_size, seed=args.seed)
     inputs = dataset.inputs
     if corruption is not None:
         inputs = apply_corruption(inputs, corruption, protocol.seed)
-    config = _build_config(args, strategy=strategy)
-    if strategy == "source":
-        return collect_features(net, inputs, args.batch_size, BNMode.EVAL_STATS)
-    _, adapted = adapt_over_stream(net, dataset, corruption, protocol, config)
-    return collect_features(adapted, inputs, args.batch_size,
-                            BNMode.TEST_BATCH_STATS)
 
-
-def cmd_density(args):
-    net = _load_checkpoint(args.checkpoint)
-    out = _outdir(args)
-    corruption = _corruption_of(args)
-    dataset = generate_dataset(net.k, args.test_m, args.data_seed)
+    def features(strategy):
+        """Adapt under one strategy, then collect penultimate features."""
+        _, adapted = adapt_over_stream(net, dataset, corruption, protocol,
+                                       _config(args, strategy=strategy))
+        mode = (BNMode.EVAL_STATS if strategy == "source"
+                else BNMode.TEST_BATCH_STATS)
+        return collect_features(adapted, inputs, args.batch_size, mode)
 
     # clean reference: the source checkpoint on the uncorrupted stream
     reference = collect_features(net, dataset.inputs, args.batch_size,
                                  BNMode.EVAL_STATS)
-    feats_a = _strategy_features(net, dataset, corruption, args,
-                                 args.strategy_a)
-    feats_b = _strategy_features(net, dataset, corruption, args,
-                                 args.strategy_b)
+    feats_a = features(args.strategy_a)
+    feats_b = features(args.strategy_b)
     edges, hists = feature_histograms(
         {"reference": reference, "a": feats_a, "b": feats_b}, bins=args.bins)
 
@@ -391,7 +371,7 @@ def main(argv=None):
     except TrainingDiverged as e:
         print(f"training failed: {e}", file=sys.stderr)
         return EXIT_TRAINING
-    except (_SpecError, TTALabError, FileNotFoundError) as e:
+    except (_SpecError, TTALabError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SPEC
 

@@ -81,9 +81,17 @@ def _blocks(layers):
             raise InvalidInput(
                 f"layer {i} is a {type(layer).__name__}; every block must start"
                 " with a dense layer, optionally followed by one batch-norm layer")
+        n_out, n_in = layer.weight.shape
+        if blocks and n_in != width:
+            raise InvalidInput(f"layer {i} takes {n_in} inputs, but the block"
+                               f" before it outputs {width}")
         bn = i + 1 if (i + 1 < len(layers)
                        and isinstance(layers[i + 1], BatchNormLayer)) else None
+        if bn is not None and layers[bn].gamma.size != n_out:
+            raise InvalidInput(f"layer {bn} normalizes {layers[bn].gamma.size}"
+                               f" features, but layer {i} outputs {n_out}")
         blocks.append(Block(i, bn, layer.activation == "relu"))
+        width = n_out
         i += 1 if bn is None else 2
     if not blocks:
         raise InvalidInput("network has no dense layer")
@@ -99,6 +107,10 @@ class Network:
 
     def __post_init__(self):
         self.blocks = _blocks(self.layers)
+        n_out = self.layers[self.blocks[-1].dense].weight.shape[0]
+        if n_out != self.k:
+            raise InvalidInput(
+                f"final dense layer outputs {n_out}, expected k={self.k}")
 
     @property
     def feature_dim(self):
@@ -149,8 +161,10 @@ def forward(net, batch, mode):
     batch variance is defined.
     """
     x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise InvalidInput("batch must be a 2-D array with at least one row")
+    n_in = net.layers[0].weight.shape[1]
+    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != n_in:
+        raise InvalidInput(f"batch must be a 2-D array with at least one row"
+                           f" and {n_in} columns, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise InvalidInput("batch contains non-finite values")
     if mode is BNMode.TEST_BATCH_STATS and x.shape[0] < 2:
@@ -321,63 +335,70 @@ def _array_field(obj, key, shape):
     return arr.reshape(shape)
 
 
+def _shape_field(obj, kind, ndim):
+    shape = obj.get("shape")
+    if not (isinstance(shape, list) and len(shape) == ndim
+            and all(type(n) is int and n >= 1 for n in shape)):
+        raise SchemaError(f"{kind} layer needs a shape of {ndim} positive"
+                          f" integers, got {shape!r}")
+    return tuple(shape)
+
+
+def _layer_from_dict(i, entry):
+    if not isinstance(entry, dict):
+        raise SchemaError(f"layer {i} is not a JSON object")
+    kind = entry.get("kind")
+    if kind == "dense":
+        shape = _shape_field(entry, "dense", 2)
+        return DenseLayer(
+            weight=_array_field(entry, "weight", shape),
+            bias=_array_field(entry, "bias", shape[:1]),
+            activation=entry.get("activation", "identity"),
+        )
+    if kind == "bn":
+        shape = _shape_field(entry, "bn", 1)
+        arrays = {key: _array_field(entry, key, shape)
+                  for key in ("gamma", "beta", "running_mean", "running_var")}
+        # eps and momentum are optional; absent, the class defaults hold
+        scalars = {key: _array_field(entry, key, ()).item()
+                   for key in ("eps", "momentum") if key in entry}
+        return BatchNormLayer(**arrays, **scalars)
+    raise SchemaError(f"unknown layer kind {kind!r}")
+
+
 def network_from_dict(doc, expect_k=None):
     if not isinstance(doc, dict):
         raise SchemaError("checkpoint root must be a JSON object")
-    for key in ("k", "layers"):
+    doc = {"meta": {}, **doc}
+    for key, kind in (("k", int), ("layers", list), ("meta", dict)):
         if key not in doc:
             raise SchemaError(f"checkpoint missing {key!r}")
-    k = int(doc["k"])
+        if not isinstance(doc[key], kind) or isinstance(doc[key], bool):
+            raise SchemaError(f"checkpoint {key!r} must be of type"
+                              f" {kind.__name__}, got {type(doc[key]).__name__}")
+    k = doc["k"]
     if expect_k is not None and k != expect_k:
         raise SchemaError(f"checkpoint has k={k}, expected k={expect_k}")
-    layers = []
-    for entry in doc["layers"]:
-        kind = entry.get("kind")
-        if kind == "dense":
-            shape = entry.get("shape")
-            if not (isinstance(shape, list) and len(shape) == 2):
-                raise SchemaError("dense layer needs a 2-element shape")
-            layers.append(DenseLayer(
-                weight=_array_field(entry, "weight", tuple(shape)),
-                bias=_array_field(entry, "bias", (shape[0],)),
-                activation=entry.get("activation", "identity"),
-            ))
-        elif kind == "bn":
-            shape = entry.get("shape")
-            if not (isinstance(shape, list) and len(shape) == 1):
-                raise SchemaError("bn layer needs a 1-element shape")
-            f = shape[0]
-            layers.append(BatchNormLayer(
-                gamma=_array_field(entry, "gamma", (f,)),
-                beta=_array_field(entry, "beta", (f,)),
-                running_mean=_array_field(entry, "running_mean", (f,)),
-                running_var=_array_field(entry, "running_var", (f,)),
-                eps=float(entry.get("eps", 1e-8)),
-                momentum=float(entry.get("momentum", 0.1)),
-            ))
-        else:
-            raise SchemaError(f"unknown layer kind {kind!r}")
     try:
-        net = Network(layers=layers, k=k, meta=dict(doc.get("meta", {})))
+        return Network(layers=[_layer_from_dict(i, entry)
+                               for i, entry in enumerate(doc["layers"])],
+                       k=k, meta=dict(doc["meta"]))
     except InvalidInput as e:
         raise SchemaError(str(e)) from None
-    last_dense = net.layers[net.blocks[-1].dense]
-    if last_dense.weight.shape[0] != k:
-        raise SchemaError(
-            f"final dense layer outputs {last_dense.weight.shape[0]}, expected k={k}")
-    return net
 
 
 def load_checkpoint(path, expect_k=None):
     """Read a JSON checkpoint back into a Network.
 
-    Raises ParseError (with the byte offset) for malformed JSON and
-    SchemaError for structurally invalid documents.
+    Raises ParseError (with the byte offset) for malformed JSON or UTF-8,
+    and SchemaError for structurally invalid documents.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        doc = json.loads(text)
+        doc = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise ParseError(f"checkpoint is not UTF-8 text at byte {e.start}") from None
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid checkpoint JSON at byte {e.pos}: {e.msg}") from None
     return network_from_dict(doc, expect_k=expect_k)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ttalab
-from ttalab.adaptation import STRATEGIES
+from ttalab.adaptation import STRATEGIES, AdaptationConfig
 from ttalab.benchmark import generate_dataset, evaluate_accuracy
 from ttalab.cli import main
 from ttalab.network import load_checkpoint
@@ -94,6 +94,13 @@ class TestAdapt:
                              "_seed0.json").read_text())
         assert report["n_test"] == 301
         assert len(report["per_batch_accuracy"]) == 3
+
+    def test_no_adaptation_flags_give_the_default_config(self, workdir,
+                                                         tmp_path):
+        assert run_adapt(workdir, tmp_path) == 0
+        report = json.loads(
+            (tmp_path / "report_ttc_gaussian_noise5_seed0.json").read_text())
+        assert report["config"] == AdaptationConfig().to_json()
 
     def test_missing_checkpoint_exits_three(self, tmp_path, capsys):
         code = main(["adapt", "--checkpoint", str(tmp_path / "nope.json")])
@@ -277,6 +284,11 @@ BAD_ARGUMENTS = [
     (["train-source", "--epochs", "-1"], 3, "epochs"),
     (["density", "--bins", "0"], 3, "bins"),
     (["sweep-batch-size", "--seeds", "0"], 3, "--seeds"),
+    (["sweep-batch-size", "--batch-size", "7"], 3, "--batch-size"),
+    (["lemma-check", "--k-list", "0"], 3, "--k-list"),
+    (["lemma-check", "--k-list", "1"], 3, "--k-list"),
+    (["lemma-check", "--random-starts", "-1"], 3, "--random-starts"),
+    (["lemma-check", "--random-steps", "-1"], 3, "--random-steps"),
     # diverges on its last step: caught before the checkpoint is written
     (["train-source", "--lr", "1e306", "--m", "30", "--epochs", "1"], 2,
      "non-finite"),
@@ -298,7 +310,41 @@ def test_bad_argument_exits_with_precise_error(workdir, tmp_path, capsys,
     assert [line for line in err.splitlines()
             if line.startswith(("error:", "training failed:")) and word in line]
     assert "Traceback" not in err
-    assert not (tmp_path / "source.json").exists()
+    assert not list(tmp_path.iterdir())  # nothing written
+
+
+# id, --checkpoint, --out (both under tmp_path), what the error line names
+BAD_PATHS = [
+    ("out-is-a-file", "good.json", "file", "{tmp}/file"),
+    ("out-under-a-file", "good.json", "file/sub", "{tmp}/file/sub"),
+    ("checkpoint-is-a-directory", "dir", "out", "{tmp}/dir"),
+    ("missing-checkpoint", "nope.json", "out", "{tmp}/nope.json"),
+    ("malformed-checkpoint", "k_is_text.json", "out", "'k'"),
+    ("width-mismatched-checkpoint", "two_inputs.json", "out", "2 columns"),
+]
+
+
+@pytest.mark.parametrize("checkpoint, out, names", [c[1:] for c in BAD_PATHS],
+                         ids=[c[0] for c in BAD_PATHS])
+def test_bad_path_or_checkpoint_exits_three(workdir, tmp_path, capsys,
+                                            checkpoint, out, names):
+    doc = json.loads((workdir / "source.json").read_text())
+    (tmp_path / "good.json").write_text(json.dumps(doc))
+    (tmp_path / "k_is_text.json").write_text(json.dumps({**doc, "k": "x"}))
+    first = doc["layers"][0]
+    first["shape"][1] = 2
+    first["weight"] = first["weight"][:2 * first["shape"][0]]
+    (tmp_path / "two_inputs.json").write_text(json.dumps(doc))
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    code = main(["adapt", "--checkpoint", str(tmp_path / checkpoint),
+                 "--out", str(tmp_path / out), "--test-m", "100"])
+    err = capsys.readouterr().err
+    assert code == 3
+    word = names.format(tmp=tmp_path)
+    assert [line for line in err.splitlines()
+            if line.startswith("error:") and word in line], err
+    assert "Traceback" not in err
 
 
 class TestDensityAlignmentDirection:

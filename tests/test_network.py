@@ -178,6 +178,13 @@ class TestBackwardBnAffine:
             backward_bn_affine(net_a, cache, np.zeros((2, 2)))
 
 
+class TestBatchWidth:
+    def test_batch_of_wrong_width_names_both_widths(self, rng):
+        net = random_net(rng)  # takes 5 inputs
+        with pytest.raises(InvalidInput, match=r"5 columns.*\(4, 7\)"):
+            forward(net, rng.normal(size=(4, 7)), BNMode.EVAL_STATS)
+
+
 class TestBlockLayout:
     def test_blocks_follow_dense_bn_relu_grouping(self, rng):
         net = random_net(rng)
@@ -267,21 +274,51 @@ class TestCheckpoint:
         loaded = load_checkpoint(path, expect_k=3)
         assert loaded.k == 3
 
+    def test_non_utf8_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_bytes(b'{"k": 3, "layers": []}\xff')
+        with pytest.raises(ParseError, match="UTF-8"):
+            load_checkpoint(path)
+
     def test_schema_violations_rejected(self, rng, tmp_path):
-        net = random_net(rng)
+        net = random_net(rng)  # widths 5 -> 8 (BN) -> 6 (BN) -> 3
         doc = network_to_dict(net)
-        bad = json.loads(json.dumps(doc))
-        bad["layers"][0]["kind"] = "conv"
-        with pytest.raises(SchemaError):
-            network_from_dict(bad)
-        bad = json.loads(json.dumps(doc))
-        del bad["layers"][1]["gamma"]
-        with pytest.raises(SchemaError):
-            network_from_dict(bad)
-        bad = json.loads(json.dumps(doc))
-        bad["layers"][0]["weight"] = bad["layers"][0]["weight"][:-1]
-        with pytest.raises(SchemaError):
-            network_from_dict(bad)
+
+        def resize(layer, shape):
+            layer["shape"] = shape
+            n = int(np.prod(shape))
+            for key in ("weight", "bias", "gamma", "beta", "running_mean",
+                        "running_var"):
+                if key in layer:
+                    layer[key] = [0.5] * (shape[0] if key == "bias" else n)
+
+        def set_key(d, key, value):
+            d[key] = value
+
+        mutations = [
+            lambda d: set_key(d["layers"][0], "kind", "conv"),
+            lambda d: d["layers"][1].pop("gamma"),
+            lambda d: set_key(d["layers"][0], "weight",
+                              d["layers"][0]["weight"][:-1]),
+            lambda d: set_key(d["layers"], 1, 5),  # a layer that is no object
+            lambda d: set_key(d, "k", "x"),
+            lambda d: set_key(d, "k", None),
+            lambda d: set_key(d, "k", 4),  # the final dense layer outputs 3
+            lambda d: set_key(d, "layers", 5),
+            lambda d: set_key(d, "meta", 5),
+            lambda d: set_key(d["layers"][0], "shape", ["8", 5]),
+            lambda d: set_key(d["layers"][0], "shape", [-8, -5]),
+            lambda d: set_key(d["layers"][1], "eps", "x"),
+            lambda d: set_key(d["layers"][0], "activation", "tanh"),
+            lambda d: resize(d["layers"][1], [9]),  # BN wider than its dense
+            lambda d: resize(d["layers"][1], [7]),  # BN narrower
+            lambda d: resize(d["layers"][2], [6, 7]),  # takes 7 of 8 outputs
+        ]
+        for mutate in mutations:
+            bad = json.loads(json.dumps(doc))
+            mutate(bad)
+            with pytest.raises(SchemaError):
+                network_from_dict(bad)
 
 
 class TestFreezingProperty:
