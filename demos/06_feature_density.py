@@ -23,11 +23,11 @@ batch_size = 10
 
 reference = collect_features(net, test.inputs, 100, BNMode.EVAL_STATS)
 feats = {"reference": reference}
+protocol = StreamProtocol(batch_size=batch_size, seed=0)
+corrupted = apply_corruption(test.inputs, corruption, protocol.seed)
 for name in ("ttc", "tent"):
-    protocol = StreamProtocol(batch_size=batch_size, seed=0)
-    _, adapted = adapt_over_stream(net, test, corruption, protocol,
-                                   AdaptationConfig(strategy=name))
-    corrupted = apply_corruption(test.inputs, corruption, protocol.seed)
+    _, _, adapted = adapt_over_stream(net, corrupted, test.labels, protocol,
+                                      AdaptationConfig(strategy=name))
     feats[name] = collect_features(adapted, corrupted, batch_size,
                                    BNMode.TEST_BATCH_STATS)
 

@@ -254,9 +254,11 @@ class Adapter:
     ``source``/``norm``), RLA with ``flip_signal`` (``ttc`` with
     ``rla_enabled``), the WA exponent (``ttc`` with ``wa_enabled``), the
     ``tent-filtered`` threshold, and Q (``ttc`` with ``ga_enabled``:
-    ``accumulation_q``, else ``default_q(batch_size)``). Optimizer state
-    persists across batches. The procedure is online: reproducibility comes
-    from fixing the stream order.
+    ``accumulation_q``, else ``default_q(batch_size)``), as well as the BN
+    gamma/beta arrays the optimizer updates in place: replacing one of those
+    arrays on the network after construction detaches it from the adapter.
+    Optimizer state persists across batches. The procedure is online:
+    reproducibility comes from fixing the stream order.
 
     With gradient accumulation the optimizer steps on every Q-th batch only;
     gradients accumulated after the last step of a stream are discarded.
@@ -268,6 +270,8 @@ class Adapter:
         strategy = config.strategy
         ttc = strategy == "ttc"
         self.net = net
+        # the optimizers update gamma/beta in place, so these views stay live
+        self.params = bn_affine_params(net)
         self.optimizer = make_optimizer(config.optimizer, config.lr)
         self.mode = (BNMode.EVAL_STATS if strategy == "source"
                      else BNMode.TEST_BATCH_STATS)
@@ -315,5 +319,5 @@ class Adapter:
             _, grad = tent_loss(logits)
         grads = backward_bn_affine(self.net, cache, self.grad_scale * grad)
         accumulate_and_maybe_step(self.accumulator, grads, self.optimizer,
-                                  bn_affine_params(self.net))
+                                  self.params)
         return preds, probs

@@ -22,8 +22,8 @@ from scipy.ndimage import uniform_filter1d
 
 from .adaptation import Adapter, flip_signal, make_optimizer
 from .errors import InvalidInput, TrainingDiverged
-from .network import (BNMode, all_params, backward_all, forward,
-                      make_network, network_to_dict, penultimate_features)
+from .network import (BNMode, DenseLayer, all_params, backward_all, forward,
+                      layer_to_dict, make_network, penultimate_features)
 from .numeric import softmax
 
 SIGNAL_LENGTH = 32
@@ -272,8 +272,48 @@ class RunReport:
         return buf.getvalue()
 
 
+# Layers whose checkpoint JSON params_digest keeps, least recently used
+# first. A stream adapts at most its BN layers, so the dense layers of the
+# networks in use stay here across streams.
+LAYER_JSON_MEMO_SIZE = 16
+_layer_json_memo = {}
+
+
+def _layer_key(layer):
+    """Everything layer_to_dict reads, exactly: one changed bit is a new key."""
+    if isinstance(layer, DenseLayer):
+        arrays, scalars = (layer.weight, layer.bias), (layer.activation,)
+    else:
+        arrays = (layer.gamma, layer.beta, layer.running_mean,
+                  layer.running_var)
+        # hex keeps -0.0 apart from 0.0, which compare equal as floats
+        scalars = (float(layer.eps).hex(), float(layer.momentum).hex())
+    return (type(layer), *scalars,
+            *((np.shape(a), np.asarray(a, dtype=np.float64).tobytes())
+              for a in arrays))
+
+
+def _layer_json(layer):
+    key = _layer_key(layer)
+    text = _layer_json_memo.pop(key, None)
+    if text is None:
+        text = json.dumps(layer_to_dict(layer), sort_keys=True)
+        if len(_layer_json_memo) >= LAYER_JSON_MEMO_SIZE:
+            del _layer_json_memo[next(iter(_layer_json_memo))]
+    _layer_json_memo[key] = text
+    return text
+
+
 def params_digest(net):
-    doc = json.dumps(network_to_dict(net), sort_keys=True)
+    """sha256 of ``json.dumps(network_to_dict(net), sort_keys=True)``.
+
+    The document is assembled from per-layer JSON texts, each memoised on
+    the layer's exact contents, so the unchanged dense layers of an adapted
+    copy are not serialised again for every stream.
+    """
+    layers = ", ".join(_layer_json(layer) for layer in net.layers)
+    meta = json.dumps(dict(net.meta), sort_keys=True)
+    doc = f'{{"k": {int(net.k)}, "layers": [{layers}], "meta": {meta}}}'
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
 
@@ -284,17 +324,33 @@ def stream_eval(net, dataset, corruption, protocol, config):
     predictions each adapt_batch call returns, which precede any parameter
     update triggered by that same batch.
     """
-    report, _ = adapt_over_stream(net, dataset, corruption, protocol, config)
-    return report
-
-
-def adapt_over_stream(net, dataset, corruption, protocol, config):
-    """stream_eval variant that also returns the adapted network copy."""
-    work = _copy.deepcopy(net)
     inputs = dataset.inputs
     if corruption is not None:
         inputs = apply_corruption(inputs, corruption, protocol.seed)
-    m = len(dataset)
+    accuracy, per_batch, work = adapt_over_stream(net, inputs, dataset.labels,
+                                                  protocol, config)
+    return RunReport(
+        strategy=config.strategy,
+        corruption=corruption.kind if corruption is not None else "none",
+        severity=corruption.severity if corruption is not None else 0,
+        seed=protocol.seed,
+        n_test=len(dataset),
+        accuracy=accuracy,
+        per_batch_accuracy=per_batch,
+        config=config.to_json(),
+        params_digest=params_digest(work),
+    )
+
+
+def adapt_over_stream(net, inputs, labels, protocol, config):
+    """Adapt a copy of net over one pass of a test stream's inputs, which
+    the caller has corrupted, if at all.
+
+    Returns (accuracy, per_batch_accuracy, adapted network copy), as
+    stream_eval reports them.
+    """
+    work = _copy.deepcopy(net)
+    m = len(labels)
     order = np.random.default_rng(protocol.seed).permutation(m)
     adapter = Adapter(work, config, protocol.batch_size)
     predictions = np.empty(m, dtype=np.int64)
@@ -304,21 +360,10 @@ def adapt_over_stream(net, dataset, corruption, protocol, config):
         idx = order[batch]
         preds, _ = adapter.adapt_batch(inputs[idx])
         predictions[idx] = preds
-        per_batch.append(accuracy_score(preds, dataset.labels[idx]))
+        per_batch.append(float(np.mean(preds == labels[idx])))
         seen += len(idx)
     assert seen == m  # one-pass guarantee
-    report = RunReport(
-        strategy=config.strategy,
-        corruption=corruption.kind if corruption is not None else "none",
-        severity=corruption.severity if corruption is not None else 0,
-        seed=protocol.seed,
-        n_test=m,
-        accuracy=accuracy_score(predictions, dataset.labels),
-        per_batch_accuracy=per_batch,
-        config=config.to_json(),
-        params_digest=params_digest(work),
-    )
-    return report, work
+    return accuracy_score(predictions, labels), per_batch, work
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,22 @@ def _corruption_of(args):
     return Corruption(kind=args.corruption, severity=args.severity)
 
 
+def _test_set(args, k):
+    """The held-out test stream ``--test-m`` and ``--data-seed`` describe."""
+    if args.test_m < k:
+        raise _SpecError(f"--test-m: {args.test_m} too small, need at least"
+                         f" one sample per class (k={k})")
+    return generate_dataset(k, args.test_m, args.data_seed)
+
+
+def _protocol(args):
+    """The stream protocol ``--batch-size`` and ``--seed`` describe."""
+    if args.batch_size < 1:
+        raise _SpecError(f"--batch-size: {args.batch_size} too small,"
+                         " need >= 1")
+    return StreamProtocol(batch_size=args.batch_size, seed=args.seed)
+
+
 def _outdir(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -185,12 +201,11 @@ def _report_stem(strategy, corruption, severity, seed):
 
 def cmd_adapt(args):
     net = load_checkpoint(args.checkpoint)
-    out = _outdir(args)
     config = _config(args)
-    corruption = _corruption_of(args)
-    dataset = generate_dataset(net.k, args.test_m, args.data_seed)
-    protocol = StreamProtocol(batch_size=args.batch_size, seed=args.seed)
-    report = stream_eval(net, dataset, corruption, protocol, config)
+    dataset = _test_set(args, net.k)
+    protocol = _protocol(args)
+    out = _outdir(args)
+    report = stream_eval(net, dataset, _corruption_of(args), protocol, config)
     stem = _report_stem(config.strategy, report.corruption, report.severity,
                         args.seed)
     (out / f"{stem}.json").write_text(report.json_str(), encoding="utf-8")
@@ -209,9 +224,9 @@ def cmd_sweep_batch_size(args):
     if args.seeds < 1:
         raise _SpecError(f"--seeds: {args.seeds} too small, need >= 1")
     net = load_checkpoint(args.checkpoint)
-    out = _outdir(args)
     corruption = _corruption_of(args)
-    dataset = generate_dataset(net.k, args.test_m, args.data_seed)
+    dataset = _test_set(args, net.k)
+    out = _outdir(args)
     ttc = _config(args, strategy="ttc")
     variants = {
         ("tent", False): replace(ttc, strategy="tent"),
@@ -296,18 +311,20 @@ def cmd_lemma_check(args):
 
 def cmd_density(args):
     net = load_checkpoint(args.checkpoint)
-    out = _outdir(args)
     corruption = _corruption_of(args)
-    dataset = generate_dataset(net.k, args.test_m, args.data_seed)
-    protocol = StreamProtocol(batch_size=args.batch_size, seed=args.seed)
+    dataset = _test_set(args, net.k)
+    protocol = _protocol(args)
+    out = _outdir(args)
+    # corrupted once: both strategies adapt over and are read on this stream
     inputs = dataset.inputs
     if corruption is not None:
         inputs = apply_corruption(inputs, corruption, protocol.seed)
 
     def features(strategy):
         """Adapt under one strategy, then collect penultimate features."""
-        _, adapted = adapt_over_stream(net, dataset, corruption, protocol,
-                                       _config(args, strategy=strategy))
+        _, _, adapted = adapt_over_stream(net, inputs, dataset.labels,
+                                          protocol,
+                                          _config(args, strategy=strategy))
         mode = (BNMode.EVAL_STATS if strategy == "source"
                 else BNMode.TEST_BATCH_STATS)
         return collect_features(adapted, inputs, args.batch_size, mode)

@@ -23,7 +23,7 @@ FD_STEP = 1e-5
 
 
 def _require_finite(name, arr):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInput(f"{name} contains non-finite values")
 
 
@@ -39,17 +39,17 @@ def softmax(z):
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=-1, keepdims=True)
-    p = np.clip(p, EPS_PROB, 1.0 - EPS_PROB)
+    p = np.minimum(np.maximum(p, EPS_PROB), 1.0 - EPS_PROB)
     return p / p.sum(axis=-1, keepdims=True)
 
 
 def _validate_probs(p):
     p = np.asarray(p, dtype=np.float64)
     _require_finite("probabilities", p)
-    if np.any(p < 0.0):
+    if (p < 0.0).any():
         raise InvalidInput("probabilities must be non-negative")
     sums = p.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > 1e-9):
+    if (np.abs(sums - 1.0) > 1e-9).any():
         raise InvalidInput("probabilities must sum to 1 within 1e-9")
     return p
 

@@ -1,10 +1,12 @@
 import copy
+import hashlib
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ttalab import benchmark
 from ttalab.adaptation import STRATEGIES, AdaptationConfig, Adapter, flip_signal
 from ttalab.benchmark import (CORRUPTION_KINDS, NOISE_SIGMA, SIGNAL_LENGTH,
                               Corruption, SignalDataset, StreamProtocol,
@@ -207,20 +209,21 @@ class TestStreamEval:
         protocol = StreamProtocol(batch_size=n, seed=0)
         if n == 1 and strategy != "source":
             with pytest.raises(DegenerateBatch):
-                adapt_over_stream(net, dataset, None, protocol, config)
+                adapt_over_stream(net, dataset.inputs, dataset.labels,
+                                  protocol, config)
             return
-        report, adapted = adapt_over_stream(net, dataset, None, protocol,
-                                            config)
+        accuracy, per_batch, adapted = adapt_over_stream(
+            net, dataset.inputs, dataset.labels, protocol, config)
         slices = batch_slices(m, n)
         sizes = [s.stop - s.start for s in slices]
-        assert len(report.per_batch_accuracy) == len(slices)
-        assert report.accuracy == pytest.approx(
-            np.dot(report.per_batch_accuracy, sizes) / m, rel=1e-12)
+        assert len(per_batch) == len(slices)
+        assert accuracy == pytest.approx(np.dot(per_batch, sizes) / m,
+                                         rel=1e-12)
         for arr in bn_affine_params(adapted).values():
             assert np.all(np.isfinite(arr))
         if strategy in ("source", "norm") or (strategy == "ttc"
                                               and len(slices) < q):
-            assert report.params_digest == params_digest(net)
+            assert params_digest(adapted) == params_digest(net)
         if strategy in ("tent", "ttc"):
             adapter = Adapter(copy.deepcopy(net), config, n)
             for s in slices:
@@ -269,6 +272,65 @@ class TestStreamEval:
                 means.append(np.mean(accs))
             for lo, hi in zip(means[1:], means[:-1]):
                 assert lo <= hi + 0.01, f"{kind}: {means}"
+
+
+def document_digest(net):
+    """sha256 of the checkpoint document, serialised whole."""
+    doc = json.dumps(network_to_dict(net), sort_keys=True)
+    return hashlib.sha256(doc.encode("utf-8")).hexdigest()
+
+
+class TestParamsDigest:
+    def test_equals_digest_of_checkpoint_document(self, source_net,
+                                                  test_dataset):
+        nets = [source_net]
+        for strategy in STRATEGIES:
+            _, _, adapted = adapt_over_stream(
+                source_net, test_dataset.inputs[:400],
+                test_dataset.labels[:400], StreamProtocol(batch_size=20),
+                AdaptationConfig(strategy=strategy))
+            nets.append(adapted)
+        ulp = copy.deepcopy(source_net)
+        w = ulp.layers[2].weight
+        w[3, 5] = np.nextafter(w[3, 5], np.inf)
+        zero = copy.deepcopy(source_net)
+        zero.layers[0].weight[0, 0] = 0.0
+        zero.layers[1].eps = 0.0
+        negative_zero = copy.deepcopy(zero)
+        negative_zero.layers[0].weight[0, 0] = -0.0
+        negative_eps = copy.deepcopy(zero)
+        negative_eps.layers[1].eps = -0.0
+        meta = copy.deepcopy(source_net)
+        meta.meta = {**meta.meta, "trained_epochs": 21}
+        nets += [ulp, zero, negative_zero, negative_eps, meta]
+        digests = []
+        for net in nets:  # after the first, the dense layers are memo hits
+            digests.append(params_digest(net))
+            assert digests[-1] == document_digest(net)
+        # source and norm never step; the five edits each change the digest
+        assert digests[1] == digests[2] == digests[0]
+        assert len(set(digests[:1] + digests[3:])) == len(nets) - 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(1, 8),
+           k=st.integers(2, 4), pick=st.integers(0, 10**6))
+    def test_one_ulp_anywhere_is_seen(self, seed, hidden, k, pick):
+        net = make_network(input_dim=4, hidden=hidden, k=k, seed=seed)
+        before = params_digest(net)
+        arrays = [a for layer in net.layers for a in vars(layer).values()
+                  if isinstance(a, np.ndarray)]
+        a = arrays[pick % len(arrays)]
+        flat = a.reshape(-1)
+        i = pick % flat.size
+        flat[i] = np.nextafter(flat[i], np.inf)
+        assert params_digest(net) == document_digest(net) != before
+
+    def test_memo_stays_within_its_size(self):
+        for seed in range(100):
+            net = make_network(input_dim=4, hidden=3, k=3, seed=seed)
+            assert params_digest(net) == document_digest(net)
+            assert len(benchmark._layer_json_memo) \
+                <= benchmark.LAYER_JSON_MEMO_SIZE
 
 
 class TestHistogramOverlap:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import ttalab
+from ttalab import benchmark, cli
 from ttalab.adaptation import STRATEGIES, AdaptationConfig
 from ttalab.benchmark import generate_dataset, evaluate_accuracy
 from ttalab.cli import main
@@ -234,6 +235,29 @@ class TestDensity:
         net = load_checkpoint(workdir / "source.json")
         assert len(lines) == 1 + net.feature_dim * 16
 
+    def test_stream_is_corrupted_once_per_run(self, workdir, tmp_path,
+                                              monkeypatch):
+        calls = []
+        corrupt = benchmark.apply_corruption
+
+        def counting(*args):
+            calls.append(args)
+            return corrupt(*args)
+
+        for module in (benchmark, cli):
+            monkeypatch.setattr(module, "apply_corruption", counting)
+        code = main(["density", "--checkpoint", str(workdir / "source.json"),
+                     "--out", str(tmp_path), "--test-m", "200"])
+        assert code == 0
+        assert len(calls) == 1
+        calls.clear()
+        benchmark.stream_eval(load_checkpoint(workdir / "source.json"),
+                              generate_dataset(3, 200, 777),
+                              benchmark.Corruption("gaussian_noise", 5),
+                              benchmark.StreamProtocol(batch_size=50),
+                              AdaptationConfig())
+        assert len(calls) == 1
+
     def test_tail_batch_of_one_completes(self, workdir, tmp_path):
         code = main(["density", "--checkpoint", str(workdir / "source.json"),
                      "--out", str(tmp_path), "--test-m", "301",
@@ -289,6 +313,11 @@ BAD_ARGUMENTS = [
     (["lemma-check", "--k-list", "1"], 3, "--k-list"),
     (["lemma-check", "--random-starts", "-1"], 3, "--random-starts"),
     (["lemma-check", "--random-steps", "-1"], 3, "--random-steps"),
+    (["adapt", "--test-m", "0"], 3, "--test-m: 0"),
+    (["adapt", "--batch-size", "0"], 3, "--batch-size: 0"),
+    (["density", "--test-m", "0"], 3, "--test-m: 0"),
+    (["density", "--batch-size", "0"], 3, "--batch-size: 0"),
+    (["sweep-batch-size", "--test-m", "0"], 3, "--test-m: 0"),
     # diverges on its last step: caught before the checkpoint is written
     (["train-source", "--lr", "1e306", "--m", "30", "--epochs", "1"], 2,
      "non-finite"),
@@ -371,8 +400,9 @@ class TestDensityAlignmentDirection:
             feats = {"reference": reference}
             for name, strategy in (("a", "ttc"), ("b", "tent")):
                 config = AdaptationConfig(strategy=strategy)
-                _, adapted = adapt_over_stream(source_net, test_dataset, corr,
-                                               protocol, config)
+                _, _, adapted = adapt_over_stream(source_net, inputs,
+                                                  test_dataset.labels,
+                                                  protocol, config)
                 feats[name] = collect_features(adapted, inputs, 10,
                                                BNMode.TEST_BATCH_STATS)
             _, hists = feature_histograms(feats, bins=64)

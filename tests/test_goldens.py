@@ -1,11 +1,12 @@
-"""Bit-preservation check against the benchmark's recorded seed-0 goldens.
+"""Bit-preservation check against the benchmark's recorded goldens.
 
 ``perfbench/goldens.json`` holds the outputs of the benchmark workloads as
-recorded from the reference commit. The ``source_net`` fixture trains the
-same checkpoint as seed 0 of those workloads, so the checkpoint bytes, a
-grid-large column and the small-batch sweep CSV can be reproduced here. Any
-change to a float op on the forward, backward or optimizer path shows up as
-a digest mismatch.
+recorded from the reference commit. For workload seeds 0 and 1 the ``nets``
+fixture trains the same checkpoints as those workloads, so the checkpoint
+bytes, a grid-large column and the small-batch sweep CSV can be reproduced
+here. Any change to a float op on the forward, backward or optimizer path
+shows up as a digest mismatch; two seeds catch a change that one happens to
+leave intact.
 """
 
 import hashlib
@@ -16,14 +17,18 @@ import pytest
 
 from ttalab.adaptation import STRATEGIES, AdaptationConfig
 from ttalab.benchmark import (Corruption, StreamProtocol, generate_dataset,
-                              stream_eval)
+                              stream_eval, train_source)
 from ttalab.cli import main
 from ttalab.network import save_checkpoint
 
 GOLDENS = Path(__file__).resolve().parent.parent / "perfbench" / "goldens.json"
-# the benchmark's seed-0 stream data seed and severity
-DATA_SEED = 1000
+SEEDS = (0, 1)
 SEVERITY = 5
+
+
+def data_seed(seed):
+    """The benchmark's stream data seed for a workload seed."""
+    return 1000 + seed
 
 
 @pytest.fixture(scope="module")
@@ -32,37 +37,53 @@ def goldens():
 
 
 @pytest.fixture(scope="module")
-def checkpoint(source_net, tmp_path_factory):
-    path = tmp_path_factory.mktemp("goldens") / "source.json"
-    save_checkpoint(source_net, path)
-    return path
+def nets(source_net):
+    """Workload seed -> the source network the benchmark trains for it."""
+    return {seed: source_net if seed == 0 else
+            train_source(generate_dataset(3, 3000, seed), epochs=20, seed=seed)
+            for seed in SEEDS}
+
+
+@pytest.fixture(scope="module")
+def checkpoints(nets, tmp_path_factory):
+    root = tmp_path_factory.mktemp("goldens")
+    paths = {seed: root / f"source{seed}.json" for seed in SEEDS}
+    for seed, path in paths.items():
+        save_checkpoint(nets[seed], path)
+    return paths
 
 
 def sha256_file(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_source_checkpoint_bytes(goldens, checkpoint):
-    assert sha256_file(checkpoint) == \
-        goldens["train-source"]["0"]["source.json/seed0"]
+def test_source_checkpoint_bytes(goldens, checkpoints):
+    # train-source's seed-0 repetition trains seeds 0, 1 and 2
+    for seed, path in checkpoints.items():
+        assert sha256_file(path) == \
+            goldens["train-source"]["0"][f"source.json/seed{seed}"], seed
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_grid_cell(goldens, source_net, strategy):
-    report = stream_eval(source_net, generate_dataset(3, 3000, DATA_SEED),
-                         Corruption("gaussian_noise", SEVERITY),
-                         StreamProtocol(batch_size=100, seed=0),
-                         AdaptationConfig(strategy=strategy))
-    assert f"{report.accuracy!r} {report.params_digest}" == \
-        goldens["grid-large"]["0"][f"{strategy}/gaussian_noise/0"]
+def test_grid_cell(goldens, nets, strategy):
+    for seed, net in nets.items():
+        report = stream_eval(net, generate_dataset(3, 3000, data_seed(seed)),
+                             Corruption("gaussian_noise", SEVERITY),
+                             StreamProtocol(batch_size=100, seed=0),
+                             AdaptationConfig(strategy=strategy))
+        assert f"{report.accuracy!r} {report.params_digest}" == \
+            goldens["grid-large"][str(seed)][f"{strategy}/gaussian_noise/0"], \
+            seed
 
 
-def test_small_batch_sweep_csv(goldens, checkpoint, tmp_path):
-    code = main(["sweep-batch-size", "--checkpoint", str(checkpoint),
-                 "--batch-sizes", "2", "10", "--seeds", "2",
-                 "--test-m", "400", "--data-seed", str(DATA_SEED),
-                 "--corruption", "gaussian_noise",
-                 "--severity", str(SEVERITY), "--out", str(tmp_path)])
-    assert code == 0
-    assert sha256_file(tmp_path / "sweep_batch_size.csv") == \
-        goldens["sweep-small"]["0"]["sweep_batch_size.csv"]
+def test_small_batch_sweep_csv(goldens, checkpoints, tmp_path):
+    for seed, path in checkpoints.items():
+        out = tmp_path / str(seed)
+        code = main(["sweep-batch-size", "--checkpoint", str(path),
+                     "--batch-sizes", "2", "10", "--seeds", "2",
+                     "--test-m", "400", "--data-seed", str(data_seed(seed)),
+                     "--corruption", "gaussian_noise",
+                     "--severity", str(SEVERITY), "--out", str(out)])
+        assert code == 0
+        assert sha256_file(out / "sweep_batch_size.csv") == \
+            goldens["sweep-small"][str(seed)]["sweep_batch_size.csv"], seed

@@ -1,17 +1,19 @@
+import copy
 import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ttalab.adaptation import AdaptationConfig, tent_loss
 from ttalab.benchmark import StreamProtocol, adapt_over_stream
 from ttalab.errors import (DegenerateBatch, InvalidInput, ParseError,
                            SchemaError)
 from ttalab.network import (BatchNormLayer, BNMode, DenseLayer, Network,
-                            backward_all, backward_bn_affine, bn_affine_params,
-                            forward, load_checkpoint, make_network,
-                            network_from_dict, network_to_dict,
+                            _batch_stats, backward_all, backward_bn_affine,
+                            bn_affine_params, forward, load_checkpoint,
+                            make_network, network_from_dict, network_to_dict,
                             penultimate_features, save_checkpoint)
 
 
@@ -100,6 +102,90 @@ class TestForward:
         x[0, 0] = np.nan
         with pytest.raises(InvalidInput):
             forward(net, x, BNMode.EVAL_STATS)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+def reference_forward(net, x, mode):
+    """Forward as written with np.mean / np.var and an out-of-place xhat:
+    the oracle the single-pass batch statistics must match bit for bit."""
+    records = []
+    for dense, bn, relu in net.blocks:
+        layer = net.layers[dense]
+        x_in = x
+        x = x @ layer.weight.T + layer.bias
+        bn_rec = mask = None
+        if bn is not None:
+            b = net.layers[bn]
+            if mode is BNMode.EVAL_STATS:
+                mean, var = b.running_mean, b.running_var
+            else:
+                mean, var = x.mean(axis=0), x.var(axis=0)
+                if mode is BNMode.TRAIN_STATS:
+                    m = b.momentum
+                    b.running_mean = (1.0 - m) * b.running_mean + m * mean
+                    b.running_var = (1.0 - m) * b.running_var + m * var
+            inv_std = 1.0 / np.sqrt(var + b.eps)
+            xhat = (x - mean) * inv_std
+            x = b.gamma * xhat + b.beta
+            bn_rec = (xhat, inv_std, mode is not BNMode.EVAL_STATS)
+        if relu:
+            mask = x > 0.0
+            x = x * mask
+        records.append((x_in, bn_rec, mask))
+    return x, records
+
+
+scaled_batches = dict(n=st.integers(2, 300), f=st.integers(1, 70),
+                      exponent=st.integers(-150, 150),
+                      shift=st.floats(-1e3, 1e3), seed=st.integers(0, 2**32 - 1))
+
+
+def scaled_batch(n, f, exponent, shift, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(n, f)) + shift) * 10.0 ** exponent
+
+
+class TestBatchStatistics:
+    @settings(max_examples=200, deadline=None)
+    @given(**scaled_batches)
+    def test_single_pass_equals_numpy_mean_and_var_bitwise(self, **batch):
+        x = scaled_batch(**batch)
+        mean, centered, var = _batch_stats(x)
+        assert same_bits(mean, x.mean(axis=0))
+        assert same_bits(var, x.var(axis=0))
+        assert same_bits(centered, x - x.mean(axis=0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(**scaled_batches)
+    def test_forward_logits_and_records_unchanged(self, **batch):
+        x = scaled_batch(**batch)
+        net = random_net(np.random.default_rng(batch["seed"]),
+                         widths=(x.shape[1], 8, 6))
+        for mode in BNMode:
+            ours, reference = copy.deepcopy(net), copy.deepcopy(net)
+            logits, cache = forward(ours, x, mode)
+            expected, records = reference_forward(reference, x, mode)
+            assert same_bits(logits, expected)
+            for (x_in, bn_rec, mask), (r_in, r_bn, r_mask) in zip(
+                    cache.records, records, strict=True):
+                assert same_bits(x_in, r_in)
+                assert (bn_rec is None) == (r_bn is None)
+                if bn_rec is not None:
+                    assert same_bits(bn_rec[0], r_bn[0])
+                    assert same_bits(bn_rec[1], r_bn[1])
+                    assert bn_rec[2] == r_bn[2]
+                assert (mask is None) == (r_mask is None)
+                if mask is not None:
+                    assert same_bits(mask, r_mask)
+            for a, b in zip(ours.layers, reference.layers):
+                if isinstance(a, BatchNormLayer):
+                    assert same_bits(a.running_mean, b.running_mean)
+                    assert same_bits(a.running_var, b.running_var)
 
 
 class TestBackwardBnAffine:
@@ -323,13 +409,16 @@ class TestCheckpoint:
 
 class TestFreezingProperty:
     def test_adaptation_touches_only_bn_affine(self, source_net, test_dataset):
-        from ttalab.benchmark import Corruption
+        from ttalab.benchmark import Corruption, apply_corruption
 
         config = AdaptationConfig(strategy="tent")
         protocol = StreamProtocol(batch_size=100, seed=0)
-        _, adapted = adapt_over_stream(source_net, test_dataset,
-                                       Corruption("gaussian_noise", 5),
-                                       protocol, config)
+        inputs = apply_corruption(test_dataset.inputs,
+                                  Corruption("gaussian_noise", 5),
+                                  protocol.seed)
+        _, _, adapted = adapt_over_stream(source_net, inputs,
+                                          test_dataset.labels, protocol,
+                                          config)
         changed = []
         for i, (before, after) in enumerate(zip(source_net.layers,
                                                 adapted.layers)):
