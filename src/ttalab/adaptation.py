@@ -17,12 +17,12 @@ predictions computed before any parameter update in the same call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import InvalidInput
-from .network import BNMode, backward_bn_affine, bn_affine_params, forward
+from .network import BNMode, backward_bn_affine, forward
 from .numeric import entropy, entropy_grad_logits, softmax
 
 STRATEGIES = ("source", "norm", "tent", "tent-filtered", "ttc")
@@ -83,49 +83,34 @@ class AdaptationConfig:
     def to_json(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @classmethod
-    def from_json(cls, doc):
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise InvalidInput(f"unknown config fields: {sorted(unknown)}")
-        return cls(**doc)
-
 
 # ---------------------------------------------------------------------------
-# optimizers
+# optimizers: step(params, grad) updates the parameter vector in place
 # ---------------------------------------------------------------------------
 
 class SGD:
     def __init__(self, lr):
         self.lr = lr
 
-    def step(self, params, grads):
-        for key, g in grads.items():
-            params[key] -= self.lr * g
+    def step(self, params, grad):
+        params -= self.lr * grad
 
 
 class Adam:
     def __init__(self, lr):
         self.lr = lr
         self.t = 0
-        self.m = {}
-        self.v = {}
+        self.m = self.v = None  # moment vectors, created on the first step
 
-    def step(self, params, grads):
+    def step(self, params, grad):
         self.t += 1
-        for key, g in grads.items():
-            m = self.m.get(key)
-            if m is None:
-                m = np.zeros_like(g)
-                self.m[key] = m
-                self.v[key] = np.zeros_like(g)
-            v = self.v[key]
-            m += (1.0 - ADAM_BETA1) * (g - m)
-            v += (1.0 - ADAM_BETA2) * (g * g - v)
-            mhat = m / (1.0 - ADAM_BETA1 ** self.t)
-            vhat = v / (1.0 - ADAM_BETA2 ** self.t)
-            params[key] -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        if self.m is None:
+            self.m, self.v = np.zeros_like(grad), np.zeros_like(grad)
+        self.m += (1.0 - ADAM_BETA1) * (grad - self.m)
+        self.v += (1.0 - ADAM_BETA2) * (grad * grad - self.v)
+        mhat = self.m / (1.0 - ADAM_BETA1 ** self.t)
+        vhat = self.v / (1.0 - ADAM_BETA2 ** self.t)
+        params -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def make_optimizer(name, lr):
@@ -216,28 +201,25 @@ def rla_forward(net, batch):
 @dataclass
 class GradientAccumulator:
     q: int
-    accumulated: dict = field(default_factory=dict)
+    accumulated: np.ndarray | None = None
     batches_seen: int = 0
 
-    def reset(self):
-        self.accumulated = {}
-        self.batches_seen = 0
 
+def accumulate_and_maybe_step(acc, grad, optimizer, params):
+    """Add an (already 1/Q-scaled) gradient; step on the Q-th batch.
 
-def accumulate_and_maybe_step(acc, grads, optimizer, params):
-    """Add (already 1/Q-scaled) gradients; step and reset on the Q-th batch.
-
-    Returns whether an optimizer step occurred.
+    The first batch of a window is copied, not added to zero, so a -0.0
+    entry stays -0.0; after a step ``acc.accumulated`` still holds the
+    gradient that was applied. Returns whether an optimizer step occurred.
     """
-    for key, g in grads.items():
-        if key in acc.accumulated:
-            acc.accumulated[key] += g
-        else:
-            acc.accumulated[key] = g.copy()
+    if acc.batches_seen:
+        acc.accumulated += grad
+    else:
+        acc.accumulated = grad.copy()
     acc.batches_seen += 1
     if acc.batches_seen >= acc.q:
         optimizer.step(params, acc.accumulated)
-        acc.reset()
+        acc.batches_seen = 0
         return True
     return False
 
@@ -254,9 +236,10 @@ class Adapter:
     ``source``/``norm``), RLA with ``flip_signal`` (``ttc`` with
     ``rla_enabled``), the WA exponent (``ttc`` with ``wa_enabled``), the
     ``tent-filtered`` threshold, and Q (``ttc`` with ``ga_enabled``:
-    ``accumulation_q``, else ``default_q(batch_size)``), as well as the BN
-    gamma/beta arrays the optimizer updates in place: replacing one of those
-    arrays on the network after construction detaches it from the adapter.
+    ``accumulation_q``, else ``default_q(batch_size)``). The optimizer
+    updates ``net.affine`` in place, which every BN gamma/beta is a view
+    into: a layer whose gamma or beta array is replaced after the network
+    was built is detached from it and no longer adapts.
     Optimizer state persists across batches. The procedure is online:
     reproducibility comes from fixing the stream order.
 
@@ -270,8 +253,6 @@ class Adapter:
         strategy = config.strategy
         ttc = strategy == "ttc"
         self.net = net
-        # the optimizers update gamma/beta in place, so these views stay live
-        self.params = bn_affine_params(net)
         self.optimizer = make_optimizer(config.optimizer, config.lr)
         self.mode = (BNMode.EVAL_STATS if strategy == "source"
                      else BNMode.TEST_BATCH_STATS)
@@ -317,7 +298,8 @@ class Adapter:
             _, grad = ttc_loss(logits, self.tau, x.shape[0])
         else:
             _, grad = tent_loss(logits)
-        grads = backward_bn_affine(self.net, cache, self.grad_scale * grad)
-        accumulate_and_maybe_step(self.accumulator, grads, self.optimizer,
-                                  self.params)
+        accumulate_and_maybe_step(
+            self.accumulator,
+            backward_bn_affine(self.net, cache, self.grad_scale * grad),
+            self.optimizer, self.net.affine)
         return preds, probs

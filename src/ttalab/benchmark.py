@@ -22,7 +22,7 @@ from scipy.ndimage import uniform_filter1d
 
 from .adaptation import Adapter, flip_signal, make_optimizer
 from .errors import InvalidInput, TrainingDiverged
-from .network import (BNMode, DenseLayer, all_params, backward_all, forward,
+from .network import (BNMode, DenseLayer, backward_all, forward,
                       layer_to_dict, make_network, penultimate_features)
 from .numeric import softmax
 
@@ -193,8 +193,7 @@ def train_source(dataset, epochs, seed, lr=1e-2, hidden=64):
             grad = p.copy()
             grad[np.arange(len(idx)), y] -= 1.0
             grad /= len(idx)
-            grads = backward_all(net, cache, grad)
-            optimizer.step(all_params(net), grads)
+            optimizer.step(net.params, backward_all(net, cache, grad))
     net.meta = {"seed": seed, "trained_epochs": epochs}
     return net
 

@@ -9,6 +9,7 @@ writes no timestamps, so reruns produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -143,19 +144,32 @@ def _corruption_of(args):
     return Corruption(kind=args.corruption, severity=args.severity)
 
 
+def _at_least(flag, value, low, reason=None):
+    """Reject a flag value below ``low``, naming the flag and the value."""
+    if value < low:
+        why = f" ({reason})" if reason else ""
+        raise _SpecError(f"{flag}: {value} too small, need >= {low}{why}")
+
+
+def _finite_positive(flag, value):
+    if not (math.isfinite(value) and value > 0):
+        raise _SpecError(f"{flag}: {value} must be finite and positive")
+
+
 def _test_set(args, k):
     """The held-out test stream ``--test-m`` and ``--data-seed`` describe."""
-    if args.test_m < k:
-        raise _SpecError(f"--test-m: {args.test_m} too small, need at least"
-                         f" one sample per class (k={k})")
+    _at_least("--test-m", args.test_m, k, f"one sample per class, k={k}")
     return generate_dataset(k, args.test_m, args.data_seed)
 
 
-def _protocol(args):
-    """The stream protocol ``--batch-size`` and ``--seed`` describe."""
-    if args.batch_size < 1:
-        raise _SpecError(f"--batch-size: {args.batch_size} too small,"
-                         " need >= 1")
+def _protocol(args, *strategies):
+    """The stream protocol ``--batch-size`` and ``--seed`` describe, for
+    streams adapted under ``strategies``."""
+    _at_least("--batch-size", args.batch_size, 1)
+    for strategy in strategies:
+        if strategy != "source":  # the others normalize with batch statistics
+            _at_least("--batch-size", args.batch_size, 2,
+                      f"strategy {strategy} needs batch statistics")
     return StreamProtocol(batch_size=args.batch_size, seed=args.seed)
 
 
@@ -170,7 +184,11 @@ def _outdir(args):
 # ---------------------------------------------------------------------------
 
 def cmd_train_source(args):
-    out = _outdir(args)
+    _at_least("--k", args.k, 2)
+    _at_least("--m", args.m, args.k, f"one sample per class, k={args.k}")
+    _at_least("--hidden", args.hidden, 1)
+    _at_least("--epochs", args.epochs, 0)
+    _finite_positive("--lr", args.lr)
     if args.epochs == 0:
         print("warning: --epochs 0, checkpoint will hold untrained weights",
               file=sys.stderr)
@@ -182,6 +200,7 @@ def cmd_train_source(args):
         train_acc = evaluate_accuracy(net, dataset)
     except InvalidInput as e:
         raise TrainingDiverged(f"trained network is unusable: {e}") from None
+    out = _outdir(args)
     ckpt = out / "source.json"
     save_checkpoint(net, ckpt)
     log = out / "train_log.txt"
@@ -203,7 +222,7 @@ def cmd_adapt(args):
     net = load_checkpoint(args.checkpoint)
     config = _config(args)
     dataset = _test_set(args, net.k)
-    protocol = _protocol(args)
+    protocol = _protocol(args, config.strategy)
     out = _outdir(args)
     report = stream_eval(net, dataset, _corruption_of(args), protocol, config)
     stem = _report_stem(config.strategy, report.corruption, report.severity,
@@ -218,16 +237,13 @@ def cmd_adapt(args):
 
 def cmd_sweep_batch_size(args):
     for n in args.batch_sizes:
-        if n < 2:
-            raise _SpecError(
-                f"--batch-sizes: {n} too small, per-batch statistics need >= 2")
-    if args.seeds < 1:
-        raise _SpecError(f"--seeds: {args.seeds} too small, need >= 1")
+        _at_least("--batch-sizes", n, 2, "per-batch statistics")
+    _at_least("--seeds", args.seeds, 1)
     net = load_checkpoint(args.checkpoint)
     corruption = _corruption_of(args)
     dataset = _test_set(args, net.k)
-    out = _outdir(args)
     ttc = _config(args, strategy="ttc")
+    out = _outdir(args)
     variants = {
         ("tent", False): replace(ttc, strategy="tent"),
         # tent plus accumulation is ttc with both other components off
@@ -262,12 +278,12 @@ def _tilted_start(k):
 
 
 def cmd_lemma_check(args):
-    if min(args.k_list) < 2:
-        raise _SpecError(f"--k-list: {min(args.k_list)} too small, need >= 2")
-    for flag, value in (("--random-starts", args.random_starts),
+    _at_least("--k-list", min(args.k_list), 2)
+    for flag, value in (("--steps", args.steps),
+                        ("--random-starts", args.random_starts),
                         ("--random-steps", args.random_steps)):
-        if value < 0:
-            raise _SpecError(f"{flag}: {value} is negative")
+        _at_least(flag, value, 0)
+    _finite_positive("--lr", args.lr)
     out = _outdir(args)
     failures = []
     summary = ["k,final_max_prob,monotone"]
@@ -313,27 +329,29 @@ def cmd_density(args):
     net = load_checkpoint(args.checkpoint)
     corruption = _corruption_of(args)
     dataset = _test_set(args, net.k)
-    protocol = _protocol(args)
+    protocol = _protocol(args, args.strategy_a, args.strategy_b)
+    config_a, config_b = (_config(args, strategy=s)
+                          for s in (args.strategy_a, args.strategy_b))
+    _at_least("--bins", args.bins, 1)
     out = _outdir(args)
     # corrupted once: both strategies adapt over and are read on this stream
     inputs = dataset.inputs
     if corruption is not None:
         inputs = apply_corruption(inputs, corruption, protocol.seed)
 
-    def features(strategy):
-        """Adapt under one strategy, then collect penultimate features."""
+    def features(config):
+        """Adapt under one config, then collect penultimate features."""
         _, _, adapted = adapt_over_stream(net, inputs, dataset.labels,
-                                          protocol,
-                                          _config(args, strategy=strategy))
-        mode = (BNMode.EVAL_STATS if strategy == "source"
+                                          protocol, config)
+        mode = (BNMode.EVAL_STATS if config.strategy == "source"
                 else BNMode.TEST_BATCH_STATS)
         return collect_features(adapted, inputs, args.batch_size, mode)
 
     # clean reference: the source checkpoint on the uncorrupted stream
     reference = collect_features(net, dataset.inputs, args.batch_size,
                                  BNMode.EVAL_STATS)
-    feats_a = features(args.strategy_a)
-    feats_b = features(args.strategy_b)
+    feats_a = features(config_a)
+    feats_b = features(config_b)
     edges, hists = feature_histograms(
         {"reference": reference, "a": feats_a, "b": feats_b}, bins=args.bins)
 
@@ -348,22 +366,19 @@ def cmd_density(args):
     (out / "density_hist.csv").write_text("\n".join(hist_lines) + "\n",
                                           encoding="utf-8")
 
-    overlap_lines = ["channel,a_vs_reference,b_vs_reference,a_vs_b"]
-    a_ref, b_ref, a_b = [], [], []
-    for ch in range(channels):
-        oa = histogram_overlap(hists["a"][ch], hists["reference"][ch])
-        ob = histogram_overlap(hists["b"][ch], hists["reference"][ch])
-        oab = histogram_overlap(hists["a"][ch], hists["b"][ch])
-        a_ref.append(oa)
-        b_ref.append(ob)
-        a_b.append(oab)
-        overlap_lines.append(f"{ch},{oa!r},{ob!r},{oab!r}")
+    pairs = (("a", "reference"), ("b", "reference"), ("a", "b"))
+    overlaps = [[histogram_overlap(hists[x][ch], hists[y][ch])
+                 for x, y in pairs] for ch in range(channels)]
+    overlap_lines = ["channel,a_vs_reference,b_vs_reference,a_vs_b"] + [
+        f"{ch},{oa!r},{ob!r},{oab!r}"
+        for ch, (oa, ob, oab) in enumerate(overlaps)]
+    a_ref, b_ref, a_b = (np.mean(column) for column in zip(*overlaps))
     (out / "density_overlap.csv").write_text("\n".join(overlap_lines) + "\n",
                                              encoding="utf-8")
     print(f"a={args.strategy_a} b={args.strategy_b} "
           f"corruption={args.corruption} severity={args.severity}")
-    print(f"mean overlap vs reference: a={np.mean(a_ref):.4f} "
-          f"b={np.mean(b_ref):.4f}; a vs b: {np.mean(a_b):.4f}")
+    print(f"mean overlap vs reference: a={a_ref:.4f} b={b_ref:.4f};"
+          f" a vs b: {a_b:.4f}")
     return EXIT_OK
 
 

@@ -7,11 +7,18 @@ before the nonlinearity). Only the BN affine parameters (gamma, beta) are
 trainable at test time; full-parameter gradients exist solely for source
 training.
 
+Every trainable array is a view into one float64 vector, ``Network.params``:
+each BN layer's gamma then beta, block by block, then each dense layer's
+weight (row-major) then bias, block by block. Its first entries, the gamma
+and beta, are ``Network.affine``. Gradients come back as one vector in the
+same layout, so an optimizer step is one vector operation.
+
 Checkpoints are a single JSON document so they stay inspectable and portable.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -104,6 +111,8 @@ class Network:
     k: int
     meta: dict = field(default_factory=dict)
     blocks: tuple = field(init=False, repr=False, compare=False)
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+    affine: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.blocks = _blocks(self.layers)
@@ -111,6 +120,26 @@ class Network:
         if n_out != self.k:
             raise InvalidInput(
                 f"final dense layer outputs {n_out}, expected k={self.k}")
+        # the layout of params: every gamma, beta, then every weight, bias
+        bns = [self.layers[b.bn] for b in self.blocks if b.bn is not None]
+        denses = [self.layers[b.dense] for b in self.blocks]
+        affine = [a for bn in bns for a in (bn.gamma, bn.beta)]
+        arrays = affine + [a for d in denses for a in (d.weight, d.bias)]
+        self.params = np.concatenate([np.ravel(a) for a in arrays],
+                                     dtype=np.float64)
+        bounds = np.cumsum([0] + [np.size(a) for a in arrays])
+        self.affine = self.params[:bounds[len(affine)]]
+        views = iter(np.split(self.params, bounds[1:-1]))
+        for bn in bns:
+            bn.gamma, bn.beta = next(views), next(views)
+        for d in denses:
+            d.weight, d.bias = next(views).reshape(d.weight.shape), next(views)
+
+    def __deepcopy__(self, memo):
+        # a deep-copied view is a new array of its own, so the copy's layers
+        # are gathered into a buffer of their own by __post_init__
+        return Network(layers=copy.deepcopy(self.layers, memo), k=self.k,
+                       meta=copy.deepcopy(self.meta, memo))
 
     @property
     def feature_dim(self):
@@ -216,23 +245,23 @@ def _bn_forward(layer, x, mode):
 
 
 def _backward(net, cache, loss_grad_logits, affine_only):
-    """Reverse pass over the blocks: gradients for every BN gamma/beta, plus
-    every dense weight/bias unless ``affine_only``."""
+    """Reverse pass over the blocks: one gradient vector laid out like
+    ``net.params``, or like ``net.affine`` if ``affine_only``."""
     if cache.net is not net:
         raise InvalidInput("cache was produced by a different network")
     g = np.asarray(loss_grad_logits, dtype=np.float64)
     if g.shape != cache.logits_shape:
         raise InvalidInput(
             f"loss gradient shape {g.shape} does not match logits {cache.logits_shape}")
-    grads = {}
+    # pieces in reverse layout order: beta before gamma, bias before weight
+    affine, dense_grads = [], []
     for (dense, bn, _), (x, bn_rec, mask) in zip(reversed(net.blocks),
                                                  reversed(cache.records)):
         if mask is not None:
             g = g * mask
         if bn is not None:
             xhat, inv_std, batch_stats = bn_rec
-            grads[f"{bn}.gamma"] = (g * xhat).sum(axis=0)
-            grads[f"{bn}.beta"] = g.sum(axis=0)
+            affine += [g.sum(axis=0), (g * xhat).sum(axis=0)]
             dxhat = g * net.layers[bn].gamma
             if batch_stats:
                 n = xhat.shape[0]
@@ -244,20 +273,21 @@ def _backward(net, cache, loss_grad_logits, affine_only):
             else:
                 g = dxhat * inv_std
         if not affine_only:
-            grads[f"{dense}.weight"] = g.T @ x
-            grads[f"{dense}.bias"] = g.sum(axis=0)
+            dense_grads += [g.sum(axis=0), (g.T @ x).ravel()]
         if dense:  # layer 0 reads the network input, which needs no gradient
             g = g @ net.layers[dense].weight
-    return grads
+    pieces = affine[::-1] + dense_grads[::-1]
+    return np.concatenate(pieces) if pieces else np.zeros(0)
 
 
 def backward_bn_affine(net, cache, loss_grad_logits):
-    """Gradients of the loss with respect to every BN gamma and beta only."""
+    """Gradient of the loss with respect to ``net.affine``."""
     return _backward(net, cache, loss_grad_logits, affine_only=True)
 
 
 def backward_all(net, cache, loss_grad_logits):
-    """Gradients for every parameter; used for source training only."""
+    """Gradient of the loss with respect to ``net.params``; used for source
+    training only."""
     return _backward(net, cache, loss_grad_logits, affine_only=False)
 
 
@@ -265,33 +295,6 @@ def penultimate_features(net, batch, mode):
     """Activations entering the final dense layer: the last block's input."""
     _, cache = forward(net, batch, mode)
     return cache.records[-1][0]
-
-
-# ---------------------------------------------------------------------------
-# parameter access
-# ---------------------------------------------------------------------------
-
-def bn_affine_params(net):
-    """Mutable views of every BN gamma/beta, keyed `<layer_index>.<name>`."""
-    params = {}
-    for i, layer in enumerate(net.layers):
-        if isinstance(layer, BatchNormLayer):
-            params[f"{i}.gamma"] = layer.gamma
-            params[f"{i}.beta"] = layer.beta
-    return params
-
-
-def all_params(net):
-    """Mutable views of every trainable parameter."""
-    params = {}
-    for i, layer in enumerate(net.layers):
-        if isinstance(layer, DenseLayer):
-            params[f"{i}.weight"] = layer.weight
-            params[f"{i}.bias"] = layer.bias
-        else:
-            params[f"{i}.gamma"] = layer.gamma
-            params[f"{i}.beta"] = layer.beta
-    return params
 
 
 # ---------------------------------------------------------------------------

@@ -303,10 +303,10 @@ BAD_ARGUMENTS = [
     (["adapt", "--tau", "inf"], 3, "tau"),
     (["adapt", "--strategy", "tent-filtered", "--filter-threshold", "nan"], 3,
      "filter_threshold"),
-    (["train-source", "--hidden", "0"], 3, "hidden"),
-    (["lemma-check", "--steps", "-1"], 3, "steps"),
-    (["train-source", "--epochs", "-1"], 3, "epochs"),
-    (["density", "--bins", "0"], 3, "bins"),
+    (["train-source", "--hidden", "0"], 3, "--hidden: 0"),
+    (["lemma-check", "--steps", "-1"], 3, "--steps: -1"),
+    (["train-source", "--epochs", "-1"], 3, "--epochs: -1"),
+    (["density", "--bins", "0"], 3, "--bins: 0"),
     (["sweep-batch-size", "--seeds", "0"], 3, "--seeds"),
     (["sweep-batch-size", "--batch-size", "7"], 3, "--batch-size"),
     (["lemma-check", "--k-list", "0"], 3, "--k-list"),
@@ -318,6 +318,19 @@ BAD_ARGUMENTS = [
     (["density", "--test-m", "0"], 3, "--test-m: 0"),
     (["density", "--batch-size", "0"], 3, "--batch-size: 0"),
     (["sweep-batch-size", "--test-m", "0"], 3, "--test-m: 0"),
+    (["adapt", "--batch-size", "1"], 3, "--batch-size: 1"),
+    (["adapt", "--strategy", "norm", "--batch-size", "1"], 3,
+     "strategy norm"),
+    (["density", "--batch-size", "1"], 3, "--batch-size: 1"),
+    (["density", "--strategy-a", "source", "--batch-size", "1"], 3,
+     "strategy tent"),
+    (["density", "--lr", "nan"], 3, "lr"),
+    (["sweep-batch-size", "--lr", "nan"], 3, "lr"),
+    (["train-source", "--m", "0"], 3, "--m: 0"),
+    (["train-source", "--k", "1"], 3, "--k: 1"),
+    (["train-source", "--lr", "0"], 3, "--lr: 0.0"),
+    (["train-source", "--lr", "nan"], 3, "--lr: nan"),
+    (["lemma-check", "--lr", "0"], 3, "--lr: 0.0"),
     # diverges on its last step: caught before the checkpoint is written
     (["train-source", "--lr", "1e306", "--m", "30", "--epochs", "1"], 2,
      "non-finite"),
@@ -329,7 +342,8 @@ BAD_ARGUMENTS = [
 def test_bad_argument_exits_with_precise_error(workdir, tmp_path, capsys,
                                                argv, expected, word):
     command, *flags = argv
-    paths = ["--out", str(tmp_path)]
+    out = tmp_path / "out"
+    paths = ["--out", str(out)]
     if command in ("adapt", "sweep-batch-size", "density"):
         paths += ["--checkpoint", str(workdir / "source.json")]
     with np.errstate(all="ignore"):
@@ -339,7 +353,7 @@ def test_bad_argument_exits_with_precise_error(workdir, tmp_path, capsys,
     assert [line for line in err.splitlines()
             if line.startswith(("error:", "training failed:")) and word in line]
     assert "Traceback" not in err
-    assert not list(tmp_path.iterdir())  # nothing written
+    assert not out.exists()  # nothing written, not even the directory
 
 
 # id, --checkpoint, --out (both under tmp_path), what the error line names

@@ -189,8 +189,8 @@ class TestEntropyClusteringCorrespondence:
         only be reinforced by the update that follows it.
         """
         from ttalab.adaptation import tent_loss
-        from ttalab.network import (BNMode, DenseLayer, Network, all_params,
-                                    backward_all, forward)
+        from ttalab.network import (BNMode, DenseLayer, Network, backward_all,
+                                    forward)
 
         for _ in range(50):
             w = rng.normal(size=(3, 4))
@@ -201,8 +201,6 @@ class TestEntropyClusteringCorrespondence:
             logits, cache = forward(net, x, BNMode.EVAL_STATS)
             before = int(np.argmax(logits[0]))
             _, gl = tent_loss(logits)
-            grads = backward_all(net, cache, gl)
-            for key, arr in all_params(net).items():
-                arr -= 1e-3 * grads[key]
+            net.params -= 1e-3 * backward_all(net, cache, gl)
             after_logits, _ = forward(net, x, BNMode.EVAL_STATS)
             assert int(np.argmax(after_logits[0])) == before

@@ -12,7 +12,7 @@ from ttalab.errors import (DegenerateBatch, InvalidInput, ParseError,
                            SchemaError)
 from ttalab.network import (BatchNormLayer, BNMode, DenseLayer, Network,
                             _batch_stats, backward_all, backward_bn_affine,
-                            bn_affine_params, forward, load_checkpoint,
+                            forward, load_checkpoint,
                             make_network, network_from_dict, network_to_dict,
                             penultimate_features, save_checkpoint)
 
@@ -194,15 +194,14 @@ class TestBackwardBnAffine:
         x = rng.normal(size=(6, 5))
         logits, cache = forward(net, x, BNMode.TEST_BATCH_STATS)
         grads = backward_bn_affine(net, cache, np.zeros_like(logits))
-        for g in grads.values():
-            np.testing.assert_array_equal(g, 0.0)
+        np.testing.assert_array_equal(grads, 0.0)
 
-    def test_only_bn_affine_keys_present(self, rng):
-        net = random_net(rng)
+    def test_one_entry_per_bn_affine_parameter(self, rng):
+        net = random_net(rng)  # BN widths 8 and 6
         x = rng.normal(size=(6, 5))
         logits, cache = forward(net, x, BNMode.TEST_BATCH_STATS)
         grads = backward_bn_affine(net, cache, np.ones_like(logits))
-        assert set(grads) == set(bn_affine_params(net))
+        assert grads.shape == net.affine.shape == (2 * 8 + 2 * 6,)
 
     def test_linearity_in_loss_gradient(self, rng):
         net = random_net(rng)
@@ -211,8 +210,7 @@ class TestBackwardBnAffine:
         g = rng.normal(size=logits.shape)
         one = backward_bn_affine(net, cache, g)
         two = backward_bn_affine(net, cache, 2.0 * g)
-        for key in one:
-            np.testing.assert_allclose(two[key], 2.0 * one[key], rtol=1e-12)
+        np.testing.assert_allclose(two, 2.0 * one, rtol=1e-12)
 
     @pytest.mark.parametrize("seed", [11, 22, 33])
     def test_matches_finite_differences(self, seed):
@@ -228,18 +226,16 @@ class TestBackwardBnAffine:
         _, gl = tent_loss(logits)
         grads = backward_bn_affine(net, cache, gl)
         h = 1e-5
-        for key, g in grads.items():
-            idx, name = key.split(".")
-            arr = getattr(net.layers[int(idx)], name)
-            for j in range(0, arr.size, 3):
-                orig = arr[j]
-                arr[j] = orig + h
-                hi = loss_value()
-                arr[j] = orig - h
-                lo = loss_value()
-                arr[j] = orig
-                fd = (hi - lo) / (2 * h)
-                assert abs(g[j] - fd) / max(1.0, abs(g[j])) < 1e-4
+        arr = net.affine  # every BN gamma/beta is a view into it
+        for j in range(arr.size):
+            orig = arr[j]
+            arr[j] = orig + h
+            hi = loss_value()
+            arr[j] = orig - h
+            lo = loss_value()
+            arr[j] = orig
+            fd = (hi - lo) / (2 * h)
+            assert abs(grads[j] - fd) / max(1.0, abs(grads[j])) < 1e-4
 
     @pytest.mark.parametrize("mode", list(BNMode))
     def test_equals_affine_entries_of_backward_all_bitwise(self, mode):
@@ -249,9 +245,9 @@ class TestBackwardBnAffine:
         g = rng.normal(size=logits.shape)
         affine = backward_bn_affine(net, cache, g)
         full = backward_all(net, cache, g)
-        assert set(affine) == set(bn_affine_params(net))
-        for key, value in affine.items():
-            np.testing.assert_array_equal(value, full[key])
+        assert affine.shape == net.affine.shape
+        assert full.shape == net.params.shape
+        assert full[:net.affine.size].tobytes() == affine.tobytes()
 
     def test_mismatched_cache_rejected(self, rng):
         net_a = random_net(rng)
@@ -262,6 +258,62 @@ class TestBackwardBnAffine:
             backward_bn_affine(net_b, cache, np.zeros_like(logits))
         with pytest.raises(InvalidInput):
             backward_bn_affine(net_a, cache, np.zeros((2, 2)))
+
+
+class TestParameterVector:
+    def test_layers_are_views_into_params_in_layout_order(self, rng):
+        net = random_net(rng)  # dense 0, BN 1, dense 2, BN 3, dense 4
+        layers = net.layers
+        expected = np.concatenate([
+            layers[1].gamma, layers[1].beta, layers[3].gamma, layers[3].beta,
+            *(a for i in (0, 2, 4)
+              for a in (layers[i].weight.ravel(), layers[i].bias))])
+        assert net.params.tobytes() == expected.tobytes()
+        assert net.affine.size == 2 * 8 + 2 * 6
+        assert np.shares_memory(net.affine, net.params)
+        net.params[:] = np.arange(net.params.size)
+        np.testing.assert_array_equal(layers[1].gamma, np.arange(8))
+        np.testing.assert_array_equal(layers[3].beta, np.arange(22, 28))
+        np.testing.assert_array_equal(layers[0].weight[1], np.arange(33, 38))
+        np.testing.assert_array_equal(layers[4].bias, np.arange(148, 151))
+
+    def test_deepcopy_rebuilds_the_views(self, rng):
+        net = random_net(rng)
+        before = net.params.copy()
+        dup = copy.deepcopy(net)
+        assert not np.shares_memory(dup.params, net.params)
+        dup.params -= 1.0
+        np.testing.assert_array_equal(dup.layers[1].gamma,
+                                      net.layers[1].gamma - 1.0)
+        np.testing.assert_array_equal(dup.layers[4].weight,
+                                      net.layers[4].weight - 1.0)
+        dup.affine[0] = 7.0
+        assert dup.layers[1].gamma[0] == 7.0
+        assert net.params.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_backward_all_matches_finite_differences(self, seed):
+        rng = np.random.default_rng(seed)
+        net = random_net(rng)
+        x = rng.normal(size=(12, 5))
+
+        def loss_value():
+            logits, _ = forward(net, x, BNMode.TEST_BATCH_STATS)
+            return tent_loss(logits)[0]
+
+        logits, cache = forward(net, x, BNMode.TEST_BATCH_STATS)
+        grads = backward_all(net, cache, tent_loss(logits)[1])
+        h = 1e-5
+        arr = net.params
+        for j in range(arr.size):
+            orig = arr[j]
+            arr[j] = orig + h
+            hi = loss_value()
+            arr[j] = orig - h
+            lo = loss_value()
+            arr[j] = orig
+            fd = (hi - lo) / (2 * h)
+            assert abs(grads[j] - fd) / max(1.0, abs(grads[j])) < 1e-4
 
 
 class TestBatchWidth:
