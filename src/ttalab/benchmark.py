@@ -18,7 +18,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.ndimage import uniform_filter1d
 
 from .adaptation import Adapter, flip_signal, make_optimizer
 from .errors import InvalidInput, TrainingDiverged
@@ -123,13 +122,40 @@ class Corruption:
             raise InvalidInput("severity must be in 1..5")
 
 
+def _moving_average(x, size):
+    """Mean over a window of ``size`` samples along the last axis, with the
+    edge sample repeated past each end.
+
+    A running sum in SciPy's ``uniform_filter1d`` order: it starts at 0.0,
+    adds the first window term by term, then adds each entering sample
+    minus the leaving one. np.sum would sum the first window pairwise and
+    round differently.
+    """
+    n = x.shape[-1]
+    left = size // 2
+    # column of x at each padded position; "symmetric" repeats the edge
+    cols = np.pad(np.arange(n), (left, size - 1 - left),
+                  mode="symmetric").tolist()
+    out = np.empty(x.shape)
+    total = np.zeros(x.shape[:-1])
+    for c in cols[:size]:
+        total += x[..., c]
+    np.divide(total, size, out=out[..., 0])
+    for j in range(1, n):
+        total += x[..., cols[j + size - 1]] - x[..., cols[j - 1]]
+        np.divide(total, size, out=out[..., j])
+    return out
+
+
 def apply_corruption(x, corruption, seed):
     """Corrupt a signal or a batch of signals; deterministic given seed.
 
     Severity table: gaussian noise sigma = 0.1 s; impulse sets each
     coordinate to +-1 with probability 0.03 s; blur = moving average of
-    window 2s+1 (reflect boundary); contrast scales deviations from the
-    per-signal mean by (1 - 0.15 s); brightness adds 0.2 s.
+    window 2s+1 (reflect boundary), bit for bit equal to SciPy's
+    ``ndimage.uniform_filter1d(x, 2s+1, axis=-1, mode="reflect")``;
+    contrast scales deviations from the per-signal mean by (1 - 0.15 s);
+    brightness adds 0.2 s.
     """
     x = np.asarray(x, dtype=np.float64)
     s = corruption.severity
@@ -141,7 +167,7 @@ def apply_corruption(x, corruption, seed):
         signs = rng.choice([-1.0, 1.0], size=x.shape)
         return np.where(hit, signs, x)
     if corruption.kind == "smooth_blur":
-        return uniform_filter1d(x, size=2 * s + 1, axis=-1, mode="reflect")
+        return _moving_average(x, 2 * s + 1)
     if corruption.kind == "contrast":
         mean = x.mean(axis=-1, keepdims=True)
         return mean + (x - mean) * (1.0 - CONTRAST_LOSS_PER_LEVEL * s)

@@ -159,12 +159,14 @@ def _finite_positive(flag, value):
 def _test_set(args, k):
     """The held-out test stream ``--test-m`` and ``--data-seed`` describe."""
     _at_least("--test-m", args.test_m, k, f"one sample per class, k={k}")
+    _at_least("--data-seed", args.data_seed, 0)
     return generate_dataset(k, args.test_m, args.data_seed)
 
 
 def _protocol(args, *strategies):
     """The stream protocol ``--batch-size`` and ``--seed`` describe, for
     streams adapted under ``strategies``."""
+    _at_least("--seed", args.seed, 0)
     _at_least("--batch-size", args.batch_size, 1)
     for strategy in strategies:
         if strategy != "source":  # the others normalize with batch statistics
@@ -188,6 +190,7 @@ def cmd_train_source(args):
     _at_least("--m", args.m, args.k, f"one sample per class, k={args.k}")
     _at_least("--hidden", args.hidden, 1)
     _at_least("--epochs", args.epochs, 0)
+    _at_least("--seed", args.seed, 0)
     _finite_positive("--lr", args.lr)
     if args.epochs == 0:
         print("warning: --epochs 0, checkpoint will hold untrained weights",
@@ -281,7 +284,8 @@ def cmd_lemma_check(args):
     _at_least("--k-list", min(args.k_list), 2)
     for flag, value in (("--steps", args.steps),
                         ("--random-starts", args.random_starts),
-                        ("--random-steps", args.random_steps)):
+                        ("--random-steps", args.random_steps),
+                        ("--seed", args.seed)):
         _at_least(flag, value, 0)
     _finite_positive("--lr", args.lr)
     out = _outdir(args)

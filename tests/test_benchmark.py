@@ -93,6 +93,25 @@ class TestApplyCorruption:
         out = apply_corruption(x, Corruption("smooth_blur", 4), seed=0)
         np.testing.assert_allclose(out, 0.7, atol=1e-12)
 
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.none() | st.integers(1, 60), length=st.integers(1, 40),
+           severity=st.integers(1, 5), exponent=st.integers(-150, 150),
+           zeros=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+    def test_blur_equals_scipy_bitwise(self, rows, length, severity, exponent,
+                                       zeros, seed):
+        """The reference is SciPy's C loop; it is needed by this test only."""
+        ndimage = pytest.importorskip("scipy.ndimage")
+        rng = np.random.default_rng(seed)
+        shape = (length,) if rows is None else (rows, length)
+        x = rng.normal(size=shape) * 10.0 ** exponent
+        x = np.where(rng.random(shape) < zeros,
+                     rng.choice([0.0, -0.0], size=shape), x)
+        out = apply_corruption(x, Corruption("smooth_blur", severity), seed)
+        expected = ndimage.uniform_filter1d(x, 2 * severity + 1, axis=-1,
+                                            mode="reflect")
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
     def test_deterministic_per_seed(self, rng):
         x = rng.normal(size=(8, 32))
         for kind in CORRUPTION_KINDS:

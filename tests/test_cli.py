@@ -265,17 +265,30 @@ class TestDensity:
         assert code == 0
 
 
+def run_python(*args):
+    """Run a fresh interpreter that imports this checkout's ttalab."""
+    src = str(Path(ttalab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestModuleEntryPoint:
     def test_python_m_runs_the_cli(self, tmp_path):
-        src = str(Path(ttalab.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "ttalab.cli", "lemma-check", "--steps", "10",
-             "--random-starts", "2", "--out", str(tmp_path)],
-            env={**os.environ, "PYTHONPATH": path}, capture_output=True,
-            text=True, timeout=120)
+        proc = run_python("-m", "ttalab.cli", "lemma-check", "--steps", "10",
+                          "--random-starts", "2", "--out", str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "lemma_summary.csv").exists()
+
+    def test_import_loads_no_scipy(self):
+        # a stray scipy import would add its load time and memory to the
+        # start-up of every command
+        proc = run_python("-c", "import sys, ttalab, ttalab.cli; print("
+                          "sorted(m for m in sys.modules"
+                          " if m.split('.')[0] == 'scipy'))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestArgumentValidation:
@@ -331,6 +344,13 @@ BAD_ARGUMENTS = [
     (["train-source", "--lr", "0"], 3, "--lr: 0.0"),
     (["train-source", "--lr", "nan"], 3, "--lr: nan"),
     (["lemma-check", "--lr", "0"], 3, "--lr: 0.0"),
+    (["train-source", "--seed", "-1"], 3, "--seed: -1"),
+    (["adapt", "--seed", "-1"], 3, "--seed: -1"),
+    (["density", "--seed", "-1"], 3, "--seed: -1"),
+    (["lemma-check", "--seed", "-1"], 3, "--seed: -1"),
+    (["adapt", "--data-seed", "-1"], 3, "--data-seed: -1"),
+    (["density", "--data-seed", "-1"], 3, "--data-seed: -1"),
+    (["sweep-batch-size", "--data-seed", "-1"], 3, "--data-seed: -1"),
     # diverges on its last step: caught before the checkpoint is written
     (["train-source", "--lr", "1e306", "--m", "30", "--epochs", "1"], 2,
      "non-finite"),

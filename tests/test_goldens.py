@@ -3,10 +3,11 @@
 ``perfbench/goldens.json`` holds the outputs of the benchmark workloads as
 recorded from the reference commit. For workload seeds 0 and 1 the ``nets``
 fixture trains the same checkpoints as those workloads, so the checkpoint
-bytes, a grid-large column and the small-batch sweep CSV can be reproduced
-here. Any change to a float op on the forward, backward or optimizer path
-shows up as a digest mismatch; two seeds catch a change that one happens to
-leave intact.
+bytes, the grid-large cells of stream seed 0 (every strategy under every
+corruption) and the small-batch sweep CSV can be reproduced here. Any change
+to a float op on the corruption, forward, backward or optimizer path shows
+up as a digest mismatch; two seeds catch a change that one happens to leave
+intact.
 """
 
 import hashlib
@@ -16,8 +17,8 @@ from pathlib import Path
 import pytest
 
 from ttalab.adaptation import STRATEGIES, AdaptationConfig
-from ttalab.benchmark import (Corruption, StreamProtocol, generate_dataset,
-                              stream_eval, train_source)
+from ttalab.benchmark import (CORRUPTION_KINDS, Corruption, StreamProtocol,
+                              generate_dataset, stream_eval, train_source)
 from ttalab.cli import main
 from ttalab.network import save_checkpoint
 
@@ -67,13 +68,14 @@ def test_source_checkpoint_bytes(goldens, checkpoints):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_grid_cell(goldens, nets, strategy):
     for seed, net in nets.items():
-        report = stream_eval(net, generate_dataset(3, 3000, data_seed(seed)),
-                             Corruption("gaussian_noise", SEVERITY),
-                             StreamProtocol(batch_size=100, seed=0),
-                             AdaptationConfig(strategy=strategy))
-        assert f"{report.accuracy!r} {report.params_digest}" == \
-            goldens["grid-large"][str(seed)][f"{strategy}/gaussian_noise/0"], \
-            seed
+        dataset = generate_dataset(3, 3000, data_seed(seed))
+        for kind in CORRUPTION_KINDS:
+            report = stream_eval(net, dataset, Corruption(kind, SEVERITY),
+                                 StreamProtocol(batch_size=100, seed=0),
+                                 AdaptationConfig(strategy=strategy))
+            assert f"{report.accuracy!r} {report.params_digest}" == \
+                goldens["grid-large"][str(seed)][f"{strategy}/{kind}/0"], \
+                (seed, kind)
 
 
 def test_small_batch_sweep_csv(goldens, checkpoints, tmp_path):
