@@ -9,7 +9,7 @@ weights, and gradient accumulation.
 import numpy as np
 
 from ttalab import AdaptationConfig, Corruption, StreamProtocol
-from ttalab.benchmark import (CORRUPTION_KINDS, generate_dataset, stream_eval,
+from ttalab.benchmark import (CORRUPTION_KINDS, eval_streams, generate_dataset,
                               train_source)
 
 train = generate_dataset(k=3, m=3000, seed=0)
@@ -17,16 +17,25 @@ net = train_source(train, epochs=20, seed=0)
 test = generate_dataset(k=3, m=3000, seed=777)
 
 seeds = range(5)
+
+
+def mean_accuracies(cells):
+    """Mean accuracy over the seeds of each (config, corruption kind) cell,
+    with every stream of every cell adapted in one grouped pass."""
+    reports = iter(eval_streams(net, test, [
+        (Corruption(kind, 5), StreamProtocol(batch_size=100, seed=s), config)
+        for config, kind in cells for s in seeds]))
+    return [np.mean([next(reports).accuracy for _ in seeds]) for _ in cells]
+
+
+strategies = ("source", "norm", "tent", "tent-filtered", "ttc")
+accs = iter(mean_accuracies([(AdaptationConfig(strategy=strategy), kind)
+                             for strategy in strategies
+                             for kind in CORRUPTION_KINDS]))
 print(f"{'strategy':10s} " + " ".join(f"{k[:8]:>8s}" for k in CORRUPTION_KINDS)
       + "     mean")
-for strategy in ("source", "norm", "tent", "tent-filtered", "ttc"):
-    config = AdaptationConfig(strategy=strategy)
-    row = []
-    for kind in CORRUPTION_KINDS:
-        accs = [stream_eval(net, test, Corruption(kind, 5),
-                            StreamProtocol(batch_size=100, seed=s),
-                            config).accuracy for s in seeds]
-        row.append(np.mean(accs))
+for strategy in strategies:
+    row = [next(accs) for _ in CORRUPTION_KINDS]
     print(f"{strategy:10s} " + " ".join(f"{a:8.4f}" for a in row)
           + f" {np.mean(row):8.4f}")
 
@@ -37,9 +46,7 @@ variants = {
     "no wa": {"wa_enabled": False},
     "no ga": {"ga_enabled": False},
 }
-for label, flags in variants.items():
-    config = AdaptationConfig(strategy="ttc", **flags)
-    accs = [stream_eval(net, test, Corruption("gaussian_noise", 5),
-                        StreamProtocol(batch_size=100, seed=s),
-                        config).accuracy for s in seeds]
-    print(f"  {label:10s} {np.mean(accs):.4f}")
+accs = mean_accuracies([(AdaptationConfig(strategy="ttc", **flags),
+                         "gaussian_noise") for flags in variants.values()])
+for label, acc in zip(variants, accs):
+    print(f"  {label:10s} {acc:.4f}")

@@ -9,7 +9,7 @@ better aligned than plain per-batch entropy steps.
 import numpy as np
 
 from ttalab import AdaptationConfig, Corruption, StreamProtocol
-from ttalab.benchmark import (adapt_over_stream, apply_corruption,
+from ttalab.benchmark import (adapt_streams, apply_corruption,
                               collect_features, feature_histograms,
                               generate_dataset, histogram_overlap,
                               train_source)
@@ -25,9 +25,11 @@ reference = collect_features(net, test.inputs, 100, BNMode.EVAL_STATS)
 feats = {"reference": reference}
 protocol = StreamProtocol(batch_size=batch_size, seed=0)
 corrupted = apply_corruption(test.inputs, corruption, protocol.seed)
-for name in ("ttc", "tent"):
-    _, _, adapted = adapt_over_stream(net, corrupted, test.labels, protocol,
-                                      AdaptationConfig(strategy=name))
+names = ("ttc", "tent")
+results = adapt_streams(net, corrupted, test.labels,
+                        [(None, protocol, AdaptationConfig(strategy=name))
+                         for name in names])
+for name, (_, _, adapted) in zip(names, results):
     feats[name] = collect_features(adapted, corrupted, batch_size,
                                    BNMode.TEST_BATCH_STATS)
 

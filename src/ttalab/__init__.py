@@ -6,8 +6,8 @@ from .adaptation import (AdaptationConfig, Adapter, GradientAccumulator,
                          flip_signal, rla_forward, sample_weights, tent_loss,
                          ttc_loss)
 from .benchmark import (Corruption, RunReport, SignalDataset, StreamProtocol,
-                        accuracy_score, apply_corruption, generate_dataset,
-                        stream_eval, train_source)
+                        accuracy_score, apply_corruption, eval_streams,
+                        generate_dataset, stream_eval, train_source)
 from .clustering import (assign_step, kmeans_objective, run_minibatch_kmeans,
                          update_step)
 from .errors import (DegenerateBatch, InvalidInput, ParseError, SchemaError,

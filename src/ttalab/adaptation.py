@@ -10,14 +10,17 @@ Strategies:
                   sample weights, and gradient accumulation; each component
                   individually toggleable
 
-An Adapter fixes its stream's plan at construction. All strategies return
-predictions computed before any parameter update in the same call.
+An Adapter adapts S streams that share a plan in lock-step, one batch of
+each per call, and returns predictions computed before any parameter
+update in the same call. Each stream gets bit for bit the predictions and
+parameters it would get alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,32 +88,55 @@ class AdaptationConfig:
 
 
 # ---------------------------------------------------------------------------
-# optimizers: step(params, grad) updates the parameter vector in place
+# optimizers: step(params, grad, rows) updates the parameters in place
 # ---------------------------------------------------------------------------
+# ``params`` and ``grad`` are one (P,) vector or an (S, P) stack of one row
+# per stream. ``rows`` is None (every row steps) or, for a stack, a bool per
+# row, True where the row steps; the other rows keep every bit.
 
 class SGD:
     def __init__(self, lr):
         self.lr = lr
 
-    def step(self, params, grad):
-        params -= self.lr * grad
+    def step(self, params, grad, rows=None):
+        np.subtract(params, self.lr * grad, out=params,
+                    where=True if rows is None else rows[:, None])
 
 
 class Adam:
+    """Adam with per-row state: step counts ``t``, of shape (S,) or (), and
+    moments ``m``, ``v`` shaped like the parameters, so that a row that sits
+    a step out keeps its own bias correction."""
+
     def __init__(self, lr):
         self.lr = lr
-        self.t = 0
-        self.m = self.v = None  # moment vectors, created on the first step
+        self.t = self.m = self.v = None  # created on the first step
 
-    def step(self, params, grad):
-        self.t += 1
+    def step(self, params, grad, rows=None):
         if self.m is None:
             self.m, self.v = np.zeros_like(grad), np.zeros_like(grad)
-        self.m += (1.0 - ADAM_BETA1) * (grad - self.m)
-        self.v += (1.0 - ADAM_BETA2) * (grad * grad - self.v)
-        mhat = self.m / (1.0 - ADAM_BETA1 ** self.t)
-        vhat = self.v / (1.0 - ADAM_BETA2 ** self.t)
-        params -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            self.t = np.zeros(grad.shape[:-1], dtype=np.int64)
+        live = True
+        if rows is None:
+            self.t += 1
+        else:
+            self.t += rows
+            live = rows[:, None]
+        # bias corrections from Python's float power, as numpy's vector
+        # power can round differently: one pair if every row is at the same
+        # step, else one per row. A row that has not stepped yet gets the
+        # correction of step 1, which its masked update does not read.
+        t = self.t.ravel().tolist()
+        if min(t) == max(t):
+            c1, c2 = 1.0 - ADAM_BETA1 ** t[0], 1.0 - ADAM_BETA2 ** t[0]
+        else:
+            c1, c2 = (np.array([[1.0 - beta ** max(n, 1)] for n in t])
+                      for beta in (ADAM_BETA1, ADAM_BETA2))
+        m, v = self.m, self.v
+        np.add(m, (1.0 - ADAM_BETA1) * (grad - m), out=m, where=live)
+        np.add(v, (1.0 - ADAM_BETA2) * (grad * grad - v), out=v, where=live)
+        np.subtract(params, self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS),
+                    out=params, where=live)
 
 
 def make_optimizer(name, lr):
@@ -120,23 +146,29 @@ def make_optimizer(name, lr):
 
 
 # ---------------------------------------------------------------------------
-# losses
+# losses: logits of shape (N, K), or (S, N, K) for S streams
 # ---------------------------------------------------------------------------
 
+def _check_logits(logits):
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim not in (2, 3) or logits.shape[-2] < 1:
+        raise InvalidInput("logits must be a non-empty (N, K) or (S, N, K)"
+                           " array")
+    return logits
+
+
 def tent_loss(logits):
-    """Mean entropy over a batch of logits.
+    """Mean entropy over a batch of logits (per stream, for a stack).
 
     Returns (loss, grad) where grad is the analytic gradient of the mean
     entropy with respect to every logit.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2 or logits.shape[0] < 1:
-        raise InvalidInput("logits must be a non-empty 2-D array")
+    logits = _check_logits(logits)
     h = entropy(softmax(logits))
     # scale by multiplication so the tau=0 weighted loss reproduces this
     # gradient bit for bit
-    grad = entropy_grad_logits(logits) * (1.0 / logits.shape[0])
-    return float(np.mean(h)), grad
+    grad = entropy_grad_logits(logits) * (1.0 / logits.shape[-2])
+    return h.sum(axis=-1) / h.shape[-1], grad  # np.mean's steps
 
 
 def sample_weights(entropies, tau, n):
@@ -155,13 +187,11 @@ def ttc_loss(combined_logits, tau, n):
     Returns (loss, grad); at tau = 0 both coincide with tent_loss up to
     floating-point roundoff.
     """
-    logits = np.asarray(combined_logits, dtype=np.float64)
-    if logits.ndim != 2 or logits.shape[0] < 1:
-        raise InvalidInput("logits must be a non-empty 2-D array")
+    logits = _check_logits(combined_logits)
     h = entropy(softmax(logits))
     w = sample_weights(h, tau, n)
-    grad = w[:, None] * entropy_grad_logits(logits)
-    return float(np.sum(w * h)), grad
+    grad = w[..., None] * entropy_grad_logits(logits)
+    return np.sum(w * h, axis=-1), grad
 
 
 def entropy_filter(entropies, threshold):
@@ -175,21 +205,23 @@ def entropy_filter(entropies, threshold):
 # robust label assignment
 # ---------------------------------------------------------------------------
 
-def rla_forward(net, batch):
+def rla_forward(net, batch, affine=None):
     """Average the logits of a batch and of its flip (``flip_signal``).
 
     Both forwards run in TEST_BATCH_STATS mode, each normalizing with its own
     batch statistics. Gradients flow only through the un-flipped branch;
     because the combination is (live + frozen)/2, the gradient reaching the
-    live logits is half the gradient at the combined logits.
+    live logits is half the gradient at the combined logits. ``batch`` and
+    ``affine`` are as for ``forward``.
 
     Returns (combined_logits, cache, aug_logits) where cache belongs to the
     un-flipped forward and aug_logits, the flipped branch's logits, carry no
     gradient path.
     """
     x = np.asarray(batch, dtype=np.float64)
-    logits, cache = forward(net, x, BNMode.TEST_BATCH_STATS)
-    aug_logits, _ = forward(net, flip_signal(x), BNMode.TEST_BATCH_STATS)
+    logits, cache = forward(net, x, BNMode.TEST_BATCH_STATS, affine)
+    aug_logits, _ = forward(net, flip_signal(x), BNMode.TEST_BATCH_STATS,
+                            affine)
     combined = 0.5 * (logits + aug_logits)
     return combined, cache, aug_logits
 
@@ -198,108 +230,174 @@ def rla_forward(net, batch):
 # gradient accumulation
 # ---------------------------------------------------------------------------
 
-@dataclass
 class GradientAccumulator:
-    q: int
-    accumulated: np.ndarray | None = None
-    batches_seen: int = 0
+    """One accumulation window per stream: ``q`` and ``batches_seen`` hold
+    one int per stream, ``accumulated`` the window sums, an (S, P) stack or,
+    for a single stream, a (P,) vector."""
+
+    def __init__(self, q):
+        self.q = list(q)
+        self.batches_seen = [0] * len(self.q)
+        self.accumulated = None
 
 
-def accumulate_and_maybe_step(acc, grad, optimizer, params):
-    """Add an (already 1/Q-scaled) gradient; step on the Q-th batch.
+def accumulate_and_maybe_step(acc, grad, optimizer, params, live=None):
+    """Add each live stream's (already 1/Q-scaled) gradient, a row of an
+    (S, P) stack or a single stream's (P,) vector; step each stream on its
+    Q-th batch.
 
-    The first batch of a window is copied, not added to zero, so a -0.0
-    entry stays -0.0; after a step ``acc.accumulated`` still holds the
-    gradient that was applied. Returns whether an optimizer step occurred.
+    ``live`` is None (every stream) or a bool per stream, False where the
+    stream sits this batch out: it neither counts the batch nor steps. The
+    first batch of a window is copied, not added to zero, so a -0.0 entry
+    stays -0.0; after a step ``acc.accumulated`` still holds the gradient
+    that was applied. Returns a bool per stream: whether it stepped.
     """
-    if acc.batches_seen:
-        acc.accumulated += grad
-    else:
+    seen = acc.batches_seen
+    if live is None:
+        live = [True] * len(seen)
+    opening = [on and not n for on, n in zip(live, seen)]
+    if acc.accumulated is None or all(opening):
         acc.accumulated = grad.copy()
-    acc.batches_seen += 1
-    if acc.batches_seen >= acc.q:
-        optimizer.step(params, acc.accumulated)
-        acc.batches_seen = 0
-        return True
-    return False
+    elif any(opening) or not all(live):  # the windows are out of phase
+        adding = [on and not first for on, first in zip(live, opening)]
+        np.copyto(acc.accumulated, grad, where=np.array(opening)[:, None])
+        np.add(acc.accumulated, grad, out=acc.accumulated,
+               where=np.array(adding)[:, None])
+    else:
+        acc.accumulated += grad
+    acc.batches_seen = seen = [n + on for n, on in zip(seen, live)]
+    stepped = [n >= q for n, q in zip(seen, acc.q)]
+    if any(stepped):
+        acc.batches_seen = [0 if done else n for n, done in zip(seen, stepped)]
+        optimizer.step(params, acc.accumulated,
+                       None if all(stepped) else np.array(stepped))
+    return stepped
 
 
 # ---------------------------------------------------------------------------
 # the adapter
 # ---------------------------------------------------------------------------
 
+class Plan(NamedTuple):
+    """What a stream does with each batch, all but its Q: streams with equal
+    plans and batch sizes adapt together in one Adapter."""
+
+    mode: BNMode
+    learns: bool              # False for source and norm
+    rla: bool                 # ttc with rla_enabled
+    tau: float | None         # the WA exponent: ttc with wa_enabled
+    threshold: float | None   # the tent-filtered entropy cutoff
+    optimizer: str
+    lr: float
+
+
+def stream_plan(config, k):
+    """The Plan a config resolves to on a network with k classes."""
+    strategy = config.strategy
+    ttc = strategy == "ttc"
+    threshold = None
+    if strategy == "tent-filtered":  # a set threshold is positive
+        threshold = config.filter_threshold or default_filter_threshold(k)
+    return Plan(
+        mode=(BNMode.EVAL_STATS if strategy == "source"
+              else BNMode.TEST_BATCH_STATS),
+        learns=strategy not in ("source", "norm"),
+        rla=ttc and config.rla_enabled,
+        tau=config.tau if ttc and config.wa_enabled else None,
+        threshold=threshold, optimizer=config.optimizer, lr=config.lr)
+
+
+def stream_q(config, batch_size):
+    """The stream's accumulation length: ``accumulation_q``, else
+    ``default_q(batch_size)``, for ttc with ``ga_enabled``; 1 otherwise."""
+    if config.strategy == "ttc" and config.ga_enabled:
+        return config.accumulation_q or default_q(batch_size)
+    return 1
+
+
 class Adapter:
-    """Owns a network and adapts it over a stream of unlabeled batches.
+    """Adapts S streams that share a plan, one (S, N, d) stack of batches
+    per call (for S = 1, also a plain (N, d) batch), over copies of one
+    network's BN affine parameters.
 
-    One adapter per stream; calls are strictly sequential. The stream's plan
-    is resolved once, here: the BN mode, whether parameters move (not for
-    ``source``/``norm``), RLA with ``flip_signal`` (``ttc`` with
-    ``rla_enabled``), the WA exponent (``ttc`` with ``wa_enabled``), the
-    ``tent-filtered`` threshold, and Q (``ttc`` with ``ga_enabled``:
-    ``accumulation_q``, else ``default_q(batch_size)``). The optimizer
-    updates ``net.affine`` in place, which every BN gamma/beta is a view
-    into: a layer whose gamma or beta array is replaced after the network
-    was built is detached from it and no longer adapts.
-    Optimizer state persists across batches. The procedure is online:
-    reproducibility comes from fixing the stream order.
+    The plan (``stream_plan``) is resolved once, here, from the configs,
+    which must all resolve to the same one; each stream keeps its own Q
+    (``stream_q``). Every stream reads the weights and running statistics
+    of ``net``, which is never modified; its gamma/beta are row s of
+    ``affine`` (S, A), laid out like ``net.affine`` and updated in place.
+    Per-stream state, the optimizer's and the accumulator's, persists across
+    batches. Calls are strictly sequential: reproducibility comes from
+    fixing each stream's order. Stream s gets bit for bit the predictions,
+    ``affine`` row and optimizer state it gets in an Adapter of its own.
 
-    With gradient accumulation the optimizer steps on every Q-th batch only;
-    gradients accumulated after the last step of a stream are discarded.
+    With gradient accumulation a stream steps on every Q-th batch only;
+    gradients accumulated after its last step are discarded. A
+    ``tent-filtered`` stream whose filter accepts no sample of a batch
+    neither steps nor counts that batch.
     """
 
-    def __init__(self, net, config, batch_size):
+    def __init__(self, net, configs, batch_size):
         if batch_size < 1:
             raise InvalidInput("batch_size must be positive")
-        strategy = config.strategy
-        ttc = strategy == "ttc"
+        plans = {stream_plan(c, net.k) for c in configs}
+        if len(plans) != 1:
+            raise InvalidInput(f"the {len(configs)} streams of an Adapter"
+                               f" must share one plan, got {len(plans)}")
+        (self.plan,) = plans
         self.net = net
-        self.optimizer = make_optimizer(config.optimizer, config.lr)
-        self.mode = (BNMode.EVAL_STATS if strategy == "source"
-                     else BNMode.TEST_BATCH_STATS)
-        self.learns = strategy not in ("source", "norm")
-        self.rla = ttc and config.rla_enabled
-        self.tau = config.tau if ttc and config.wa_enabled else None
-        self.threshold = None
-        if strategy == "tent-filtered":  # a set threshold is positive
-            self.threshold = (config.filter_threshold
-                              or default_filter_threshold(net.k))
-        q = 1
-        if ttc and config.ga_enabled:
-            q = config.accumulation_q or default_q(batch_size)
-        self.accumulator = GradientAccumulator(q=q)
+        self.affine = np.tile(net.affine, (len(configs), 1))
+        self.optimizer = make_optimizer(self.plan.optimizer, self.plan.lr)
+        q = [stream_q(c, batch_size) for c in configs]
+        self.accumulator = GradientAccumulator(q)
         # under RLA the live logits get half the combined-logit gradient
-        self.grad_scale = (0.5 if self.rla else 1.0) / q
+        scale = [(0.5 if self.plan.rla else 1.0) / n for n in q]
+        self.grad_scale = (scale[0] if len(set(scale)) == 1
+                           else np.array(scale)[:, None, None])
 
     def adapt_batch(self, batch):
-        """Process one batch: predict, then (for gradient strategies) update.
+        """Process one batch of each stream: predict, then (for gradient
+        strategies) update.
 
-        Returns (predictions, probs) computed from the pre-update forward;
-        with RLA active these come from the flip-averaged logits.
+        ``batch`` is an (S, N, d) stack, or, for a single stream, its (N, d)
+        batch: numpy's per-call cost is lower without the stream axis.
+        Returns (predictions, probs), shaped (S, N) and (S, N, K) or (N,)
+        and (N, K), computed from the pre-update forward; with RLA active
+        these come from the flip-averaged logits.
         """
         x = np.asarray(batch, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] == 0:
-            raise InvalidInput("batch must be a non-empty 2-D array")
-        if self.rla:
-            logits, cache, _ = rla_forward(self.net, x)
+        stacked = x.ndim == 3 and len(x) == len(self.affine)
+        if not (stacked or x.ndim == 2 and len(self.affine) == 1) \
+                or x.shape[-2] == 0:
+            raise InvalidInput(f"batch must be a non-empty stack of"
+                               f" {len(self.affine)} batches, got shape"
+                               f" {x.shape}")
+        affine = self.affine if stacked else self.affine[0]
+        if self.plan.rla:
+            logits, cache, _ = rla_forward(self.net, x, affine)
         else:
-            logits, cache = forward(self.net, x, self.mode)
+            logits, cache = forward(self.net, x, self.plan.mode, affine)
         probs = softmax(logits)
-        preds = np.argmax(probs, axis=1)
-        if not self.learns:
-            return preds, probs
+        if self.plan.learns:
+            self._learn(logits, probs, cache)
+        return np.argmax(probs, axis=-1), probs
 
-        if self.threshold is not None:
-            mask = entropy_filter(entropy(probs), self.threshold)
-            if not mask.any():
-                return preds, probs
-            grad = np.zeros_like(logits)
-            grad[mask] = tent_loss(logits[mask])[1]
-        elif self.tau is not None:
-            _, grad = ttc_loss(logits, self.tau, x.shape[0])
+    def _learn(self, logits, probs, cache):
+        live = None
+        if self.plan.threshold is not None:
+            mask = entropy_filter(entropy(probs), self.plan.threshold)
+            accepted = mask.sum(axis=-1)
+            live = np.reshape(accepted > 0, -1).tolist()
+            if not any(live):
+                return
+            # tent over each stream's accepted rows: their mean entropy
+            scale = (1.0 / np.maximum(accepted, 1))[..., None, None]
+            grad = np.where(mask[..., None],
+                            entropy_grad_logits(logits) * scale, 0.0)
+        elif self.plan.tau is not None:
+            _, grad = ttc_loss(logits, self.plan.tau, logits.shape[-2])
         else:
             _, grad = tent_loss(logits)
-        accumulate_and_maybe_step(
-            self.accumulator,
-            backward_bn_affine(self.net, cache, self.grad_scale * grad),
-            self.optimizer, self.net.affine)
-        return preds, probs
+        grad = backward_bn_affine(self.net, cache, self.grad_scale * grad)
+        accumulate_and_maybe_step(self.accumulator,
+                                  grad.reshape(self.affine.shape),
+                                  self.optimizer, self.affine, live)

@@ -18,8 +18,8 @@ import numpy as np
 
 from .adaptation import OPTIMIZERS, STRATEGIES, AdaptationConfig
 from .benchmark import (CORRUPTION_KINDS, Corruption, StreamProtocol,
-                        adapt_over_stream, apply_corruption, collect_features,
-                        evaluate_accuracy, feature_histograms,
+                        adapt_streams, apply_corruption, collect_features,
+                        eval_streams, evaluate_accuracy, feature_histograms,
                         generate_dataset, histogram_overlap, stream_eval,
                         train_source)
 from .errors import InvalidInput, TrainingDiverged, TTALabError
@@ -133,8 +133,21 @@ def build_parser():
 
 
 def _config(args, **changes):
-    """The stream config the flags set, with ``changes`` applied on top."""
+    """The stream config the flags set, with ``changes`` applied on top.
+
+    The numeric flags are checked here, so that an error names the flag
+    rather than the config field it sets.
+    """
     flags = {f.name: vars(args)[f.name] for f in fields(AdaptationConfig)}
+    _finite_positive("--lr", flags["lr"])
+    if not (math.isfinite(flags["tau"]) and flags["tau"] >= 0):
+        raise _SpecError(f"--tau: {flags['tau']} must be finite and"
+                         f" non-negative")
+    if flags["accumulation_q"] is not None:
+        _at_least("--q", flags["accumulation_q"], 1)
+    threshold = flags["filter_threshold"]
+    if threshold is not None and not threshold > 0:
+        raise _SpecError(f"--filter-threshold: {threshold} must be positive")
     return AdaptationConfig(**(flags | changes))
 
 
@@ -255,19 +268,18 @@ def cmd_sweep_batch_size(args):
         ("ttc", True): ttc,
     }
 
+    cells = [(variant, n) for variant in variants for n in args.batch_sizes]
+    reports = iter(eval_streams(net, dataset, [
+        (corruption, StreamProtocol(batch_size=n, seed=seed),
+         variants[variant])
+        for variant, n in cells for seed in range(args.seeds)]))
     lines = ["strategy,batch_size,ga,accuracy_mean,accuracy_std"]
-    for (strategy, ga), config in variants.items():
-        for n in args.batch_sizes:
-            accs = []
-            for seed in range(args.seeds):
-                protocol = StreamProtocol(batch_size=n, seed=seed)
-                report = stream_eval(net, dataset, corruption, protocol,
-                                     config)
-                accs.append(report.accuracy)
-            mean = float(np.mean(accs))
-            std = float(np.std(accs))
-            lines.append(f"{strategy},{n},{str(ga).lower()},{mean!r},{std!r}")
-            print(f"{strategy} ga={ga} N={n}: {mean:.4f} +- {std:.4f}")
+    for (strategy, ga), n in cells:
+        accs = [next(reports).accuracy for _ in range(args.seeds)]
+        mean = float(np.mean(accs))
+        std = float(np.std(accs))
+        lines.append(f"{strategy},{n},{str(ga).lower()},{mean!r},{std!r}")
+        print(f"{strategy} ga={ga} N={n}: {mean:.4f} +- {std:.4f}")
     path = out / "sweep_batch_size.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"sweep written to {path}")
@@ -343,19 +355,20 @@ def cmd_density(args):
     if corruption is not None:
         inputs = apply_corruption(inputs, corruption, protocol.seed)
 
-    def features(config):
-        """Adapt under one config, then collect penultimate features."""
-        _, _, adapted = adapt_over_stream(net, inputs, dataset.labels,
-                                          protocol, config)
+    results = adapt_streams(net, inputs, dataset.labels,
+                            [(None, protocol, config_a),
+                             (None, protocol, config_b)])
+
+    def features(config, result):
+        """Penultimate features of the network one config adapted."""
         mode = (BNMode.EVAL_STATS if config.strategy == "source"
                 else BNMode.TEST_BATCH_STATS)
-        return collect_features(adapted, inputs, args.batch_size, mode)
+        return collect_features(result[2], inputs, args.batch_size, mode)
 
     # clean reference: the source checkpoint on the uncorrupted stream
     reference = collect_features(net, dataset.inputs, args.batch_size,
                                  BNMode.EVAL_STATS)
-    feats_a = features(config_a)
-    feats_b = features(config_b)
+    feats_a, feats_b = map(features, (config_a, config_b), results)
     edges, hists = feature_histograms(
         {"reference": reference, "a": feats_a, "b": feats_b}, bins=args.bins)
 

@@ -13,6 +13,14 @@ weight (row-major) then bias, block by block. Its first entries, the gamma
 and beta, are ``Network.affine``. Gradients come back as one vector in the
 same layout, so an optimizer step is one vector operation.
 
+``forward`` and the backward pass take a batch of shape (N, d), or a stack
+of S streams' batches of shape (S, N, d) with one row of gamma/beta per
+stream: an (S, A) array laid out like ``Network.affine``. Every stream
+shares the network's weights and running statistics, and every operation
+acts on the last two axes alone (numpy's stacked matmul makes one gemm per
+stream), so stream s of a stack gets bit for bit the logits and gradient it
+would get alone.
+
 Checkpoints are a single JSON document so they stay inspectable and portable.
 """
 
@@ -176,59 +184,80 @@ def make_network(input_dim=32, hidden=64, k=3, seed=0):
 
 @dataclass
 class ForwardCache:
-    net: Network
     # one (dense input, (xhat, inv_std, batch_stats) | None, relu mask | None)
     # per block
     records: list
-    logits_shape: tuple
+    # per block: the gamma its BN layer scaled by, or None
+    gammas: list
 
 
-def forward(net, batch, mode):
+def forward(net, batch, mode, affine=None):
     """Run the network on a batch, returning logits and a backward cache.
 
-    In TEST_BATCH_STATS mode the batch must have at least two rows so the
-    batch variance is defined.
+    ``batch`` is (N, d), or (S, N, d) for S streams; ``affine`` is None (the
+    network's own gamma/beta), or gamma/beta laid out like ``net.affine``:
+    an (S, A) array, one row per stream, or an (A,) vector for an (N, d)
+    batch. In TEST_BATCH_STATS mode the batch must have at least two rows
+    so the batch variance is defined. TRAIN_STATS, which updates the
+    running statistics, takes the network's own gamma/beta.
     """
     x = np.asarray(batch, dtype=np.float64)
     n_in = net.layers[0].weight.shape[1]
-    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != n_in:
-        raise InvalidInput(f"batch must be a 2-D array with at least one row"
-                           f" and {n_in} columns, got shape {x.shape}")
+    if (x.ndim != (2 if affine is None else affine.ndim + 1)
+            or x.shape[-2] < 1 or x.shape[-1] != n_in):
+        raise InvalidInput(
+            f"batch must be an (N, d) array, or (S, N, d) with (S, A)"
+            f" affine, with at least one row and {n_in} columns, got shape"
+            f" {x.shape}")
+    if mode is BNMode.TRAIN_STATS and affine is not None:
+        raise InvalidInput("TRAIN_STATS runs a single stream")
     if not np.isfinite(x).all():
         raise InvalidInput("batch contains non-finite values")
-    if mode is BNMode.TEST_BATCH_STATS and x.shape[0] < 2:
+    if mode is BNMode.TEST_BATCH_STATS and x.shape[-2] < 2:
         raise DegenerateBatch("TEST_BATCH_STATS needs a batch of at least 2")
 
-    records = []
+    records, gammas = [], []
+    at = 0  # offset of the next BN layer's gamma in affine
     for dense, bn, relu in net.blocks:
         layer = net.layers[dense]
         x_in = x
         x = x @ layer.weight.T + layer.bias
         bn_rec = mask = None
         if bn is not None:
-            x, bn_rec = _bn_forward(net.layers[bn], x, mode)
+            norm = net.layers[bn]
+            gamma, beta = norm.gamma, norm.beta
+            if affine is not None:  # views: (S, 1, F), or (1, F)
+                f = gamma.size
+                gamma = affine[..., None, at:at + f]
+                beta = affine[..., None, at + f:at + 2 * f]
+                at += 2 * f
+            x, bn_rec = _bn_forward(norm, x, mode, gamma, beta)
+        else:
+            gamma = None
         if relu:
             mask = x > 0.0
             x = x * mask
         records.append((x_in, bn_rec, mask))
+        gammas.append(gamma)
     if not np.isfinite(x).all():
         raise InvalidInput("forward produced non-finite logits")
-    return x, ForwardCache(net=net, records=records, logits_shape=x.shape)
+    return x, ForwardCache(records=records, gammas=gammas)
 
 
 def _batch_stats(x):
-    """Column mean, centered batch and biased column variance of a batch.
+    """Mean over the rows (axis -2), centered batch and biased variance of
+    a batch or of each stream of a stack.
 
-    The ufunc steps of ``x.mean(axis=0)`` and ``x.var(axis=0)``, run once:
+    The ufunc steps of ``x.mean(axis=-2)`` and ``x.var(axis=-2)``, run once:
     the results are bit-identical to theirs.
     """
-    n = x.shape[0]
-    mean = x.sum(axis=0) / n
-    d = x - mean
-    return mean, d, (d * d).sum(axis=0) / n
+    n = x.shape[-2]
+    mean = x.sum(axis=-2) / n
+    d = x - mean[..., None, :]
+    return mean, d, (d * d).sum(axis=-2) / n
 
 
-def _bn_forward(layer, x, mode):
+def _bn_forward(layer, x, mode, gamma, beta):
     if mode is BNMode.EVAL_STATS:
         mean, var = layer.running_mean, layer.running_var
         d = x - mean
@@ -239,45 +268,43 @@ def _bn_forward(layer, x, mode):
             layer.running_mean = (1.0 - m) * layer.running_mean + m * mean
             layer.running_var = (1.0 - m) * layer.running_var + m * var
     inv_std = 1.0 / np.sqrt(var + layer.eps)
-    xhat = np.multiply(d, inv_std, out=d)
-    out = layer.gamma * xhat + layer.beta
+    xhat = np.multiply(d, inv_std[..., None, :], out=d)
+    out = gamma * xhat + beta
     return out, (xhat, inv_std, mode is not BNMode.EVAL_STATS)
 
 
 def _backward(net, cache, loss_grad_logits, affine_only):
     """Reverse pass over the blocks: one gradient vector laid out like
-    ``net.params``, or like ``net.affine`` if ``affine_only``."""
-    if cache.net is not net:
-        raise InvalidInput("cache was produced by a different network")
+    ``net.params``, or like ``net.affine`` if ``affine_only``. For a stack
+    of streams (affine only), one such row per stream."""
     g = np.asarray(loss_grad_logits, dtype=np.float64)
-    if g.shape != cache.logits_shape:
-        raise InvalidInput(
-            f"loss gradient shape {g.shape} does not match logits {cache.logits_shape}")
     # pieces in reverse layout order: beta before gamma, bias before weight
     affine, dense_grads = [], []
-    for (dense, bn, _), (x, bn_rec, mask) in zip(reversed(net.blocks),
-                                                 reversed(cache.records)):
+    for (dense, bn, _), (x, bn_rec, mask), gamma in zip(
+            reversed(net.blocks), reversed(cache.records),
+            reversed(cache.gammas)):
         if mask is not None:
             g = g * mask
         if bn is not None:
             xhat, inv_std, batch_stats = bn_rec
-            affine += [g.sum(axis=0), (g * xhat).sum(axis=0)]
-            dxhat = g * net.layers[bn].gamma
+            affine += [g.sum(axis=-2), (g * xhat).sum(axis=-2)]
+            dxhat = g * gamma
             if batch_stats:
-                n = xhat.shape[0]
-                g = (inv_std / n) * (
+                n = xhat.shape[-2]
+                g = (inv_std[..., None, :] / n) * (
                     n * dxhat
-                    - dxhat.sum(axis=0)
-                    - xhat * (dxhat * xhat).sum(axis=0)
+                    - dxhat.sum(axis=-2, keepdims=True)
+                    - xhat * (dxhat * xhat).sum(axis=-2, keepdims=True)
                 )
             else:
-                g = dxhat * inv_std
+                g = dxhat * inv_std[..., None, :]
         if not affine_only:
             dense_grads += [g.sum(axis=0), (g.T @ x).ravel()]
         if dense:  # layer 0 reads the network input, which needs no gradient
             g = g @ net.layers[dense].weight
     pieces = affine[::-1] + dense_grads[::-1]
-    return np.concatenate(pieces) if pieces else np.zeros(0)
+    return (np.concatenate(pieces, axis=-1) if pieces
+            else np.zeros(g.shape[:-2] + (0,)))
 
 
 def backward_bn_affine(net, cache, loss_grad_logits):

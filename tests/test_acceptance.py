@@ -15,7 +15,7 @@ from ttalab.adaptation import (AdaptationConfig, Adapter, GradientAccumulator,
                                SGD, accumulate_and_maybe_step, sample_weights,
                                tent_loss, ttc_loss)
 from ttalab.benchmark import (CORRUPTION_KINDS, Corruption, StreamProtocol,
-                              apply_corruption, stream_eval)
+                              apply_corruption, eval_streams)
 from ttalab.clustering import (FULL_BATCH, assign_step, kmeans_objective,
                                update_step)
 from ttalab.cli import main
@@ -136,16 +136,13 @@ def test_criterion_03_degeneration(source_net, test_dataset):
                               wa_enabled=False, ga_enabled=False),
         }
         for label, kwargs in variants.items():
-            import copy
-            net_tent = copy.deepcopy(source_net)
-            net_ttc = copy.deepcopy(source_net)
-            tent = Adapter(net_tent, AdaptationConfig(strategy="tent"), 20)
-            ttc = Adapter(net_ttc, AdaptationConfig(**kwargs), 20)
+            tent = Adapter(source_net, [AdaptationConfig(strategy="tent")], 20)
+            ttc = Adapter(source_net, [AdaptationConfig(**kwargs)], 20)
             for x in batches:
-                p_a, _ = tent.adapt_batch(x)
-                p_b, _ = ttc.adapt_batch(x)
+                p_a, _ = tent.adapt_batch(x[None])
+                p_b, _ = ttc.adapt_batch(x[None])
                 np.testing.assert_array_equal(p_a, p_b, err_msg=label)
-                np.testing.assert_allclose(net_ttc.affine, net_tent.affine,
+                np.testing.assert_allclose(ttc.affine, tent.affine,
                                            atol=1e-12, err_msg=label)
 
 
@@ -158,7 +155,7 @@ def test_criterion_04_accumulation_union_batch():
             net_acc = make_network(input_dim=6, hidden=5, k=3, seed=instance)
             net_union = make_network(input_dim=6, hidden=5, k=3, seed=instance)
             batches = [rng.normal(size=(n, 6)) for _ in range(q)]
-            acc = GradientAccumulator(q=q)
+            acc = GradientAccumulator([q])
             opt = SGD(lr=0.2)
             for b in batches:
                 logits, cache = forward(net_acc, b, BNMode.EVAL_STATS)
@@ -221,18 +218,17 @@ def test_criterion_07_desk_benchmark(source_net, test_dataset):
                       " ttc >= tent on the cross-corruption mean"
                       " (severity 5, 5 seeds)"):
         start = time.perf_counter()
-        means = {}
-        for strategy in ("source", "norm", "tent", "ttc"):
-            config = AdaptationConfig(strategy=strategy)
-            means[strategy] = {
-                kind: np.mean([stream_eval(source_net, test_dataset,
-                                           Corruption(kind, 5),
-                                           StreamProtocol(batch_size=100,
-                                                          seed=s),
-                                           config).accuracy
-                               for s in SEEDS])
-                for kind in CORRUPTION_KINDS
-            }
+        strategies = ("source", "norm", "tent", "ttc")
+        cells = [(strategy, kind) for strategy in strategies
+                 for kind in CORRUPTION_KINDS]
+        reports = iter(eval_streams(source_net, test_dataset, [
+            (Corruption(kind, 5), StreamProtocol(batch_size=100, seed=s),
+             AdaptationConfig(strategy=strategy))
+            for strategy, kind in cells for s in SEEDS]))
+        means = {strategy: {} for strategy in strategies}
+        for strategy, kind in cells:
+            means[strategy][kind] = np.mean([next(reports).accuracy
+                                             for _ in SEEDS])
         for kind in ("gaussian_noise", "impulse_noise"):
             assert means["norm"][kind] >= means["source"][kind], (
                 f"{kind}: norm {means['norm'][kind]:.4f}"
@@ -252,28 +248,29 @@ def test_criterion_08_batch_size_sweep(source_net, test_dataset):
         tent_ga = AdaptationConfig(strategy="ttc", rla_enabled=False,
                                    wa_enabled=False, ga_enabled=True)
 
-        def mean_accuracy(config, n):
-            return np.mean([stream_eval(source_net, test_dataset, corruption,
-                                        StreamProtocol(batch_size=n, seed=s),
-                                        config).accuracy for s in SEEDS])
-
         sizes = (2, 10, 50, 100)
-        tent_curve = [mean_accuracy(tent, n) for n in sizes]
+        cells = [(tent, n) for n in sizes] + [(tent_ga, 10)]
+        reports = iter(eval_streams(source_net, test_dataset, [
+            (corruption, StreamProtocol(batch_size=n, seed=s), config)
+            for config, n in cells for s in SEEDS]))
+        means = [np.mean([next(reports).accuracy for _ in SEEDS])
+                 for _ in cells]
+        tent_curve = means[:len(sizes)]
         for smaller, larger in zip(tent_curve[:-1], tent_curve[1:]):
             assert larger >= smaller - 0.01, f"tent curve: {tent_curve}"
-        margin = mean_accuracy(tent_ga, 10) - tent_curve[1]
+        margin = means[-1] - tent_curve[1]
         assert margin > 0.0, f"accumulation margin at N=10: {margin:+.4f}"
 
 
 def test_criterion_09_tau_sweep(source_net, test_dataset):
     with criterion(9, "tau sweep runs clean at every value, no NaN/Inf"):
         recorded = {}
-        for tau in (0.05, 0.1, 0.5, 1.0, 5.0, 10.0):
-            config = AdaptationConfig(strategy="ttc", tau=tau)
-            report = stream_eval(source_net, test_dataset,
-                                 Corruption("gaussian_noise", 5),
-                                 StreamProtocol(batch_size=100, seed=0),
-                                 config)
+        taus = (0.05, 0.1, 0.5, 1.0, 5.0, 10.0)
+        reports = eval_streams(source_net, test_dataset, [
+            (Corruption("gaussian_noise", 5),
+             StreamProtocol(batch_size=100, seed=0),
+             AdaptationConfig(strategy="ttc", tau=tau)) for tau in taus])
+        for tau, report in zip(taus, reports):
             assert np.isfinite(report.accuracy)
             assert np.all(np.isfinite(report.per_batch_accuracy))
             recorded[tau] = report.accuracy

@@ -8,8 +8,9 @@ from ttalab.adaptation import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EPS_ENTROPY,
                                STRATEGIES, SGD, AdaptationConfig, Adam,
                                Adapter, GradientAccumulator,
                                accumulate_and_maybe_step, default_q,
-                               entropy_filter, rla_forward,
-                               sample_weights, tent_loss, ttc_loss)
+                               default_filter_threshold, entropy_filter,
+                               rla_forward, sample_weights, tent_loss,
+                               ttc_loss)
 from ttalab.errors import InvalidInput
 from ttalab.network import (BNMode, backward_bn_affine, forward, make_network,
                             network_to_dict)
@@ -137,10 +138,10 @@ class TestEntropyFilter:
         net = small_net()
         config = AdaptationConfig(strategy="tent-filtered",
                                   filter_threshold=1e-9, optimizer="sgd")
-        adapter = Adapter(net, config, 10)
-        before = network_to_dict(net)
-        adapter.adapt_batch(small_batch(rng))
-        assert network_to_dict(net) == before
+        adapter = Adapter(net, [config], 10)
+        adapter.adapt_batch(small_batch(rng)[None])
+        assert adapter.affine.tobytes() == net.affine.tobytes()
+        assert adapter.accumulator.batches_seen == [0]
 
     def test_only_low_entropy_sample_contributes(self):
         confident = np.array([8.0, 0.0, 0.0])
@@ -204,34 +205,37 @@ class TestRlaForward:
         cfg_a = AdaptationConfig(strategy="ttc", rla_enabled=False, tau=0.0,
                                  accumulation_q=1, optimizer="sgd", lr=0.05)
         cfg_b = AdaptationConfig(strategy="tent", optimizer="sgd", lr=0.05)
-        Adapter(net_a, cfg_a, 10).adapt_batch(x)
-        Adapter(net_b, cfg_b, 10).adapt_batch(x)
-        assert network_to_dict(net_a) == network_to_dict(net_b)
+        adapter_a = Adapter(net_a, [cfg_a], 10)
+        adapter_b = Adapter(net_b, [cfg_b], 10)
+        adapter_a.adapt_batch(x[None])
+        adapter_b.adapt_batch(x[None])
+        assert adapter_a.affine.tobytes() == adapter_b.affine.tobytes()
 
 
 class TestGradientAccumulation:
     def test_q_one_steps_every_call(self):
-        acc = GradientAccumulator(q=1)
+        acc = GradientAccumulator([1])
         params = np.zeros(2)
         opt = SGD(lr=1.0)
         for _ in range(3):
-            assert accumulate_and_maybe_step(acc, np.ones(2), opt, params)
+            assert accumulate_and_maybe_step(acc, np.ones(2), opt,
+                                             params) == [True]
         np.testing.assert_array_equal(params, -3.0)
 
     def test_q_two_identical_gradients_apply_once(self):
         # gradients arrive already scaled by 1/Q, so the applied update is
         # exactly -lr * g
         g = np.array([2.0, -1.0])
-        acc = GradientAccumulator(q=2)
+        acc = GradientAccumulator([2])
         params = np.zeros(2)
         opt = SGD(lr=0.5)
-        assert not accumulate_and_maybe_step(acc, g / 2, opt, params)
+        assert accumulate_and_maybe_step(acc, g / 2, opt, params) == [False]
         np.testing.assert_array_equal(params, 0.0)
-        assert accumulate_and_maybe_step(acc, g / 2, opt, params)
+        assert accumulate_and_maybe_step(acc, g / 2, opt, params) == [True]
         np.testing.assert_array_equal(params, -0.5 * g)
         # the next window starts afresh from its first gradient
-        assert acc.batches_seen == 0
-        assert not accumulate_and_maybe_step(acc, g, opt, params)
+        assert acc.batches_seen == [0]
+        assert accumulate_and_maybe_step(acc, g, opt, params) == [False]
         np.testing.assert_array_equal(acc.accumulated, g)
 
     def test_union_batch_equivalence_with_frozen_stats(self):
@@ -242,7 +246,7 @@ class TestGradientAccumulation:
         net_acc = small_net(seed=1)
         net_union = small_net(seed=1)
         batches = [small_batch(rng, n=n) for _ in range(q)]
-        acc = GradientAccumulator(q=q)
+        acc = GradientAccumulator([q])
         opt = SGD(lr=0.1)
         for b in batches:
             logits, cache = forward(net_acc, b, BNMode.EVAL_STATS)
@@ -264,14 +268,14 @@ class TestGradientAccumulation:
         net = small_net(seed=2)
         batches = [small_batch(rng) for _ in range(q)]
         expected = 0.0
-        acc = GradientAccumulator(q=q)
+        acc = GradientAccumulator([q])
         opt = SGD(lr=0.0)  # no-op step, we only inspect the sum
         for b in batches:
             logits, cache = forward(net, b, BNMode.TEST_BATCH_STATS)
             _, gl = tent_loss(logits)
             grads = backward_bn_affine(net, cache, gl / q)
             expected = expected + grads
-            if acc.batches_seen == q - 1:
+            if acc.batches_seen == [q - 1]:
                 snapshot = acc.accumulated + grads
             accumulate_and_maybe_step(acc, grads, opt, net.affine)
         np.testing.assert_array_equal(snapshot, expected)
@@ -339,9 +343,9 @@ def recording(cls):
             super().__init__(lr)
             self.applied = []
 
-        def step(self, params, grads):
+        def step(self, params, grads, *rows):
             self.applied.append(copy.deepcopy(grads))
-            super().step(params, grads)
+            super().step(params, grads, *rows)
     return Recording
 
 
@@ -375,17 +379,17 @@ class TestVectorMatchesPerArrayPath:
                       for i, shape in enumerate(shapes)}
         params = flat(ref_params)
         opt, ref_opt = recording(cls)(lr), recording(ref_cls)(lr)
-        acc = GradientAccumulator(q=q)
+        acc = GradientAccumulator([q])
         ref_acc = {"q": q, "accumulated": {}, "batches_seen": 0}
         for _ in range(length):  # stream lengths cross window boundaries
             ref_grads = {key: signed_zeros(rng, a.shape)
                          for key, a in ref_params.items()}
             stepped = accumulate_and_maybe_step(acc, flat(ref_grads), opt,
                                                 params)
-            assert stepped == dict_accumulate_and_maybe_step(
-                ref_acc, ref_grads, ref_opt, ref_params)
-            assert acc.batches_seen == ref_acc["batches_seen"]
-            if acc.batches_seen:
+            assert stepped == [dict_accumulate_and_maybe_step(
+                ref_acc, ref_grads, ref_opt, ref_params)]
+            assert acc.batches_seen == [ref_acc["batches_seen"]]
+            if acc.batches_seen[0]:
                 assert (acc.accumulated.tobytes()
                         == flat(ref_acc["accumulated"]).tobytes())
             assert params.tobytes() == flat(ref_params).tobytes()
@@ -399,30 +403,37 @@ class TestVectorMatchesPerArrayPath:
 
     def test_first_gradient_of_a_window_keeps_negative_zero(self):
         opt = recording(SGD)(1.0)
-        acc = GradientAccumulator(q=1)
+        acc = GradientAccumulator([1])
         accumulate_and_maybe_step(acc, np.array([-0.0, 1.0]), opt,
                                   np.zeros(2))
         assert np.signbit(opt.applied[0][0])
 
 
+def one_stream(net, config, batch_size=10):
+    """An Adapter of one stream and a function adapting it on an (N, d)
+    batch, returning the stream's predictions."""
+    adapter = Adapter(net, [config], batch_size)
+    return adapter, lambda x: adapter.adapt_batch(x[None])[0][0]
+
+
 class TestAdaptBatch:
     def test_source_strategy_is_idempotent(self, rng):
         net = small_net()
-        adapter = Adapter(net, AdaptationConfig(strategy="source"), 10)
+        adapter, adapt = one_stream(net, AdaptationConfig(strategy="source"))
         x = small_batch(rng)
         before = network_to_dict(net)
-        p1, _ = adapter.adapt_batch(x)
-        p2, _ = adapter.adapt_batch(x)
+        p1 = adapt(x)
+        p2 = adapt(x)
         np.testing.assert_array_equal(p1, p2)
         assert network_to_dict(net) == before
+        assert adapter.affine.tobytes() == net.affine.tobytes()
 
     def test_norm_strategy_never_steps(self, rng):
         net = small_net()
-        adapter = Adapter(net, AdaptationConfig(strategy="norm"), 10)
-        before = network_to_dict(net)
+        adapter, adapt = one_stream(net, AdaptationConfig(strategy="norm"))
         for _ in range(3):
-            adapter.adapt_batch(small_batch(rng))
-        assert network_to_dict(net) == before
+            adapt(small_batch(rng))
+        assert adapter.affine.tobytes() == net.affine.tobytes()
 
     def test_tent_single_sgd_step_closed_form(self, rng):
         x = small_batch(rng)
@@ -433,67 +444,66 @@ class TestAdaptBatch:
         _, gl = tent_loss(logits)
         manual = backward_bn_affine(reference, cache, gl)
         expected = reference.affine - lr * manual
-        adapter = Adapter(net, AdaptationConfig(strategy="tent", lr=lr,
-                                                optimizer="sgd"), 10)
-        adapter.adapt_batch(x)
-        np.testing.assert_array_equal(net.affine, expected)
+        adapter, adapt = one_stream(net, AdaptationConfig(
+            strategy="tent", lr=lr, optimizer="sgd"))
+        adapt(x)
+        np.testing.assert_array_equal(adapter.affine[0], expected)
 
     def test_degeneration_chain_matches_tent(self, rng):
         x_batches = [small_batch(rng) for _ in range(10)]
-        net_tent = small_net(seed=6)
-        net_ttc = small_net(seed=6)
-        tent = Adapter(net_tent, AdaptationConfig(strategy="tent"), 10)
-        ttc = Adapter(net_ttc, AdaptationConfig(
+        tent, adapt_tent = one_stream(small_net(seed=6),
+                                      AdaptationConfig(strategy="tent"))
+        ttc, adapt_ttc = one_stream(small_net(seed=6), AdaptationConfig(
             strategy="ttc", rla_enabled=False, wa_enabled=False,
-            ga_enabled=True, accumulation_q=1), 10)
+            ga_enabled=True, accumulation_q=1))
         for x in x_batches:
-            p_a, _ = tent.adapt_batch(x)
-            p_b, _ = ttc.adapt_batch(x)
-            np.testing.assert_array_equal(p_a, p_b)
-            np.testing.assert_allclose(net_tent.affine, net_ttc.affine,
-                                       atol=1e-12)
+            np.testing.assert_array_equal(adapt_tent(x), adapt_ttc(x))
+            np.testing.assert_allclose(tent.affine, ttc.affine, atol=1e-12)
 
     def test_predictions_precede_the_update(self, rng):
         x = small_batch(rng)
-        net_step = small_net(seed=8)
-        net_wait = small_net(seed=8)
-        stepping = Adapter(net_step, AdaptationConfig(
+        net = small_net(seed=8)
+        # one stream steps on this batch, the other waits: Q = 1 and 100
+        adapter = Adapter(net, [AdaptationConfig(
             strategy="ttc", rla_enabled=False, wa_enabled=False,
-            accumulation_q=1, lr=5.0, optimizer="sgd"), 10)
-        waiting = Adapter(net_wait, AdaptationConfig(
-            strategy="ttc", rla_enabled=False, wa_enabled=False,
-            accumulation_q=100, lr=5.0, optimizer="sgd"), 10)
-        frozen = copy.deepcopy(net_step)
-        pre_logits, _ = forward(frozen, x, BNMode.TEST_BATCH_STATS)
+            accumulation_q=q, lr=5.0, optimizer="sgd") for q in (1, 100)],
+            10)
+        pre_logits, _ = forward(net, x, BNMode.TEST_BATCH_STATS)
         expected = np.argmax(softmax(pre_logits), axis=1)
-        p_step, _ = stepping.adapt_batch(x)
-        p_wait, _ = waiting.adapt_batch(x)
-        np.testing.assert_array_equal(p_step, expected)
-        np.testing.assert_array_equal(p_wait, expected)
+        preds, _ = adapter.adapt_batch(np.stack([x, x]))
+        np.testing.assert_array_equal(preds, [expected, expected])
+        assert adapter.affine[1].tobytes() == net.affine.tobytes()
+        assert adapter.affine[0].tobytes() != net.affine.tobytes()
 
     def test_empty_batch_rejected(self):
-        adapter = Adapter(small_net(), AdaptationConfig(strategy="tent"), 10)
+        adapter, _ = one_stream(small_net(), AdaptationConfig(strategy="tent"))
         with pytest.raises(InvalidInput):
-            adapter.adapt_batch(np.empty((0, 8)))
+            adapter.adapt_batch(np.empty((1, 0, 8)))
+        with pytest.raises(InvalidInput):
+            adapter.adapt_batch(np.empty((2, 4, 8)))  # two streams, not one
 
     @pytest.mark.parametrize("ga", [True, False])
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_q_resolved_at_construction(self, strategy, ga):
         config = AdaptationConfig(strategy=strategy, ga_enabled=ga)
-        q = Adapter(small_net(), config, 10).accumulator.q
-        assert q == (default_q(10) if strategy == "ttc" and ga else 1)
+        q = Adapter(small_net(), [config], 10).accumulator.q
+        assert q == [default_q(10) if strategy == "ttc" and ga else 1]
 
     def test_nonpositive_batch_size_rejected(self):
         with pytest.raises(InvalidInput):
-            Adapter(small_net(), AdaptationConfig(), 0)
+            Adapter(small_net(), [AdaptationConfig()], 0)
+
+    def test_streams_of_different_plans_rejected(self):
+        with pytest.raises(InvalidInput, match="share one plan"):
+            Adapter(small_net(), [AdaptationConfig(strategy="tent"),
+                                  AdaptationConfig(strategy="norm")], 10)
 
     def test_adam_moments_persist_across_batches(self, rng):
-        net = small_net(seed=9)
-        adapter = Adapter(net, AdaptationConfig(strategy="tent",
-                                                optimizer="adam"), 10)
-        adapter.adapt_batch(small_batch(rng))
+        adapter, adapt = one_stream(small_net(seed=9), AdaptationConfig(
+            strategy="tent", optimizer="adam"))
+        adapt(small_batch(rng))
         assert adapter.optimizer.t == 1
-        adapter.adapt_batch(small_batch(rng))
+        adapt(small_batch(rng))
         assert adapter.optimizer.t == 2
 
 
@@ -513,3 +523,224 @@ class TestConfig:
         assert default_q(200) == 1
         assert default_q(1000) == 1
         assert default_q(10) == 20
+
+
+# ---------------------------------------------------------------------------
+# the stacked engine against a one-stream-at-a-time reference
+# ---------------------------------------------------------------------------
+
+class ReferenceSGD:
+    def __init__(self, lr):
+        self.lr = lr
+
+    def step(self, params, grad):
+        params -= self.lr * grad
+
+
+class ReferenceAdam:
+    """Adam on one stream's vector, with one Python-int step count."""
+
+    def __init__(self, lr):
+        self.lr = lr
+        self.t = 0
+        self.m = self.v = None
+
+    def step(self, params, grad):
+        self.t += 1
+        if self.m is None:
+            self.m, self.v = np.zeros_like(grad), np.zeros_like(grad)
+        self.m += (1.0 - ADAM_BETA1) * (grad - self.m)
+        self.v += (1.0 - ADAM_BETA2) * (grad * grad - self.v)
+        mhat = self.m / (1.0 - ADAM_BETA1 ** self.t)
+        vhat = self.v / (1.0 - ADAM_BETA2 ** self.t)
+        params -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+
+
+class ReferenceStream:
+    """One stream adapted on its own, one (N, d) batch per call, on a copy
+    of the network: the oracle every stream of a stacked Adapter matches
+    bit for bit."""
+
+    def __init__(self, net, config, batch_size):
+        self.net = copy.deepcopy(net)
+        strategy = config.strategy
+        ttc = strategy == "ttc"
+        self.optimizer = {"sgd": ReferenceSGD,
+                          "adam": ReferenceAdam}[config.optimizer](config.lr)
+        self.mode = (BNMode.EVAL_STATS if strategy == "source"
+                     else BNMode.TEST_BATCH_STATS)
+        self.learns = strategy not in ("source", "norm")
+        self.rla = ttc and config.rla_enabled
+        self.tau = config.tau if ttc and config.wa_enabled else None
+        self.threshold = None
+        if strategy == "tent-filtered":
+            self.threshold = (config.filter_threshold
+                              or default_filter_threshold(net.k))
+        self.q = 1
+        if ttc and config.ga_enabled:
+            self.q = config.accumulation_q or default_q(batch_size)
+        self.grad_scale = (0.5 if self.rla else 1.0) / self.q
+        self.accumulated = None
+        self.seen = 0
+
+    def adapt_batch(self, x):
+        if self.rla:
+            logits, cache, _ = rla_forward(self.net, x)
+        else:
+            logits, cache = forward(self.net, x, self.mode)
+        probs = softmax(logits)
+        preds = np.argmax(probs, axis=1)
+        if not self.learns:
+            return preds
+        if self.threshold is not None:
+            mask = entropy_filter(entropy(probs), self.threshold)
+            if not mask.any():
+                return preds
+            grad = np.zeros_like(logits)
+            grad[mask] = tent_loss(logits[mask])[1]
+        elif self.tau is not None:
+            _, grad = ttc_loss(logits, self.tau, x.shape[0])
+        else:
+            _, grad = tent_loss(logits)
+        g = backward_bn_affine(self.net, cache, self.grad_scale * grad)
+        if self.seen:
+            self.accumulated += g
+        else:
+            self.accumulated = g.copy()
+        self.seen += 1
+        if self.seen >= self.q:
+            self.optimizer.step(self.net.affine, self.accumulated)
+            self.seen = 0
+        return preds
+
+
+def group_configs(draw, strategy, s):
+    """S configs of one plan for a strategy; Q is drawn per stream."""
+    optimizer = draw(st.sampled_from(["sgd", "adam"]))
+    lr = {"sgd": 0.5, "adam": 0.05}[optimizer]
+    common = dict(optimizer=optimizer, lr=lr)
+    if strategy in ("source", "norm"):
+        return [AdaptationConfig(strategy=strategy, **common)] * s
+    if strategy == "tent-filtered":
+        # thresholds at which some batches accept no sample
+        threshold = draw(st.sampled_from([1e-9, 0.7, 0.9, 1.0]))
+        return [AdaptationConfig(strategy=strategy, filter_threshold=threshold,
+                                 **common)] * s
+    if strategy == "tent":  # tent, and tent with accumulation
+        qs = draw(st.lists(st.integers(1, 5), min_size=s, max_size=s))
+        return [AdaptationConfig(strategy="tent", **common) if q == 1 else
+                AdaptationConfig(strategy="ttc", rla_enabled=False,
+                                 wa_enabled=False, accumulation_q=q, **common)
+                for q in qs]
+    rla, wa = draw(st.booleans()), draw(st.booleans())
+    qs = draw(st.lists(st.integers(1, 5), min_size=s, max_size=s))
+    return [AdaptationConfig(strategy="ttc", rla_enabled=rla, wa_enabled=wa,
+                             accumulation_q=q, tau=0.7, **common)
+            for q in qs]
+
+
+@st.composite
+def stacked_runs(draw):
+    s = draw(st.integers(1, 6))
+    n = draw(st.integers(2, 12))
+    # stream lengths with every tail, m = 1 (mod N) folds included
+    m = draw(st.integers(1, 4)) * n + draw(st.sampled_from([0, 1, 1, n - 1]))
+    strategy = draw(st.sampled_from(STRATEGIES))
+    return dict(configs=group_configs(draw, strategy, s), n=n, m=m,
+                seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def final_adam_state(optimizer, s):
+    """Per-stream (t, m, v) of the Adapter's Adam; zeros before a step."""
+    if optimizer.t is None:
+        return np.zeros(s), None, None
+    return (np.reshape(optimizer.t, s), np.reshape(optimizer.m, (s, -1)),
+            np.reshape(optimizer.v, (s, -1)))
+
+
+class TestStackMatchesSequentialReference:
+    @settings(max_examples=250, deadline=None)
+    @given(run=stacked_runs())
+    def test_every_stream_matches_its_run_alone(self, run):
+        from ttalab.benchmark import batch_slices
+
+        configs, n, m = run["configs"], run["n"], run["m"]
+        rng = np.random.default_rng(run["seed"])
+        net = make_network(input_dim=8, hidden=6, k=3, seed=run["seed"] % 97)
+        data = rng.normal(size=(len(configs), m, 8))
+        adapter = Adapter(net, configs, n)
+        references = [ReferenceStream(net, c, n) for c in configs]
+        for batch in batch_slices(m, n):
+            preds, _ = adapter.adapt_batch(data[:, batch])
+            for s, ref in enumerate(references):
+                assert preds[s].tolist() == ref.adapt_batch(
+                    data[s, batch]).tolist()
+        for s, ref in enumerate(references):
+            assert adapter.affine[s].tobytes() == ref.net.affine.tobytes()
+            if isinstance(ref.optimizer, ReferenceAdam):
+                t, adam_m, adam_v = final_adam_state(adapter.optimizer,
+                                                     len(configs))
+                assert t[s] == ref.optimizer.t
+                if ref.optimizer.m is not None:
+                    assert adam_m[s].tobytes() == ref.optimizer.m.tobytes()
+                    assert adam_v[s].tobytes() == ref.optimizer.v.tobytes()
+                elif adam_m is not None:
+                    assert not adam_m[s].any() and not adam_v[s].any()
+
+    @settings(max_examples=80, deadline=None)
+    @given(run=stacked_runs(), cap=st.sampled_from([1, 12, 200]),
+           mixed=st.booleans())
+    def test_grouped_streams_report_what_they_get_alone(self, run, cap,
+                                                        mixed):
+        """adapt_streams over streams of one or several plans, under any
+        row cap, against each stream's reference run in its own order."""
+        from unittest import mock
+
+        from ttalab import benchmark
+        from ttalab.benchmark import StreamProtocol, adapt_streams
+
+        configs, n, m = run["configs"], run["n"], run["m"]
+        rng = np.random.default_rng(run["seed"])
+        if mixed:  # streams of other plans interleaved with the group
+            configs = [c if i % 2 else AdaptationConfig(strategy=strategy)
+                       for i, (c, strategy) in enumerate(zip(
+                           configs, rng.choice(STRATEGIES, len(configs))))]
+        net = make_network(input_dim=8, hidden=6, k=3, seed=run["seed"] % 97)
+        inputs = rng.normal(size=(m, 8))
+        labels = rng.integers(0, 3, size=m)
+        streams = [(None, StreamProtocol(batch_size=n, seed=s), c)
+                   for s, c in enumerate(configs)]
+        with mock.patch.object(benchmark, "MAX_TRIP_ROWS", cap):
+            results = adapt_streams(net, inputs, labels, streams)
+        for (_, protocol, config), (accuracy, per_batch, adapted) in zip(
+                streams, results):
+            order = np.random.default_rng(protocol.seed).permutation(m)
+            ref = ReferenceStream(net, config, n)
+            predictions = np.empty(m, dtype=np.int64)
+            expected = []
+            for batch in benchmark.batch_slices(m, n):
+                idx = order[batch]
+                predictions[idx] = ref.adapt_batch(inputs[idx])
+                expected.append(float(np.mean(predictions[idx]
+                                              == labels[idx])))
+            assert per_batch == expected
+            assert accuracy == float(np.mean(predictions == labels))
+            assert adapted.params.tobytes() == ref.net.params.tobytes()
+
+    @pytest.mark.parametrize("strategy", ["norm", "tent", "ttc"])
+    def test_non_finite_batch_raises_as_it_does_alone(self, rng, strategy):
+        from ttalab.benchmark import batch_slices
+
+        net = small_net()
+        configs = [AdaptationConfig(strategy=strategy)] * 3
+        data = rng.normal(size=(3, 40, 8))
+        data[1, 23, 4] = np.nan  # stream 1, batch 2
+        with pytest.raises(InvalidInput) as alone:
+            ref = ReferenceStream(net, configs[1], 10)
+            for batch in batch_slices(40, 10):
+                ref.adapt_batch(data[1, batch])
+        adapter = Adapter(net, configs, 10)
+        with pytest.raises(InvalidInput) as stacked:
+            for batch in batch_slices(40, 10):
+                adapter.adapt_batch(data[:, batch])
+        assert str(stacked.value) == str(alone.value)

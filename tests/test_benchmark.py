@@ -10,7 +10,7 @@ from ttalab import benchmark
 from ttalab.adaptation import STRATEGIES, AdaptationConfig, Adapter, flip_signal
 from ttalab.benchmark import (CORRUPTION_KINDS, NOISE_SIGMA, SIGNAL_LENGTH,
                               Corruption, SignalDataset, StreamProtocol,
-                              accuracy_score, adapt_over_stream,
+                              accuracy_score, adapt_streams,
                               apply_corruption, batch_slices, class_templates,
                               evaluate_accuracy, generate_dataset,
                               histogram_overlap, params_digest, stream_eval,
@@ -226,13 +226,13 @@ class TestStreamEval:
         dataset = generate_dataset(3, m, seed=m)
         config = AdaptationConfig(strategy=strategy, accumulation_q=q)
         protocol = StreamProtocol(batch_size=n, seed=0)
+        streams = [(None, protocol, config)]
         if n == 1 and strategy != "source":
             with pytest.raises(DegenerateBatch):
-                adapt_over_stream(net, dataset.inputs, dataset.labels,
-                                  protocol, config)
+                adapt_streams(net, dataset.inputs, dataset.labels, streams)
             return
-        accuracy, per_batch, adapted = adapt_over_stream(
-            net, dataset.inputs, dataset.labels, protocol, config)
+        (accuracy, per_batch, adapted), = adapt_streams(
+            net, dataset.inputs, dataset.labels, streams)
         slices = batch_slices(m, n)
         sizes = [s.stop - s.start for s in slices]
         assert len(per_batch) == len(slices)
@@ -243,11 +243,12 @@ class TestStreamEval:
                                               and len(slices) < q):
             assert params_digest(adapted) == params_digest(net)
         if strategy in ("tent", "ttc"):
-            adapter = Adapter(copy.deepcopy(net), config, n)
+            adapter = Adapter(net, [config], n)
             for s in slices:
-                adapter.adapt_batch(dataset.inputs[s])
+                adapter.adapt_batch(dataset.inputs[s][None])
             steps_every = q if strategy == "ttc" else 1
-            assert adapter.optimizer.t == len(slices) // steps_every
+            t = adapter.optimizer.t
+            assert (0 if t is None else t) == len(slices) // steps_every
 
     def test_identical_runs_produce_identical_reports(self, source_net,
                                                       test_dataset):
@@ -302,13 +303,11 @@ def document_digest(net):
 class TestParamsDigest:
     def test_equals_digest_of_checkpoint_document(self, source_net,
                                                   test_dataset):
-        nets = [source_net]
-        for strategy in STRATEGIES:
-            _, _, adapted = adapt_over_stream(
-                source_net, test_dataset.inputs[:400],
-                test_dataset.labels[:400], StreamProtocol(batch_size=20),
-                AdaptationConfig(strategy=strategy))
-            nets.append(adapted)
+        nets = [source_net] + [adapted for _, _, adapted in adapt_streams(
+            source_net, test_dataset.inputs[:400], test_dataset.labels[:400],
+            [(None, StreamProtocol(batch_size=20),
+              AdaptationConfig(strategy=strategy))
+             for strategy in STRATEGIES])]
         ulp = copy.deepcopy(source_net)
         w = ulp.layers[2].weight
         w[3, 5] = np.nextafter(w[3, 5], np.inf)

@@ -315,7 +315,15 @@ BAD_ARGUMENTS = [
     (["adapt", "--tau", "nan"], 3, "tau"),
     (["adapt", "--tau", "inf"], 3, "tau"),
     (["adapt", "--strategy", "tent-filtered", "--filter-threshold", "nan"], 3,
-     "filter_threshold"),
+     "--filter-threshold: nan"),
+    (["adapt", "--strategy", "tent-filtered", "--filter-threshold", "0"], 3,
+     "--filter-threshold: 0.0"),
+    (["adapt", "--strategy", "tent-filtered", "--filter-threshold", "-1"], 3,
+     "--filter-threshold: -1.0"),
+    (["adapt", "--q", "0"], 3, "--q: 0"),
+    (["adapt", "--tau", "-1"], 3, "--tau: -1.0"),
+    (["density", "--tau", "-1"], 3, "--tau: -1.0"),
+    (["sweep-batch-size", "--tau", "-1"], 3, "--tau: -1.0"),
     (["train-source", "--hidden", "0"], 3, "--hidden: 0"),
     (["lemma-check", "--steps", "-1"], 3, "--steps: -1"),
     (["train-source", "--epochs", "-1"], 3, "--epochs: -1"),
@@ -419,7 +427,7 @@ class TestDensityAlignmentDirection:
         noise to matter. Averaged over channels and 5 stream seeds."""
         from ttalab.adaptation import AdaptationConfig
         from ttalab.benchmark import (Corruption, StreamProtocol,
-                                      adapt_over_stream, apply_corruption,
+                                      adapt_streams, apply_corruption,
                                       collect_features, feature_histograms,
                                       histogram_overlap)
         from ttalab.network import BNMode
@@ -432,11 +440,12 @@ class TestDensityAlignmentDirection:
             protocol = StreamProtocol(batch_size=10, seed=seed)
             inputs = apply_corruption(test_dataset.inputs, corr, protocol.seed)
             feats = {"reference": reference}
-            for name, strategy in (("a", "ttc"), ("b", "tent")):
-                config = AdaptationConfig(strategy=strategy)
-                _, _, adapted = adapt_over_stream(source_net, inputs,
-                                                  test_dataset.labels,
-                                                  protocol, config)
+            names = {"a": "ttc", "b": "tent"}
+            results = adapt_streams(
+                source_net, inputs, test_dataset.labels,
+                [(None, protocol, AdaptationConfig(strategy=strategy))
+                 for strategy in names.values()])
+            for name, (_, _, adapted) in zip(names, results):
                 feats[name] = collect_features(adapted, inputs, 10,
                                                BNMode.TEST_BATCH_STATS)
             _, hists = feature_histograms(feats, bins=64)

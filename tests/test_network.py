@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ttalab.adaptation import AdaptationConfig, tent_loss
-from ttalab.benchmark import StreamProtocol, adapt_over_stream
+from ttalab.benchmark import StreamProtocol, adapt_streams
 from ttalab.errors import (DegenerateBatch, InvalidInput, ParseError,
                            SchemaError)
 from ttalab.network import (BatchNormLayer, BNMode, DenseLayer, Network,
@@ -249,16 +249,6 @@ class TestBackwardBnAffine:
         assert full.shape == net.params.shape
         assert full[:net.affine.size].tobytes() == affine.tobytes()
 
-    def test_mismatched_cache_rejected(self, rng):
-        net_a = random_net(rng)
-        net_b = random_net(rng)
-        x = rng.normal(size=(6, 5))
-        logits, cache = forward(net_a, x, BNMode.TEST_BATCH_STATS)
-        with pytest.raises(InvalidInput):
-            backward_bn_affine(net_b, cache, np.zeros_like(logits))
-        with pytest.raises(InvalidInput):
-            backward_bn_affine(net_a, cache, np.zeros((2, 2)))
-
 
 class TestParameterVector:
     def test_layers_are_views_into_params_in_layout_order(self, rng):
@@ -468,9 +458,9 @@ class TestFreezingProperty:
         inputs = apply_corruption(test_dataset.inputs,
                                   Corruption("gaussian_noise", 5),
                                   protocol.seed)
-        _, _, adapted = adapt_over_stream(source_net, inputs,
-                                          test_dataset.labels, protocol,
-                                          config)
+        (_, _, adapted), = adapt_streams(source_net, inputs,
+                                         test_dataset.labels,
+                                         [(None, protocol, config)])
         changed = []
         for i, (before, after) in enumerate(zip(source_net.layers,
                                                 adapted.layers)):
