@@ -1,6 +1,6 @@
 """Dense numeric primitives: stable softmax, Shannon entropy, their analytic
-gradients, a central finite-difference checker, and a single-sample
-entropy-descent simulator.
+gradients, a central finite-difference checker, and an entropy-descent
+simulator that runs one start or a stack of starts in lock-step.
 
 Probability vectors live in ordinary float64 numpy arrays. Anything that
 returns probabilities clamps entries into [EPS_PROB, 1 - EPS_PROB] and
@@ -84,7 +84,11 @@ def entropy_grad_logits(z):
     off the uniform point), which is why entropy descent sharpens the largest
     probability.
     """
-    p = softmax(z)
+    return _entropy_grad(softmax(z))
+
+
+def _entropy_grad(p):
+    """-p_k (log p_k + H(p)) row-wise: dH/dz at the logits whose softmax is p."""
     logp = np.log(p)
     h = -np.sum(p * logp, axis=-1, keepdims=True)
     return -p * (logp + h)
@@ -121,26 +125,30 @@ def finite_diff_check(f, x, analytic):
 
 
 def simulate_entropy_descent(p0, lr, steps):
-    """Gradient descent on the logits of a single probability vector.
+    """Gradient descent on the logits of one probability vector or a stack.
 
-    Starts from z = log(p0) and iterates z <- z - lr * dH/dz, recording the
-    softmax after every step. Row 0 of the returned (steps+1, K) trajectory
-    is p0 itself. The probability of the initially-largest class never
-    decreases along the trajectory.
+    p0 is a (K,) vector or an (R, K) stack of R starts. Starts from
+    z = log(p0) and iterates z <- z - lr * dH/dz, recording the softmax after
+    every step: the trajectory is (steps+1, K), or (steps+1, R, K) for a
+    stack, and its row 0 is p0 itself. Rows of a stack are bitwise
+    independent: traj[:, r] equals the call on p0[r] alone. The probability
+    of each start's initially-largest class never decreases along its
+    trajectory.
     """
     p0 = _validate_probs(np.asarray(p0, dtype=np.float64))
-    if p0.ndim != 1:
-        raise InvalidInput("p0 must be a single probability vector")
+    if p0.ndim not in (1, 2):
+        raise InvalidInput("p0 must be a probability vector or an (R, K) stack")
     if not (np.isfinite(lr) and lr > 0):
         raise InvalidInput(f"learning rate must be finite and positive, got {lr}")
     if steps < 0:
         raise InvalidInput(f"steps must be non-negative, got {steps}")
-    traj = np.empty((steps + 1, p0.size), dtype=np.float64)
+    traj = np.empty((steps + 1,) + p0.shape, dtype=np.float64)
     traj[0] = p0
     z = np.log(np.maximum(p0, EPS_PROB))
+    p = softmax(z)
     for t in range(1, steps + 1):
-        z = z - lr * entropy_grad_logits(z)
-        traj[t] = softmax(z)
+        z = z - lr * _entropy_grad(p)
+        p = traj[t] = softmax(z)
     return traj
 
 
@@ -150,6 +158,7 @@ def trajectory_csv(trajectory):
     buf = io.StringIO()
     k = trajectory.shape[1]
     buf.write("step," + ",".join(f"p_{i + 1}" for i in range(k)) + "\n")
+    # row by row: one tolist() of the whole trajectory holds all its floats
     for step, row in enumerate(trajectory):
-        buf.write(str(step) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+        buf.write(str(step) + "," + ",".join(map(repr, row.tolist())) + "\n")
     return buf.getvalue()

@@ -195,10 +195,10 @@ class TestLemmaCheck:
         import ttalab.cli as cli
 
         def descending(p0, lr, steps):
-            k = len(p0)
-            traj = np.tile(np.asarray(p0, dtype=float), (steps + 1, 1))
-            traj[1:, 0] -= 1e-3  # top class loses mass
-            traj[1:, 1] += 1e-3
+            p0 = np.asarray(p0, dtype=float)
+            traj = np.repeat(p0[None], steps + 1, axis=0)  # one start or a stack
+            traj[1:, ..., 0] -= 1e-3  # top class loses mass
+            traj[1:, ..., 1] += 1e-3
             return traj
 
         monkeypatch.setattr(cli, "simulate_entropy_descent", descending)
@@ -207,6 +207,67 @@ class TestLemmaCheck:
                      "--random-steps", "2"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("broken", [0, 1, 3])
+    def test_violations_count_broken_rows_of_a_stack(self, tmp_path,
+                                                     monkeypatch, broken):
+        real = cli.simulate_entropy_descent
+        shapes = []
+
+        def breaking(p0, lr, steps):
+            traj = real(p0, lr, steps)
+            if traj.ndim == 3:
+                shapes.append(traj.shape)
+                rows = np.arange(0, 3 * broken, 3)
+                top = np.argmax(p0[rows], axis=1)
+                traj[-1, rows, top] = 0.0  # each broken row's top class drops
+            return traj
+
+        monkeypatch.setattr(cli, "simulate_entropy_descent", breaking)
+        code = main(["lemma-check", "--out", str(tmp_path), "--k-list", "3",
+                     "--steps", "5", "--random-starts", "10",
+                     "--random-steps", "5"])
+        assert shapes == [(6, 10, 3)]
+        assert code == (1 if broken else 0)
+        last = (tmp_path / "lemma_summary.csv").read_text().splitlines()[-1]
+        assert last == (f"random_starts=10,violations={broken},"
+                        f"{'fail' if broken else 'pass'}")
+
+    def test_summary_identical_under_one_row_budget(self, tmp_path,
+                                                    monkeypatch):
+        k_list, starts, seed = (2, 5, 9), 31, 4
+        expected = {k: [] for k in k_list}  # draws in index order, by K
+        rng = np.random.default_rng(seed)
+        for i in range(starts):
+            k = k_list[i % len(k_list)]
+            expected[k].append(rng.dirichlet(np.ones(k)))
+        real = cli.simulate_entropy_descent
+
+        def run(name):
+            seen = {k: [] for k in k_list}
+            calls = []
+
+            def recording(p0, lr, steps):
+                if np.ndim(p0) == 2:
+                    calls.append(len(p0))
+                    seen[p0.shape[1]].extend(p0)
+                return real(p0, lr, steps)
+
+            monkeypatch.setattr(cli, "simulate_entropy_descent", recording)
+            assert main(["lemma-check", "--out", str(tmp_path / name),
+                         "--k-list", *map(str, k_list), "--steps", "50",
+                         "--random-starts", str(starts),
+                         "--random-steps", "20", "--seed", str(seed)]) == 0
+            for k in k_list:
+                np.testing.assert_array_equal(seen[k], expected[k])
+            return calls, (tmp_path / name / "lemma_summary.csv").read_bytes()
+
+        calls, summary = run("default")
+        assert calls == [11, 10, 10]  # one stack per K
+        monkeypatch.setattr(cli, "LEMMA_STACK_BYTES", 1)
+        calls, one_row = run("one-row")
+        assert calls == [1] * starts
+        assert one_row == summary
 
 
 class TestDensity:

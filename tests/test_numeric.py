@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ttalab.errors import InvalidInput
 from ttalab.numeric import (EPS_PROB, binary_entropy_grad, entropy,
@@ -203,7 +204,84 @@ class TestSimulateEntropyDescent:
             simulate_entropy_descent([0.7, 0.7], lr=0.1, steps=5)
 
 
+def sequential_descent(p0, lr, steps):
+    """The one-vector loop the stacked simulator replaced: the gradient from
+    entropy_grad_logits(z), then a second softmax of the same z."""
+    traj = np.empty((steps + 1, p0.size), dtype=np.float64)
+    traj[0] = p0
+    z = np.log(np.maximum(p0, EPS_PROB))
+    for t in range(1, steps + 1):
+        z = z - lr * entropy_grad_logits(z)
+        traj[t] = softmax(z)
+    return traj
+
+
+@st.composite
+def start_stacks(draw):
+    """(R, K) starts mixing Dirichlet rows and near-one-hot rows."""
+    r, k = draw(st.integers(1, 8)), draw(st.integers(2, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(r):
+        if draw(st.booleans()):
+            alpha = draw(st.sampled_from([0.05, 1.0, 20.0]))
+            rows.append(rng.dirichlet(np.full(k, alpha)))
+        else:
+            eps = draw(st.sampled_from([0.0, 1e-300, 1e-15, 1e-12, 1e-6]))
+            row = np.full(k, eps)
+            row[rng.integers(k)] = 1.0 - (k - 1) * eps
+            rows.append(row)
+    return np.array(rows)
+
+
+class TestStackedDescent:
+    @settings(max_examples=150, deadline=None)
+    @given(p0=start_stacks(), steps=st.integers(0, 40),
+           lr=st.floats(1e-3, 1.0))
+    def test_rows_match_single_and_sequential_bitwise(self, p0, steps, lr):
+        traj = simulate_entropy_descent(p0, lr, steps)
+        assert traj.shape == (steps + 1,) + p0.shape
+        for r, start in enumerate(p0):
+            row = traj[:, r].tobytes()
+            assert row == simulate_entropy_descent(start, lr, steps).tobytes()
+            assert row == sequential_descent(start, lr, steps).tobytes()
+
+    @pytest.mark.parametrize("bad", [[0.5, 0.6, -0.1], [0.2, 0.2, 0.2],
+                                     [np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0]])
+    def test_bad_row_raises_as_alone(self, bad):
+        with pytest.raises(InvalidInput) as alone:
+            simulate_entropy_descent(bad, lr=0.1, steps=3)
+        for position in range(3):
+            stack = [[0.2, 0.3, 0.5], [1 / 3, 1 / 3, 1 / 3]]
+            stack.insert(position, bad)
+            with pytest.raises(InvalidInput) as stacked:
+                simulate_entropy_descent(stack, lr=0.1, steps=3)
+            assert str(stacked.value) == str(alone.value)
+
+    def test_scalar_and_higher_rank_rejected(self):
+        for p0 in (1.0, np.full((2, 2, 2), 0.5)):
+            with pytest.raises(InvalidInput, match="stack"):
+                simulate_entropy_descent(p0, lr=0.1, steps=3)
+
+
+def per_scalar_csv(trajectory):
+    """trajectory_csv's former row formatter: repr of one numpy scalar at a time."""
+    lines = ["step," + ",".join(f"p_{i + 1}" for i in range(trajectory.shape[1]))]
+    for step, row in enumerate(trajectory):
+        lines.append(str(step) + "," + ",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 class TestTrajectoryCsv:
+    def test_bytes_match_per_scalar_formatter(self):
+        edge = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1.0 - 2**-53,
+                EPS_PROB, 1.0 - EPS_PROB, 0.1, 1.0 / 3.0, 1e300]
+        for traj in (np.array(edge).reshape(2, 5),
+                     simulate_entropy_descent(np.full(100, 0.01) + np.linspace(
+                         -0.005, 0.005, 100), lr=0.05, steps=30)):
+            assert trajectory_csv(traj).encode() == per_scalar_csv(traj).encode()
+
+
     def test_header_and_roundtrip(self):
         traj = simulate_entropy_descent([0.6, 0.3, 0.1], lr=0.05, steps=4)
         text = trajectory_csv(traj)
