@@ -3,17 +3,18 @@
 Strategies:
     source        no adaptation, running-statistics normalization
     norm          per-batch normalization, no gradient step
-    tent          batch-entropy minimization, one SGD/Adam step per batch
+    tent          batch-entropy minimization, one SGD/Adam step per batch:
+                  the weighted ttc loss at tau = 0, where every weight is 1/N
     tent-filtered tent restricted to samples below an entropy threshold
     ttc           tent plus robust label assignment (flip-averaged logits,
                   no gradient through the augmented branch), entropy-power
                   sample weights, and gradient accumulation; each component
                   individually toggleable
 
-An Adapter adapts S streams that share a plan in lock-step, one batch of
-each per call, and returns predictions computed before any parameter
-update in the same call. Each stream gets bit for bit the predictions and
-parameters it would get alone.
+An Adapter adapts S streams that share a plan in lock-step, one (S, N, d)
+stack of batches per call (S = 1 for a lone stream), and returns
+predictions computed before any parameter update in the same call. Each
+stream gets bit for bit the predictions and parameters it would get alone.
 """
 
 from __future__ import annotations
@@ -158,17 +159,14 @@ def _check_logits(logits):
 
 
 def tent_loss(logits):
-    """Mean entropy over a batch of logits (per stream, for a stack).
+    """Mean entropy over a batch of logits (per stream, for a stack): the
+    weighted loss ``ttc_loss`` at tau = 0, where every weight is 1/N.
 
     Returns (loss, grad) where grad is the analytic gradient of the mean
     entropy with respect to every logit.
     """
     logits = _check_logits(logits)
-    h = entropy(softmax(logits))
-    # scale by multiplication so the tau=0 weighted loss reproduces this
-    # gradient bit for bit
-    grad = entropy_grad_logits(logits) * (1.0 / logits.shape[-2])
-    return h.sum(axis=-1) / h.shape[-1], grad  # np.mean's steps
+    return ttc_loss(logits, 0.0, logits.shape[-2])
 
 
 def sample_weights(entropies, tau, n):
@@ -184,8 +182,7 @@ def sample_weights(entropies, tau, n):
 def ttc_loss(combined_logits, tau, n):
     """Weighted entropy loss: sum_i w_i H_i with the weights held constant.
 
-    Returns (loss, grad); at tau = 0 both coincide with tent_loss up to
-    floating-point roundoff.
+    Returns (loss, grad); at tau = 0 this is tent's mean-entropy loss.
     """
     logits = _check_logits(combined_logits)
     h = entropy(softmax(logits))
@@ -285,7 +282,8 @@ class Plan(NamedTuple):
     mode: BNMode
     learns: bool              # False for source and norm
     rla: bool                 # ttc with rla_enabled
-    tau: float | None         # the WA exponent: ttc with wa_enabled
+    tau: float                # the WA exponent of ttc with wa_enabled;
+                              # 0.0 otherwise: tent's uniform weights
     threshold: float | None   # the tent-filtered entropy cutoff
     optimizer: str
     lr: float
@@ -303,7 +301,7 @@ def stream_plan(config, k):
               else BNMode.TEST_BATCH_STATS),
         learns=strategy not in ("source", "norm"),
         rla=ttc and config.rla_enabled,
-        tau=config.tau if ttc and config.wa_enabled else None,
+        tau=config.tau if ttc and config.wa_enabled else 0.0,
         threshold=threshold, optimizer=config.optimizer, lr=config.lr)
 
 
@@ -317,8 +315,7 @@ def stream_q(config, batch_size):
 
 class Adapter:
     """Adapts S streams that share a plan, one (S, N, d) stack of batches
-    per call (for S = 1, also a plain (N, d) batch), over copies of one
-    network's BN affine parameters.
+    per call, over copies of one network's BN affine parameters.
 
     The plan (``stream_plan``) is resolved once, here, from the configs,
     which must all resolve to the same one; each stream keeps its own Q
@@ -350,32 +347,27 @@ class Adapter:
         q = [stream_q(c, batch_size) for c in configs]
         self.accumulator = GradientAccumulator(q)
         # under RLA the live logits get half the combined-logit gradient
-        scale = [(0.5 if self.plan.rla else 1.0) / n for n in q]
-        self.grad_scale = (scale[0] if len(set(scale)) == 1
-                           else np.array(scale)[:, None, None])
+        self.grad_scale = np.array(
+            [(0.5 if self.plan.rla else 1.0) / n for n in q])[:, None, None]
 
     def adapt_batch(self, batch):
         """Process one batch of each stream: predict, then (for gradient
         strategies) update.
 
-        ``batch`` is an (S, N, d) stack, or, for a single stream, its (N, d)
-        batch: numpy's per-call cost is lower without the stream axis.
-        Returns (predictions, probs), shaped (S, N) and (S, N, K) or (N,)
-        and (N, K), computed from the pre-update forward; with RLA active
-        these come from the flip-averaged logits.
+        ``batch`` is an (S, N, d) stack, one batch per stream; a lone
+        stream's batch goes in as ``batch[None]``. Returns (predictions,
+        probs), shaped (S, N) and (S, N, K), computed from the pre-update
+        forward; with RLA active these come from the flip-averaged logits.
         """
         x = np.asarray(batch, dtype=np.float64)
-        stacked = x.ndim == 3 and len(x) == len(self.affine)
-        if not (stacked or x.ndim == 2 and len(self.affine) == 1) \
-                or x.shape[-2] == 0:
-            raise InvalidInput(f"batch must be a non-empty stack of"
+        if x.ndim != 3 or len(x) != len(self.affine) or x.shape[1] == 0:
+            raise InvalidInput(f"batch must be a non-empty (S, N, d) stack of"
                                f" {len(self.affine)} batches, got shape"
                                f" {x.shape}")
-        affine = self.affine if stacked else self.affine[0]
         if self.plan.rla:
-            logits, cache, _ = rla_forward(self.net, x, affine)
+            logits, cache, _ = rla_forward(self.net, x, self.affine)
         else:
-            logits, cache = forward(self.net, x, self.plan.mode, affine)
+            logits, cache = forward(self.net, x, self.plan.mode, self.affine)
         probs = softmax(logits)
         if self.plan.learns:
             self._learn(logits, probs, cache)
@@ -386,18 +378,15 @@ class Adapter:
         if self.plan.threshold is not None:
             mask = entropy_filter(entropy(probs), self.plan.threshold)
             accepted = mask.sum(axis=-1)
-            live = np.reshape(accepted > 0, -1).tolist()
+            live = (accepted > 0).tolist()
             if not any(live):
                 return
             # tent over each stream's accepted rows: their mean entropy
-            scale = (1.0 / np.maximum(accepted, 1))[..., None, None]
+            scale = (1.0 / np.maximum(accepted, 1))[:, None, None]
             grad = np.where(mask[..., None],
                             entropy_grad_logits(logits) * scale, 0.0)
-        elif self.plan.tau is not None:
+        else:  # tent is the tau = 0 case
             _, grad = ttc_loss(logits, self.plan.tau, logits.shape[-2])
-        else:
-            _, grad = tent_loss(logits)
         grad = backward_bn_affine(self.net, cache, self.grad_scale * grad)
-        accumulate_and_maybe_step(self.accumulator,
-                                  grad.reshape(self.affine.shape),
-                                  self.optimizer, self.affine, live)
+        accumulate_and_maybe_step(self.accumulator, grad, self.optimizer,
+                                  self.affine, live)

@@ -422,10 +422,8 @@ def _adapt_trip(net, inputs, labels, n, streams):
     adapter = Adapter(net, [config for _, _, config in streams], n)
     hits = np.empty(y.shape, dtype=bool)
     batches = batch_slices(m, n)
-    stack = x if len(streams) > 1 else x[0]  # a lone stream goes in as (N, d)
     for batch in batches:
-        hits[:, batch] = (adapter.adapt_batch(stack[..., batch, :])[0]
-                          == y[:, batch])
+        hits[:, batch] = adapter.adapt_batch(x[:, batch])[0] == y[:, batch]
     # np.mean's steps: a count, exact in float64, over the batch size
     starts = [batch.start for batch in batches]
     sizes = np.diff(starts + [m])

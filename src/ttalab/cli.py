@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptation import OPTIMIZERS, STRATEGIES, AdaptationConfig
+from .adaptation import OPTIMIZERS, STRATEGIES, AdaptationConfig, stream_plan
 from .benchmark import (CORRUPTION_KINDS, Corruption, StreamProtocol,
                         adapt_streams, apply_corruption, collect_features,
                         eval_streams, evaluate_accuracy, feature_histograms,
@@ -168,6 +168,13 @@ def _at_least(flag, value, low, reason=None):
         raise _SpecError(f"{flag}: {value} too small, need >= {low}{why}")
 
 
+def _distinct(flag, values):
+    """Reject a list flag that names one value twice."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise _SpecError(f"{flag}: {value} repeated")
+
+
 def _finite_positive(flag, value):
     if not (math.isfinite(value) and value > 0):
         raise _SpecError(f"{flag}: {value} must be finite and positive")
@@ -180,15 +187,15 @@ def _test_set(args, k):
     return generate_dataset(k, args.test_m, args.data_seed)
 
 
-def _protocol(args, *strategies):
+def _protocol(args, k, *configs):
     """The stream protocol ``--batch-size`` and ``--seed`` describe, for
-    streams adapted under ``strategies``."""
+    streams adapted under ``configs`` on a network of k classes."""
     _at_least("--seed", args.seed, 0)
     _at_least("--batch-size", args.batch_size, 1)
-    for strategy in strategies:
-        if strategy != "source":  # the others normalize with batch statistics
+    for config in configs:
+        if stream_plan(config, k).mode is BNMode.TEST_BATCH_STATS:
             _at_least("--batch-size", args.batch_size, 2,
-                      f"strategy {strategy} needs batch statistics")
+                      f"strategy {config.strategy} needs batch statistics")
     return StreamProtocol(batch_size=args.batch_size, seed=args.seed)
 
 
@@ -242,7 +249,7 @@ def cmd_adapt(args):
     net = load_checkpoint(args.checkpoint)
     config = _config(args)
     dataset = _test_set(args, net.k)
-    protocol = _protocol(args, config.strategy)
+    protocol = _protocol(args, net.k, config)
     out = _outdir(args)
     report = stream_eval(net, dataset, _corruption_of(args), protocol, config)
     stem = _report_stem(config.strategy, report.corruption, report.severity,
@@ -258,6 +265,7 @@ def cmd_adapt(args):
 def cmd_sweep_batch_size(args):
     for n in args.batch_sizes:
         _at_least("--batch-sizes", n, 2, "per-batch statistics")
+    _distinct("--batch-sizes", args.batch_sizes)
     _at_least("--seeds", args.seeds, 1)
     net = load_checkpoint(args.checkpoint)
     corruption = _corruption_of(args)
@@ -302,11 +310,11 @@ def _random_start_violations(k_list, count, lr, steps, rng):
     Start i is a Dirichlet draw of size K = k_list[i % len(k_list)], drawn
     from rng in index order. Starts run in windows of consecutive indices,
     sized so that each K's stack of a window keeps its trajectory within
-    LEMMA_STACK_BYTES; in a window every distinct K descends as one stack.
+    LEMMA_STACK_BYTES; in a window each K (k_list repeats none) descends
+    as one stack.
     """
-    per_window = max(1, min(
-        LEMMA_STACK_BYTES // ((steps + 1) * k * 8) // k_list.count(k)
-        for k in k_list))
+    per_window = max(1, min(LEMMA_STACK_BYTES // ((steps + 1) * k * 8)
+                            for k in k_list))
     window = per_window * len(k_list)
     violations = 0
     for lo in range(0, count, window):
@@ -324,6 +332,7 @@ def _random_start_violations(k_list, count, lr, steps, rng):
 
 def cmd_lemma_check(args):
     _at_least("--k-list", min(args.k_list), 2)
+    _distinct("--k-list", args.k_list)
     for flag, value in (("--steps", args.steps),
                         ("--random-starts", args.random_starts),
                         ("--random-steps", args.random_steps),
@@ -369,9 +378,9 @@ def cmd_density(args):
     net = load_checkpoint(args.checkpoint)
     corruption = _corruption_of(args)
     dataset = _test_set(args, net.k)
-    protocol = _protocol(args, args.strategy_a, args.strategy_b)
     config_a, config_b = (_config(args, strategy=s)
                           for s in (args.strategy_a, args.strategy_b))
+    protocol = _protocol(args, net.k, config_a, config_b)
     _at_least("--bins", args.bins, 1)
     out = _outdir(args)
     # corrupted once: both strategies adapt over and are read on this stream
@@ -385,9 +394,8 @@ def cmd_density(args):
 
     def features(config, result):
         """Penultimate features of the network one config adapted."""
-        mode = (BNMode.EVAL_STATS if config.strategy == "source"
-                else BNMode.TEST_BATCH_STATS)
-        return collect_features(result[2], inputs, args.batch_size, mode)
+        return collect_features(result[2], inputs, args.batch_size,
+                                stream_plan(config, net.k).mode)
 
     # clean reference: the source checkpoint on the uncorrupted stream
     reference = collect_features(net, dataset.inputs, args.batch_size,

@@ -8,8 +8,6 @@ count-weighted streaming mean used by mini-batch k-means.
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 
 from .errors import InvalidInput
@@ -109,12 +107,3 @@ def run_minibatch_kmeans(stream, k, init="first_k", seed=0,
     for batch in batches:
         one_batch(np.asarray(batch, dtype=np.float64))
     return centers, trace
-
-
-def objective_trace_csv(trace):
-    """Render an objective trace as CSV with header batch,objective."""
-    buf = io.StringIO()
-    buf.write("batch,objective\n")
-    for i, obj in enumerate(trace):
-        buf.write(f"{i},{float(obj)!r}\n")
-    return buf.getvalue()

@@ -13,9 +13,10 @@ weight (row-major) then bias, block by block. Its first entries, the gamma
 and beta, are ``Network.affine``. Gradients come back as one vector in the
 same layout, so an optimizer step is one vector operation.
 
-``forward`` and the backward pass take a batch of shape (N, d), or a stack
-of S streams' batches of shape (S, N, d) with one row of gamma/beta per
-stream: an (S, A) array laid out like ``Network.affine``. Every stream
+``forward`` and the backward pass take a batch of shape (N, d) under the
+network's own gamma/beta, or a stack of S streams' batches of shape
+(S, N, d) with one row of gamma/beta per stream: an (S, A) array laid out
+like ``Network.affine``, of exactly that shape (S = 1 included). Every stream
 shares the network's weights and running statistics, and every operation
 acts on the last two axes alone (numpy's stacked matmul makes one gemm per
 stream), so stream s of a stack gets bit for bit the logits and gradient it
@@ -194,21 +195,25 @@ class ForwardCache:
 def forward(net, batch, mode, affine=None):
     """Run the network on a batch, returning logits and a backward cache.
 
-    ``batch`` is (N, d), or (S, N, d) for S streams; ``affine`` is None (the
-    network's own gamma/beta), or gamma/beta laid out like ``net.affine``:
-    an (S, A) array, one row per stream, or an (A,) vector for an (N, d)
-    batch. In TEST_BATCH_STATS mode the batch must have at least two rows
-    so the batch variance is defined. TRAIN_STATS, which updates the
-    running statistics, takes the network's own gamma/beta.
+    ``batch`` is (N, d) with ``affine`` None (the network's own
+    gamma/beta), or (S, N, d) for S streams with ``affine`` an (S, A)
+    array: one row per stream, laid out like ``net.affine``. In
+    TEST_BATCH_STATS mode the batch must have at least two rows so the
+    batch variance is defined. TRAIN_STATS, which updates the running
+    statistics, takes the network's own gamma/beta.
     """
     x = np.asarray(batch, dtype=np.float64)
     n_in = net.layers[0].weight.shape[1]
-    if (x.ndim != (2 if affine is None else affine.ndim + 1)
+    if (x.ndim != (2 if affine is None else 3)
             or x.shape[-2] < 1 or x.shape[-1] != n_in):
         raise InvalidInput(
             f"batch must be an (N, d) array, or (S, N, d) with (S, A)"
             f" affine, with at least one row and {n_in} columns, got shape"
             f" {x.shape}")
+    if affine is not None and np.shape(affine) != (len(x), net.affine.size):
+        raise InvalidInput(
+            f"affine must be ({len(x)}, {net.affine.size}), one row of"
+            f" gamma/beta per stream, got shape {np.shape(affine)}")
     if mode is BNMode.TRAIN_STATS and affine is not None:
         raise InvalidInput("TRAIN_STATS runs a single stream")
     if not np.isfinite(x).all():
@@ -226,10 +231,10 @@ def forward(net, batch, mode, affine=None):
         if bn is not None:
             norm = net.layers[bn]
             gamma, beta = norm.gamma, norm.beta
-            if affine is not None:  # views: (S, 1, F), or (1, F)
+            if affine is not None:  # views: (S, 1, F)
                 f = gamma.size
-                gamma = affine[..., None, at:at + f]
-                beta = affine[..., None, at + f:at + 2 * f]
+                gamma = affine[:, None, at:at + f]
+                beta = affine[:, None, at + f:at + 2 * f]
                 at += 2 * f
             x, bn_rec = _bn_forward(norm, x, mode, gamma, beta)
         else:

@@ -482,6 +482,11 @@ class TestAdaptBatch:
         with pytest.raises(InvalidInput):
             adapter.adapt_batch(np.empty((2, 4, 8)))  # two streams, not one
 
+    def test_bare_batch_rejected_naming_its_shape(self, rng):
+        adapter, _ = one_stream(small_net(), AdaptationConfig(strategy="tent"))
+        with pytest.raises(InvalidInput, match=r"\(10, 8\)"):
+            adapter.adapt_batch(small_batch(rng))  # (N, d), not (1, N, d)
+
     @pytest.mark.parametrize("ga", [True, False])
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_q_resolved_at_construction(self, strategy, ga):

@@ -393,6 +393,9 @@ BAD_ARGUMENTS = [
     (["sweep-batch-size", "--batch-size", "7"], 3, "--batch-size"),
     (["lemma-check", "--k-list", "0"], 3, "--k-list"),
     (["lemma-check", "--k-list", "1"], 3, "--k-list"),
+    (["lemma-check", "--k-list", "3", "3"], 3, "--k-list: 3 repeated"),
+    (["sweep-batch-size", "--batch-sizes", "10", "10"], 3,
+     "--batch-sizes: 10 repeated"),
     (["lemma-check", "--random-starts", "-1"], 3, "--random-starts"),
     (["lemma-check", "--random-steps", "-1"], 3, "--random-steps"),
     (["adapt", "--test-m", "0"], 3, "--test-m: 0"),

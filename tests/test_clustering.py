@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ttalab.clustering import (FULL_BATCH, MINIBATCH_RUNNING, assign_step,
-                               kmeans_objective, objective_trace_csv,
-                               run_minibatch_kmeans, update_step)
+                               kmeans_objective, run_minibatch_kmeans,
+                               update_step)
 from ttalab.errors import InvalidInput
 
 
@@ -170,14 +170,6 @@ class TestRunMinibatchKmeans:
             run_minibatch_kmeans([x], 12, init="first_k")
         with pytest.raises(InvalidInput):
             run_minibatch_kmeans([], 2, init="first_k")
-
-    def test_trace_csv_shape(self, rng):
-        x = rng.normal(size=(20, 2))
-        _, trace = run_minibatch_kmeans([x, x], 2, init="first_k")
-        text = objective_trace_csv(trace)
-        lines = text.strip().split("\n")
-        assert lines[0] == "batch,objective"
-        assert len(lines) == 3
 
 
 class TestEntropyClusteringCorrespondence:

@@ -313,6 +313,32 @@ class TestBatchWidth:
             forward(net, rng.normal(size=(4, 7)), BNMode.EVAL_STATS)
 
 
+class TestAffineShape:
+    """A stack takes exactly one row of gamma/beta per stream."""
+
+    @pytest.mark.parametrize("rows, extra", [(1, 0), (2, 0), (3, 1)],
+                             ids=["one-row-for-3-streams",
+                                  "two-rows-for-3-streams", "too-wide"])
+    def test_mismatched_affine_rejected(self, rng, rows, extra):
+        net = random_net(rng)
+        a = net.affine.size
+        affine = np.hstack([np.tile(net.affine, (rows, 1)),
+                            np.ones((rows, extra))])
+        with pytest.raises(InvalidInput,
+                           match=rf"\(3, {a}\).*\({rows}, {a + extra}\)"):
+            forward(net, rng.normal(size=(3, 4, 5)),
+                    BNMode.TEST_BATCH_STATS, affine)
+
+    def test_affine_vector_rejected(self, rng):
+        net = random_net(rng)
+        with pytest.raises(InvalidInput, match=r"\(4, 5\)"):
+            forward(net, rng.normal(size=(4, 5)), BNMode.TEST_BATCH_STATS,
+                    net.affine)
+        with pytest.raises(InvalidInput, match=rf"\({net.affine.size},\)"):
+            forward(net, rng.normal(size=(1, 4, 5)), BNMode.TEST_BATCH_STATS,
+                    net.affine)
+
+
 class TestBlockLayout:
     def test_blocks_follow_dense_bn_relu_grouping(self, rng):
         net = random_net(rng)
