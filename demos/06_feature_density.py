@@ -29,9 +29,9 @@ names = ("ttc", "tent")
 results = adapt_streams(net, corrupted, test.labels,
                         [(None, protocol, AdaptationConfig(strategy=name))
                          for name in names])
-for name, (_, _, adapted) in zip(names, results):
-    feats[name] = collect_features(adapted, corrupted, batch_size,
-                                   BNMode.TEST_BATCH_STATS)
+for name, (_, _, row) in zip(names, results):
+    feats[name] = collect_features(net, corrupted, batch_size,
+                                   BNMode.TEST_BATCH_STATS, row)
 
 _, hists = feature_histograms(feats, bins=64)
 channels = reference.shape[1]

@@ -229,8 +229,7 @@ def rla_forward(net, batch, affine=None):
 
 class GradientAccumulator:
     """One accumulation window per stream: ``q`` and ``batches_seen`` hold
-    one int per stream, ``accumulated`` the window sums, an (S, P) stack or,
-    for a single stream, a (P,) vector."""
+    one int per stream, ``accumulated`` the window sums, an (S, P) stack."""
 
     def __init__(self, q):
         self.q = list(q)
@@ -240,8 +239,8 @@ class GradientAccumulator:
 
 def accumulate_and_maybe_step(acc, grad, optimizer, params, live=None):
     """Add each live stream's (already 1/Q-scaled) gradient, a row of an
-    (S, P) stack or a single stream's (P,) vector; step each stream on its
-    Q-th batch.
+    (S, P) stack with S = ``len(acc.q)``, like ``params``; step each stream
+    on its Q-th batch.
 
     ``live`` is None (every stream) or a bool per stream, False where the
     stream sits this batch out: it neither counts the batch nor steps. The
@@ -249,6 +248,9 @@ def accumulate_and_maybe_step(acc, grad, optimizer, params, live=None):
     stays -0.0; after a step ``acc.accumulated`` still holds the gradient
     that was applied. Returns a bool per stream: whether it stepped.
     """
+    if np.shape(grad)[:-1] != (len(acc.q),) or np.shape(params) != grad.shape:
+        raise InvalidInput(f"grad and params must be ({len(acc.q)}, P) stacks,"
+                           f" got {np.shape(grad)} and {np.shape(params)}")
     seen = acc.batches_seen
     if live is None:
         live = [True] * len(seen)

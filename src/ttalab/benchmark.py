@@ -10,12 +10,11 @@ usual image benchmark taxonomy with severity levels 1..5.
 
 from __future__ import annotations
 
-import copy as _copy
 import hashlib
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -298,8 +297,8 @@ class RunReport:
 
 
 # Layers whose checkpoint JSON params_digest keeps, least recently used
-# first. A stream adapts at most its BN layers, so the dense layers of the
-# networks in use stay here across streams.
+# first. A stream's affine row changes at most the BN layers, so the dense
+# layers of the networks in use stay here across streams.
 LAYER_JSON_MEMO_SIZE = 16
 _layer_json_memo = {}
 
@@ -329,14 +328,21 @@ def _layer_json(layer):
     return text
 
 
-def params_digest(net):
-    """sha256 of ``json.dumps(network_to_dict(net), sort_keys=True)``.
-
-    The document is assembled from per-layer JSON texts, each memoised on
-    the layer's exact contents, so the unchanged dense layers of an adapted
-    copy are not serialised again for every stream.
-    """
-    layers = ", ".join(_layer_json(layer) for layer in net.layers)
+def params_digest(net, affine=None):
+    """sha256 of ``json.dumps(network_to_dict(net), sort_keys=True)`` for
+    net with the (A,) gamma/beta row ``affine`` (default ``net.affine``),
+    built from per-layer JSON texts memoised on each layer's exact contents:
+    the dense layers, which no row changes, are serialised once."""
+    affine = net.affine if affine is None else np.asarray(affine)
+    if affine.shape != net.affine.shape:
+        raise InvalidInput(f"affine must be {net.affine.shape}, got shape"
+                           f" {affine.shape}")
+    layers = list(net.layers)
+    for b in net.blocks:
+        if b.bn is not None:
+            layers[b.bn] = replace(layers[b.bn], gamma=affine[b.gamma],
+                                   beta=affine[b.beta])
+    layers = ", ".join(_layer_json(layer) for layer in layers)
     meta = json.dumps(dict(net.meta), sort_keys=True)
     doc = f'{{"k": {int(net.k)}, "layers": [{layers}], "meta": {meta}}}'
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()
@@ -353,9 +359,9 @@ def eval_streams(net, dataset, streams):
 
     ``streams`` holds one (corruption or None, protocol, config) per stream.
     Returns one RunReport per stream, in order: each the report the stream
-    gets alone. The network is copied, never mutated in place. Accuracy
-    counts the predictions made before any parameter update triggered by
-    that same batch.
+    gets alone; the network is never mutated. Accuracy counts the
+    predictions made before any parameter update triggered by that same
+    batch.
     """
     results = adapt_streams(net, dataset.inputs, dataset.labels, streams)
     return [RunReport(
@@ -367,8 +373,8 @@ def eval_streams(net, dataset, streams):
         accuracy=accuracy,
         per_batch_accuracy=per_batch,
         config=config.to_json(),
-        params_digest=params_digest(adapted),
-    ) for (corruption, protocol, config), (accuracy, per_batch, adapted)
+        params_digest=params_digest(net, row),
+    ) for (corruption, protocol, config), (accuracy, per_batch, row)
         in zip(streams, results)]
 
 
@@ -381,15 +387,15 @@ MAX_TRIP_ROWS = 200
 
 
 def adapt_streams(net, inputs, labels, streams):
-    """Adapt a copy of net over one pass of each of several test streams.
+    """Adapt net's gamma/beta over one pass of each of several test streams.
 
     ``inputs`` (m, d) and ``labels`` (m,) are the clean stream; ``streams``
     holds one (corruption or None, protocol, config) per stream. The
     protocol's seed orders the stream and seeds its corruption, which is
     applied when the stream's trip starts. Streams sharing a plan and a
     batch size adapt in one Adapter, at most ``MAX_TRIP_ROWS // N`` at a
-    time. Returns one (accuracy, per_batch_accuracy, adapted network copy)
-    per stream, in order.
+    time. Returns one (accuracy, per_batch_accuracy, adapted gamma/beta
+    row laid out like ``net.affine``) per stream, in order.
     """
     groups = {}
     for i, (_, protocol, config) in enumerate(streams):
@@ -429,21 +435,17 @@ def _adapt_trip(net, inputs, labels, n, streams):
     sizes = np.diff(starts + [m])
     per_batch = (np.add.reduceat(hits, starts, axis=1, dtype=np.int64)
                  / sizes).tolist()
-    results = []
-    for s, accuracy in enumerate((hits.sum(axis=1) / m).tolist()):
-        work = _copy.deepcopy(net)
-        work.affine[:] = adapter.affine[s]
-        results.append((accuracy, per_batch[s], work))
-    return results
+    return list(zip((hits.sum(axis=1) / m).tolist(), per_batch,
+                    adapter.affine))
 
 
 # ---------------------------------------------------------------------------
 # feature density comparison
 # ---------------------------------------------------------------------------
 
-def collect_features(net, inputs, batch_size, mode):
-    """Penultimate features over a stream of batches, stacked (m, feature_dim)."""
-    return np.vstack([penultimate_features(net, inputs[batch], mode)
+def collect_features(net, inputs, batch_size, mode, affine=None):
+    """Penultimate features (m, feature_dim) of a stream under ``affine``."""
+    return np.vstack([penultimate_features(net, inputs[batch], mode, affine)
                       for batch in batch_slices(inputs.shape[0], batch_size)])
 
 

@@ -391,16 +391,14 @@ def cmd_density(args):
     results = adapt_streams(net, inputs, dataset.labels,
                             [(None, protocol, config_a),
                              (None, protocol, config_b)])
-
-    def features(config, result):
-        """Penultimate features of the network one config adapted."""
-        return collect_features(result[2], inputs, args.batch_size,
-                                stream_plan(config, net.k).mode)
-
     # clean reference: the source checkpoint on the uncorrupted stream
     reference = collect_features(net, dataset.inputs, args.batch_size,
                                  BNMode.EVAL_STATS)
-    feats_a, feats_b = map(features, (config_a, config_b), results)
+    # each strategy's features under the affine row it adapted
+    feats_a, feats_b = (collect_features(net, inputs, args.batch_size,
+                                         stream_plan(config, net.k).mode, row)
+                        for config, (_, _, row) in zip((config_a, config_b),
+                                                       results))
     edges, hists = feature_histograms(
         {"reference": reference, "a": feats_a, "b": feats_b}, bins=args.bins)
 

@@ -13,14 +13,13 @@ weight (row-major) then bias, block by block. Its first entries, the gamma
 and beta, are ``Network.affine``. Gradients come back as one vector in the
 same layout, so an optimizer step is one vector operation.
 
-``forward`` and the backward pass take a batch of shape (N, d) under the
-network's own gamma/beta, or a stack of S streams' batches of shape
-(S, N, d) with one row of gamma/beta per stream: an (S, A) array laid out
-like ``Network.affine``, of exactly that shape (S = 1 included). Every stream
-shares the network's weights and running statistics, and every operation
-acts on the last two axes alone (numpy's stacked matmul makes one gemm per
-stream), so stream s of a stack gets bit for bit the logits and gradient it
-would get alone.
+``forward`` and the backward pass read gamma/beta from an affine laid out
+like ``Network.affine`` (by default that vector): one (A,) row for a batch
+of shape (N, d), one row per stream, (S, A), for a stack of shape (S, N, d).
+Every stream shares the network's weights and running statistics, and every
+operation acts on the last two axes alone (numpy's stacked matmul makes one
+gemm per stream), so stream s of a stack gets bit for bit the logits and
+gradient it would get alone, as does a network holding that row.
 
 Checkpoints are a single JSON document so they stay inspectable and portable.
 """
@@ -80,17 +79,19 @@ class BatchNormLayer:
 
 
 class Block(NamedTuple):
-    """Layer indices of a dense layer and its BN layer; whether a ReLU follows."""
+    """Layer indices, whether a ReLU follows, and gamma/beta in the affine."""
 
     dense: int
     bn: int | None
     relu: bool
+    gamma: slice  # of Network.affine; empty without a BN layer
+    beta: slice
 
 
 def _blocks(layers):
     """Group a flat layer list into dense-led blocks."""
     blocks = []
-    i = 0
+    i = at = 0  # at: offset of the next BN layer's gamma in the affine
     while i < len(layers):
         layer = layers[i]
         if not isinstance(layer, DenseLayer):
@@ -106,7 +107,10 @@ def _blocks(layers):
         if bn is not None and layers[bn].gamma.size != n_out:
             raise InvalidInput(f"layer {bn} normalizes {layers[bn].gamma.size}"
                                f" features, but layer {i} outputs {n_out}")
-        blocks.append(Block(i, bn, layer.activation == "relu"))
+        f = 0 if bn is None else n_out
+        blocks.append(Block(i, bn, layer.activation == "relu",
+                            slice(at, at + f), slice(at + f, at + 2 * f)))
+        at += 2 * f
         width = n_out
         i += 1 if bn is None else 2
     if not blocks:
@@ -116,6 +120,10 @@ def _blocks(layers):
 
 @dataclass
 class Network:
+    """Dense-led blocks whose trainable arrays become views into ``params``
+    when built. A layer array rebound after that is no longer read: steps
+    miss it, and ``forward`` ignores a rebound gamma or beta."""
+
     layers: list
     k: int
     meta: dict = field(default_factory=dict)
@@ -188,65 +196,55 @@ class ForwardCache:
     # one (dense input, (xhat, inv_std, batch_stats) | None, relu mask | None)
     # per block
     records: list
-    # per block: the gamma its BN layer scaled by, or None
-    gammas: list
+    # the gamma/beta the BN layers read: net.affine, or the rows passed in
+    affine: np.ndarray
 
 
 def forward(net, batch, mode, affine=None):
     """Run the network on a batch, returning logits and a backward cache.
 
-    ``batch`` is (N, d) with ``affine`` None (the network's own
-    gamma/beta), or (S, N, d) for S streams with ``affine`` an (S, A)
-    array: one row per stream, laid out like ``net.affine``. In
-    TEST_BATCH_STATS mode the batch must have at least two rows so the
-    batch variance is defined. TRAIN_STATS, which updates the running
-    statistics, takes the network's own gamma/beta.
+    ``batch`` is (N, d), or (S, N, d) for S streams. ``affine`` holds the
+    gamma/beta, laid out like ``net.affine`` (its default), with shape
+    ``batch.shape[:-2] + (A,)``: one row for a batch, one row per stream for
+    a stack. In TEST_BATCH_STATS mode the batch must have at least two rows
+    so the batch variance is defined. TRAIN_STATS, which updates the
+    running statistics, takes the network's own gamma/beta.
     """
     x = np.asarray(batch, dtype=np.float64)
     n_in = net.layers[0].weight.shape[1]
-    if (x.ndim != (2 if affine is None else 3)
-            or x.shape[-2] < 1 or x.shape[-1] != n_in):
+    if x.ndim not in (2, 3) or x.shape[-2] < 1 or x.shape[-1] != n_in:
         raise InvalidInput(
-            f"batch must be an (N, d) array, or (S, N, d) with (S, A)"
-            f" affine, with at least one row and {n_in} columns, got shape"
-            f" {x.shape}")
-    if affine is not None and np.shape(affine) != (len(x), net.affine.size):
-        raise InvalidInput(
-            f"affine must be ({len(x)}, {net.affine.size}), one row of"
-            f" gamma/beta per stream, got shape {np.shape(affine)}")
+            f"batch must be an (N, d) array or an (S, N, d) stack with at"
+            f" least one row and {n_in} columns, got shape {x.shape}")
     if mode is BNMode.TRAIN_STATS and affine is not None:
-        raise InvalidInput("TRAIN_STATS runs a single stream")
+        raise InvalidInput("TRAIN_STATS updates the network's own gamma/beta")
+    affine = net.affine if affine is None else np.asarray(affine)
+    want = x.shape[:-2] + net.affine.shape
+    if affine.shape != want:
+        raise InvalidInput(f"affine must be {want} for a batch of shape"
+                           f" {x.shape}, got shape {affine.shape}")
     if not np.isfinite(x).all():
         raise InvalidInput("batch contains non-finite values")
     if mode is BNMode.TEST_BATCH_STATS and x.shape[-2] < 2:
         raise DegenerateBatch("TEST_BATCH_STATS needs a batch of at least 2")
 
-    records, gammas = [], []
-    at = 0  # offset of the next BN layer's gamma in affine
-    for dense, bn, relu in net.blocks:
+    records = []
+    for dense, bn, relu, gamma, beta in net.blocks:
         layer = net.layers[dense]
         x_in = x
         x = x @ layer.weight.T + layer.bias
         bn_rec = mask = None
-        if bn is not None:
-            norm = net.layers[bn]
-            gamma, beta = norm.gamma, norm.beta
-            if affine is not None:  # views: (S, 1, F)
-                f = gamma.size
-                gamma = affine[:, None, at:at + f]
-                beta = affine[:, None, at + f:at + 2 * f]
-                at += 2 * f
-            x, bn_rec = _bn_forward(norm, x, mode, gamma, beta)
-        else:
-            gamma = None
+        if bn is not None:  # views of shape (..., 1, F)
+            x, bn_rec = _bn_forward(net.layers[bn], x, mode,
+                                    affine[..., None, gamma],
+                                    affine[..., None, beta])
         if relu:
             mask = x > 0.0
             x = x * mask
         records.append((x_in, bn_rec, mask))
-        gammas.append(gamma)
     if not np.isfinite(x).all():
         raise InvalidInput("forward produced non-finite logits")
-    return x, ForwardCache(records=records, gammas=gammas)
+    return x, ForwardCache(records=records, affine=affine)
 
 
 def _batch_stats(x):
@@ -285,15 +283,14 @@ def _backward(net, cache, loss_grad_logits, affine_only):
     g = np.asarray(loss_grad_logits, dtype=np.float64)
     # pieces in reverse layout order: beta before gamma, bias before weight
     affine, dense_grads = [], []
-    for (dense, bn, _), (x, bn_rec, mask), gamma in zip(
-            reversed(net.blocks), reversed(cache.records),
-            reversed(cache.gammas)):
+    for (dense, bn, _, gamma, _), (x, bn_rec, mask) in zip(
+            reversed(net.blocks), reversed(cache.records)):
         if mask is not None:
             g = g * mask
         if bn is not None:
             xhat, inv_std, batch_stats = bn_rec
             affine += [g.sum(axis=-2), (g * xhat).sum(axis=-2)]
-            dxhat = g * gamma
+            dxhat = g * cache.affine[..., None, gamma]
             if batch_stats:
                 n = xhat.shape[-2]
                 g = (inv_std[..., None, :] / n) * (
@@ -323,9 +320,9 @@ def backward_all(net, cache, loss_grad_logits):
     return _backward(net, cache, loss_grad_logits, affine_only=False)
 
 
-def penultimate_features(net, batch, mode):
-    """Activations entering the final dense layer: the last block's input."""
-    _, cache = forward(net, batch, mode)
+def penultimate_features(net, batch, mode, affine=None):
+    """Input of the final dense layer; the arguments are as for forward."""
+    _, cache = forward(net, batch, mode, affine)
     return cache.records[-1][0]
 
 

@@ -161,8 +161,8 @@ def test_criterion_04_accumulation_union_batch():
                 logits, cache = forward(net_acc, b, BNMode.EVAL_STATS)
                 _, gl = tent_loss(logits)
                 accumulate_and_maybe_step(
-                    acc, backward_bn_affine(net_acc, cache, gl / q), opt,
-                    net_acc.affine)
+                    acc, backward_bn_affine(net_acc, cache, gl / q)[None],
+                    opt, net_acc.affine[None])
             union = np.vstack(batches)
             logits, cache = forward(net_union, union, BNMode.EVAL_STATS)
             _, gl = tent_loss(logits)

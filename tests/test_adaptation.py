@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from ttalab.adaptation import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EPS_ENTROPY,
                                Adapter, GradientAccumulator,
                                accumulate_and_maybe_step, default_q,
                                default_filter_threshold, entropy_filter,
-                               rla_forward, sample_weights, tent_loss,
-                               ttc_loss)
+                               make_optimizer, rla_forward, sample_weights,
+                               tent_loss, ttc_loss)
 from ttalab.errors import InvalidInput
 from ttalab.network import (BNMode, backward_bn_affine, forward, make_network,
                             network_to_dict)
@@ -215,19 +216,19 @@ class TestRlaForward:
 class TestGradientAccumulation:
     def test_q_one_steps_every_call(self):
         acc = GradientAccumulator([1])
-        params = np.zeros(2)
+        params = np.zeros((1, 2))
         opt = SGD(lr=1.0)
         for _ in range(3):
-            assert accumulate_and_maybe_step(acc, np.ones(2), opt,
+            assert accumulate_and_maybe_step(acc, np.ones((1, 2)), opt,
                                              params) == [True]
         np.testing.assert_array_equal(params, -3.0)
 
     def test_q_two_identical_gradients_apply_once(self):
         # gradients arrive already scaled by 1/Q, so the applied update is
         # exactly -lr * g
-        g = np.array([2.0, -1.0])
+        g = np.array([[2.0, -1.0]])
         acc = GradientAccumulator([2])
-        params = np.zeros(2)
+        params = np.zeros((1, 2))
         opt = SGD(lr=0.5)
         assert accumulate_and_maybe_step(acc, g / 2, opt, params) == [False]
         np.testing.assert_array_equal(params, 0.0)
@@ -252,7 +253,8 @@ class TestGradientAccumulation:
             logits, cache = forward(net_acc, b, BNMode.EVAL_STATS)
             _, gl = tent_loss(logits)
             grads = backward_bn_affine(net_acc, cache, gl / q)
-            accumulate_and_maybe_step(acc, grads, opt, net_acc.affine)
+            accumulate_and_maybe_step(acc, grads[None], opt,
+                                      net_acc.affine[None])
         union = np.vstack(batches)
         logits, cache = forward(net_union, union, BNMode.EVAL_STATS)
         _, gl = tent_loss(logits)
@@ -276,10 +278,44 @@ class TestGradientAccumulation:
             grads = backward_bn_affine(net, cache, gl / q)
             expected = expected + grads
             if acc.batches_seen == [q - 1]:
-                snapshot = acc.accumulated + grads
-            accumulate_and_maybe_step(acc, grads, opt, net.affine)
+                snapshot = acc.accumulated[0] + grads
+            accumulate_and_maybe_step(acc, grads[None], opt, net.affine[None])
         np.testing.assert_array_equal(snapshot, expected)
-        np.testing.assert_array_equal(acc.accumulated, expected)
+        np.testing.assert_array_equal(acc.accumulated, expected[None])
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (1, 3, 1)],
+                             ids=["vector", "two-rows-for-one", "3-d"])
+    def test_only_a_stack_of_one_row_per_stream_is_taken(self, shape):
+        acc = GradientAccumulator([2])
+        with pytest.raises(InvalidInput, match=re.escape(str(shape))):
+            accumulate_and_maybe_step(acc, np.ones(shape), SGD(lr=1.0),
+                                      np.zeros(shape), live=[False])
+        assert acc.accumulated is None and acc.batches_seen == [0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(qs=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+           length=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           optimizer=st.sampled_from(["sgd", "adam"]))
+    def test_a_stream_sitting_a_batch_out_keeps_every_bit(self, qs, length,
+                                                          seed, optimizer):
+        rng = np.random.default_rng(seed)
+        acc = GradientAccumulator(qs)
+        opt = make_optimizer(optimizer, 0.1)
+        params = signed_zeros(rng, (len(qs), 5))
+        for _ in range(length):
+            live = (rng.random(len(qs)) < 0.6).tolist()
+            before = (None if acc.accumulated is None
+                      else acc.accumulated.copy(), list(acc.batches_seen),
+                      params.copy())
+            stepped = accumulate_and_maybe_step(
+                acc, signed_zeros(rng, params.shape), opt, params, live)
+            for s in np.flatnonzero(np.logical_not(live)):
+                assert not stepped[s]
+                assert acc.batches_seen[s] == before[1][s]
+                assert params[s].tobytes() == before[2][s].tobytes()
+                if before[0] is not None:
+                    assert (acc.accumulated[s].tobytes()
+                            == before[0][s].tobytes())
 
 
 class DictSGD:
@@ -377,15 +413,15 @@ class TestVectorMatchesPerArrayPath:
                         "adam": (Adam, DictAdam)}[optimizer]
         ref_params = {f"{i}.p": signed_zeros(rng, shape)
                       for i, shape in enumerate(shapes)}
-        params = flat(ref_params)
+        params = flat(ref_params)[None]
         opt, ref_opt = recording(cls)(lr), recording(ref_cls)(lr)
         acc = GradientAccumulator([q])
         ref_acc = {"q": q, "accumulated": {}, "batches_seen": 0}
         for _ in range(length):  # stream lengths cross window boundaries
             ref_grads = {key: signed_zeros(rng, a.shape)
                          for key, a in ref_params.items()}
-            stepped = accumulate_and_maybe_step(acc, flat(ref_grads), opt,
-                                                params)
+            stepped = accumulate_and_maybe_step(acc, flat(ref_grads)[None],
+                                                opt, params)
             assert stepped == [dict_accumulate_and_maybe_step(
                 ref_acc, ref_grads, ref_opt, ref_params)]
             assert acc.batches_seen == [ref_acc["batches_seen"]]
@@ -397,16 +433,16 @@ class TestVectorMatchesPerArrayPath:
         for applied, ref_applied in zip(opt.applied, ref_opt.applied):
             assert applied.tobytes() == flat(ref_applied).tobytes()
         if optimizer == "adam" and opt.applied:
-            assert opt.t == ref_opt.t
+            assert opt.t.tolist() == [ref_opt.t]
             assert opt.m.tobytes() == flat(ref_opt.m).tobytes()
             assert opt.v.tobytes() == flat(ref_opt.v).tobytes()
 
     def test_first_gradient_of_a_window_keeps_negative_zero(self):
         opt = recording(SGD)(1.0)
         acc = GradientAccumulator([1])
-        accumulate_and_maybe_step(acc, np.array([-0.0, 1.0]), opt,
-                                  np.zeros(2))
-        assert np.signbit(opt.applied[0][0])
+        accumulate_and_maybe_step(acc, np.array([[-0.0, 1.0]]), opt,
+                                  np.zeros((1, 2)))
+        assert np.signbit(opt.applied[0][0, 0])
 
 
 def one_stream(net, config, batch_size=10):
@@ -717,7 +753,7 @@ class TestStackMatchesSequentialReference:
                    for s, c in enumerate(configs)]
         with mock.patch.object(benchmark, "MAX_TRIP_ROWS", cap):
             results = adapt_streams(net, inputs, labels, streams)
-        for (_, protocol, config), (accuracy, per_batch, adapted) in zip(
+        for (_, protocol, config), (accuracy, per_batch, row) in zip(
                 streams, results):
             order = np.random.default_rng(protocol.seed).permutation(m)
             ref = ReferenceStream(net, config, n)
@@ -730,7 +766,7 @@ class TestStackMatchesSequentialReference:
                                               == labels[idx])))
             assert per_batch == expected
             assert accuracy == float(np.mean(predictions == labels))
-            assert adapted.params.tobytes() == ref.net.params.tobytes()
+            assert row.tobytes() == ref.net.affine.tobytes()
 
     @pytest.mark.parametrize("strategy", ["norm", "tent", "ttc"])
     def test_non_finite_batch_raises_as_it_does_alone(self, rng, strategy):

@@ -231,14 +231,17 @@ class TestStreamEval:
             with pytest.raises(DegenerateBatch):
                 adapt_streams(net, dataset.inputs, dataset.labels, streams)
             return
-        (accuracy, per_batch, adapted), = adapt_streams(
+        (accuracy, per_batch, row), = adapt_streams(
             net, dataset.inputs, dataset.labels, streams)
+        adapted = copy.deepcopy(net)
+        adapted.affine[:] = row
         slices = batch_slices(m, n)
         sizes = [s.stop - s.start for s in slices]
         assert len(per_batch) == len(slices)
         assert accuracy == pytest.approx(np.dot(per_batch, sizes) / m,
                                          rel=1e-12)
         assert np.all(np.isfinite(adapted.affine))
+        assert params_digest(net, row) == params_digest(adapted)
         if strategy in ("source", "norm") or (strategy == "ttc"
                                               and len(slices) < q):
             assert params_digest(adapted) == params_digest(net)
@@ -303,11 +306,17 @@ def document_digest(net):
 class TestParamsDigest:
     def test_equals_digest_of_checkpoint_document(self, source_net,
                                                   test_dataset):
-        nets = [source_net] + [adapted for _, _, adapted in adapt_streams(
+        rows = [row for _, _, row in adapt_streams(
             source_net, test_dataset.inputs[:400], test_dataset.labels[:400],
             [(None, StreamProtocol(batch_size=20),
               AdaptationConfig(strategy=strategy))
              for strategy in STRATEGIES])]
+        nets = [source_net]
+        for row in rows:
+            adapted = copy.deepcopy(source_net)
+            adapted.affine[:] = row
+            nets.append(adapted)
+            assert params_digest(source_net, row) == document_digest(adapted)
         ulp = copy.deepcopy(source_net)
         w = ulp.layers[2].weight
         w[3, 5] = np.nextafter(w[3, 5], np.inf)

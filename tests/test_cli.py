@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -326,6 +327,35 @@ class TestDensity:
         assert code == 0
 
 
+class TestDensityBytes:
+    """density's two CSVs and its stdout, pinned by sha256 on the seed-0
+    checkpoint, for one gradient pair and one filtered-against-norm pair."""
+
+    @pytest.mark.parametrize("argv, digests", [
+        (["--strategy-a", "ttc", "--strategy-b", "tent", "--test-m", "400",
+          "--batch-size", "10", "--bins", "16"],
+         ("764a94fc12e616da20cc4ca1f2b97107c07ccb8b2ce3e1ee9761cd760ea36cfe",
+          "156cfd8c310e7a5ae1e488e5cb8f2b03ae411e3d015f86845e4e65a5ff1ff1e4",
+          "57792351738f6e97ddd1ccd1597077d521499f381b9744ce607ba2bf98f290b1")),
+        (["--strategy-a", "tent-filtered", "--strategy-b", "norm",
+          "--corruption", "contrast", "--severity", "3", "--test-m", "400",
+          "--batch-size", "50", "--bins", "16"],
+         ("0f2df34fe4828d035a9305554210235023d92140407b04d80384e36a848b2fe4",
+          "c42058f2627dd3b91a2f567722396cae7ff81659e91d335f6978116b9099bf7a",
+          "a137bb67f7b2b4549afa8431da8528498acc88e5c9e664ce5a3dab8f6f12cd6e")),
+    ], ids=["ttc-tent", "tent-filtered-norm-contrast"])
+    def test_outputs_are_pinned(self, workdir, tmp_path, capsys, argv,
+                                digests):
+        capsys.readouterr()
+        assert main(["density", "--checkpoint", str(workdir / "source.json"),
+                     "--out", str(tmp_path), *argv]) == 0
+        stdout = capsys.readouterr().out.encode("utf-8")
+        got = tuple(hashlib.sha256(data).hexdigest() for data in (
+            (tmp_path / "density_hist.csv").read_bytes(),
+            (tmp_path / "density_overlap.csv").read_bytes(), stdout))
+        assert got == digests
+
+
 def run_python(*args):
     """Run a fresh interpreter that imports this checkout's ttalab."""
     src = str(Path(ttalab.__file__).resolve().parent.parent)
@@ -509,9 +539,9 @@ class TestDensityAlignmentDirection:
                 source_net, inputs, test_dataset.labels,
                 [(None, protocol, AdaptationConfig(strategy=strategy))
                  for strategy in names.values()])
-            for name, (_, _, adapted) in zip(names, results):
-                feats[name] = collect_features(adapted, inputs, 10,
-                                               BNMode.TEST_BATCH_STATS)
+            for name, (_, _, row) in zip(names, results):
+                feats[name] = collect_features(source_net, inputs, 10,
+                                               BNMode.TEST_BATCH_STATS, row)
             _, hists = feature_histograms(feats, bins=64)
             channels = reference.shape[1]
             ttc_overlap = np.mean([histogram_overlap(hists["a"][c],

@@ -1,10 +1,11 @@
 import copy
+import hashlib
 import io
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ttalab.adaptation import AdaptationConfig, tent_loss
 from ttalab.benchmark import StreamProtocol, adapt_streams
@@ -43,8 +44,9 @@ class TestForward:
         for layer in net.layers:
             if isinstance(layer, BatchNormLayer):
                 f = layer.gamma.size
-                layer.gamma = np.ones(f)
-                layer.beta = np.zeros(f)
+                # in place: forward reads gamma/beta from net.params
+                layer.gamma[:] = 1.0
+                layer.beta[:] = 0.0
                 layer.running_mean = np.zeros(f)
                 layer.running_var = np.ones(f)
                 layer.eps = 0.0
@@ -114,7 +116,7 @@ def reference_forward(net, x, mode):
     """Forward as written with np.mean / np.var and an out-of-place xhat:
     the oracle the single-pass batch statistics must match bit for bit."""
     records = []
-    for dense, bn, relu in net.blocks:
+    for dense, bn, relu, _, _ in net.blocks:
         layer = net.layers[dense]
         x_in = x
         x = x @ layer.weight.T + layer.bias
@@ -330,19 +332,93 @@ class TestAffineShape:
                     BNMode.TEST_BATCH_STATS, affine)
 
     def test_affine_vector_rejected(self, rng):
+        """An (A,) row goes with an (N, d) batch only, a (1, A) stack with a
+        (1, N, d) stack only."""
         net = random_net(rng)
-        with pytest.raises(InvalidInput, match=r"\(4, 5\)"):
-            forward(net, rng.normal(size=(4, 5)), BNMode.TEST_BATCH_STATS,
-                    net.affine)
-        with pytest.raises(InvalidInput, match=rf"\({net.affine.size},\)"):
+        a = net.affine.size
+        with pytest.raises(InvalidInput, match=rf"\(1, 4, 5\).*\({a},\)"):
             forward(net, rng.normal(size=(1, 4, 5)), BNMode.TEST_BATCH_STATS,
                     net.affine)
+        with pytest.raises(InvalidInput, match=rf"\(4, 5\).*\(1, {a}\)"):
+            forward(net, rng.normal(size=(4, 5)), BNMode.TEST_BATCH_STATS,
+                    net.affine[None])
+
+
+@st.composite
+def affine_rows(draw):
+    """A random network, a batch for it and a gamma/beta row that differs
+    from the network's own by noise, signed zeros and one-ulp steps."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    widths = draw(st.lists(st.integers(1, 7), min_size=1, max_size=3))
+    net = random_net(rng, widths=widths, k=draw(st.integers(2, 4)))
+    row = net.affine + rng.normal(scale=draw(st.sampled_from([0.0, 0.3])),
+                                  size=net.affine.shape)
+    for value in (0.0, -0.0, None):  # None: one ulp up
+        at = rng.random(row.shape) < draw(st.sampled_from([0.0, 0.2]))
+        row[at] = (np.nextafter(net.affine, np.inf)[at] if value is None
+                   else value)
+    x = rng.normal(size=(draw(st.integers(2, 9)), widths[0]))
+    return net, x, row
+
+
+class TestOneAffineRule:
+    """forward reads gamma/beta from an affine of shape batch.shape[:-2] +
+    (A,): an (N, d) batch with a row is stream 0 of a stack of one, and the
+    network with that row written into its own affine."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=affine_rows(),
+           mode=st.sampled_from([BNMode.EVAL_STATS, BNMode.TEST_BATCH_STATS]))
+    def test_a_row_is_a_stack_of_one_and_a_copy_holding_it(self, case, mode):
+        from ttalab.benchmark import params_digest
+
+        net, x, row = case
+        source = net.params.copy()
+        holder = copy.deepcopy(net)
+        holder.affine[:] = row
+        logits, cache = forward(net, x, mode, row)
+        stacked, _ = forward(net, x[None], mode, row[None])
+        held, held_cache = forward(holder, x, mode)
+        assert same_bits(logits, stacked[0]) and same_bits(logits, held)
+        features = penultimate_features(net, x, mode, row)
+        stacked = penultimate_features(net, x[None], mode, row[None])
+        assert same_bits(features, stacked[0])
+        assert same_bits(features, penultimate_features(holder, x, mode))
+        g = np.random.default_rng(x.size).normal(size=logits.shape)
+        assert same_bits(backward_bn_affine(net, cache, g),
+                         backward_bn_affine(holder, held_cache, g))
+        doc = json.dumps(network_to_dict(holder), sort_keys=True)
+        assert params_digest(net, row) == hashlib.sha256(
+            doc.encode("utf-8")).hexdigest()
+        assert net.params.tobytes() == source.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=affine_rows(), lead=st.sampled_from([(), (1,), (2,)]),
+           rows=st.sampled_from([(), (1,), (2,), (3,)]),
+           extra=st.integers(-1, 1))
+    def test_mismatched_shapes_name_both(self, case, lead, rows, extra):
+        net, x, row = case
+        batch = np.broadcast_to(x, lead + x.shape)
+        affine = np.zeros(rows + (max(row.size + extra, 0),))
+        assume(affine.shape != lead + row.shape)  # the one valid pairing
+        with pytest.raises(InvalidInput) as err:
+            forward(net, batch, BNMode.EVAL_STATS, affine)
+        assert str(affine.shape) in str(err.value)
+        assert str(batch.shape) in str(err.value)
 
 
 class TestBlockLayout:
     def test_blocks_follow_dense_bn_relu_grouping(self, rng):
         net = random_net(rng)
-        assert net.blocks == ((0, 1, True), (2, 3, True), (4, None, False))
+        assert net.blocks == (
+            (0, 1, True, slice(0, 8), slice(8, 16)),
+            (2, 3, True, slice(16, 22), slice(22, 28)),
+            (4, None, False, slice(28, 28), slice(28, 28)))
+        for _, bn, _, gamma, beta in net.blocks[:2]:
+            layer = net.layers[bn]
+            assert net.affine[gamma].tobytes() == layer.gamma.tobytes()
+            assert net.affine[beta].tobytes() == layer.beta.tobytes()
 
     @pytest.mark.parametrize("order", [[1, 2, 3, 4], [0, 1, 1, 2, 3, 4], []],
                              ids=["bn-first", "bn-after-bn", "empty"])
@@ -484,20 +560,21 @@ class TestFreezingProperty:
         inputs = apply_corruption(test_dataset.inputs,
                                   Corruption("gaussian_noise", 5),
                                   protocol.seed)
-        (_, _, adapted), = adapt_streams(source_net, inputs,
-                                         test_dataset.labels,
-                                         [(None, protocol, config)])
-        changed = []
-        for i, (before, after) in enumerate(zip(source_net.layers,
-                                                adapted.layers)):
-            if isinstance(before, DenseLayer):
-                np.testing.assert_array_equal(before.weight, after.weight)
-                np.testing.assert_array_equal(before.bias, after.bias)
-            else:
-                np.testing.assert_array_equal(before.running_mean,
-                                              after.running_mean)
-                np.testing.assert_array_equal(before.running_var,
-                                              after.running_var)
-                if not np.array_equal(before.gamma, after.gamma):
-                    changed.append(i)
+
+        def state():
+            """Every parameter and running statistic of the network."""
+            return [source_net.params.tobytes()] + [
+                a.tobytes() for bn in source_net.layers
+                if isinstance(bn, BatchNormLayer)
+                for a in (bn.running_mean, bn.running_var)]
+
+        before = state()
+        (_, _, row), = adapt_streams(source_net, inputs, test_dataset.labels,
+                                     [(None, protocol, config)])
+        assert state() == before
+        # what adaptation moved is the row: one gamma/beta per BN layer
+        assert row.shape == source_net.affine.shape
+        changed = [block.bn for block in source_net.blocks
+                   if block.bn is not None and not np.array_equal(
+                       row[block.gamma], source_net.affine[block.gamma])]
         assert changed  # the adaptation actually moved something
