@@ -15,6 +15,9 @@ An Adapter adapts S streams that share a plan in lock-step, one (S, N, d)
 stack of batches per call (S = 1 for a lone stream), and returns
 predictions computed before any parameter update in the same call. Each
 stream gets bit for bit the predictions and parameters it would get alone.
+A call runs one forward (under RLA, over the (2S, N, d) stack of the
+batches and their flips) and one softmax; a learning plan takes its loss
+gradient from those probabilities.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInput
-from .network import BNMode, backward_bn_affine, forward
-from .numeric import entropy, entropy_grad_logits, softmax
+from .network import BNMode, backward_bn_affine, check_shapes, forward
+from .numeric import _entropy, _entropy_grad, softmax
 
 STRATEGIES = ("source", "norm", "tent", "tent-filtered", "ttc")
 OPTIMIZERS = ("sgd", "adam")
@@ -184,11 +187,18 @@ def ttc_loss(combined_logits, tau, n):
 
     Returns (loss, grad); at tau = 0 this is tent's mean-entropy loss.
     """
-    logits = _check_logits(combined_logits)
-    h = entropy(softmax(logits))
-    w = sample_weights(h, tau, n)
-    grad = w[..., None] * entropy_grad_logits(logits)
+    h, w, grad = _weighted_entropy(softmax(_check_logits(combined_logits)),
+                                   tau, n)
     return np.sum(w * h, axis=-1), grad
+
+
+def _weighted_entropy(probs, tau, n):
+    """The entropies H, the weights w = ``sample_weights(H, tau, n)`` and
+    the gradient of sum_i w_i H_i (w held constant) with respect to the
+    logits whose softmax is ``probs``."""
+    h = _entropy(probs)
+    w = sample_weights(h, tau, n)
+    return h, w, w[..., None] * _entropy_grad(probs)
 
 
 def entropy_filter(entropies, threshold):
@@ -205,22 +215,29 @@ def entropy_filter(entropies, threshold):
 def rla_forward(net, batch, affine=None):
     """Average the logits of a batch and of its flip (``flip_signal``).
 
-    Both forwards run in TEST_BATCH_STATS mode, each normalizing with its own
-    batch statistics. Gradients flow only through the un-flipped branch;
-    because the combination is (live + frozen)/2, the gradient reaching the
-    live logits is half the gradient at the combined logits. ``batch`` and
-    ``affine`` are as for ``forward``.
+    ``batch`` and ``affine`` are as for ``forward``; a lone (N, d) batch is
+    a stack of S = 1. The S batches and their S flips run as one (2S, N, d)
+    stack in one TEST_BATCH_STATS forward, each stream normalizing with its
+    own batch statistics and reading its own affine row, so each branch
+    gets bit for bit the logits of a forward of its own. Gradients flow
+    only through the first S streams, the un-flipped branch; because the
+    combination is (live + frozen)/2, the gradient reaching the live logits
+    is half the gradient at the combined logits.
 
     Returns (combined_logits, cache, aug_logits) where cache belongs to the
-    un-flipped forward and aug_logits, the flipped branch's logits, carry no
-    gradient path.
+    un-flipped branch, shaped as ``forward`` on ``batch`` gives it, and
+    aug_logits, the flipped branch's logits, carry no gradient path.
     """
     x = np.asarray(batch, dtype=np.float64)
-    logits, cache = forward(net, x, BNMode.TEST_BATCH_STATS, affine)
-    aug_logits, _ = forward(net, flip_signal(x), BNMode.TEST_BATCH_STATS,
-                            affine)
-    combined = 0.5 * (logits + aug_logits)
-    return combined, cache, aug_logits
+    affine = check_shapes(net, x, BNMode.TEST_BATCH_STATS, affine)
+    stack = x if x.ndim == 3 else x[None]
+    s = len(stack)
+    logits, cache = forward(net, np.concatenate([stack, flip_signal(stack)]),
+                            BNMode.TEST_BATCH_STATS, np.tile(affine, (2, 1)))
+    live, aug = (slice(None, s), slice(s, None)) if x.ndim == 3 else (0, 1)
+    aug_logits = logits[aug]
+    combined = 0.5 * (logits[live] + aug_logits)
+    return combined, cache.streams(live), aug_logits
 
 
 # ---------------------------------------------------------------------------
@@ -372,23 +389,25 @@ class Adapter:
             logits, cache = forward(self.net, x, self.plan.mode, self.affine)
         probs = softmax(logits)
         if self.plan.learns:
-            self._learn(logits, probs, cache)
+            self._learn(probs, cache)
         return np.argmax(probs, axis=-1), probs
 
-    def _learn(self, logits, probs, cache):
+    def _learn(self, probs, cache):
+        """Step on the logit gradient of each stream's loss, which
+        ``probs``, the softmax of its logits, determines."""
         live = None
         if self.plan.threshold is not None:
-            mask = entropy_filter(entropy(probs), self.plan.threshold)
+            mask = entropy_filter(_entropy(probs), self.plan.threshold)
             accepted = mask.sum(axis=-1)
             live = (accepted > 0).tolist()
             if not any(live):
                 return
             # tent over each stream's accepted rows: their mean entropy
             scale = (1.0 / np.maximum(accepted, 1))[:, None, None]
-            grad = np.where(mask[..., None],
-                            entropy_grad_logits(logits) * scale, 0.0)
+            grad = np.where(mask[..., None], _entropy_grad(probs) * scale, 0.0)
         else:  # tent is the tau = 0 case
-            _, grad = ttc_loss(logits, self.plan.tau, logits.shape[-2])
+            _, _, grad = _weighted_entropy(probs, self.plan.tau,
+                                           probs.shape[-2])
         grad = backward_bn_affine(self.net, cache, self.grad_scale * grad)
         accumulate_and_maybe_step(self.accumulator, grad, self.optimizer,
                                   self.affine, live)

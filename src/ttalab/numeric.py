@@ -60,7 +60,12 @@ def entropy(p):
     Works row-wise on 2-D input. Entries are clamped at EPS_PROB inside the
     log so exact zeros are tolerated. 0 <= H <= log K.
     """
-    p = _validate_probs(p)
+    return _entropy(_validate_probs(p))
+
+
+def _entropy(p):
+    """``entropy`` of a float64 array already known to hold probabilities,
+    such as a ``softmax`` output: the same bits, without the checks."""
     logp = np.log(np.maximum(p, EPS_PROB))
     return -np.sum(p * logp, axis=-1)
 

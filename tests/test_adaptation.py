@@ -10,9 +10,9 @@ from ttalab.adaptation import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EPS_ENTROPY,
                                Adapter, GradientAccumulator,
                                accumulate_and_maybe_step, default_q,
                                default_filter_threshold, entropy_filter,
-                               make_optimizer, rla_forward, sample_weights,
-                               tent_loss, ttc_loss)
-from ttalab.errors import InvalidInput
+                               flip_signal, make_optimizer, rla_forward,
+                               sample_weights, tent_loss, ttc_loss)
+from ttalab.errors import InvalidInput, TTALabError
 from ttalab.network import (BNMode, backward_bn_affine, forward, make_network,
                             network_to_dict)
 from ttalab.numeric import entropy, finite_diff_check, softmax
@@ -211,6 +211,138 @@ class TestRlaForward:
         adapter_a.adapt_batch(x[None])
         adapter_b.adapt_batch(x[None])
         assert adapter_a.affine.tobytes() == adapter_b.affine.tobytes()
+
+
+def two_forward_rla(net, x, affine=None):
+    """RLA as two forwards, one per branch: the oracle that the one stacked
+    forward of ``rla_forward`` matches bit for bit."""
+    logits, cache = forward(net, x, BNMode.TEST_BATCH_STATS, affine)
+    aug_logits, _ = forward(net, flip_signal(x), BNMode.TEST_BATCH_STATS,
+                            affine)
+    return 0.5 * (logits + aug_logits), cache, aug_logits
+
+
+def as_bytes(a):
+    """An array's shape, dtype and bytes; None stays None."""
+    if a is None:
+        return None
+    a = np.asarray(a)
+    return a.shape, a.dtype.str, a.tobytes()
+
+
+@st.composite
+def rla_inputs(draw):
+    """A network, an (N, d) batch or an (S, N, d) stack holding signed zeros,
+    and affine rows (or None for a lone batch) moved off the network's own:
+    entries set to 0.0 or -0.0, or one ulp up or down."""
+    lone = draw(st.booleans())
+    s = 1 if lone else draw(st.integers(1, 6))
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    net = make_network(input_dim=8, hidden=6, k=3,
+                       seed=int(rng.integers(97)))
+    x = signed_zeros(rng, (s, n, 8))
+    affine = np.tile(net.affine, (s, 1))
+    move = rng.choice(5, size=affine.shape, p=[0.6, 0.1, 0.1, 0.1, 0.1])
+    affine[move == 1] = 0.0
+    affine[move == 2] = -0.0
+    affine = np.where(move == 3, np.nextafter(affine, np.inf), affine)
+    affine = np.where(move == 4, np.nextafter(affine, -np.inf), affine)
+    if lone:
+        x, affine = x[0], draw(st.sampled_from([affine[0], None]))
+    return net, x, affine, signed_zeros(rng, x.shape[:-1] + (3,))
+
+
+class TestRlaIsOneStackedForward:
+    @settings(max_examples=200, deadline=None)
+    @given(case=rla_inputs())
+    def test_matches_two_forwards_bit_for_bit(self, case):
+        net, x, affine, g = case
+        combined, cache, aug = rla_forward(net, x, affine)
+        ref_combined, ref_cache, ref_aug = two_forward_rla(net, x, affine)
+        assert as_bytes(combined) == as_bytes(ref_combined)
+        assert as_bytes(aug) == as_bytes(ref_aug)
+        assert len(cache.records) == len(ref_cache.records)
+        for (x_in, bn_rec, mask), (ref_x_in, ref_bn_rec, ref_mask) in zip(
+                cache.records, ref_cache.records):
+            assert as_bytes(x_in) == as_bytes(ref_x_in)
+            assert as_bytes(mask) == as_bytes(ref_mask)
+            assert (bn_rec is None) == (ref_bn_rec is None)
+            if bn_rec is not None:
+                assert [as_bytes(a) for a in bn_rec[:2]] == [
+                    as_bytes(a) for a in ref_bn_rec[:2]]
+                assert bn_rec[2] == ref_bn_rec[2]
+        assert as_bytes(cache.affine) == as_bytes(ref_cache.affine)
+        assert (as_bytes(backward_bn_affine(net, cache, g))
+                == as_bytes(backward_bn_affine(net, ref_cache, g)))
+
+    @pytest.mark.parametrize("lone", [True, False])
+    @pytest.mark.parametrize("spoil", ["nan", "inf", "columns", "affine",
+                                       "one row"])
+    def test_bad_input_raises_as_two_forwards_do(self, rng, lone, spoil):
+        net = small_net()
+        x = rng.normal(size=(3, 10, 8))
+        affine = np.tile(net.affine, (3, 1))
+        if spoil == "nan":
+            x[0, 7, 4] = np.nan
+        elif spoil == "inf":
+            x[0, 0, 0] = -np.inf
+        elif spoil == "columns":
+            x = x[..., :7]
+        elif spoil == "affine":
+            affine = affine[:, :-1]
+        else:
+            x = x[:, :1]
+        if lone:
+            x, affine = x[0], affine[0]
+        with pytest.raises(TTALabError) as stacked:
+            rla_forward(net, x, affine)
+        with pytest.raises(TTALabError) as two:
+            two_forward_rla(net, x, affine)
+        assert type(stacked.value) is type(two.value)
+        assert str(stacked.value) == str(two.value)
+
+
+def counting(monkeypatch, module, name, counts):
+    """Replace ``module.name`` by a wrapper that counts its calls; a name
+    the module does not hold is counted at 0 unless code binds it."""
+    fn = getattr(module, name, None)
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    counts[name] = 0
+    monkeypatch.setattr(module, name, wrapper, raising=False)
+
+
+class TestOneForwardOneSoftmaxPerBatch:
+    @pytest.mark.parametrize("config", [
+        AdaptationConfig(strategy="source"),
+        AdaptationConfig(strategy="norm"),
+        AdaptationConfig(strategy="tent"),
+        AdaptationConfig(strategy="tent-filtered", filter_threshold=1.1),
+        AdaptationConfig(strategy="ttc", accumulation_q=2),
+        AdaptationConfig(strategy="ttc", rla_enabled=False, accumulation_q=2),
+    ], ids=["source", "norm", "tent", "tent-filtered", "ttc", "ttc-norla"])
+    def test_counts_per_adapted_batch(self, monkeypatch, rng, config):
+        from ttalab import adaptation, numeric
+
+        net = small_net()
+        adapter = Adapter(net, [config] * 2, 10)
+        counts = {}
+        for name in ("forward", "softmax", "ttc_loss", "tent_loss"):
+            counting(monkeypatch, adaptation, name, counts)
+        for module in (adaptation, numeric):  # the adapter binds neither
+            for name in ("entropy", "entropy_grad_logits"):
+                counting(monkeypatch, module, name, counts)
+        batches = 4
+        for _ in range(batches):
+            adapter.adapt_batch(rng.normal(size=(2, 10, 8)))
+        assert counts == {"forward": batches, "softmax": batches,
+                          "ttc_loss": 0, "tent_loss": 0, "entropy": 0,
+                          "entropy_grad_logits": 0}
+        learns = config.strategy not in ("source", "norm")
+        assert (adapter.affine != net.affine).any() == learns
 
 
 class TestGradientAccumulation:
