@@ -3,13 +3,17 @@
 Strategies:
     source        no adaptation, running-statistics normalization
     norm          per-batch normalization, no gradient step
-    tent          batch-entropy minimization, one SGD/Adam step per batch:
-                  the weighted ttc loss at tau = 0, where every weight is 1/N
+    tent          batch-entropy minimization, one SGD/Adam step per batch
     tent-filtered tent restricted to samples below an entropy threshold
     ttc           tent plus robust label assignment (flip-averaged logits,
                   no gradient through the augmented branch), entropy-power
                   sample weights, and gradient accumulation; each component
                   individually toggleable
+
+Every learning strategy descends one loss, sum_i w_i H_i with the weights
+held constant; only the weights differ: tent 1/N, WA
+max(H, 1e-6)^-tau / N (tent is tau = 0), and the filter 1/accepted on the
+samples below its threshold and 0 on the rest.
 
 An Adapter adapts S streams that share a plan in lock-step, one (S, N, d)
 stack of batches per call (S = 1 for a lone stream), and returns
@@ -187,18 +191,10 @@ def ttc_loss(combined_logits, tau, n):
 
     Returns (loss, grad); at tau = 0 this is tent's mean-entropy loss.
     """
-    h, w, grad = _weighted_entropy(softmax(_check_logits(combined_logits)),
-                                   tau, n)
-    return np.sum(w * h, axis=-1), grad
-
-
-def _weighted_entropy(probs, tau, n):
-    """The entropies H, the weights w = ``sample_weights(H, tau, n)`` and
-    the gradient of sum_i w_i H_i (w held constant) with respect to the
-    logits whose softmax is ``probs``."""
+    probs = softmax(_check_logits(combined_logits))
     h = _entropy(probs)
     w = sample_weights(h, tau, n)
-    return h, w, w[..., None] * _entropy_grad(probs)
+    return np.sum(w * h, axis=-1), w[..., None] * _entropy_grad(probs)
 
 
 def entropy_filter(entropies, threshold):
@@ -393,21 +389,23 @@ class Adapter:
         return np.argmax(probs, axis=-1), probs
 
     def _learn(self, probs, cache):
-        """Step on the logit gradient of each stream's loss, which
-        ``probs``, the softmax of its logits, determines."""
+        """Step on the logit gradient of each stream's loss sum_i w_i H_i
+        (w held constant), which ``probs``, the softmax of its logits,
+        determines. The plan sets only w: tent 1/N, WA
+        ``max(H, EPS_ENTROPY)^-tau / N``, the filter 1/accepted on its
+        accepted rows and 0 on the rest."""
+        h = _entropy(probs)
         live = None
-        if self.plan.threshold is not None:
-            mask = entropy_filter(_entropy(probs), self.plan.threshold)
+        if self.plan.threshold is None:
+            w = sample_weights(h, self.plan.tau, probs.shape[-2])
+        else:
+            mask = entropy_filter(h, self.plan.threshold)
             accepted = mask.sum(axis=-1)
             live = (accepted > 0).tolist()
             if not any(live):
                 return
-            # tent over each stream's accepted rows: their mean entropy
-            scale = (1.0 / np.maximum(accepted, 1))[:, None, None]
-            grad = np.where(mask[..., None], _entropy_grad(probs) * scale, 0.0)
-        else:  # tent is the tau = 0 case
-            _, _, grad = _weighted_entropy(probs, self.plan.tau,
-                                           probs.shape[-2])
-        grad = backward_bn_affine(self.net, cache, self.grad_scale * grad)
+            w = mask / np.maximum(accepted, 1)[:, None]
+        grad = backward_bn_affine(self.net, cache, self.grad_scale
+                                  * (w[..., None] * _entropy_grad(probs)))
         accumulate_and_maybe_step(self.accumulator, grad, self.optimizer,
                                   self.affine, live)

@@ -2,8 +2,9 @@
 batch-size sweep, the entropy-descent check, and feature-density export.
 
 Exit codes: 0 success, 1 property violation, 2 training failure,
-3 I/O or argument error. Every command is deterministic under --seed and
-writes no timestamps, so reruns produce byte-identical outputs.
+3 I/O, argument or out-of-memory error. Every command is deterministic
+under --seed and writes no timestamps, so reruns produce byte-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -452,6 +453,9 @@ def main(argv=None):
         return EXIT_TRAINING
     except (_SpecError, TTALabError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_SPEC
+    except MemoryError as e:  # such as numpy's for a huge --m or --test-m
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return EXIT_SPEC
 
 

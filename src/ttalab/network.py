@@ -388,16 +388,20 @@ def save_checkpoint(net, path):
         fh.write("\n")
 
 
-def _array_field(obj, key, shape):
+def _array_field(i, obj, key, shape):
+    """Layer i's field ``key`` as a finite float64 array of ``shape``."""
     try:
         arr = np.asarray(obj[key], dtype=np.float64)
     except KeyError:
-        raise SchemaError(f"layer missing field {key!r}") from None
+        raise SchemaError(f"layer {i} missing field {key!r}") from None
     except (TypeError, ValueError):
-        raise SchemaError(f"layer field {key!r} is not numeric") from None
+        raise SchemaError(f"layer {i} field {key!r} is not numeric") from None
     if arr.size != int(np.prod(shape)):
-        raise SchemaError(
-            f"field {key!r} has {arr.size} values, expected shape {shape}")
+        raise SchemaError(f"layer {i} field {key!r} has {arr.size} values,"
+                          f" expected shape {shape}")
+    # json reads NaN and Infinity
+    if not np.isfinite(arr).all():
+        raise SchemaError(f"layer {i} field {key!r} holds a non-finite value")
     return arr.reshape(shape)
 
 
@@ -417,18 +421,25 @@ def _layer_from_dict(i, entry):
     if kind == "dense":
         shape = _shape_field(entry, "dense", 2)
         return DenseLayer(
-            weight=_array_field(entry, "weight", shape),
-            bias=_array_field(entry, "bias", shape[:1]),
+            weight=_array_field(i, entry, "weight", shape),
+            bias=_array_field(i, entry, "bias", shape[:1]),
             activation=entry.get("activation", "identity"),
         )
     if kind == "bn":
         shape = _shape_field(entry, "bn", 1)
-        arrays = {key: _array_field(entry, key, shape)
+        arrays = {key: _array_field(i, entry, key, shape)
                   for key in ("gamma", "beta", "running_mean", "running_var")}
         # eps and momentum are optional; absent, the class defaults hold
-        scalars = {key: _array_field(entry, key, ()).item()
+        scalars = {key: _array_field(i, entry, key, ()).item()
                    for key in ("eps", "momentum") if key in entry}
-        return BatchNormLayer(**arrays, **scalars)
+        layer = BatchNormLayer(**arrays, **scalars)
+        if not layer.eps > 0:
+            raise SchemaError(
+                f"layer {i} field 'eps' must be positive, got {layer.eps!r}")
+        if (layer.running_var < 0).any():
+            raise SchemaError(
+                f"layer {i} field 'running_var' holds a negative value")
+        return layer
     raise SchemaError(f"unknown layer kind {kind!r}")
 
 

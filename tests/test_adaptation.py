@@ -212,6 +212,27 @@ class TestRlaForward:
         adapter_b.adapt_batch(x[None])
         assert adapter_a.affine.tobytes() == adapter_b.affine.tobytes()
 
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_filter_accepting_every_sample_is_tent_bitwise(self, rng,
+                                                            optimizer):
+        """Above log K the filter accepts every row, and its weight
+        1/accepted is tent's 1/N."""
+        net = small_net(seed=5)
+        lr = {"sgd": 0.5, "adam": 0.05}[optimizer]
+        filtered = Adapter(net, [AdaptationConfig(
+            strategy="tent-filtered", filter_threshold=np.log(net.k) + 0.1,
+            optimizer=optimizer, lr=lr)] * 3, 10)
+        tent = Adapter(net, [AdaptationConfig(
+            strategy="tent", optimizer=optimizer, lr=lr)] * 3, 10)
+        for _ in range(20):
+            x = rng.normal(size=(3, 10, 8))
+            preds, probs = filtered.adapt_batch(x)
+            tent_preds, tent_probs = tent.adapt_batch(x)
+            assert preds.tobytes() == tent_preds.tobytes()
+            assert probs.tobytes() == tent_probs.tobytes()
+        assert filtered.affine.tobytes() == tent.affine.tobytes()
+        assert (filtered.affine != net.affine).any()  # the streams moved
+
 
 def two_forward_rla(net, x, affine=None):
     """RLA as two forwards, one per branch: the oracle that the one stacked
@@ -758,7 +779,7 @@ class ReferenceStream:
 
     def adapt_batch(self, x):
         if self.rla:
-            logits, cache, _ = rla_forward(self.net, x)
+            logits, cache, _ = two_forward_rla(self.net, x)
         else:
             logits, cache = forward(self.net, x, self.mode)
         probs = softmax(logits)

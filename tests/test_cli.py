@@ -512,6 +512,45 @@ def test_bad_path_or_checkpoint_exits_three(workdir, tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def test_non_finite_checkpoint_exits_three_naming_the_field(workdir,
+                                                             tmp_path,
+                                                             capsys):
+    doc = json.loads((workdir / "source.json").read_text())
+    doc["layers"][0]["weight"][0] = float("nan")
+    (tmp_path / "nan.json").write_text(json.dumps(doc))  # NaN, as json has it
+    out = tmp_path / "out"
+    code = main(["adapt", "--checkpoint", str(tmp_path / "nan.json"),
+                 "--out", str(out), "--test-m", "100"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert [line for line in err.splitlines() if line.startswith("error:")
+            and "layer 0 field 'weight'" in line], err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["adapt", "--test-m", "1000000000000"],
+    ["train-source", "--m", "1000000000000"],
+], ids=["adapt", "train-source"])
+def test_out_of_memory_exits_three(workdir, tmp_path, capsys, monkeypatch,
+                                   argv):
+    def no_memory(*args, **kwargs):  # allocates nothing
+        raise MemoryError("Unable to allocate 7.28 TiB")
+    monkeypatch.setattr(cli, "generate_dataset", no_memory)
+    command, *flags = argv
+    out = tmp_path / "out"
+    paths = ["--out", str(out)]
+    if command == "adapt":
+        paths += ["--checkpoint", str(workdir / "source.json")]
+    code = main([command, *paths, *flags])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "error: out of memory: Unable to allocate 7.28 TiB" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 class TestDensityAlignmentDirection:
     def test_ttc_features_align_better_than_tent_at_small_batch(
             self, source_net, test_dataset):

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -548,6 +549,41 @@ class TestCheckpoint:
             bad = json.loads(json.dumps(doc))
             mutate(bad)
             with pytest.raises(SchemaError):
+                network_from_dict(bad)
+
+        # values json reads but no network can use: the error names the
+        # layer and the field
+        nan, inf = float("nan"), float("inf")
+        named = [
+            (lambda d: set_key(d["layers"][0]["weight"], 3, nan),
+             "layer 0 field 'weight'"),
+            (lambda d: set_key(d["layers"][2]["bias"], 0, inf),
+             "layer 2 field 'bias'"),
+            (lambda d: set_key(d["layers"][1]["gamma"], 1, -inf),
+             "layer 1 field 'gamma'"),
+            (lambda d: set_key(d["layers"][3]["beta"], 0, nan),
+             "layer 3 field 'beta'"),
+            (lambda d: set_key(d["layers"][1]["running_mean"], 2, nan),
+             "layer 1 field 'running_mean'"),
+            (lambda d: set_key(d["layers"][3]["running_var"], 0, inf),
+             "layer 3 field 'running_var'"),
+            (lambda d: set_key(d["layers"][1], "eps", nan),
+             "layer 1 field 'eps'"),
+            (lambda d: set_key(d["layers"][3], "momentum", inf),
+             "layer 3 field 'momentum'"),
+            (lambda d: set_key(d["layers"][1], "eps", -1.0),
+             "layer 1 field 'eps'"),
+            (lambda d: set_key(d["layers"][3], "eps", 0.0),
+             "layer 3 field 'eps'"),
+            (lambda d: set_key(d["layers"][3], "eps", -0.0),
+             "layer 3 field 'eps'"),
+            (lambda d: set_key(d["layers"][1]["running_var"], 0, -5.0),
+             "layer 1 field 'running_var'"),
+        ]
+        for mutate, names in named:
+            bad = json.loads(json.dumps(doc))
+            mutate(bad)
+            with pytest.raises(SchemaError, match=re.escape(names)):
                 network_from_dict(bad)
 
 
