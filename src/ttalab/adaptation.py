@@ -11,17 +11,20 @@ Strategies:
                   individually toggleable
 
 Every learning strategy descends one loss, sum_i w_i H_i with the weights
-held constant; only the weights differ: tent 1/N, WA
-max(H, 1e-6)^-tau / N (tent is tau = 0), and the filter 1/accepted on the
-samples below its threshold and 0 on the rest.
+held constant, under one weight rule:
+w_i = [H_i < threshold] max(H_i, 1e-6)^-tau / accepted. Tent has
+tau = 0 and threshold = +inf (every weight 1/N), WA its tau, and the filter
+its threshold (1/accepted on the samples below it, 0 on the rest).
 
-An Adapter adapts S streams that share a plan in lock-step, one (S, N, d)
-stack of batches per call (S = 1 for a lone stream), and returns
-predictions computed before any parameter update in the same call. Each
-stream gets bit for bit the predictions and parameters it would get alone.
-A call runs one forward (under RLA, over the (2S, N, d) stack of the
-batches and their flips) and one softmax; a learning plan takes its loss
-gradient from those probabilities.
+An Adapter adapts S streams in lock-step, one (S, N, d) stack of batches
+per call (S = 1 for a lone stream), and returns predictions computed before
+any parameter update in the same call. Its streams share a Plan (BN mode,
+whether they learn, optimizer and lr); RLA, tau, the filter threshold and Q
+are rows of their own, so tent, the filter and every ttc ablation adapt
+together. Each stream gets bit for bit the predictions and parameters it
+would get alone. A call runs one forward (under RLA, over the (S + R, N, d)
+stack of the batches and the flips of the R streams with RLA) and one
+softmax; a learning plan takes its loss gradient from those probabilities.
 """
 
 from __future__ import annotations
@@ -208,32 +211,44 @@ def entropy_filter(entropies, threshold):
 # robust label assignment
 # ---------------------------------------------------------------------------
 
-def rla_forward(net, batch, affine=None):
+def rla_forward(net, batch, affine=None, rla=None):
     """Average the logits of a batch and of its flip (``flip_signal``).
 
     ``batch`` and ``affine`` are as for ``forward``; a lone (N, d) batch is
-    a stack of S = 1. The S batches and their S flips run as one (2S, N, d)
-    stack in one TEST_BATCH_STATS forward, each stream normalizing with its
-    own batch statistics and reading its own affine row, so each branch
-    gets bit for bit the logits of a forward of its own. Gradients flow
-    only through the first S streams, the un-flipped branch; because the
-    combination is (live + frozen)/2, the gradient reaching the live logits
-    is half the gradient at the combined logits.
+    a stack of S = 1. ``rla`` is None, every stream flips, or for a stack a
+    bool per stream, True for the R streams that flip; the others keep
+    their own logits. The S batches and the R flips run as one
+    (S + R, N, d) stack in one TEST_BATCH_STATS forward, each stream
+    normalizing with its own batch statistics and reading its own affine
+    row, so each branch gets bit for bit the logits of a forward of its
+    own. Gradients flow only through the first S streams, the un-flipped
+    branch; because the combination is (live + frozen)/2, the gradient
+    reaching the live logits of a flipping stream is half the gradient at
+    its combined logits.
 
     Returns (combined_logits, cache, aug_logits) where cache belongs to the
     un-flipped branch, shaped as ``forward`` on ``batch`` gives it, and
-    aug_logits, the flipped branch's logits, carry no gradient path.
+    aug_logits, the flipped branch's logits ((R, N, K) for a stack), carry
+    no gradient path.
     """
     x = np.asarray(batch, dtype=np.float64)
     affine = check_shapes(net, x, BNMode.TEST_BATCH_STATS, affine)
-    stack = x if x.ndim == 3 else x[None]
+    if rla is not None and (x.ndim != 3 or np.shape(rla) != x.shape[:1]):
+        raise InvalidInput(f"rla must hold one bool per stream of an"
+                           f" (S, N, d) stack, got shape {np.shape(rla)} for"
+                           f" a batch of shape {x.shape}")
+    stack, rows = (x, affine) if x.ndim == 3 else (x[None], affine[None])
     s = len(stack)
-    logits, cache = forward(net, np.concatenate([stack, flip_signal(stack)]),
-                            BNMode.TEST_BATCH_STATS, np.tile(affine, (2, 1)))
-    live, aug = (slice(None, s), slice(s, None)) if x.ndim == 3 else (0, 1)
-    aug_logits = logits[aug]
-    combined = 0.5 * (logits[live] + aug_logits)
-    return combined, cache.streams(live), aug_logits
+    flips = (slice(None) if rla is None or np.all(rla)
+             else np.flatnonzero(rla))
+    logits, cache = forward(
+        net, np.concatenate([stack, flip_signal(stack[flips])]),
+        BNMode.TEST_BATCH_STATS, np.concatenate([rows, rows[flips]]))
+    combined, aug_logits = logits[:s].copy(), logits[s:]
+    combined[flips] = 0.5 * (combined[flips] + aug_logits)
+    if x.ndim == 3:
+        return combined, cache.streams(slice(None, s)), aug_logits
+    return combined[0], cache.streams(0), aug_logits[0]
 
 
 # ---------------------------------------------------------------------------
@@ -291,41 +306,52 @@ def accumulate_and_maybe_step(acc, grad, optimizer, params, live=None):
 # ---------------------------------------------------------------------------
 
 class Plan(NamedTuple):
-    """What a stream does with each batch, all but its Q: streams with equal
-    plans and batch sizes adapt together in one Adapter."""
+    """What the streams of one Adapter share: streams with equal plans and
+    batch sizes adapt together, whatever their ``StreamRow``."""
 
     mode: BNMode
     learns: bool              # False for source and norm
-    rla: bool                 # ttc with rla_enabled
-    tau: float                # the WA exponent of ttc with wa_enabled;
-                              # 0.0 otherwise: tent's uniform weights
-    threshold: float | None   # the tent-filtered entropy cutoff
     optimizer: str
     lr: float
 
 
-def stream_plan(config, k):
-    """The Plan a config resolves to on a network with k classes."""
+class StreamRow(NamedTuple):
+    """What a stream does with each batch beyond its Plan: one row per
+    stream of an Adapter."""
+
+    rla: bool                 # ttc with rla_enabled
+    tau: float                # the WA exponent of ttc with wa_enabled;
+                              # 0.0 otherwise: uniform weights
+    threshold: float          # the tent-filtered entropy cutoff; +inf
+                              # otherwise: every sample accepted
+    q: int                    # the accumulation length
+
+
+def stream_plan(config):
+    """The Plan a config resolves to."""
     strategy = config.strategy
-    ttc = strategy == "ttc"
-    threshold = None
-    if strategy == "tent-filtered":  # a set threshold is positive
-        threshold = config.filter_threshold or default_filter_threshold(k)
     return Plan(
         mode=(BNMode.EVAL_STATS if strategy == "source"
               else BNMode.TEST_BATCH_STATS),
         learns=strategy not in ("source", "norm"),
-        rla=ttc and config.rla_enabled,
-        tau=config.tau if ttc and config.wa_enabled else 0.0,
-        threshold=threshold, optimizer=config.optimizer, lr=config.lr)
+        optimizer=config.optimizer, lr=config.lr)
 
 
-def stream_q(config, batch_size):
-    """The stream's accumulation length: ``accumulation_q``, else
+def stream_row(config, k, batch_size):
+    """The StreamRow a config resolves to on a network with k classes and
+    batches of ``batch_size``. Q is ``accumulation_q``, else
     ``default_q(batch_size)``, for ttc with ``ga_enabled``; 1 otherwise."""
-    if config.strategy == "ttc" and config.ga_enabled:
-        return config.accumulation_q or default_q(batch_size)
-    return 1
+    strategy = config.strategy
+    ttc = strategy == "ttc"
+    threshold = math.inf
+    if strategy == "tent-filtered":  # a set threshold is positive
+        threshold = config.filter_threshold or default_filter_threshold(k)
+    q = 1
+    if ttc and config.ga_enabled:
+        q = config.accumulation_q or default_q(batch_size)
+    return StreamRow(rla=ttc and config.rla_enabled,
+                     tau=config.tau if ttc and config.wa_enabled else 0.0,
+                     threshold=threshold, q=q)
 
 
 class Adapter:
@@ -333,14 +359,17 @@ class Adapter:
     per call, over copies of one network's BN affine parameters.
 
     The plan (``stream_plan``) is resolved once, here, from the configs,
-    which must all resolve to the same one; each stream keeps its own Q
-    (``stream_q``). Every stream reads the weights and running statistics
+    which must all resolve to the same one; each stream keeps its own
+    ``stream_row``: RLA on or off, tau, filter threshold and Q, so tent,
+    tent-filtered and every ttc ablation of one optimizer and lr share one
+    stacked forward. Every stream reads the weights and running statistics
     of ``net``, which is never modified; its gamma/beta are row s of
     ``affine`` (S, A), laid out like ``net.affine`` and updated in place.
     Per-stream state, the optimizer's and the accumulator's, persists across
     batches. Calls are strictly sequential: reproducibility comes from
     fixing each stream's order. Stream s gets bit for bit the predictions,
-    ``affine`` row and optimizer state it gets in an Adapter of its own.
+    probabilities, ``affine`` row and optimizer state it gets in an Adapter
+    of its own.
 
     With gradient accumulation a stream steps on every Q-th batch only;
     gradients accumulated after its last step are discarded. A
@@ -351,19 +380,29 @@ class Adapter:
     def __init__(self, net, configs, batch_size):
         if batch_size < 1:
             raise InvalidInput("batch_size must be positive")
-        plans = {stream_plan(c, net.k) for c in configs}
+        plans = {stream_plan(c) for c in configs}
         if len(plans) != 1:
-            raise InvalidInput(f"the {len(configs)} streams of an Adapter"
-                               f" must share one plan, got {len(plans)}")
+            raise InvalidInput(
+                f"the {len(configs)} streams of an Adapter must share one"
+                f" plan (BN mode, learning, optimizer and lr), got"
+                f" {len(plans)}")
         (self.plan,) = plans
         self.net = net
         self.affine = np.tile(net.affine, (len(configs), 1))
         self.optimizer = make_optimizer(self.plan.optimizer, self.plan.lr)
-        q = [stream_q(c, batch_size) for c in configs]
-        self.accumulator = GradientAccumulator(q)
+        rows = [stream_row(c, net.k, batch_size) for c in configs]
+        rla = np.array([row.rla for row in rows])
+        self.rla = rla if rla.any() else None  # None: no stream flips
+        # numpy raises to the Python float -1.0 by a reciprocal, which an
+        # array exponent rounds differently, so each distinct tau > 0 is
+        # applied as a scalar to the rows that hold it; tau = 0 is 1.0
+        self.wa = [(tau, np.array([row.tau == tau for row in rows]))
+                   for tau in sorted({row.tau for row in rows} - {0.0})]
+        self.threshold = np.array([[row.threshold] for row in rows])
+        self.accumulator = GradientAccumulator([row.q for row in rows])
         # under RLA the live logits get half the combined-logit gradient
-        self.grad_scale = np.array(
-            [(0.5 if self.plan.rla else 1.0) / n for n in q])[:, None, None]
+        self.grad_scale = np.array([(0.5 if row.rla else 1.0) / row.q
+                                    for row in rows])[:, None, None]
 
     def adapt_batch(self, batch):
         """Process one batch of each stream: predict, then (for gradient
@@ -372,15 +411,15 @@ class Adapter:
         ``batch`` is an (S, N, d) stack, one batch per stream; a lone
         stream's batch goes in as ``batch[None]``. Returns (predictions,
         probs), shaped (S, N) and (S, N, K), computed from the pre-update
-        forward; with RLA active these come from the flip-averaged logits.
+        forward; a stream with RLA gets them from its flip-averaged logits.
         """
         x = np.asarray(batch, dtype=np.float64)
         if x.ndim != 3 or len(x) != len(self.affine) or x.shape[1] == 0:
             raise InvalidInput(f"batch must be a non-empty (S, N, d) stack of"
                                f" {len(self.affine)} batches, got shape"
                                f" {x.shape}")
-        if self.plan.rla:
-            logits, cache, _ = rla_forward(self.net, x, self.affine)
+        if self.rla is not None:
+            logits, cache, _ = rla_forward(self.net, x, self.affine, self.rla)
         else:
             logits, cache = forward(self.net, x, self.plan.mode, self.affine)
         probs = softmax(logits)
@@ -391,21 +430,23 @@ class Adapter:
     def _learn(self, probs, cache):
         """Step on the logit gradient of each stream's loss sum_i w_i H_i
         (w held constant), which ``probs``, the softmax of its logits,
-        determines. The plan sets only w: tent 1/N, WA
-        ``max(H, EPS_ENTROPY)^-tau / N``, the filter 1/accepted on its
-        accepted rows and 0 on the rest."""
+        determines, with the one weight rule of every plan:
+        ``w = [H < threshold] max(H, EPS_ENTROPY)^-tau / max(accepted, 1)``.
+        Tent and WA accept every sample (threshold +inf, so accepted = N);
+        the filter has tau = 0."""
         h = _entropy(probs)
-        live = None
-        if self.plan.threshold is None:
-            w = sample_weights(h, self.plan.tau, probs.shape[-2])
-        else:
-            mask = entropy_filter(h, self.plan.threshold)
-            accepted = mask.sum(axis=-1)
-            live = (accepted > 0).tolist()
-            if not any(live):
-                return
-            w = mask / np.maximum(accepted, 1)[:, None]
+        mask = h < self.threshold
+        accepted = mask.sum(axis=-1)
+        live = (accepted > 0).tolist()
+        if not any(live):
+            return
+        powers = 1.0
+        if self.wa:
+            powers = np.ones(h.shape)
+            for tau, rows in self.wa:
+                powers[rows] = np.maximum(h[rows], EPS_ENTROPY) ** (-tau)
+        w = mask * powers / np.maximum(accepted, 1)[:, None]
         grad = backward_bn_affine(self.net, cache, self.grad_scale
                                   * (w[..., None] * _entropy_grad(probs)))
         accumulate_and_maybe_step(self.accumulator, grad, self.optimizer,
-                                  self.affine, live)
+                                  self.affine, None if all(live) else live)

@@ -378,11 +378,14 @@ def eval_streams(net, dataset, streams):
         in zip(streams, results)]
 
 
-# Rows one Adapter call carries at most: streams with a plan and a batch
-# size in common adapt in lock-step, MAX_TRIP_ROWS // N of them at a time.
-# Measured per stream-batch against S=1 (tent, Adam; 2-core Xeon, numpy
-# 2.4, OpenBLAS on one thread): at N=2, S=100 (200 rows) ran 12.5x faster
-# and S=200 (400 rows) only 10.3x; at N=100, S=2 to 8 ran 0.97x to 1.16x.
+# Rows one Adapter call carries at most: streams with a plan (BN mode,
+# learning, optimizer, lr) and a batch size in common adapt in lock-step,
+# MAX_TRIP_ROWS // N of them at a time, whatever their RLA, tau, filter
+# threshold and Q; the forward then runs up to twice as many rows, one more
+# batch for each stream with RLA. Measured per stream-batch against S=1
+# (tent, Adam; 2-core Xeon, numpy 2.4, OpenBLAS on one thread): at N=2,
+# S=100 (200 rows) ran 12.5x faster and S=200 (400 rows) only 10.3x; at
+# N=100, S=2 to 8 ran 0.97x to 1.16x.
 MAX_TRIP_ROWS = 200
 
 
@@ -392,14 +395,16 @@ def adapt_streams(net, inputs, labels, streams):
     ``inputs`` (m, d) and ``labels`` (m,) are the clean stream; ``streams``
     holds one (corruption or None, protocol, config) per stream. The
     protocol's seed orders the stream and seeds its corruption, which is
-    applied when the stream's trip starts. Streams sharing a plan and a
-    batch size adapt in one Adapter, at most ``MAX_TRIP_ROWS // N`` at a
-    time. Returns one (accuracy, per_batch_accuracy, adapted gamma/beta
+    applied when the stream's trip starts. Streams sharing a plan
+    (``stream_plan``: BN mode, learning, optimizer and lr) and a batch size
+    adapt in one Adapter, at most ``MAX_TRIP_ROWS // N`` at a time, so
+    tent, tent-filtered and every ttc ablation of one N share each call.
+    Returns one (accuracy, per_batch_accuracy, adapted gamma/beta
     row laid out like ``net.affine``) per stream, in order.
     """
     groups = {}
     for i, (_, protocol, config) in enumerate(streams):
-        key = (stream_plan(config, net.k), protocol.batch_size)
+        key = (stream_plan(config), protocol.batch_size)
         groups.setdefault(key, []).append(i)
     results = [None] * len(streams)
     for (_, n), members in groups.items():

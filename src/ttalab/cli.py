@@ -18,11 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from .adaptation import OPTIMIZERS, STRATEGIES, AdaptationConfig, stream_plan
-from .benchmark import (CORRUPTION_KINDS, Corruption, StreamProtocol,
-                        adapt_streams, apply_corruption, collect_features,
-                        eval_streams, evaluate_accuracy, feature_histograms,
-                        generate_dataset, histogram_overlap, stream_eval,
-                        train_source)
+from .benchmark import (CORRUPTION_KINDS, SIGNAL_LENGTH, Corruption,
+                        StreamProtocol, adapt_streams, apply_corruption,
+                        collect_features, evaluate_accuracy,
+                        feature_histograms, generate_dataset,
+                        histogram_overlap, stream_eval, train_source)
 from .errors import InvalidInput, TrainingDiverged, TTALabError
 from .network import BNMode, load_checkpoint, save_checkpoint
 from .numeric import simulate_entropy_descent, trajectory_csv
@@ -181,6 +181,16 @@ def _finite_positive(flag, value):
         raise _SpecError(f"{flag}: {value} must be finite and positive")
 
 
+def _source_net(args):
+    """The network at ``--checkpoint``, which must read the test signals."""
+    net = load_checkpoint(args.checkpoint)
+    if net.input_dim != SIGNAL_LENGTH:
+        raise _SpecError(f"--checkpoint {args.checkpoint}: the network takes"
+                         f" {net.input_dim} columns, but the test signals"
+                         f" have {SIGNAL_LENGTH}")
+    return net
+
+
 def _test_set(args, k):
     """The held-out test stream ``--test-m`` and ``--data-seed`` describe."""
     _at_least("--test-m", args.test_m, k, f"one sample per class, k={k}")
@@ -194,7 +204,7 @@ def _protocol(args, k, *configs):
     _at_least("--seed", args.seed, 0)
     _at_least("--batch-size", args.batch_size, 1)
     for config in configs:
-        if stream_plan(config, k).mode is BNMode.TEST_BATCH_STATS:
+        if stream_plan(config).mode is BNMode.TEST_BATCH_STATS:
             _at_least("--batch-size", args.batch_size, 2,
                       f"strategy {config.strategy} needs batch statistics")
     return StreamProtocol(batch_size=args.batch_size, seed=args.seed)
@@ -247,7 +257,7 @@ def _report_stem(strategy, corruption, severity, seed):
 
 
 def cmd_adapt(args):
-    net = load_checkpoint(args.checkpoint)
+    net = _source_net(args)
     config = _config(args)
     dataset = _test_set(args, net.k)
     protocol = _protocol(args, net.k, config)
@@ -268,7 +278,7 @@ def cmd_sweep_batch_size(args):
         _at_least("--batch-sizes", n, 2, "per-batch statistics")
     _distinct("--batch-sizes", args.batch_sizes)
     _at_least("--seeds", args.seeds, 1)
-    net = load_checkpoint(args.checkpoint)
+    net = _source_net(args)
     corruption = _corruption_of(args)
     dataset = _test_set(args, net.k)
     ttc = _config(args, strategy="ttc")
@@ -282,13 +292,13 @@ def cmd_sweep_batch_size(args):
     }
 
     cells = [(variant, n) for variant in variants for n in args.batch_sizes]
-    reports = iter(eval_streams(net, dataset, [
+    results = iter(adapt_streams(net, dataset.inputs, dataset.labels, [
         (corruption, StreamProtocol(batch_size=n, seed=seed),
          variants[variant])
         for variant, n in cells for seed in range(args.seeds)]))
     lines = ["strategy,batch_size,ga,accuracy_mean,accuracy_std"]
     for (strategy, ga), n in cells:
-        accs = [next(reports).accuracy for _ in range(args.seeds)]
+        accs = [next(results)[0] for _ in range(args.seeds)]
         mean = float(np.mean(accs))
         std = float(np.std(accs))
         lines.append(f"{strategy},{n},{str(ga).lower()},{mean!r},{std!r}")
@@ -376,7 +386,7 @@ def cmd_lemma_check(args):
 
 
 def cmd_density(args):
-    net = load_checkpoint(args.checkpoint)
+    net = _source_net(args)
     corruption = _corruption_of(args)
     dataset = _test_set(args, net.k)
     config_a, config_b = (_config(args, strategy=s)
@@ -397,7 +407,7 @@ def cmd_density(args):
                                  BNMode.EVAL_STATS)
     # each strategy's features under the affine row it adapted
     feats_a, feats_b = (collect_features(net, inputs, args.batch_size,
-                                         stream_plan(config, net.k).mode, row)
+                                         stream_plan(config).mode, row)
                         for config, (_, _, row) in zip((config_a, config_b),
                                                        results))
     edges, hists = feature_histograms(

@@ -159,6 +159,12 @@ class Network:
                        meta=copy.deepcopy(self.meta, memo))
 
     @property
+    def input_dim(self):
+        """Width of the input to the first dense layer: the columns a batch
+        must have."""
+        return self.layers[0].weight.shape[1]
+
+    @property
     def feature_dim(self):
         """Width of the input to the final dense layer."""
         return self.layers[self.blocks[-1].dense].weight.shape[1]
@@ -215,7 +221,7 @@ def check_shapes(net, x, mode, affine):
     """The affine that ``forward`` reads for the float64 batch ``x``:
     ``affine``, or ``net.affine`` if None. Raises InvalidInput, in
     ``forward``'s words, for a batch or affine of the wrong shape."""
-    n_in = net.layers[0].weight.shape[1]
+    n_in = net.input_dim
     if x.ndim not in (2, 3) or x.shape[-2] < 1 or x.shape[-1] != n_in:
         raise InvalidInput(
             f"batch must be an (N, d) array or an (S, N, d) stack with at"

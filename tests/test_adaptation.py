@@ -297,6 +297,36 @@ class TestRlaIsOneStackedForward:
         assert (as_bytes(backward_bn_affine(net, cache, g))
                 == as_bytes(backward_bn_affine(net, ref_cache, g)))
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=rla_inputs(), flips=st.lists(st.booleans(), min_size=6,
+                                             max_size=6))
+    def test_masked_streams_keep_their_own_logits(self, case, flips):
+        """Only the streams the mask names flip; the others get the logits
+        and cache of a plain forward, bit for bit."""
+        net, x, affine, g = case
+        if x.ndim == 2:  # as a stack of one
+            x, g = x[None], g[None]
+            affine = (net.affine if affine is None else affine)[None]
+        rla = np.array(flips[:len(x)])
+        combined, cache, aug = rla_forward(net, x, affine, rla)
+        flipped, flipped_cache, flipped_aug = two_forward_rla(net, x, affine)
+        plain, plain_cache = forward(net, x, BNMode.TEST_BATCH_STATS, affine)
+        assert as_bytes(aug) == as_bytes(flipped_aug[rla])
+        for s, on in enumerate(rla):
+            want = flipped if on else plain
+            assert as_bytes(combined[s]) == as_bytes(want[s])
+        assert (as_bytes(backward_bn_affine(net, cache, g))
+                == as_bytes(backward_bn_affine(net, plain_cache, g)))
+
+    @pytest.mark.parametrize("lone", [True, False])
+    def test_a_mask_needs_one_bool_per_stream_of_a_stack(self, rng, lone):
+        net = small_net()
+        x, affine = rng.normal(size=(3, 10, 8)), np.tile(net.affine, (3, 1))
+        if lone:
+            x, affine = x[0], affine[0]
+        with pytest.raises(InvalidInput, match="one bool per stream"):
+            rla_forward(net, x, affine, [True, False])
+
     @pytest.mark.parametrize("lone", [True, False])
     @pytest.mark.parametrize("spoil", ["nan", "inf", "columns", "affine",
                                        "one row"])
@@ -692,6 +722,19 @@ class TestAdaptBatch:
             Adapter(small_net(), [AdaptationConfig(strategy="tent"),
                                   AdaptationConfig(strategy="norm")], 10)
 
+    @pytest.mark.parametrize("first, other", [
+        (AdaptationConfig(strategy="norm"),
+         AdaptationConfig(strategy="source")),
+        (AdaptationConfig(strategy="tent"),
+         AdaptationConfig(strategy="tent", optimizer="sgd")),
+        (AdaptationConfig(strategy="tent"),
+         AdaptationConfig(strategy="tent", lr=0.02)),
+    ], ids=["bn-mode", "optimizer", "lr"])
+    def test_streams_differing_in_what_they_share_rejected(self, first,
+                                                           other):
+        with pytest.raises(InvalidInput, match="share one plan"):
+            Adapter(small_net(), [first, other], 10)
+
     def test_adam_moments_persist_across_batches(self, rng):
         adapter, adapt = one_stream(small_net(seed=9), AdaptationConfig(
             strategy="tent", optimizer="adam"))
@@ -827,9 +870,11 @@ def group_configs(draw, strategy, s):
                                  wa_enabled=False, accumulation_q=q, **common)
                 for q in qs]
     rla, wa = draw(st.booleans()), draw(st.booleans())
+    # tau = 1 is numpy's reciprocal, which an array exponent rounds apart
+    tau = draw(st.sampled_from([0.7, 1.0, 2.0]))
     qs = draw(st.lists(st.integers(1, 5), min_size=s, max_size=s))
     return [AdaptationConfig(strategy="ttc", rla_enabled=rla, wa_enabled=wa,
-                             accumulation_q=q, tau=0.7, **common)
+                             accumulation_q=q, tau=tau, **common)
             for q in qs]
 
 
@@ -850,6 +895,74 @@ def final_adam_state(optimizer, s):
         return np.zeros(s), None, None
     return (np.reshape(optimizer.t, s), np.reshape(optimizer.m, (s, -1)),
             np.reshape(optimizer.v, (s, -1)))
+
+
+@st.composite
+def mixed_runs(draw):
+    """Streams of tent, tent-filtered and ttc with any ablation, tau and Q,
+    sharing one optimizer and lr: one Plan, so one Adapter."""
+    s = draw(st.integers(1, 6))
+    n = draw(st.integers(2, 12))
+    m = draw(st.integers(1, 4)) * n + draw(st.sampled_from([0, 1, 1, n - 1]))
+    optimizer = draw(st.sampled_from(["sgd", "adam"]))
+    common = dict(optimizer=optimizer,
+                  lr={"sgd": 0.5, "adam": 0.05}[optimizer])
+    configs = []
+    for _ in range(s):
+        strategy = draw(st.sampled_from(["tent", "tent-filtered", "ttc"]))
+        if strategy == "tent":
+            configs.append(AdaptationConfig(strategy="tent", **common))
+        elif strategy == "tent-filtered":
+            threshold = draw(st.floats(0.05, 1.2))
+            configs.append(AdaptationConfig(
+                strategy=strategy, filter_threshold=threshold, **common))
+        else:
+            configs.append(AdaptationConfig(
+                strategy="ttc", rla_enabled=draw(st.booleans()),
+                wa_enabled=draw(st.booleans()),
+                ga_enabled=draw(st.booleans()),
+                accumulation_q=draw(st.sampled_from([None, 1, 2, 3, 5])),
+                tau=draw(st.sampled_from([0.0, 0.5, 0.7, 1.0, 2.0])),
+                **common))
+    return dict(configs=configs, n=n, m=m,
+                seed=draw(st.integers(0, 2**32 - 1)))
+
+
+class TestMixedPlansShareOneAdapter:
+    @settings(max_examples=150, deadline=None)
+    @given(run=mixed_runs())
+    def test_every_stream_matches_its_adapter_alone(self, run):
+        from ttalab.benchmark import batch_slices
+
+        configs, n, m = run["configs"], run["n"], run["m"]
+        s = len(configs)
+        rng = np.random.default_rng(run["seed"])
+        net = make_network(input_dim=8, hidden=6, k=3, seed=run["seed"] % 97)
+        data = rng.normal(size=(s, m, 8))
+        mixed = Adapter(net, configs, n)
+        alone = [Adapter(net, [c], n) for c in configs]
+        for batch in batch_slices(m, n):
+            preds, probs = mixed.adapt_batch(data[:, batch])
+            for i, adapter in enumerate(alone):
+                own_preds, own_probs = adapter.adapt_batch(
+                    data[i:i + 1, batch])
+                assert preds[i].tobytes() == own_preds[0].tobytes()
+                assert probs[i].tobytes() == own_probs[0].tobytes()
+        for i, adapter in enumerate(alone):
+            assert mixed.affine[i].tobytes() == adapter.affine[0].tobytes()
+            assert (mixed.accumulator.batches_seen[i]
+                    == adapter.accumulator.batches_seen[0])
+        if not isinstance(mixed.optimizer, Adam):
+            return
+        t, adam_m, adam_v = final_adam_state(mixed.optimizer, s)
+        for i, adapter in enumerate(alone):
+            own_t, own_m, own_v = final_adam_state(adapter.optimizer, 1)
+            assert t[i] == own_t[0]
+            if own_m is not None:
+                assert adam_m[i].tobytes() == own_m[0].tobytes()
+                assert adam_v[i].tobytes() == own_v[0].tobytes()
+            elif adam_m is not None:
+                assert not adam_m[i].any() and not adam_v[i].any()
 
 
 class TestStackMatchesSequentialReference:

@@ -167,6 +167,34 @@ class TestSweepBatchSize:
         assert code == 3
         assert "batch" in capsys.readouterr().err
 
+    def test_one_adapter_call_per_batch_of_each_size(self, workdir, tmp_path,
+                                                     monkeypatch):
+        """tent, tent+GA, ttc-GA and ttc at one N share one plan, so every
+        stream of that N adapts in one trip: one Adapter call (and one
+        softmax) per batch, and no stream's parameters are hashed."""
+        from ttalab import adaptation
+
+        counts = dict.fromkeys(["adapt_batch", "softmax", "params_digest"], 0)
+
+        def counting(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+        counting(adaptation.Adapter, "adapt_batch")
+        counting(adaptation, "softmax")
+        counting(benchmark, "params_digest")
+        code = main(["sweep-batch-size",
+                     "--checkpoint", str(workdir / "source.json"),
+                     "--out", str(tmp_path), "--batch-sizes", "2", "10",
+                     "--seeds", "2", "--test-m", "40"])
+        assert code == 0
+        calls = sum(len(benchmark.batch_slices(40, n)) for n in (2, 10))
+        assert counts == {"adapt_batch": calls, "softmax": calls,
+                          "params_digest": 0}
+
 
 class TestLemmaCheck:
     def test_trajectories_written_and_monotone(self, tmp_path):
@@ -510,6 +538,28 @@ def test_bad_path_or_checkpoint_exits_three(workdir, tmp_path, capsys,
     assert [line for line in err.splitlines()
             if line.startswith("error:") and word in line], err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["adapt", "density",
+                                     "sweep-batch-size"])
+def test_checkpoint_of_another_input_width_exits_three_before_out(
+        workdir, tmp_path, capsys, command):
+    doc = json.loads((workdir / "source.json").read_text())
+    first = doc["layers"][0]
+    first["shape"][1] = 2
+    first["weight"] = first["weight"][:2 * first["shape"][0]]
+    checkpoint = tmp_path / "two_inputs.json"
+    checkpoint.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = main([command, "--checkpoint", str(checkpoint), "--out", str(out),
+                 "--test-m", "100"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert [line for line in err.splitlines() if line.startswith(
+        f"error: --checkpoint {checkpoint}:") and "2 columns" in line
+        and "32" in line], err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_non_finite_checkpoint_exits_three_naming_the_field(workdir,
