@@ -9,8 +9,8 @@ weights, and gradient accumulation.
 import numpy as np
 
 from ttalab import AdaptationConfig, Corruption, StreamProtocol
-from ttalab.benchmark import (CORRUPTION_KINDS, eval_streams, generate_dataset,
-                              train_source)
+from ttalab.benchmark import (CORRUPTION_KINDS, adapt_streams,
+                              generate_dataset, train_source)
 
 train = generate_dataset(k=3, m=3000, seed=0)
 net = train_source(train, epochs=20, seed=0)
@@ -22,10 +22,10 @@ seeds = range(5)
 def mean_accuracies(cells):
     """Mean accuracy over the seeds of each (config, corruption kind) cell,
     with every stream of every cell adapted in one grouped pass."""
-    reports = iter(eval_streams(net, test, [
+    results = iter(adapt_streams(net, test.inputs, test.labels, [
         (Corruption(kind, 5), StreamProtocol(batch_size=100, seed=s), config)
         for config, kind in cells for s in seeds]))
-    return [np.mean([next(reports).accuracy for _ in seeds]) for _ in cells]
+    return [np.mean([next(results)[0] for _ in seeds]) for _ in cells]
 
 
 strategies = ("source", "norm", "tent", "tent-filtered", "ttc")

@@ -25,6 +25,8 @@ together. Each stream gets bit for bit the predictions and parameters it
 would get alone. A call runs one forward (under RLA, over the (S + R, N, d)
 stack of the batches and the flips of the R streams with RLA) and one
 softmax; a learning plan takes its loss gradient from those probabilities.
+Consecutive streams that share Q accumulate and step as one window, with an
+accumulator and optimizer of their own.
 """
 
 from __future__ import annotations
@@ -256,32 +258,39 @@ def rla_forward(net, batch, affine=None, rla=None):
 # ---------------------------------------------------------------------------
 
 class GradientAccumulator:
-    """One accumulation window per stream: ``q`` and ``batches_seen`` hold
-    one int per stream, ``accumulated`` the window sums, an (S, P) stack."""
+    """Gradient accumulation of length ``q`` for S streams:
+    ``batches_seen`` holds one int per stream, ``accumulated`` the sums
+    since each stream's last step, an (S, P) stack. An Adapter keeps one
+    per ``Window``; its streams count their batches together unless one
+    sits a batch out."""
 
-    def __init__(self, q):
-        self.q = list(q)
-        self.batches_seen = [0] * len(self.q)
+    def __init__(self, q, streams=1):
+        self.q = q
+        self.batches_seen = [0] * streams
         self.accumulated = None
 
 
 def accumulate_and_maybe_step(acc, grad, optimizer, params, live=None):
     """Add each live stream's (already 1/Q-scaled) gradient, a row of an
-    (S, P) stack with S = ``len(acc.q)``, like ``params``; step each stream
-    on its Q-th batch.
+    (S, P) stack with S = ``len(acc.batches_seen)``, like ``params``; step
+    each stream on its Q-th batch.
 
     ``live`` is None (every stream) or a bool per stream, False where the
     stream sits this batch out: it neither counts the batch nor steps. The
     first batch of a window is copied, not added to zero, so a -0.0 entry
     stays -0.0; after a step ``acc.accumulated`` still holds the gradient
-    that was applied. Returns a bool per stream: whether it stepped.
+    that was applied. While every stream is live the windows stay in phase
+    and each call is one whole-array copy or add; only a stream that sits
+    out takes the masked path. Returns a bool per stream: whether it
+    stepped.
     """
-    if np.shape(grad)[:-1] != (len(acc.q),) or np.shape(params) != grad.shape:
-        raise InvalidInput(f"grad and params must be ({len(acc.q)}, P) stacks,"
+    s = len(acc.batches_seen)
+    if np.shape(grad)[:-1] != (s,) or np.shape(params) != grad.shape:
+        raise InvalidInput(f"grad and params must be ({s}, P) stacks,"
                            f" got {np.shape(grad)} and {np.shape(params)}")
     seen = acc.batches_seen
     if live is None:
-        live = [True] * len(seen)
+        live = [True] * s
     opening = [on and not n for on, n in zip(live, seen)]
     if acc.accumulated is None or all(opening):
         acc.accumulated = grad.copy()
@@ -293,7 +302,7 @@ def accumulate_and_maybe_step(acc, grad, optimizer, params, live=None):
     else:
         acc.accumulated += grad
     acc.batches_seen = seen = [n + on for n, on in zip(seen, live)]
-    stepped = [n >= q for n, q in zip(seen, acc.q)]
+    stepped = [n >= acc.q for n in seen]
     if any(stepped):
         acc.batches_seen = [0 if done else n for n, done in zip(seen, stepped)]
         optimizer.step(params, acc.accumulated,
@@ -325,6 +334,15 @@ class StreamRow(NamedTuple):
     threshold: float          # the tent-filtered entropy cutoff; +inf
                               # otherwise: every sample accepted
     q: int                    # the accumulation length
+
+
+class Window(NamedTuple):
+    """A maximal run of an Adapter's streams that share Q, with the
+    accumulator and optimizer it steps them with."""
+
+    rows: slice               # of the Adapter's streams
+    accumulator: GradientAccumulator
+    optimizer: SGD | Adam
 
 
 def stream_plan(config):
@@ -371,6 +389,13 @@ class Adapter:
     probabilities, ``affine`` row and optimizer state it gets in an Adapter
     of its own.
 
+    That state lives in ``windows``, one ``Window`` per maximal run of
+    consecutive streams that share Q: its own ``GradientAccumulator`` and
+    optimizer over its rows of ``affine``. The streams of a window count
+    their batches and step together, so the accumulator adds and the
+    optimizer corrects its bias once for the whole window. Configs sorted
+    by Q give one window per distinct Q; any order gives the same bits.
+
     With gradient accumulation a stream steps on every Q-th batch only;
     gradients accumulated after its last step are discarded. A
     ``tent-filtered`` stream whose filter accepts no sample of a batch
@@ -389,7 +414,6 @@ class Adapter:
         (self.plan,) = plans
         self.net = net
         self.affine = np.tile(net.affine, (len(configs), 1))
-        self.optimizer = make_optimizer(self.plan.optimizer, self.plan.lr)
         rows = [stream_row(c, net.k, batch_size) for c in configs]
         rla = np.array([row.rla for row in rows])
         self.rla = rla if rla.any() else None  # None: no stream flips
@@ -399,7 +423,12 @@ class Adapter:
         self.wa = [(tau, np.array([row.tau == tau for row in rows]))
                    for tau in sorted({row.tau for row in rows} - {0.0})]
         self.threshold = np.array([[row.threshold] for row in rows])
-        self.accumulator = GradientAccumulator([row.q for row in rows])
+        starts = [s for s in range(len(rows))
+                  if s == 0 or rows[s].q != rows[s - 1].q]
+        self.windows = [
+            Window(slice(lo, hi), GradientAccumulator(rows[lo].q, hi - lo),
+                   make_optimizer(self.plan.optimizer, self.plan.lr))
+            for lo, hi in zip(starts, starts[1:] + [len(rows)])]
         # under RLA the live logits get half the combined-logit gradient
         self.grad_scale = np.array([(0.5 if row.rla else 1.0) / row.q
                                     for row in rows])[:, None, None]
@@ -448,5 +477,9 @@ class Adapter:
         w = mask * powers / np.maximum(accepted, 1)[:, None]
         grad = backward_bn_affine(self.net, cache, self.grad_scale
                                   * (w[..., None] * _entropy_grad(probs)))
-        accumulate_and_maybe_step(self.accumulator, grad, self.optimizer,
-                                  self.affine, None if all(live) else live)
+        for rows, accumulator, optimizer in self.windows:
+            on = live[rows]
+            if any(on):
+                accumulate_and_maybe_step(accumulator, grad[rows], optimizer,
+                                          self.affine[rows],
+                                          None if all(on) else on)

@@ -18,7 +18,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .adaptation import Adapter, flip_signal, make_optimizer, stream_plan
+from .adaptation import (Adapter, flip_signal, make_optimizer, stream_plan,
+                         stream_row)
 from .errors import InvalidInput, TrainingDiverged
 from .network import (BNMode, DenseLayer, backward_all, forward,
                       layer_to_dict, make_network, penultimate_features)
@@ -399,6 +400,8 @@ def adapt_streams(net, inputs, labels, streams):
     (``stream_plan``: BN mode, learning, optimizer and lr) and a batch size
     adapt in one Adapter, at most ``MAX_TRIP_ROWS // N`` at a time, so
     tent, tent-filtered and every ttc ablation of one N share each call.
+    Each group is stably sorted by Q before it is cut into trips, so the
+    streams of one Q form one accumulation window (``Adapter.windows``).
     Returns one (accuracy, per_batch_accuracy, adapted gamma/beta
     row laid out like ``net.affine``) per stream, in order.
     """
@@ -408,6 +411,7 @@ def adapt_streams(net, inputs, labels, streams):
         groups.setdefault(key, []).append(i)
     results = [None] * len(streams)
     for (_, n), members in groups.items():
+        members.sort(key=lambda i: stream_row(streams[i][2], net.k, n).q)
         per_trip = max(1, MAX_TRIP_ROWS // n)
         for lo in range(0, len(members), per_trip):
             trip = members[lo:lo + per_trip]

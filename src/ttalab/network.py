@@ -304,17 +304,26 @@ def _bn_forward(layer, x, mode, gamma, beta):
 def _backward(net, cache, loss_grad_logits, affine_only):
     """Reverse pass over the blocks: one gradient vector laid out like
     ``net.params``, or like ``net.affine`` if ``affine_only``. For a stack
-    of streams (affine only), one such row per stream."""
+    of streams (affine only), one such row per stream.
+
+    With ``affine_only`` the pass ends at the gamma/beta gradient of the
+    lowest BN layer, as nothing reads a gradient below it; a network
+    without BN layers runs no pass at all."""
     g = np.asarray(loss_grad_logits, dtype=np.float64)
+    blocks = list(zip(net.blocks, cache.records))
+    if affine_only:
+        lowest = [i for i, b in enumerate(net.blocks) if b.bn is not None]
+        blocks = blocks[lowest[0]:] if lowest else []
     # pieces in reverse layout order: beta before gamma, bias before weight
     affine, dense_grads = [], []
-    for (dense, bn, _, gamma, _), (x, bn_rec, mask) in zip(
-            reversed(net.blocks), reversed(cache.records)):
+    for (dense, bn, _, gamma, _), (x, bn_rec, mask) in reversed(blocks):
         if mask is not None:
             g = g * mask
         if bn is not None:
             xhat, inv_std, batch_stats = bn_rec
             affine += [g.sum(axis=-2), (g * xhat).sum(axis=-2)]
+            if affine_only and bn == blocks[0][0].bn:
+                break
             dxhat = g * cache.affine[..., None, gamma]
             if batch_stats:
                 n = xhat.shape[-2]

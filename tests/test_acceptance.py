@@ -155,7 +155,7 @@ def test_criterion_04_accumulation_union_batch():
             net_acc = make_network(input_dim=6, hidden=5, k=3, seed=instance)
             net_union = make_network(input_dim=6, hidden=5, k=3, seed=instance)
             batches = [rng.normal(size=(n, 6)) for _ in range(q)]
-            acc = GradientAccumulator([q])
+            acc = GradientAccumulator(q)
             opt = SGD(lr=0.2)
             for b in batches:
                 logits, cache = forward(net_acc, b, BNMode.EVAL_STATS)

@@ -142,7 +142,7 @@ class TestEntropyFilter:
         adapter = Adapter(net, [config], 10)
         adapter.adapt_batch(small_batch(rng)[None])
         assert adapter.affine.tobytes() == net.affine.tobytes()
-        assert adapter.accumulator.batches_seen == [0]
+        assert window_of(adapter, 0)[0].accumulator.batches_seen == [0]
 
     def test_only_low_entropy_sample_contributes(self):
         confident = np.array([8.0, 0.0, 0.0])
@@ -398,7 +398,7 @@ class TestOneForwardOneSoftmaxPerBatch:
 
 class TestGradientAccumulation:
     def test_q_one_steps_every_call(self):
-        acc = GradientAccumulator([1])
+        acc = GradientAccumulator(1)
         params = np.zeros((1, 2))
         opt = SGD(lr=1.0)
         for _ in range(3):
@@ -410,7 +410,7 @@ class TestGradientAccumulation:
         # gradients arrive already scaled by 1/Q, so the applied update is
         # exactly -lr * g
         g = np.array([[2.0, -1.0]])
-        acc = GradientAccumulator([2])
+        acc = GradientAccumulator(2)
         params = np.zeros((1, 2))
         opt = SGD(lr=0.5)
         assert accumulate_and_maybe_step(acc, g / 2, opt, params) == [False]
@@ -430,7 +430,7 @@ class TestGradientAccumulation:
         net_acc = small_net(seed=1)
         net_union = small_net(seed=1)
         batches = [small_batch(rng, n=n) for _ in range(q)]
-        acc = GradientAccumulator([q])
+        acc = GradientAccumulator(q)
         opt = SGD(lr=0.1)
         for b in batches:
             logits, cache = forward(net_acc, b, BNMode.EVAL_STATS)
@@ -453,7 +453,7 @@ class TestGradientAccumulation:
         net = small_net(seed=2)
         batches = [small_batch(rng) for _ in range(q)]
         expected = 0.0
-        acc = GradientAccumulator([q])
+        acc = GradientAccumulator(q)
         opt = SGD(lr=0.0)  # no-op step, we only inspect the sum
         for b in batches:
             logits, cache = forward(net, b, BNMode.TEST_BATCH_STATS)
@@ -469,24 +469,25 @@ class TestGradientAccumulation:
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (1, 3, 1)],
                              ids=["vector", "two-rows-for-one", "3-d"])
     def test_only_a_stack_of_one_row_per_stream_is_taken(self, shape):
-        acc = GradientAccumulator([2])
+        acc = GradientAccumulator(2)
         with pytest.raises(InvalidInput, match=re.escape(str(shape))):
             accumulate_and_maybe_step(acc, np.ones(shape), SGD(lr=1.0),
                                       np.zeros(shape), live=[False])
         assert acc.accumulated is None and acc.batches_seen == [0]
 
     @settings(max_examples=100, deadline=None)
-    @given(qs=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    @given(q=st.integers(1, 4), streams=st.integers(1, 4),
            length=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
            optimizer=st.sampled_from(["sgd", "adam"]))
-    def test_a_stream_sitting_a_batch_out_keeps_every_bit(self, qs, length,
-                                                          seed, optimizer):
+    def test_a_stream_sitting_a_batch_out_keeps_every_bit(self, q, streams,
+                                                          length, seed,
+                                                          optimizer):
         rng = np.random.default_rng(seed)
-        acc = GradientAccumulator(qs)
+        acc = GradientAccumulator(q, streams)
         opt = make_optimizer(optimizer, 0.1)
-        params = signed_zeros(rng, (len(qs), 5))
+        params = signed_zeros(rng, (streams, 5))
         for _ in range(length):
-            live = (rng.random(len(qs)) < 0.6).tolist()
+            live = (rng.random(streams) < 0.6).tolist()
             before = (None if acc.accumulated is None
                       else acc.accumulated.copy(), list(acc.batches_seen),
                       params.copy())
@@ -598,7 +599,7 @@ class TestVectorMatchesPerArrayPath:
                       for i, shape in enumerate(shapes)}
         params = flat(ref_params)[None]
         opt, ref_opt = recording(cls)(lr), recording(ref_cls)(lr)
-        acc = GradientAccumulator([q])
+        acc = GradientAccumulator(q)
         ref_acc = {"q": q, "accumulated": {}, "batches_seen": 0}
         for _ in range(length):  # stream lengths cross window boundaries
             ref_grads = {key: signed_zeros(rng, a.shape)
@@ -622,7 +623,7 @@ class TestVectorMatchesPerArrayPath:
 
     def test_first_gradient_of_a_window_keeps_negative_zero(self):
         opt = recording(SGD)(1.0)
-        acc = GradientAccumulator([1])
+        acc = GradientAccumulator(1)
         accumulate_and_maybe_step(acc, np.array([[-0.0, 1.0]]), opt,
                                   np.zeros((1, 2)))
         assert np.signbit(opt.applied[0][0, 0])
@@ -710,8 +711,9 @@ class TestAdaptBatch:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_q_resolved_at_construction(self, strategy, ga):
         config = AdaptationConfig(strategy=strategy, ga_enabled=ga)
-        q = Adapter(small_net(), [config], 10).accumulator.q
-        assert q == [default_q(10) if strategy == "ttc" and ga else 1]
+        (window,) = Adapter(small_net(), [config], 10).windows
+        assert window.accumulator.q == (default_q(10)
+                                        if strategy == "ttc" and ga else 1)
 
     def test_nonpositive_batch_size_rejected(self):
         with pytest.raises(InvalidInput):
@@ -738,10 +740,11 @@ class TestAdaptBatch:
     def test_adam_moments_persist_across_batches(self, rng):
         adapter, adapt = one_stream(small_net(seed=9), AdaptationConfig(
             strategy="tent", optimizer="adam"))
+        optimizer = window_of(adapter, 0)[0].optimizer
         adapt(small_batch(rng))
-        assert adapter.optimizer.t == 1
+        assert optimizer.t == 1
         adapt(small_batch(rng))
-        assert adapter.optimizer.t == 2
+        assert optimizer.t == 2
 
 
 class TestConfig:
@@ -889,12 +892,22 @@ def stacked_runs(draw):
                 seed=draw(st.integers(0, 2**32 - 1)))
 
 
-def final_adam_state(optimizer, s):
-    """Per-stream (t, m, v) of the Adapter's Adam; zeros before a step."""
+def window_of(adapter, s):
+    """The Window of an Adapter that holds stream s, and s's row in it."""
+    (window,) = [w for w in adapter.windows
+                 if w.rows.start <= s < w.rows.stop]
+    return window, s - window.rows.start
+
+
+def final_adam_state(adapter, s):
+    """Stream s's (t, m, v) in the Adam of its window; t is 0 and m, v are
+    None before the window's first step."""
+    window, row = window_of(adapter, s)
+    optimizer = window.optimizer
     if optimizer.t is None:
-        return np.zeros(s), None, None
-    return (np.reshape(optimizer.t, s), np.reshape(optimizer.m, (s, -1)),
-            np.reshape(optimizer.v, (s, -1)))
+        return 0, None, None
+    return (np.reshape(optimizer.t, -1)[row], optimizer.m[row],
+            optimizer.v[row])
 
 
 @st.composite
@@ -950,19 +963,99 @@ class TestMixedPlansShareOneAdapter:
                 assert probs[i].tobytes() == own_probs[0].tobytes()
         for i, adapter in enumerate(alone):
             assert mixed.affine[i].tobytes() == adapter.affine[0].tobytes()
-            assert (mixed.accumulator.batches_seen[i]
-                    == adapter.accumulator.batches_seen[0])
-        if not isinstance(mixed.optimizer, Adam):
+            window, row = window_of(mixed, i)
+            assert (window.accumulator.batches_seen[row]
+                    == adapter.windows[0].accumulator.batches_seen[0])
+        if not isinstance(mixed.windows[0].optimizer, Adam):
             return
-        t, adam_m, adam_v = final_adam_state(mixed.optimizer, s)
         for i, adapter in enumerate(alone):
-            own_t, own_m, own_v = final_adam_state(adapter.optimizer, 1)
-            assert t[i] == own_t[0]
+            t, adam_m, adam_v = final_adam_state(mixed, i)
+            own_t, own_m, own_v = final_adam_state(adapter, 0)
+            assert t == own_t
             if own_m is not None:
-                assert adam_m[i].tobytes() == own_m[0].tobytes()
-                assert adam_v[i].tobytes() == own_v[0].tobytes()
+                assert adam_m.tobytes() == own_m.tobytes()
+                assert adam_v.tobytes() == own_v.tobytes()
             elif adam_m is not None:
-                assert not adam_m[i].any() and not adam_v[i].any()
+                assert not adam_m.any() and not adam_v.any()
+
+
+def q_configs(qs, **common):
+    """A tent stream for each Q of 1 and a tent+GA stream for each other Q,
+    in the order given."""
+    return [AdaptationConfig(strategy="tent", **common) if q == 1 else
+            AdaptationConfig(strategy="ttc", rla_enabled=False,
+                             wa_enabled=False, accumulation_q=q, **common)
+            for q in qs]
+
+
+class TestQWindows:
+    def test_q_sorted_configs_give_one_window_per_distinct_q(self):
+        adapter = Adapter(small_net(), q_configs([1, 1, 1, 3, 3, 5]), 10)
+        assert [(w.rows.start, w.rows.stop, w.accumulator.q)
+                for w in adapter.windows] == [(0, 3, 1), (3, 5, 3), (5, 6, 5)]
+        assert [w.accumulator.batches_seen for w in adapter.windows] == [
+            [0, 0, 0], [0, 0], [0]]
+
+    def test_adapt_streams_sorts_each_group_by_q(self, rng):
+        from unittest import mock
+
+        from ttalab import benchmark
+        from ttalab.benchmark import StreamProtocol, adapt_streams
+
+        built = []
+
+        class Recorded(Adapter):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        qs = [3, 1, 5, 1, 3, 1]
+        streams = [(None, StreamProtocol(batch_size=4, seed=s), config)
+                   for s, config in enumerate(q_configs(qs))]
+        inputs, labels = rng.normal(size=(12, 8)), rng.integers(0, 3, 12)
+        with mock.patch.object(benchmark, "Adapter", Recorded):
+            adapt_streams(small_net(), inputs, labels, streams)
+        (adapter,) = built
+        assert [w.accumulator.q for w in adapter.windows] == [1, 3, 5]
+        assert [w.rows.stop - w.rows.start
+                for w in adapter.windows] == [3, 2, 1]
+
+    def test_interleaved_q_with_a_skipping_filter_matches_each_alone(self):
+        from ttalab.benchmark import batch_slices
+
+        # windows of Q 1, 3, 1, 3; the filter shares the first with tent
+        common = dict(optimizer="adam", lr=0.05)
+        configs = [AdaptationConfig(strategy="tent-filtered",
+                                    filter_threshold=0.8, **common),
+                   AdaptationConfig(strategy="tent", **common),
+                   AdaptationConfig(strategy="ttc", accumulation_q=3,
+                                    **common),
+                   AdaptationConfig(strategy="tent", **common),
+                   AdaptationConfig(strategy="ttc", rla_enabled=False,
+                                    accumulation_q=3, tau=1.0, **common)]
+        net, n, m = small_net(), 4, 36
+        data = np.random.default_rng(3).normal(size=(len(configs), m, 8))
+        mixed = Adapter(net, configs, n)
+        assert [(w.rows.stop - w.rows.start, w.accumulator.q)
+                for w in mixed.windows] == [(2, 1), (1, 3), (1, 1), (1, 3)]
+        alone = [Adapter(net, [c], n) for c in configs]
+        batches = batch_slices(m, n)
+        for batch in batches:
+            preds, probs = mixed.adapt_batch(data[:, batch])
+            for i, adapter in enumerate(alone):
+                own_preds, own_probs = adapter.adapt_batch(
+                    data[i:i + 1, batch])
+                assert preds[i].tobytes() == own_preds[0].tobytes()
+                assert probs[i].tobytes() == own_probs[0].tobytes()
+        # the filter stream sat some batches out and stepped on others
+        assert 0 < final_adam_state(alone[0], 0)[0] < len(batches)
+        for i, adapter in enumerate(alone):
+            assert mixed.affine[i].tobytes() == adapter.affine[0].tobytes()
+            t, adam_m, adam_v = final_adam_state(mixed, i)
+            own_t, own_m, own_v = final_adam_state(adapter, 0)
+            assert t == own_t
+            assert adam_m.tobytes() == own_m.tobytes()
+            assert adam_v.tobytes() == own_v.tobytes()
 
 
 class TestStackMatchesSequentialReference:
@@ -985,14 +1078,13 @@ class TestStackMatchesSequentialReference:
         for s, ref in enumerate(references):
             assert adapter.affine[s].tobytes() == ref.net.affine.tobytes()
             if isinstance(ref.optimizer, ReferenceAdam):
-                t, adam_m, adam_v = final_adam_state(adapter.optimizer,
-                                                     len(configs))
-                assert t[s] == ref.optimizer.t
+                t, adam_m, adam_v = final_adam_state(adapter, s)
+                assert t == ref.optimizer.t
                 if ref.optimizer.m is not None:
-                    assert adam_m[s].tobytes() == ref.optimizer.m.tobytes()
-                    assert adam_v[s].tobytes() == ref.optimizer.v.tobytes()
+                    assert adam_m.tobytes() == ref.optimizer.m.tobytes()
+                    assert adam_v.tobytes() == ref.optimizer.v.tobytes()
                 elif adam_m is not None:
-                    assert not adam_m[s].any() and not adam_v[s].any()
+                    assert not adam_m.any() and not adam_v.any()
 
     @settings(max_examples=80, deadline=None)
     @given(run=stacked_runs(), cap=st.sampled_from([1, 12, 200]),

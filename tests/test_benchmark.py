@@ -250,7 +250,8 @@ class TestStreamEval:
             for s in slices:
                 adapter.adapt_batch(dataset.inputs[s][None])
             steps_every = q if strategy == "ttc" else 1
-            t = adapter.optimizer.t
+            (window,) = adapter.windows
+            t = window.optimizer.t
             assert (0 if t is None else t) == len(slices) // steps_every
 
     def test_identical_runs_produce_identical_reports(self, source_net,

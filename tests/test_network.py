@@ -19,8 +19,9 @@ from ttalab.network import (BatchNormLayer, BNMode, DenseLayer, Network,
                             penultimate_features, save_checkpoint)
 
 
-def random_net(rng, widths=(5, 8, 6), k=3):
-    """Small random architecture with BN after each hidden dense layer."""
+def random_net(rng, widths=(5, 8, 6), k=3, bn=None):
+    """Small random architecture with BN after each hidden dense layer, or
+    after those hidden layers whose entry of ``bn`` is True."""
     layers = []
     dims = list(widths) + [k]
     for i in range(len(dims) - 1):
@@ -28,13 +29,13 @@ def random_net(rng, widths=(5, 8, 6), k=3):
         last = i == len(dims) - 2
         layers.append(DenseLayer(weight=w, bias=rng.normal(size=dims[i + 1]),
                                activation="identity" if last else "relu"))
-        if not last:
-            bn = BatchNormLayer.identity(dims[i + 1])
-            bn.gamma = rng.normal(1.0, 0.2, size=dims[i + 1])
-            bn.beta = rng.normal(0.0, 0.2, size=dims[i + 1])
-            bn.running_mean = rng.normal(size=dims[i + 1])
-            bn.running_var = rng.uniform(0.5, 2.0, size=dims[i + 1])
-            layers.append(bn)
+        if not last and (bn is None or bn[i]):
+            layer = BatchNormLayer.identity(dims[i + 1])
+            layer.gamma = rng.normal(1.0, 0.2, size=dims[i + 1])
+            layer.beta = rng.normal(0.0, 0.2, size=dims[i + 1])
+            layer.running_mean = rng.normal(size=dims[i + 1])
+            layer.running_var = rng.uniform(0.5, 2.0, size=dims[i + 1])
+            layers.append(layer)
     return Network(layers=layers, k=k)
 
 
@@ -251,6 +252,50 @@ class TestBackwardBnAffine:
         assert affine.shape == net.affine.shape
         assert full.shape == net.params.shape
         assert full[:net.affine.size].tobytes() == affine.tobytes()
+
+
+# BN in each hidden block; only in the second, so the lowest block has none;
+# in neither, so there is no affine: the reverse pass stops at the lowest
+# BN layer's gamma/beta, or runs not at all
+BN_LAYOUTS = {"bn-in-every-block": (True, True),
+              "no-bn-in-lowest-block": (False, True),
+              "no-bn": (False, False)}
+
+
+class TestAffinePassStopsAtLowestBN:
+    @pytest.mark.parametrize("mode", list(BNMode))
+    @pytest.mark.parametrize("bn", BN_LAYOUTS.values(), ids=BN_LAYOUTS)
+    def test_equals_affine_prefix_of_backward_all_bitwise(self, bn, mode):
+        rng = np.random.default_rng(5)
+        net = random_net(rng, bn=bn)
+        logits, cache = forward(net, rng.normal(size=(9, 5)), mode)
+        g = rng.normal(size=logits.shape)
+        affine = backward_bn_affine(net, cache, g)
+        full = backward_all(net, cache, g)
+        assert affine.shape == net.affine.shape == (8 * 2 * bn[0]
+                                                    + 6 * 2 * bn[1],)
+        assert full.shape == net.params.shape
+        assert full[:net.affine.size].tobytes() == affine.tobytes()
+
+    # TRAIN_STATS reads the network's own gamma/beta, so takes no stack
+    @pytest.mark.parametrize("mode", [BNMode.EVAL_STATS,
+                                      BNMode.TEST_BATCH_STATS])
+    @pytest.mark.parametrize("bn", BN_LAYOUTS.values(), ids=BN_LAYOUTS)
+    def test_each_row_of_a_stack_equals_its_stream_alone(self, bn, mode):
+        rng = np.random.default_rng(6)
+        net = random_net(rng, bn=bn)
+        x = rng.normal(size=(4, 7, 5))
+        rows = net.affine + rng.normal(scale=0.1,
+                                       size=(4,) + net.affine.shape)
+        logits, cache = forward(net, x, mode, rows)
+        g = rng.normal(size=logits.shape)
+        stacked = backward_bn_affine(net, cache, g)
+        assert stacked.shape == (4, net.affine.size)
+        for s in range(4):
+            _, own_cache = forward(net, x[s], mode, rows[s])
+            own = backward_bn_affine(net, own_cache, g[s])
+            assert own.shape == net.affine.shape
+            assert stacked[s].tobytes() == own.tobytes()
 
 
 class TestParameterVector:
