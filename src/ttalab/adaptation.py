@@ -213,6 +213,31 @@ def entropy_filter(entropies, threshold):
 # robust label assignment
 # ---------------------------------------------------------------------------
 
+def with_flips(stack, flips, out=None):
+    """(S + R, ..., d): the S streams of ``stack``, then the flip
+    (``flip_signal``) of each stream that ``flips`` indexes, each written by
+    one ``np.copyto`` of a reversed view; into ``out``, if given, whose
+    first S rows ``stack`` already is."""
+    s = len(stack)
+    if out is None:
+        out = np.empty((s + len(flips),) + stack.shape[1:])
+        out[:s] = stack
+    for r, f in enumerate(flips):
+        np.copyto(out[s + r], stack[f, ..., ::-1])
+    return out
+
+
+def _forward_with_flips(net, x, mode, affine, flips):
+    """``forward`` on a stack ``with_flips``, as (combined, cache,
+    aug_logits): the S streams' logits, averaged with the flip's for
+    streams ``flips``, their cache, and the R flips' logits."""
+    s = len(x) - len(flips)
+    logits, cache = forward(net, x, mode, affine)
+    combined, aug_logits = logits[:s].copy(), logits[s:]
+    combined[flips] = 0.5 * (combined[flips] + aug_logits)
+    return combined, cache.streams(slice(None, s)), aug_logits
+
+
 def rla_forward(net, batch, affine=None, rla=None):
     """Average the logits of a batch and of its flip (``flip_signal``).
 
@@ -220,13 +245,13 @@ def rla_forward(net, batch, affine=None, rla=None):
     a stack of S = 1. ``rla`` is None, every stream flips, or for a stack a
     bool per stream, True for the R streams that flip; the others keep
     their own logits. The S batches and the R flips run as one
-    (S + R, N, d) stack in one TEST_BATCH_STATS forward, each stream
-    normalizing with its own batch statistics and reading its own affine
-    row, so each branch gets bit for bit the logits of a forward of its
-    own. Gradients flow only through the first S streams, the un-flipped
-    branch; because the combination is (live + frozen)/2, the gradient
-    reaching the live logits of a flipping stream is half the gradient at
-    its combined logits.
+    (S + R, N, d) stack (``with_flips``, as in ``Adapter.adapt_batch``) in
+    one TEST_BATCH_STATS forward, each stream normalizing with its own batch
+    statistics and reading its own affine row, so each branch gets bit for
+    bit the logits of a forward of its own. Gradients flow only through the
+    first S streams, the un-flipped branch; because the combination is
+    (live + frozen)/2, the gradient reaching the live logits of a flipping
+    stream is half the gradient at its combined logits.
 
     Returns (combined_logits, cache, aug_logits) where cache belongs to the
     un-flipped branch, shaped as ``forward`` on ``batch`` gives it, and
@@ -241,15 +266,12 @@ def rla_forward(net, batch, affine=None, rla=None):
                            f" a batch of shape {x.shape}")
     stack, rows = (x, affine) if x.ndim == 3 else (x[None], affine[None])
     s = len(stack)
-    flips = (slice(None) if rla is None or np.all(rla)
-             else np.flatnonzero(rla))
-    logits, cache = forward(
-        net, np.concatenate([stack, flip_signal(stack[flips])]),
-        BNMode.TEST_BATCH_STATS, np.concatenate([rows, rows[flips]]))
-    combined, aug_logits = logits[:s].copy(), logits[s:]
-    combined[flips] = 0.5 * (combined[flips] + aug_logits)
+    flips = np.arange(s) if rla is None else np.flatnonzero(rla)
+    combined, cache, aug_logits = _forward_with_flips(
+        net, with_flips(stack, flips), BNMode.TEST_BATCH_STATS,
+        rows[np.concatenate([np.arange(s), flips])], flips)
     if x.ndim == 3:
-        return combined, cache.streams(slice(None, s)), aug_logits
+        return combined, cache, aug_logits
     return combined[0], cache.streams(0), aug_logits[0]
 
 
@@ -374,7 +396,9 @@ def stream_row(config, k, batch_size):
 
 class Adapter:
     """Adapts S streams that share a plan, one (S, N, d) stack of batches
-    per call, over copies of one network's BN affine parameters.
+    per call (or the (S + R, N, d) stack with the flips of its R streams
+    with RLA that a trip builds), over copies of one network's BN affine
+    parameters.
 
     The plan (``stream_plan``) is resolved once, here, from the configs,
     which must all resolve to the same one; each stream keeps its own
@@ -415,8 +439,9 @@ class Adapter:
         self.net = net
         self.affine = np.tile(net.affine, (len(configs), 1))
         rows = [stream_row(c, net.k, batch_size) for c in configs]
-        rla = np.array([row.rla for row in rows])
-        self.rla = rla if rla.any() else None  # None: no stream flips
+        # the R streams with RLA; the affine row each stream with_flips reads
+        self.flips = np.flatnonzero([row.rla for row in rows])
+        self.stack_rows = np.concatenate([np.arange(len(rows)), self.flips])
         # numpy raises to the Python float -1.0 by a reciprocal, which an
         # array exponent rounds differently, so each distinct tau > 0 is
         # applied as a scalar to the rows that hold it; tau = 0 is 1.0
@@ -437,20 +462,26 @@ class Adapter:
         """Process one batch of each stream: predict, then (for gradient
         strategies) update.
 
-        ``batch`` is an (S, N, d) stack, one batch per stream; a lone
-        stream's batch goes in as ``batch[None]``. Returns (predictions,
+        ``batch`` is an (S, N, d) stack, one batch per stream (a lone
+        stream's batch goes in as ``batch[None]``), which gets the flips of
+        the R streams with RLA appended, or a trip's slice that already
+        holds them: ``with_flips(stack, self.flips)``. Returns (predictions,
         probs), shaped (S, N) and (S, N, K), computed from the pre-update
         forward; a stream with RLA gets them from its flip-averaged logits.
         """
         x = np.asarray(batch, dtype=np.float64)
-        if x.ndim != 3 or len(x) != len(self.affine) or x.shape[1] == 0:
+        s, r = len(self.affine), len(self.flips)
+        if x.ndim != 3 or len(x) not in (s, s + r) or x.shape[1] == 0:
+            also = f" or {s + r} with the flips of its streams with RLA"
             raise InvalidInput(f"batch must be a non-empty (S, N, d) stack of"
-                               f" {len(self.affine)} batches, got shape"
+                               f" {s} batches{also if r else ''}, got shape"
                                f" {x.shape}")
-        if self.rla is not None:
-            logits, cache, _ = rla_forward(self.net, x, self.affine, self.rla)
-        else:
+        if not r:
             logits, cache = forward(self.net, x, self.plan.mode, self.affine)
+        else:
+            logits, cache, _ = _forward_with_flips(
+                self.net, with_flips(x, self.flips) if len(x) == s else x,
+                self.plan.mode, self.affine[self.stack_rows], self.flips)
         probs = softmax(logits)
         if self.plan.learns:
             self._learn(probs, cache)

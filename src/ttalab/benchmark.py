@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .adaptation import (Adapter, flip_signal, make_optimizer, stream_plan,
-                         stream_row)
+                         stream_row, with_flips)
 from .errors import InvalidInput, TrainingDiverged
 from .network import (BNMode, DenseLayer, backward_all, forward,
                       layer_to_dict, make_network, penultimate_features)
@@ -110,7 +110,7 @@ def generate_dataset(k, m, seed, noise_sigma=NOISE_SIGMA):
 # corruptions
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Corruption:
     kind: str
     severity: int
@@ -423,18 +423,25 @@ def adapt_streams(net, inputs, labels, streams):
 
 def _adapt_trip(net, inputs, labels, n, streams):
     """Adapt streams of one plan and batch size n in lock-step: each sample
-    of each stream is predicted exactly once."""
+    of each stream is predicted exactly once. The trip's input is built
+    once, as the adapter's (S + R, m, d) stack ``with_flips``; streams that
+    share (corruption, seed) share one corruption and one order."""
     m = len(labels)
-    # every stream's inputs and labels, in its own order
-    x = np.empty((len(streams),) + inputs.shape)
+    adapter = Adapter(net, [config for _, _, config in streams], n)
+    x = np.empty((len(adapter.stack_rows),) + inputs.shape)
     y = np.empty((len(streams), m), dtype=labels.dtype)
+    first = {}  # (corruption, seed): the first stream that holds it
     for s, (corruption, protocol, _) in enumerate(streams):
+        f = first.setdefault((corruption, protocol.seed), s)
+        if f < s:
+            x[s], y[s] = x[f], y[f]
+            continue
         order = np.random.default_rng(protocol.seed).permutation(m)
         stream = (inputs if corruption is None
                   else apply_corruption(inputs, corruption, protocol.seed))
         np.take(stream, order, axis=0, out=x[s])
         np.take(labels, order, out=y[s])
-    adapter = Adapter(net, [config for _, _, config in streams], n)
+    with_flips(x[:len(streams)], adapter.flips, out=x)
     hits = np.empty(y.shape, dtype=bool)
     batches = batch_slices(m, n)
     for batch in batches:

@@ -280,9 +280,9 @@ def _batch_stats(x):
     the results are bit-identical to theirs.
     """
     n = x.shape[-2]
-    mean = x.sum(axis=-2) / n
+    mean = np.add.reduce(x, -2) / n
     d = x - mean[..., None, :]
-    return mean, d, (d * d).sum(axis=-2) / n
+    return mean, d, np.add.reduce(d * d, -2) / n
 
 
 def _bn_forward(layer, x, mode, gamma, beta):
@@ -321,7 +321,7 @@ def _backward(net, cache, loss_grad_logits, affine_only):
             g = g * mask
         if bn is not None:
             xhat, inv_std, batch_stats = bn_rec
-            affine += [g.sum(axis=-2), (g * xhat).sum(axis=-2)]
+            affine += [np.add.reduce(g, -2), np.add.reduce(g * xhat, -2)]
             if affine_only and bn == blocks[0][0].bn:
                 break
             dxhat = g * cache.affine[..., None, gamma]
@@ -329,13 +329,13 @@ def _backward(net, cache, loss_grad_logits, affine_only):
                 n = xhat.shape[-2]
                 g = (inv_std[..., None, :] / n) * (
                     n * dxhat
-                    - dxhat.sum(axis=-2, keepdims=True)
-                    - xhat * (dxhat * xhat).sum(axis=-2, keepdims=True)
+                    - np.add.reduce(dxhat, -2, keepdims=True)
+                    - xhat * np.add.reduce(dxhat * xhat, -2, keepdims=True)
                 )
             else:
                 g = dxhat * inv_std[..., None, :]
         if not affine_only:
-            dense_grads += [g.sum(axis=0), (g.T @ x).ravel()]
+            dense_grads += [np.add.reduce(g, 0), (g.T @ x).ravel()]
         if dense:  # layer 0 reads the network input, which needs no gradient
             g = g @ net.layers[dense].weight
     pieces = affine[::-1] + dense_grads[::-1]
@@ -350,7 +350,11 @@ def backward_bn_affine(net, cache, loss_grad_logits):
 
 def backward_all(net, cache, loss_grad_logits):
     """Gradient of the loss with respect to ``net.params``; used for source
-    training only."""
+    training only. Raises InvalidInput for the cache of a stack."""
+    if cache.affine.ndim != 1:
+        raise InvalidInput(f"backward_all takes the cache of an (N, d) batch,"
+                           f" got one of an (S, N, d) stack of shape"
+                           f" {cache.records[0][0].shape}")
     return _backward(net, cache, loss_grad_logits, affine_only=False)
 
 

@@ -36,11 +36,11 @@ def softmax(z):
     """
     z = np.asarray(z, dtype=np.float64)
     _require_finite("logits", z)
-    shifted = z - z.max(axis=-1, keepdims=True)
+    shifted = z - np.maximum.reduce(z, -1, keepdims=True)
     e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = e / np.add.reduce(e, -1, keepdims=True)
     p = np.minimum(np.maximum(p, EPS_PROB), 1.0 - EPS_PROB)
-    return p / p.sum(axis=-1, keepdims=True)
+    return p / np.add.reduce(p, -1, keepdims=True)
 
 
 def _validate_probs(p):
@@ -67,7 +67,7 @@ def _entropy(p):
     """``entropy`` of a float64 array already known to hold probabilities,
     such as a ``softmax`` output: the same bits, without the checks."""
     logp = np.log(np.maximum(p, EPS_PROB))
-    return -np.sum(p * logp, axis=-1)
+    return -np.add.reduce(p * logp, -1)
 
 
 def binary_entropy_grad(p):
@@ -95,7 +95,7 @@ def entropy_grad_logits(z):
 def _entropy_grad(p):
     """-p_k (log p_k + H(p)) row-wise: dH/dz at the logits whose softmax is p."""
     logp = np.log(p)
-    h = -np.sum(p * logp, axis=-1, keepdims=True)
+    h = -np.add.reduce(p * logp, -1, keepdims=True)
     return -p * (logp + h)
 
 

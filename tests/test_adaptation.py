@@ -979,6 +979,72 @@ class TestMixedPlansShareOneAdapter:
                 assert not adam_m.any() and not adam_v.any()
 
 
+def window_states(adapter):
+    """Every window's accumulator count and sum and optimizer state."""
+    return [(w.accumulator.batches_seen, as_bytes(w.accumulator.accumulated),
+             *(as_bytes(getattr(w.optimizer, a, None)) for a in "tmv"))
+            for w in adapter.windows]
+
+
+class TestPreFlippedStack:
+    """A trip hands ``adapt_batch`` its (S + R, N, d) stack with the flips
+    already in it; a bare (S, N, d) stack gets them appended. Both give
+    every stream what an Adapter of its own gives it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(run=mixed_runs(), batches=st.integers(3, 6))
+    def test_pre_flipped_bare_and_alone_agree(self, run, batches):
+        from unittest import mock
+
+        from ttalab import adaptation
+
+        configs, n = run["configs"], run["n"]
+        s = len(configs)
+        rla = np.array([c.strategy == "ttc" and c.rla_enabled
+                        for c in configs])
+        rng = np.random.default_rng(run["seed"])
+        net = make_network(input_dim=8, hidden=6, k=3, seed=run["seed"] % 97)
+        data = rng.normal(size=(batches, s, n, 8))
+        bare, flipped = Adapter(net, configs, n), Adapter(net, configs, n)
+        alone = [Adapter(net, [c], n) for c in configs]
+        for x in data:
+            want, _, _ = rla_forward(net, x, bare.affine.copy(), rla)
+            with mock.patch.object(adaptation, "softmax",
+                                   wraps=softmax) as spy:
+                preds, probs = bare.adapt_batch(x)
+            assert as_bytes(spy.call_args.args[0]) == as_bytes(want)
+            f_preds, f_probs = flipped.adapt_batch(
+                np.concatenate([x, flip_signal(x[rla])]))
+            assert as_bytes(f_preds) == as_bytes(preds)
+            assert as_bytes(f_probs) == as_bytes(probs)
+            for i, adapter in enumerate(alone):
+                own_preds, own_probs = adapter.adapt_batch(x[i:i + 1])
+                assert preds[i].tobytes() == own_preds[0].tobytes()
+                assert probs[i].tobytes() == own_probs[0].tobytes()
+        assert flipped.affine.tobytes() == bare.affine.tobytes()
+        assert window_states(flipped) == window_states(bare)
+        for i, adapter in enumerate(alone):
+            assert bare.affine[i].tobytes() == adapter.affine[0].tobytes()
+            if isinstance(adapter.windows[0].optimizer, Adam):
+                t, adam_m, adam_v = final_adam_state(bare, i)
+                own_t, own_m, own_v = final_adam_state(adapter, 0)
+                assert t == own_t
+                if own_m is not None:
+                    assert adam_m.tobytes() == own_m.tobytes()
+                    assert adam_v.tobytes() == own_v.tobytes()
+
+    def test_a_stack_of_neither_length_names_both(self, rng):
+        adapter = Adapter(small_net(), [
+            AdaptationConfig(strategy="ttc"),
+            AdaptationConfig(strategy="ttc", rla_enabled=False)], 10)
+        for s in (2, 3):  # the bare stack and the one with the flip
+            adapter.adapt_batch(rng.normal(size=(s, 10, 8)))
+        for s in (1, 4):
+            with pytest.raises(InvalidInput, match=r"of 2 batches or 3 with"
+                               r" the flips .*, got shape \(" + str(s)):
+                adapter.adapt_batch(rng.normal(size=(s, 10, 8)))
+
+
 def q_configs(qs, **common):
     """A tent stream for each Q of 1 and a tent+GA stream for each other Q,
     in the order given."""

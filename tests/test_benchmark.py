@@ -254,6 +254,46 @@ class TestStreamEval:
             t = window.optimizer.t
             assert (0 if t is None else t) == len(slices) // steps_every
 
+    def test_streams_sharing_a_corruption_share_one_call_per_trip(
+            self, source_net, test_dataset, monkeypatch):
+        """Each trip corrupts each distinct (corruption, seed) once, equal
+        Corruptions being one pair, and every stream still gets what its
+        own adapt_streams call gives it."""
+        calls = []
+        corrupt = benchmark.apply_corruption
+
+        def counting(x, corruption, seed):
+            calls.append((corruption.kind, corruption.severity, seed))
+            return corrupt(x, corruption, seed)
+
+        pairs = [(Corruption("gaussian_noise", 5), 0),
+                 (Corruption("gaussian_noise", 5), 0),
+                 (None, 0), (None, 0), (None, 1),
+                 (Corruption("gaussian_noise", 5), 1),
+                 (Corruption("contrast", 3), 1),
+                 (Corruption("gaussian_noise", 5), 1)]
+        configs = [AdaptationConfig(strategy="tent"),
+                   AdaptationConfig(strategy="ttc"),
+                   AdaptationConfig(strategy="ttc", rla_enabled=False)]
+        streams = [(corruption, StreamProtocol(batch_size=n, seed=seed),
+                    configs[i % len(configs)])
+                   for n in (10, 20)
+                   for i, (corruption, seed) in enumerate(pairs)]
+        inputs, labels = test_dataset.inputs[:200], test_dataset.labels[:200]
+        alone = [adapt_streams(source_net, inputs, labels, [stream])[0]
+                 for stream in streams]
+        monkeypatch.setattr(benchmark, "apply_corruption", counting)
+        together = adapt_streams(source_net, inputs, labels, streams)
+        # one trip per batch size, each with three distinct corrupted pairs
+        assert sorted(calls) == sorted(2 * [("contrast", 3, 1),
+                                            ("gaussian_noise", 5, 0),
+                                            ("gaussian_noise", 5, 1)])
+        for (accuracy, per_batch, row), (own_accuracy, own_per_batch,
+                                         own_row) in zip(together, alone):
+            assert accuracy == own_accuracy
+            assert per_batch == own_per_batch
+            assert row.tobytes() == own_row.tobytes()
+
     def test_identical_runs_produce_identical_reports(self, source_net,
                                                       test_dataset):
         def run():

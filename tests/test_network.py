@@ -253,6 +253,18 @@ class TestBackwardBnAffine:
         assert full.shape == net.params.shape
         assert full[:net.affine.size].tobytes() == affine.tobytes()
 
+    @pytest.mark.parametrize("s, n", [(2, 9), (3, 3)])
+    @pytest.mark.parametrize("mode", [BNMode.EVAL_STATS,
+                                      BNMode.TEST_BATCH_STATS])
+    def test_backward_all_rejects_the_cache_of_a_stack(self, s, n, mode):
+        """S != N once failed inside a matmul, S = N in a concatenate."""
+        rng = np.random.default_rng(5)
+        net = random_net(rng)
+        logits, cache = forward(net, rng.normal(size=(s, n, 5)), mode,
+                                np.tile(net.affine, (s, 1)))
+        with pytest.raises(InvalidInput, match=re.escape(f"({s}, {n}, 5)")):
+            backward_all(net, cache, np.ones_like(logits))
+
 
 # BN in each hidden block; only in the second, so the lowest block has none;
 # in neither, so there is no affine: the reverse pass stops at the lowest
