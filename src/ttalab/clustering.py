@@ -31,18 +31,40 @@ def assign_step(features, centers):
     return np.argmin(_squared_distances(features, centers), axis=1)
 
 
+def _checked_assignment(features, assignment, centers):
+    """The assignment as an integer vector, one index in [0, k) per row of
+    (n, d) features for (k, d) centers; InvalidInput naming the shapes
+    otherwise."""
+    assignment = np.asarray(assignment)
+    k = centers.shape[0]
+    if (features.ndim != 2 or centers.ndim != 2
+            or features.shape[1] != centers.shape[1]
+            or assignment.shape != features.shape[:1]
+            or assignment.dtype.kind not in "iu"
+            or (assignment.size
+                and (np.minimum.reduce(assignment) < 0
+                     or np.maximum.reduce(assignment) >= k))):
+        raise InvalidInput(
+            "assignment must hold one integer in [0, k) per row of (n, d)"
+            f" features for (k, d) centers: got assignment {assignment.dtype}"
+            f" {assignment.shape}, features {features.shape}, centers"
+            f" {centers.shape}")
+    return assignment
+
+
 def update_step(features, assignment, centers, mode=FULL_BATCH, counts=None):
     """Recompute centers from an assignment; returns new centers.
 
     FULL_BATCH sets each assigned center to the mean of its members and
     leaves empty clusters in place. MINIBATCH_RUNNING applies the streaming
     per-point rule center += (x - center) / count with per-center counts;
-    pass the same counts array across batches to continue a stream.
+    pass the same counts array (k integers, updated in place) across batches
+    to continue a stream.
     """
     features = np.asarray(features, dtype=np.float64)
-    assignment = np.asarray(assignment)
     new_centers = np.array(centers, dtype=np.float64, copy=True)
     k = new_centers.shape[0]
+    assignment = _checked_assignment(features, assignment, new_centers)
     if mode == FULL_BATCH:
         for c in range(k):
             members = features[assignment == c]
@@ -50,10 +72,26 @@ def update_step(features, assignment, centers, mode=FULL_BATCH, counts=None):
                 new_centers[c] = members.mean(axis=0)
     elif mode == MINIBATCH_RUNNING:
         if counts is None:
-            counts = np.zeros(k, dtype=np.int64)
-        for x, c in zip(features, assignment):
-            counts[c] += 1
-            new_centers[c] += (x - new_centers[c]) / counts[c]
+            n = [0] * k
+        else:
+            held = np.asarray(counts)
+            if held.shape != (k,) or held.dtype.kind not in "iu":
+                raise InvalidInput(
+                    f"counts must hold k={k} integers: got {held.dtype}"
+                    f" {held.shape}")
+            n = held.tolist()
+        # one point at a time, as three ufuncs into one reused row: the same
+        # arithmetic as c += (x - c) / n without a temporary per point
+        rows = list(new_centers)
+        step = np.empty(new_centers.shape[1:], dtype=np.float64)
+        for x, c in zip(features, assignment.tolist()):
+            n[c] += 1
+            row = rows[c]
+            np.subtract(x, row, out=step)
+            np.divide(step, n[c], out=step)
+            np.add(row, step, out=row)
+        if counts is not None:
+            counts[:] = n
     else:
         raise InvalidInput(f"unknown update mode {mode!r}")
     return new_centers
@@ -63,7 +101,8 @@ def kmeans_objective(features, assignment, centers):
     """Mean squared distance of each point to its assigned center."""
     features = np.asarray(features, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
-    diff = features - centers[np.asarray(assignment)]
+    assignment = _checked_assignment(features, assignment, centers)
+    diff = features - centers[assignment]
     return float(np.mean(np.sum(diff * diff, axis=1)))
 
 

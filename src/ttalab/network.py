@@ -402,9 +402,10 @@ def network_to_dict(net):
 
 def save_checkpoint(net, path):
     """Write the network as a JSON checkpoint (decimal, exact round-trip)."""
+    # json.dumps runs the C encoder; json.dump streams through the Python one
+    text = json.dumps(network_to_dict(net), sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(network_to_dict(net), fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _array_field(i, obj, key, shape):

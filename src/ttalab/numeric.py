@@ -36,11 +36,17 @@ def softmax(z):
     """
     z = np.asarray(z, dtype=np.float64)
     _require_finite("logits", z)
+    return _softmax(z)
+
+
+def _softmax(z, out=None):
+    """``softmax`` of float64 logits already known to be finite, written into
+    ``out`` when given: the same bits, without the check."""
     shifted = z - np.maximum.reduce(z, -1, keepdims=True)
     e = np.exp(shifted)
     p = e / np.add.reduce(e, -1, keepdims=True)
     p = np.minimum(np.maximum(p, EPS_PROB), 1.0 - EPS_PROB)
-    return p / np.add.reduce(p, -1, keepdims=True)
+    return np.divide(p, np.add.reduce(p, -1, keepdims=True), out=out)
 
 
 def _validate_probs(p):
@@ -151,15 +157,26 @@ def simulate_entropy_descent(p0, lr, steps):
     traj[0] = p0
     z = np.log(np.maximum(p0, EPS_PROB))
     p = softmax(z)
-    for t in range(1, steps + 1):
-        z = z - lr * _entropy_grad(p)
-        p = traj[t] = softmax(z)
+    # z starts finite, so it turns non-finite only through a floating-point
+    # error, which one errstate catches for every step; underflow is benign
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise",
+                         under="ignore"):
+            for t in range(1, steps + 1):
+                z = z - lr * _entropy_grad(p)
+                p = _softmax(z, out=traj[t])
+    except FloatingPointError:
+        raise InvalidInput("logits contains non-finite values") from None
     return traj
 
 
 def trajectory_csv(trajectory):
     """Render a descent trajectory as CSV with header step,p_1,...,p_K."""
     trajectory = np.asarray(trajectory, dtype=np.float64)
+    if trajectory.ndim != 2:
+        raise InvalidInput(
+            "trajectory must be a 2-D (steps+1, K) array, got shape"
+            f" {trajectory.shape}; write start r of a stack as traj[:, r]")
     buf = io.StringIO()
     k = trajectory.shape[1]
     buf.write("step," + ",".join(f"p_{i + 1}" for i in range(k)) + "\n")

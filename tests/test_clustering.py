@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ttalab.clustering import (FULL_BATCH, MINIBATCH_RUNNING, assign_step,
                                kmeans_objective, run_minibatch_kmeans,
@@ -79,6 +80,98 @@ class TestUpdateStep:
         with pytest.raises(InvalidInput):
             update_step(np.zeros((1, 1)), np.array([0]), np.zeros((2, 1)),
                         mode="annealed")
+
+
+def per_point_update(features, assignment, centers, counts):
+    """update_step's former MINIBATCH_RUNNING loop: numpy-scalar counts and a
+    fresh temporary per point."""
+    new_centers = np.array(centers, dtype=np.float64, copy=True)
+    for x, c in zip(np.asarray(features, dtype=np.float64), assignment):
+        counts[c] += 1
+        new_centers[c] += (x - new_centers[c]) / counts[c]
+    return new_centers
+
+
+@st.composite
+def kmeans_streams(draw):
+    """Centers, starting counts and 1-5 labelled batches of 0, 1 or many
+    rows, whose labels use a random subset of the k clusters."""
+    k, d = draw(st.integers(2, 8)), draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = (np.zeros(k, dtype=np.int64) if draw(st.booleans())
+              else rng.integers(0, 50, size=k))
+    batches = []
+    for n in draw(st.lists(st.one_of(st.just(0), st.just(1),
+                                     st.integers(2, 60)),
+                           min_size=1, max_size=5)):
+        used = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+        features = rng.normal(scale=3.0, size=(n, d))
+        if n > 1 and draw(st.booleans()):
+            features[n // 2:] = features[0]  # repeated points
+        batches.append((features, rng.choice(used, size=n)))
+    return rng.normal(size=(k, d)), counts, batches
+
+
+class TestInPlaceRunningUpdate:
+    @settings(max_examples=150, deadline=None)
+    @given(stream=kmeans_streams())
+    def test_centers_and_counts_match_per_point_loop_bitwise(self, stream):
+        centers, counts, batches = stream
+        ours, theirs = centers, centers
+        our_counts, their_counts = counts.copy(), counts.copy()
+        for features, labels in batches:
+            ours = update_step(features, labels, ours, mode=MINIBATCH_RUNNING,
+                               counts=our_counts)
+            theirs = per_point_update(features, labels, theirs, their_counts)
+            assert ours.tobytes() == theirs.tobytes()
+            assert our_counts.dtype == their_counts.dtype
+            assert our_counts.tolist() == their_counts.tolist()
+
+    @settings(max_examples=50, deadline=None)
+    @given(stream=kmeans_streams())
+    def test_without_counts_matches_fresh_zero_counts(self, stream):
+        centers, counts, batches = stream
+        features, labels = batches[0]
+        expected = per_point_update(features, labels, centers,
+                                    np.zeros_like(counts))
+        ours = update_step(features, labels, centers, mode=MINIBATCH_RUNNING)
+        assert ours.tobytes() == expected.tobytes()
+
+
+class TestBadAssignmentRejected:
+    features = np.arange(6.0).reshape(3, 2)
+    centers = np.array([[0.0, 0.0], [5.0, 5.0]])
+
+    @pytest.mark.parametrize("mode", [FULL_BATCH, MINIBATCH_RUNNING])
+    @pytest.mark.parametrize("assignment", [[0, 1, -1], [0, 1], [0, 1, 2],
+                                            [0.0, 1.0, 1.0], [[0, 1, 1]]])
+    def test_update_step(self, mode, assignment):
+        counts = np.zeros(2, dtype=np.int64)
+        with pytest.raises(InvalidInput, match=r"\[0, k\).*\(3, 2\)"):
+            update_step(self.features, assignment, self.centers, mode=mode,
+                        counts=counts)
+        assert counts.tolist() == [0, 0]
+
+    @pytest.mark.parametrize("assignment", [[0], [0, 1, -1], [0, 1, 2]])
+    def test_objective(self, assignment):
+        with pytest.raises(InvalidInput, match=r"\[0, k\).*\(3, 2\)"):
+            kmeans_objective(self.features, assignment, self.centers)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_feature_width_must_match_centers(self, width):
+        features = np.ones((3, width))
+        shapes = rf"\(3, {width}\).*\(2, 2\)"
+        for mode in (FULL_BATCH, MINIBATCH_RUNNING):
+            with pytest.raises(InvalidInput, match=shapes):
+                update_step(features, [0, 1, 1], self.centers, mode=mode)
+        with pytest.raises(InvalidInput, match=shapes):
+            kmeans_objective(features, [0, 1, 1], self.centers)
+
+    @pytest.mark.parametrize("counts", [[0], [0, 0, 0], [0.0, 0.0], [[0, 0]]])
+    def test_counts_must_hold_k_integers(self, counts):
+        with pytest.raises(InvalidInput, match="k=2 integers"):
+            update_step(self.features, [0, 1, 1], self.centers,
+                        mode=MINIBATCH_RUNNING, counts=np.array(counts))
 
 
 class TestObjective:

@@ -544,6 +544,17 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert network_to_dict(loaded) == network_to_dict(net)
 
+    def test_file_bytes_are_one_json_dumps(self, rng, tmp_path):
+        for net in (random_net(rng), make_network(seed=9)):
+            path = tmp_path / "net.json"
+            save_checkpoint(net, path)
+            doc = network_to_dict(net)
+            text = json.dumps(doc, sort_keys=True) + "\n"
+            assert path.read_bytes() == text.encode("utf-8")
+            streamed = io.StringIO()  # the former writer: json.dump, then "\n"
+            json.dump(doc, streamed, sort_keys=True)
+            assert streamed.getvalue() + "\n" == text
+
     def test_truncated_file_is_parse_error(self, rng, tmp_path):
         net = random_net(rng)
         path = tmp_path / "net.json"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ttalab import numeric
 from ttalab.errors import InvalidInput
 from ttalab.numeric import (EPS_PROB, binary_entropy_grad, entropy,
                             entropy_grad_logits, finite_diff_check,
@@ -264,6 +265,64 @@ class TestStackedDescent:
                 simulate_entropy_descent(p0, lr=0.1, steps=3)
 
 
+def checked_descent(p0, lr, steps):
+    """simulate_entropy_descent's former loop: the public softmax, with its
+    finiteness check, at every step, into a fresh array."""
+    p0 = np.asarray(p0, dtype=np.float64)
+    traj = np.empty((steps + 1,) + p0.shape, dtype=np.float64)
+    traj[0] = p0
+    z = np.log(np.maximum(p0, EPS_PROB))
+    p = softmax(z)
+    for t in range(1, steps + 1):
+        z = z - lr * numeric._entropy_grad(p)
+        p = traj[t] = softmax(z)
+    return traj
+
+
+class TestInPlaceDescent:
+    @settings(max_examples=100, deadline=None)
+    @given(p0=start_stacks(), steps=st.integers(0, 40),
+           lr=st.floats(1e-3, 1.0))
+    def test_vector_and_stack_match_checked_loop_bitwise(self, p0, steps, lr):
+        for start in (p0[0], p0):
+            traj = simulate_entropy_descent(start, lr, steps)
+            assert traj.tobytes() == checked_descent(start, lr, steps).tobytes()
+
+    @pytest.mark.parametrize("start", [[0.6, 0.3, 0.1],
+                                       [[0.6, 0.3, 0.1], [0.2, 0.2, 0.6]]])
+    def test_overflow_raises_the_checked_message(self, monkeypatch, start):
+        grad = numeric._entropy_grad
+        calls = []
+
+        def overflowing(p):
+            calls.append(None)
+            return grad(p) if len(calls) < 3 else np.full_like(p, 1e300)
+
+        before = np.geterr()
+        simulate_entropy_descent(start, lr=1e10, steps=2)
+        assert np.geterr() == before
+        monkeypatch.setattr(numeric, "_entropy_grad", overflowing)
+        with pytest.raises(InvalidInput) as err:
+            simulate_entropy_descent(start, lr=1e10, steps=5)
+        assert np.geterr() == before
+        calls.clear()
+        with np.errstate(over="ignore"), pytest.raises(InvalidInput) as old:
+            checked_descent(start, lr=1e10, steps=5)
+        assert str(err.value) == str(old.value)
+        assert str(err.value) == "logits contains non-finite values"
+
+    def test_underflow_stays_silent(self):
+        start = [0.6, 0.4]  # lr 1e4 drives the small class's exp below 1e-308
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError):
+            checked_descent(start, lr=1e4, steps=5)
+        with np.errstate(under="ignore"):
+            expected = checked_descent(start, lr=1e4, steps=5)
+        for caller in ("ignore", "raise"):
+            with np.errstate(under=caller):
+                traj = simulate_entropy_descent(start, lr=1e4, steps=5)
+            assert traj.tobytes() == expected.tobytes()
+
+
 def per_scalar_csv(trajectory):
     """trajectory_csv's former row formatter: repr of one numpy scalar at a time."""
     lines = ["step," + ",".join(f"p_{i + 1}" for i in range(trajectory.shape[1]))]
@@ -291,3 +350,16 @@ class TestTrajectoryCsv:
         parsed = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
         np.testing.assert_array_equal(parsed[:, 1:], traj)
         np.testing.assert_array_equal(parsed[:, 0], np.arange(5))
+
+    def test_stack_rejected_with_a_pointer_to_one_start(self):
+        traj = simulate_entropy_descent([[0.6, 0.4], [0.3, 0.7]], lr=0.05,
+                                        steps=4)
+        with pytest.raises(InvalidInput,
+                           match=r"\(5, 2, 2\).*traj\[:, r\]"):
+            trajectory_csv(traj)
+        assert trajectory_csv(traj[:, 1]) == trajectory_csv(
+            simulate_entropy_descent([0.3, 0.7], lr=0.05, steps=4))
+
+    def test_vector_rejected_with_its_shape(self):
+        with pytest.raises(InvalidInput, match=r"2-D.*\(3,\)"):
+            trajectory_csv([0.6, 0.3, 0.1])
