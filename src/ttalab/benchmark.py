@@ -21,8 +21,9 @@ import numpy as np
 from .adaptation import (Adapter, flip_signal, make_optimizer, stream_plan,
                          stream_row, with_flips)
 from .errors import InvalidInput, TrainingDiverged
-from .network import (BNMode, DenseLayer, backward_all, forward,
-                      layer_to_dict, make_network, penultimate_features)
+from .network import (BNMode, DenseLayer, backward_all, checkpoint_json,
+                      forward, layer_to_dict, make_network,
+                      penultimate_features)
 from .numeric import softmax
 
 SIGNAL_LENGTH = 32
@@ -343,9 +344,7 @@ def params_digest(net, affine=None):
         if b.bn is not None:
             layers[b.bn] = replace(layers[b.bn], gamma=affine[b.gamma],
                                    beta=affine[b.beta])
-    layers = ", ".join(_layer_json(layer) for layer in layers)
-    meta = json.dumps(dict(net.meta), sort_keys=True)
-    doc = f'{{"k": {int(net.k)}, "layers": [{layers}], "meta": {meta}}}'
+    doc = checkpoint_json(net, map(_layer_json, layers))
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
 

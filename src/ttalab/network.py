@@ -400,10 +400,21 @@ def network_to_dict(net):
             "meta": dict(net.meta)}
 
 
+def checkpoint_json(net, layer_texts):
+    """``json.dumps(network_to_dict(net), sort_keys=True)``, given each
+    layer's ``json.dumps(layer_to_dict(layer), sort_keys=True)`` in order."""
+    meta = json.dumps(dict(net.meta), sort_keys=True)
+    return (f'{{"k": {int(net.k)}, "layers": [{", ".join(layer_texts)}],'
+            f' "meta": {meta}}}')
+
+
 def save_checkpoint(net, path):
     """Write the network as a JSON checkpoint (decimal, exact round-trip)."""
-    # json.dumps runs the C encoder; json.dump streams through the Python one
-    text = json.dumps(network_to_dict(net), sort_keys=True) + "\n"
+    # layer by layer, so one layer's floats at a time are Python objects;
+    # json.dumps runs the C encoder, json.dump streams through the Python one
+    text = checkpoint_json(net, (json.dumps(layer_to_dict(layer),
+                                            sort_keys=True)
+                                 for layer in net.layers)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

@@ -171,7 +171,13 @@ def simulate_entropy_descent(p0, lr, steps):
 
 
 def trajectory_csv(trajectory):
-    """Render a descent trajectory as CSV with header step,p_1,...,p_K."""
+    """Render a descent trajectory as CSV with header step,p_1,...,p_K.
+
+    Each row formats each of its distinct values once and gathers its cells'
+    strings from them. Values are keyed on their bits, so -0.0 and 0.0 keep
+    their own repr. A descent keeps equal classes bitwise equal, so a start
+    with K-1 tied classes has two distinct values per row.
+    """
     trajectory = np.asarray(trajectory, dtype=np.float64)
     if trajectory.ndim != 2:
         raise InvalidInput(
@@ -182,5 +188,9 @@ def trajectory_csv(trajectory):
     buf.write("step," + ",".join(f"p_{i + 1}" for i in range(k)) + "\n")
     # row by row: one tolist() of the whole trajectory holds all its floats
     for step, row in enumerate(trajectory):
-        buf.write(str(step) + "," + ",".join(map(repr, row.tolist())) + "\n")
+        keys = row.view(np.int64).tolist()
+        text = {key: repr(value)
+                for key, value in dict(zip(keys, row.tolist())).items()}
+        buf.write(str(step) + "," + ",".join(map(text.__getitem__, keys))
+                  + "\n")
     return buf.getvalue()

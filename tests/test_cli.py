@@ -14,6 +14,7 @@ from ttalab.adaptation import STRATEGIES, AdaptationConfig
 from ttalab.benchmark import generate_dataset, evaluate_accuracy
 from ttalab.cli import main
 from ttalab.network import load_checkpoint
+from ttalab.numeric import simulate_entropy_descent, trajectory_csv
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +298,46 @@ class TestLemmaCheck:
         calls, one_row = run("one-row")
         assert calls == [1] * starts
         assert one_row == summary
+
+
+class TestLemmaTrajectoryBytes:
+    """lemma-check's trajectory CSVs and demo 01's CSV, pinned by sha256.
+
+    The trajectories depend only on --k-list, --lr and --steps, so each
+    seed at the benchmark's arguments gives the same three files.
+    """
+
+    BENCHMARK_ARGS = {
+        2: "d053a3ec07988136781a1625717ba7d3cf617dc0742163a84a059f64264b1d95",
+        10: "96f4c5912438ec96b4b5f510c00b34684235140e39ac4cfa94a35a769aa6bbe5",
+        100: "67d1aff4c3caf02388eea9526ac3da243f8e586beafbe5b050d0777e356e99b7",
+    }
+    DEFAULT_ARGS = {
+        2: "e05d5b87d398b729c829874ec4f9776c6c5103627b8fa691036eacf12678f35f",
+        10: "ea92801b0bd80142916da4a80b9ed7b527ebd5b423d293fdef7b5297f0b28eb3",
+        100: "fce20119c68d48a94c4782babf0154400e59c1bfb2ee3313b00afaa557678c5c",
+    }
+    DEMO_01 = "e058634610821e0b0d4d28b0c1f5318d0c21056406436f028cac539f4566d519"
+
+    @staticmethod
+    def digests(out):
+        return {k: hashlib.sha256((out / f"lemma_k{k}.csv").read_bytes())
+                .hexdigest() for k in (2, 10, 100)}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_benchmark_arguments(self, tmp_path, seed):
+        assert main(["lemma-check", "--seed", str(seed), "--steps", "1000",
+                     "--random-starts", "200", "--out", str(tmp_path)]) == 0
+        assert self.digests(tmp_path) == self.BENCHMARK_ARGS
+
+    def test_default_arguments(self, tmp_path):
+        assert main(["lemma-check", "--random-starts", "0",
+                     "--out", str(tmp_path)]) == 0
+        assert self.digests(tmp_path) == self.DEFAULT_ARGS
+
+    def test_demo_01(self):
+        text = trajectory_csv(simulate_entropy_descent([0.55, 0.45], 0.05, 50))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DEMO_01
 
 
 class TestDensity:

@@ -331,6 +331,46 @@ def per_scalar_csv(trajectory):
     return "\n".join(lines) + "\n"
 
 
+NAN = float("nan")
+# signed zeros and NaNs, infinities and subnormals, each as float64 and
+# as the closest value float32 holds without overflow
+EDGE_VALUES = {
+    np.float64: [0.0, -0.0, NAN, -NAN, np.inf, -np.inf, 5e-324,
+                 2.2250738585072014e-308 / 3, 1.0 - 2**-53, 1e300],
+    np.float32: [0.0, -0.0, NAN, -NAN, np.inf, -np.inf, 1e-45, 1e-39,
+                 1.0 - 2**-24, 3e38],
+}
+
+
+@st.composite
+def tied_trajectories(draw):
+    """A (rows, K) array, 0 rows and 0 columns included, whose cells come
+    from a pool of at most six values, so most cells tie; a float pool may
+    hold both zeros. It is float64, float32, int, or a non-contiguous
+    traj[:, r] column of a float64 stack."""
+    rows, k = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["float64", "float32", "int", "column"]))
+    if kind == "int":
+        values = st.integers(-2**63, 2**63 - 1)
+        dtype = np.int64
+    else:
+        dtype = np.float32 if kind == "float32" else np.float64
+        values = st.sampled_from(EDGE_VALUES[dtype]) | st.floats(
+            width=32 if dtype is np.float32 else 64)
+    pool = draw(st.lists(values, min_size=1, max_size=4))
+    if kind != "int" and draw(st.booleans()):
+        pool += [0.0, -0.0]
+    picks = draw(st.lists(st.sampled_from(pool), min_size=rows * k,
+                          max_size=rows * k))
+    traj = np.array(picks, dtype=dtype).reshape(rows, k)
+    if kind == "column":
+        r = draw(st.integers(0, 2))
+        stack = np.full((rows, 3, k), 0.5)
+        stack[:, r] = traj
+        traj = stack[:, r]
+    return traj
+
+
 class TestTrajectoryCsv:
     def test_bytes_match_per_scalar_formatter(self):
         edge = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1.0 - 2**-53,
@@ -340,6 +380,10 @@ class TestTrajectoryCsv:
                          -0.005, 0.005, 100), lr=0.05, steps=30)):
             assert trajectory_csv(traj).encode() == per_scalar_csv(traj).encode()
 
+    @settings(max_examples=300, deadline=None)
+    @given(traj=tied_trajectories())
+    def test_bytes_match_per_scalar_formatter_on_ties(self, traj):
+        assert trajectory_csv(traj).encode() == per_scalar_csv(traj).encode()
 
     def test_header_and_roundtrip(self):
         traj = simulate_entropy_descent([0.6, 0.3, 0.1], lr=0.05, steps=4)
