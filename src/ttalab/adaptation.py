@@ -123,12 +123,14 @@ class Adam:
 
     def __init__(self, lr):
         self.lr = lr
-        self.t = self.m = self.v = None  # created on the first step
+        # created on the first step, with two scratch buffers like m
+        self.t = self.m = self.v = self._scratch = None
 
     def step(self, params, grad, rows=None):
         if self.m is None:
             self.m, self.v = np.zeros_like(grad), np.zeros_like(grad)
             self.t = np.zeros(grad.shape[:-1], dtype=np.int64)
+            self._scratch = np.empty_like(grad), np.empty_like(grad)
         live = True
         if rows is None:
             self.t += 1
@@ -145,11 +147,17 @@ class Adam:
         else:
             c1, c2 = (np.array([[1.0 - beta ** max(n, 1)] for n in t])
                       for beta in (ADAM_BETA1, ADAM_BETA2))
+        # the ufunc steps of m += (1 - b1) (g - m), v += (1 - b2) (g g - v),
+        # params -= lr (m / c1) / (sqrt(v / c2) + eps), through two buffers
         m, v = self.m, self.v
-        np.add(m, (1.0 - ADAM_BETA1) * (grad - m), out=m, where=live)
-        np.add(v, (1.0 - ADAM_BETA2) * (grad * grad - v), out=v, where=live)
-        np.subtract(params, self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS),
-                    out=params, where=live)
+        a, b = self._scratch
+        np.multiply(1.0 - ADAM_BETA1, np.subtract(grad, m, out=a), out=a)
+        np.add(m, a, out=m, where=live)
+        np.subtract(np.multiply(grad, grad, out=a), v, out=a)
+        np.add(v, np.multiply(1.0 - ADAM_BETA2, a, out=a), out=v, where=live)
+        np.multiply(self.lr, np.divide(m, c1, out=a), out=a)
+        np.add(np.sqrt(np.divide(v, c2, out=b), out=b), ADAM_EPS, out=b)
+        np.subtract(params, np.divide(a, b, out=a), out=params, where=live)
 
 
 def make_optimizer(name, lr):

@@ -185,7 +185,8 @@ def train_source(dataset, epochs, seed, lr=1e-2, hidden=64):
     """Train the canonical network on a clean dataset with random flips.
 
     Uses Adam on all parameters with BN in training mode, so running
-    statistics are populated. Raises TrainingDiverged on a non-finite loss.
+    statistics are populated. Raises TrainingDiverged, naming the epoch and
+    the batch, when a step overflows or computes an invalid value.
     """
     if epochs < 0:
         raise InvalidInput(f"epochs must be non-negative, got {epochs}")
@@ -197,30 +198,33 @@ def train_source(dataset, epochs, seed, lr=1e-2, hidden=64):
     optimizer = make_optimizer("adam", lr)
     rng = np.random.default_rng(seed)
     m = len(dataset)
-    for _ in range(epochs):
-        order = rng.permutation(m)
-        for start in range(0, m, TRAIN_BATCH_SIZE):
-            idx = order[start:start + TRAIN_BATCH_SIZE]
-            if len(idx) < 2:
-                continue  # BN batch statistics need two samples
-            x = dataset.inputs[idx]
-            y = dataset.labels[idx]
-            flips = rng.random(len(idx)) < TRAIN_FLIP_PROB
-            if flips.any():
-                x = x.copy()
-                x[flips] = flip_signal(x[flips])
-            try:
-                logits, cache = forward(net, x, BNMode.TRAIN_STATS)
-            except InvalidInput as e:
-                raise TrainingDiverged(f"forward blew up: {e}") from None
-            p = softmax(logits)
-            loss = -np.mean(np.log(p[np.arange(len(idx)), y]))
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"loss became {loss}")
-            grad = p.copy()
-            grad[np.arange(len(idx)), y] -= 1.0
-            grad /= len(idx)
-            optimizer.step(net.params, backward_all(net, cache, grad))
+    # rows of an epoch that train: a last batch of one row is skipped, as
+    # BN batch statistics need two samples
+    used = m - 1 if m % TRAIN_BATCH_SIZE == 1 else m
+    xs = np.empty_like(dataset.inputs[:used])
+    with np.errstate(over="raise", invalid="raise", divide="raise",
+                     under="ignore"):
+        for epoch in range(epochs):
+            order = rng.permutation(m)[:used]
+            # order is in range; "clip" spares the buffer "raise" makes
+            np.take(dataset.inputs, order, axis=0, out=xs, mode="clip")
+            ys = dataset.labels[order]
+            # one draw per row, the stream a draw per batch makes
+            flips = rng.random(used) < TRAIN_FLIP_PROB
+            xs[flips] = flip_signal(xs[flips])
+            for batch, start in enumerate(range(0, used, TRAIN_BATCH_SIZE)):
+                x = xs[start:start + TRAIN_BATCH_SIZE]
+                y = ys[start:start + TRAIN_BATCH_SIZE]
+                try:
+                    logits, cache = forward(net, x, BNMode.TRAIN_STATS)
+                    grad = softmax(logits)  # minus the one-hot, over N
+                    grad[np.arange(len(y)), y] -= 1.0
+                    grad /= len(y)
+                    optimizer.step(net.params, backward_all(net, cache, grad))
+                except (FloatingPointError, InvalidInput) as e:
+                    raise TrainingDiverged(
+                        f"diverged in epoch {epoch + 1}, batch {batch + 1}:"
+                        f" {e}") from None
     net.meta = {"seed": seed, "trained_epochs": epochs}
     return net
 

@@ -130,6 +130,8 @@ class Network:
     blocks: tuple = field(init=False, repr=False, compare=False)
     params: np.ndarray = field(init=False, repr=False, compare=False)
     affine: np.ndarray = field(init=False, repr=False, compare=False)
+    # each block's (weight, bias) slices of params
+    dense_slices: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.blocks = _blocks(self.layers)
@@ -144,8 +146,11 @@ class Network:
         arrays = affine + [a for d in denses for a in (d.weight, d.bias)]
         self.params = np.concatenate([np.ravel(a) for a in arrays],
                                      dtype=np.float64)
-        bounds = np.cumsum([0] + [np.size(a) for a in arrays])
+        bounds = np.cumsum([0] + [np.size(a) for a in arrays]).tolist()
         self.affine = self.params[:bounds[len(affine)]]
+        dense = [slice(a, b) for a, b in zip(bounds[len(affine):-1],
+                                             bounds[len(affine) + 1:])]
+        self.dense_slices = tuple(zip(dense[::2], dense[1::2]))
         views = iter(np.split(self.params, bounds[1:-1]))
         for bn in bns:
             bn.gamma, bn.beta = next(views), next(views)
@@ -257,7 +262,9 @@ def forward(net, batch, mode, affine=None):
     for dense, bn, relu, gamma, beta in net.blocks:
         layer = net.layers[dense]
         x_in = x
-        x = x @ layer.weight.T + layer.bias
+        # every later step of the block writes into arrays it made itself
+        x = np.matmul(x_in, layer.weight.T)
+        np.add(x, layer.bias, out=x)
         bn_rec = mask = None
         if bn is not None:  # views of shape (..., 1, F)
             x, bn_rec = _bn_forward(net.layers[bn], x, mode,
@@ -265,39 +272,42 @@ def forward(net, batch, mode, affine=None):
                                     affine[..., None, beta])
         if relu:
             mask = x > 0.0
-            x = x * mask
+            np.multiply(x, mask, out=x)
         records.append((x_in, bn_rec, mask))
     if not np.isfinite(x).all():
         raise InvalidInput("forward produced non-finite logits")
     return x, ForwardCache(records=records, affine=affine)
 
 
-def _batch_stats(x):
+def _batch_stats(x, out=None):
     """Mean over the rows (axis -2), centered batch and biased variance of
-    a batch or of each stream of a stack.
+    a batch or of each stream of a stack; the centered batch is written
+    into ``out`` when given (it may be ``x``).
 
     The ufunc steps of ``x.mean(axis=-2)`` and ``x.var(axis=-2)``, run once:
     the results are bit-identical to theirs.
     """
     n = x.shape[-2]
     mean = np.add.reduce(x, -2) / n
-    d = x - mean[..., None, :]
+    d = np.subtract(x, mean[..., None, :], out=out)
     return mean, d, np.add.reduce(d * d, -2) / n
 
 
 def _bn_forward(layer, x, mode, gamma, beta):
+    """Normalize ``x``, which the caller owns: it becomes the cached xhat."""
     if mode is BNMode.EVAL_STATS:
         mean, var = layer.running_mean, layer.running_var
-        d = x - mean
+        d = np.subtract(x, mean, out=x)
     else:
-        mean, d, var = _batch_stats(x)
+        mean, d, var = _batch_stats(x, out=x)
         if mode is BNMode.TRAIN_STATS:
             m = layer.momentum
             layer.running_mean = (1.0 - m) * layer.running_mean + m * mean
             layer.running_var = (1.0 - m) * layer.running_var + m * var
     inv_std = 1.0 / np.sqrt(var + layer.eps)
     xhat = np.multiply(d, inv_std[..., None, :], out=d)
-    out = gamma * xhat + beta
+    out = gamma * xhat
+    np.add(out, beta, out=out)
     return out, (xhat, inv_std, mode is not BNMode.EVAL_STATS)
 
 
@@ -308,39 +318,52 @@ def _backward(net, cache, loss_grad_logits, affine_only):
 
     With ``affine_only`` the pass ends at the gamma/beta gradient of the
     lowest BN layer, as nothing reads a gradient below it; a network
-    without BN layers runs no pass at all."""
+    without BN layers runs no pass at all.
+
+    Each piece is written into its block's slice of the result. ``g`` is
+    written in place only once the pass has made it: never the caller's
+    gradient, never a cache record."""
     g = np.asarray(loss_grad_logits, dtype=np.float64)
-    blocks = list(zip(net.blocks, cache.records))
+    blocks = list(zip(net.blocks, net.dense_slices, cache.records))
     if affine_only:
         lowest = [i for i, b in enumerate(net.blocks) if b.bn is not None]
         blocks = blocks[lowest[0]:] if lowest else []
-    # pieces in reverse layout order: beta before gamma, bias before weight
-    affine, dense_grads = [], []
-    for (dense, bn, _, gamma, _), (x, bn_rec, mask) in reversed(blocks):
+    size = net.affine.size if affine_only else net.params.size
+    grad = np.empty(g.shape[:-2] + (size,))
+    own = False  # whether g is an array this pass made
+    for block, (weight, bias), (x, bn_rec, mask) in reversed(blocks):
         if mask is not None:
-            g = g * mask
-        if bn is not None:
+            g = np.multiply(g, mask, out=g if own else None)
+            own = True
+        if block.bn is not None:
             xhat, inv_std, batch_stats = bn_rec
-            affine += [np.add.reduce(g, -2), np.add.reduce(g * xhat, -2)]
-            if affine_only and bn == blocks[0][0].bn:
+            gx = np.multiply(g, xhat)  # then the chain's scratch
+            np.add.reduce(g, -2, out=grad[..., block.beta])
+            np.add.reduce(gx, -2, out=grad[..., block.gamma])
+            if affine_only and block.bn == blocks[0][0].bn:
                 break
-            dxhat = g * cache.affine[..., None, gamma]
+            dxhat = np.multiply(g, cache.affine[..., None, block.gamma],
+                                out=g if own else None)
             if batch_stats:
+                # inv_std / n * (n dxhat - sum(dxhat) - xhat sum(dxhat xhat))
                 n = xhat.shape[-2]
-                g = (inv_std[..., None, :] / n) * (
-                    n * dxhat
-                    - np.add.reduce(dxhat, -2, keepdims=True)
-                    - xhat * np.add.reduce(dxhat * xhat, -2, keepdims=True)
-                )
+                sum_dx = np.add.reduce(np.multiply(dxhat, xhat, out=gx), -2,
+                                       keepdims=True)
+                sum_d = np.add.reduce(dxhat, -2, keepdims=True)
+                g = np.multiply(n, dxhat, out=dxhat)
+                np.subtract(g, sum_d, out=g)
+                np.subtract(g, np.multiply(xhat, sum_dx, out=gx), out=g)
+                np.multiply(inv_std[..., None, :] / n, g, out=g)
             else:
-                g = dxhat * inv_std[..., None, :]
+                g = np.multiply(dxhat, inv_std[..., None, :], out=dxhat)
+            own = True
         if not affine_only:
-            dense_grads += [np.add.reduce(g, 0), (g.T @ x).ravel()]
-        if dense:  # layer 0 reads the network input, which needs no gradient
-            g = g @ net.layers[dense].weight
-    pieces = affine[::-1] + dense_grads[::-1]
-    return (np.concatenate(pieces, axis=-1) if pieces
-            else np.zeros(g.shape[:-2] + (0,)))
+            np.add.reduce(g, 0, out=grad[bias])
+            np.matmul(g.T, x, out=grad[weight].reshape(-1, x.shape[-1]))
+        if block.dense:  # layer 0 reads the network input: no gradient
+            g = g @ net.layers[block.dense].weight
+            own = True
+    return grad
 
 
 def backward_bn_affine(net, cache, loss_grad_logits):

@@ -629,6 +629,90 @@ class TestVectorMatchesPerArrayPath:
         assert np.signbit(opt.applied[0][0, 0])
 
 
+class OutOfPlaceAdam:
+    """Adam.step as one out-of-place expression per update: the oracle the
+    update through scratch buffers must match bit for bit."""
+
+    def __init__(self, lr):
+        self.lr = lr
+        self.t = self.m = self.v = None  # created on the first step
+
+    def step(self, params, grad, rows=None):
+        if self.m is None:
+            self.m, self.v = np.zeros_like(grad), np.zeros_like(grad)
+            self.t = np.zeros(grad.shape[:-1], dtype=np.int64)
+        live = True
+        if rows is None:
+            self.t += 1
+        else:
+            self.t += rows
+            live = rows[:, None]
+        # bias corrections from Python's float power, as numpy's vector
+        # power can round differently: one pair if every row is at the same
+        # step, else one per row. A row that has not stepped yet gets the
+        # correction of step 1, which its masked update does not read.
+        t = self.t.ravel().tolist()
+        if min(t) == max(t):
+            c1, c2 = 1.0 - ADAM_BETA1 ** t[0], 1.0 - ADAM_BETA2 ** t[0]
+        else:
+            c1, c2 = (np.array([[1.0 - beta ** max(n, 1)] for n in t])
+                      for beta in (ADAM_BETA1, ADAM_BETA2))
+        m, v = self.m, self.v
+        np.add(m, (1.0 - ADAM_BETA1) * (grad - m), out=m, where=live)
+        np.add(v, (1.0 - ADAM_BETA2) * (grad * grad - v), out=v, where=live)
+        np.subtract(params, self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS),
+                    out=params, where=live)
+
+
+@st.composite
+def adam_runs(draw):
+    """A shape, (P,) or (S, P), and 1-5 steps of (gradient, rows), where
+    rows is None or, for a stack, a mask whose first step leaves row 0 out,
+    so that row steps later or never. Some row steps at every step, as
+    ``accumulate_and_maybe_step`` steps only then."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    p = draw(st.integers(1, 6))
+    s = draw(st.sampled_from([None, 1, 2, 4]))
+    shape = (p,) if s is None else (s, p)
+    masked = s is not None and s > 1 and draw(st.booleans())
+    steps = []
+    for i in range(draw(st.integers(1, 5))):
+        rows = None
+        if masked:
+            rows = np.array(draw(st.lists(st.booleans(), min_size=s,
+                                          max_size=s)))
+            rows[0] &= i > 0
+            rows[-1] |= not rows.any()
+        steps.append((signed_zeros(rng, shape)
+                      * 10.0 ** draw(st.integers(-3, 3)), rows))
+    return signed_zeros(rng, shape), steps
+
+
+class TestAdamInPlace:
+    @settings(max_examples=150, deadline=None)
+    @given(run=adam_runs(), lr=st.sampled_from([1e-3, 0.05, 1.0]))
+    def test_moments_steps_and_params_bit_identical(self, run, lr):
+        start, steps = run
+        ours, oracle = Adam(lr), OutOfPlaceAdam(lr)
+        params, ref_params = start.copy(), start.copy()
+        for grad, rows in steps:
+            ours.step(params, grad, rows)
+            oracle.step(ref_params, grad, rows)
+            assert params.tobytes() == ref_params.tobytes()
+            assert ours.t.tobytes() == oracle.t.tobytes()
+            assert ours.m.tobytes() == oracle.m.tobytes()
+            assert ours.v.tobytes() == oracle.v.tobytes()
+
+    def test_two_optimizers_share_no_buffer(self, rng):
+        a, b = Adam(0.1), Adam(0.1)
+        for opt in (a, b):
+            opt.step(np.zeros((2, 3)), rng.normal(size=(2, 3)))
+        for x in (a.m, a.v, *a._scratch):
+            for y in (b.m, b.v, *b._scratch):
+                assert not np.shares_memory(x, y)
+
+
 def one_stream(net, config, batch_size=10):
     """An Adapter of one stream and a function adapting it on an (N, d)
     batch, returning the stream's predictions."""

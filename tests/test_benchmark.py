@@ -1,22 +1,27 @@
 import copy
 import hashlib
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ttalab import benchmark
-from ttalab.adaptation import STRATEGIES, AdaptationConfig, Adapter, flip_signal
+from ttalab.adaptation import (STRATEGIES, AdaptationConfig, Adapter,
+                               flip_signal, make_optimizer)
 from ttalab.benchmark import (CORRUPTION_KINDS, NOISE_SIGMA, SIGNAL_LENGTH,
-                              Corruption, SignalDataset, StreamProtocol,
-                              accuracy_score, adapt_streams,
-                              apply_corruption, batch_slices, class_templates,
-                              evaluate_accuracy, generate_dataset,
-                              histogram_overlap, params_digest, stream_eval,
-                              train_source)
+                              TRAIN_BATCH_SIZE, TRAIN_FLIP_PROB, Corruption,
+                              SignalDataset, StreamProtocol, accuracy_score,
+                              adapt_streams, apply_corruption, batch_slices,
+                              class_templates, evaluate_accuracy,
+                              generate_dataset, histogram_overlap,
+                              params_digest, stream_eval, train_source)
 from ttalab.errors import DegenerateBatch, InvalidInput, TrainingDiverged
-from ttalab.network import make_network, network_to_dict
+from ttalab.network import (BNMode, backward_all, forward, make_network,
+                            network_to_dict)
+from ttalab.numeric import softmax
 
 
 class TestGenerateDataset:
@@ -158,6 +163,77 @@ class TestTrainSource:
         for layer in source_net.layers:
             if isinstance(layer, BatchNormLayer):
                 assert not np.allclose(layer.running_mean, 0.0)
+
+
+def per_batch_train_source(dataset, epochs, seed, lr=1e-2, hidden=64):
+    """train_source as a loop that gathers, flips and scores one batch at a
+    time: the oracle the epoch-at-once loop must match bit for bit."""
+    if epochs < 0:
+        raise InvalidInput(f"epochs must be non-negative, got {epochs}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise InvalidInput(f"lr must be finite and positive, got {lr}")
+    k = dataset.num_classes
+    net = make_network(input_dim=dataset.inputs.shape[1], hidden=hidden,
+                       k=k, seed=seed)
+    optimizer = make_optimizer("adam", lr)
+    rng = np.random.default_rng(seed)
+    m = len(dataset)
+    for _ in range(epochs):
+        order = rng.permutation(m)
+        for start in range(0, m, TRAIN_BATCH_SIZE):
+            idx = order[start:start + TRAIN_BATCH_SIZE]
+            if len(idx) < 2:
+                continue  # BN batch statistics need two samples
+            x = dataset.inputs[idx]
+            y = dataset.labels[idx]
+            flips = rng.random(len(idx)) < TRAIN_FLIP_PROB
+            if flips.any():
+                x = x.copy()
+                x[flips] = flip_signal(x[flips])
+            try:
+                logits, cache = forward(net, x, BNMode.TRAIN_STATS)
+            except InvalidInput as e:
+                raise TrainingDiverged(f"forward blew up: {e}") from None
+            p = softmax(logits)
+            loss = -np.mean(np.log(p[np.arange(len(idx)), y]))
+            if not np.isfinite(loss):
+                raise TrainingDiverged(f"loss became {loss}")
+            grad = p.copy()
+            grad[np.arange(len(idx)), y] -= 1.0
+            grad /= len(idx)
+            optimizer.step(net.params, backward_all(net, cache, grad))
+    net.meta = {"seed": seed, "trained_epochs": epochs}
+    return net
+
+
+class TestTrainingMatchesPerBatchLoop:
+    # m = k, one short batch, whole batches, a lone last row (skipped),
+    # several batches
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(2, 4),
+           m=st.one_of(st.just("k"), st.integers(2, 63),
+                       st.sampled_from([64, 65, 129, 300])),
+           epochs=st.integers(0, 3), hidden=st.integers(1, 16),
+           seed=st.integers(0, 50))
+    def test_network_is_bit_identical(self, k, m, epochs, hidden, seed):
+        m = k if m == "k" else max(m, k)
+        dataset = generate_dataset(k, m, seed=seed)
+        ours = train_source(dataset, epochs, seed, hidden=hidden)
+        oracle = per_batch_train_source(dataset, epochs, seed, hidden=hidden)
+        # json holds each float's shortest repr, so equal text is equal bits
+        assert (json.dumps(network_to_dict(ours), sort_keys=True)
+                == json.dumps(network_to_dict(oracle), sort_keys=True))
+
+
+class TestTrainingDivergence:
+    def test_error_names_epoch_and_batch_without_a_warning(self):
+        ds = generate_dataset(3, 300, seed=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TrainingDiverged,
+                               match=r"epoch 1, batch 2: overflow"):
+                train_source(ds, epochs=5, seed=0, lr=1e300)
+        assert caught == []
 
 
 class TestAccuracyMetric:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,20 @@ class TestTrainSource:
                          "--epochs", "20", "--m", "300", "--lr", "1e306"])
         assert code == 2
         assert "training failed" in capsys.readouterr().err
+
+    def test_divergence_names_the_epoch_and_warns_nothing(self, tmp_path,
+                                                          capsys):
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train-source", "--out", str(out), "--m", "300",
+                         "--epochs", "5", "--lr", "1e300"])
+        assert code == 2
+        line, = capsys.readouterr().err.splitlines()
+        assert line.startswith("training failed: diverged in epoch 1, batch 2:"
+                               " overflow encountered in ")
+        assert caught == []
+        assert not out.exists()
 
 
 class TestAdapt:

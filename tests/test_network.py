@@ -682,3 +682,98 @@ class TestFreezingProperty:
                    if block.bn is not None and not np.array_equal(
                        row[block.gamma], source_net.affine[block.gamma])]
         assert changed  # the adaptation actually moved something
+
+
+def top_bn_net(rng, k=3):
+    """random_net with BN on its top block too, after no ReLU: the first op
+    of the reverse pass reads the caller's gradient."""
+    net = random_net(rng, k=k)
+    layer = BatchNormLayer.identity(k)
+    layer.gamma = rng.normal(1.0, 0.2, size=k)
+    layer.beta = rng.normal(0.0, 0.2, size=k)
+    layer.running_mean = rng.normal(size=k)
+    layer.running_var = rng.uniform(0.5, 2.0, size=k)
+    return Network(layers=net.layers + [layer], k=k)
+
+
+def record_bytes(records):
+    """Every array of a cache's records, as bytes."""
+    return [[a.tobytes() for a in (x, *(bn_rec[:2] if bn_rec else ()),
+                                   *(() if mask is None else (mask,)))]
+            for x, bn_rec, mask in records]
+
+
+class TestNoWriteToCallerArrays:
+    """forward and the backward passes write only into arrays they made:
+    the batch, the loss gradient and the cache keep every bit, so a second
+    backward on the same cache gives the same bits."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7),
+           streams=st.sampled_from([None, 1, 3]),
+           mode=st.sampled_from(list(BNMode)),
+           layout=st.sampled_from(["bn-on-top", "bn-in-every-block",
+                                   "no-bn-in-lowest-block", "no-bn"]))
+    def test_batch_gradient_and_cache_unchanged(self, seed, n, streams,
+                                                mode, layout):
+        assume(streams is None or mode is not BNMode.TRAIN_STATS)
+        rng = np.random.default_rng(seed)
+        net = (top_bn_net(rng) if layout == "bn-on-top"
+               else random_net(rng, bn=BN_LAYOUTS[layout]))
+        lead = () if streams is None else (streams,)
+        x = rng.normal(size=lead + (n, 5))
+        affine = None if streams is None else net.affine + rng.normal(
+            scale=0.1, size=lead + net.affine.shape)
+        x_before = x.tobytes()
+        logits, cache = forward(net, x, mode, affine)
+        assert x.tobytes() == x_before
+        g = rng.normal(size=logits.shape)
+        g_before, records = g.tobytes(), record_bytes(cache.records)
+        affine_before = cache.affine.tobytes()
+        passes = [backward_bn_affine] + ([backward_all] if streams is None
+                                         else [])
+        for backward in passes:
+            first = backward(net, cache, g)
+            assert same_bits(first, backward(net, cache, g))
+            assert g.tobytes() == g_before
+            assert record_bytes(cache.records) == records
+            assert cache.affine.tobytes() == affine_before
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_top_bn_backward_all_matches_finite_differences(self, seed):
+        rng = np.random.default_rng(seed)
+        net = top_bn_net(rng)
+        x = rng.normal(size=(12, 5))
+
+        def loss_value():
+            logits, _ = forward(net, x, BNMode.TEST_BATCH_STATS)
+            return tent_loss(logits)[0]
+
+        logits, cache = forward(net, x, BNMode.TEST_BATCH_STATS)
+        grads = backward_all(net, cache, tent_loss(logits)[1])
+        h = 1e-5
+        arr = net.params
+        for j in range(arr.size):
+            orig = arr[j]
+            arr[j] = orig + h
+            hi = loss_value()
+            arr[j] = orig - h
+            lo = loss_value()
+            arr[j] = orig
+            fd = (hi - lo) / (2 * h)
+            assert abs(grads[j] - fd) / max(1.0, abs(grads[j])) < 1e-4
+
+
+class TestDenseSlices:
+    @pytest.mark.parametrize("bn", BN_LAYOUTS.values(), ids=BN_LAYOUTS)
+    def test_each_block_names_its_weight_and_bias_in_params(self, rng, bn):
+        net = random_net(rng, bn=bn)
+        assert len(net.dense_slices) == len(net.blocks)
+        at = net.affine.size  # the dense part follows the affine
+        for block, (weight, bias) in zip(net.blocks, net.dense_slices):
+            layer = net.layers[block.dense]
+            assert (weight.start, bias.start) == (at, at + layer.weight.size)
+            assert net.params[weight].tobytes() == layer.weight.tobytes()
+            assert net.params[bias].tobytes() == layer.bias.tobytes()
+            at = bias.stop
+        assert at == net.params.size
