@@ -143,7 +143,8 @@ class Adam:
         # correction of step 1, which its masked update does not read.
         t = self.t.ravel().tolist()
         if min(t) == max(t):
-            c1, c2 = 1.0 - ADAM_BETA1 ** t[0], 1.0 - ADAM_BETA2 ** t[0]
+            n = max(t[0], 1)
+            c1, c2 = 1.0 - ADAM_BETA1 ** n, 1.0 - ADAM_BETA2 ** n
         else:
             c1, c2 = (np.array([[1.0 - beta ** max(n, 1)] for n in t])
                       for beta in (ADAM_BETA1, ADAM_BETA2))

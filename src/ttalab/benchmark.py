@@ -14,16 +14,15 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .adaptation import (Adapter, flip_signal, make_optimizer, stream_plan,
                          stream_row, with_flips)
 from .errors import InvalidInput, TrainingDiverged
-from .network import (BNMode, DenseLayer, backward_all, checkpoint_json,
-                      forward, layer_to_dict, make_network,
-                      penultimate_features)
+from .network import (BNMode, backward_all, checkpoint_text, forward,
+                      make_network, penultimate_features)
 from .numeric import softmax
 
 SIGNAL_LENGTH = 32
@@ -302,53 +301,11 @@ class RunReport:
         return buf.getvalue()
 
 
-# Layers whose checkpoint JSON params_digest keeps, least recently used
-# first. A stream's affine row changes at most the BN layers, so the dense
-# layers of the networks in use stay here across streams.
-LAYER_JSON_MEMO_SIZE = 16
-_layer_json_memo = {}
-
-
-def _layer_key(layer):
-    """Everything layer_to_dict reads, exactly: one changed bit is a new key."""
-    if isinstance(layer, DenseLayer):
-        arrays, scalars = (layer.weight, layer.bias), (layer.activation,)
-    else:
-        arrays = (layer.gamma, layer.beta, layer.running_mean,
-                  layer.running_var)
-        # hex keeps -0.0 apart from 0.0, which compare equal as floats
-        scalars = (float(layer.eps).hex(), float(layer.momentum).hex())
-    return (type(layer), *scalars,
-            *((np.shape(a), np.asarray(a, dtype=np.float64).tobytes())
-              for a in arrays))
-
-
-def _layer_json(layer):
-    key = _layer_key(layer)
-    text = _layer_json_memo.pop(key, None)
-    if text is None:
-        text = json.dumps(layer_to_dict(layer), sort_keys=True)
-        if len(_layer_json_memo) >= LAYER_JSON_MEMO_SIZE:
-            del _layer_json_memo[next(iter(_layer_json_memo))]
-    _layer_json_memo[key] = text
-    return text
-
-
 def params_digest(net, affine=None):
     """sha256 of ``json.dumps(network_to_dict(net), sort_keys=True)`` for
-    net with the (A,) gamma/beta row ``affine`` (default ``net.affine``),
-    built from per-layer JSON texts memoised on each layer's exact contents:
-    the dense layers, which no row changes, are serialised once."""
-    affine = net.affine if affine is None else np.asarray(affine)
-    if affine.shape != net.affine.shape:
-        raise InvalidInput(f"affine must be {net.affine.shape}, got shape"
-                           f" {affine.shape}")
-    layers = list(net.layers)
-    for b in net.blocks:
-        if b.bn is not None:
-            layers[b.bn] = replace(layers[b.bn], gamma=affine[b.gamma],
-                                   beta=affine[b.beta])
-    doc = checkpoint_json(net, map(_layer_json, layers))
+    net with the (A,) gamma/beta row ``affine`` (default ``net.affine``):
+    the hash of ``network.checkpoint_text``."""
+    doc = checkpoint_text(net, affine)
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
 

@@ -233,9 +233,11 @@ def cmd_train_source(args):
     dataset = generate_dataset(args.k, args.m, args.seed)
     net = train_source(dataset, epochs=args.epochs, seed=args.seed,
                        lr=args.lr, hidden=args.hidden)
-    # a last step that diverges shows only here, so no checkpoint is written
+    # a last step that diverges shows only here, so no checkpoint is written;
+    # forward's finiteness check reports it, not numpy's warnings
     try:
-        train_acc = evaluate_accuracy(net, dataset)
+        with np.errstate(over="ignore", invalid="ignore"):
+            train_acc = evaluate_accuracy(net, dataset)
     except InvalidInput as e:
         raise TrainingDiverged(f"trained network is unusable: {e}") from None
     out = _outdir(args)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -320,21 +320,19 @@ def _backward(net, cache, loss_grad_logits, affine_only):
     lowest BN layer, as nothing reads a gradient below it; a network
     without BN layers runs no pass at all.
 
-    Each piece is written into its block's slice of the result. ``g`` is
-    written in place only once the pass has made it: never the caller's
-    gradient, never a cache record."""
-    g = np.asarray(loss_grad_logits, dtype=np.float64)
+    Each piece is written into its block's slice of the result. ``g`` starts
+    as a copy of the caller's gradient and is written in place, never a
+    cache record."""
+    g = np.array(loss_grad_logits, dtype=np.float64)
     blocks = list(zip(net.blocks, net.dense_slices, cache.records))
     if affine_only:
         lowest = [i for i, b in enumerate(net.blocks) if b.bn is not None]
         blocks = blocks[lowest[0]:] if lowest else []
     size = net.affine.size if affine_only else net.params.size
     grad = np.empty(g.shape[:-2] + (size,))
-    own = False  # whether g is an array this pass made
     for block, (weight, bias), (x, bn_rec, mask) in reversed(blocks):
         if mask is not None:
-            g = np.multiply(g, mask, out=g if own else None)
-            own = True
+            np.multiply(g, mask, out=g)
         if block.bn is not None:
             xhat, inv_std, batch_stats = bn_rec
             gx = np.multiply(g, xhat)  # then the chain's scratch
@@ -342,8 +340,7 @@ def _backward(net, cache, loss_grad_logits, affine_only):
             np.add.reduce(gx, -2, out=grad[..., block.gamma])
             if affine_only and block.bn == blocks[0][0].bn:
                 break
-            dxhat = np.multiply(g, cache.affine[..., None, block.gamma],
-                                out=g if own else None)
+            dxhat = np.multiply(g, cache.affine[..., None, block.gamma], out=g)
             if batch_stats:
                 # inv_std / n * (n dxhat - sum(dxhat) - xhat sum(dxhat xhat))
                 n = xhat.shape[-2]
@@ -356,13 +353,11 @@ def _backward(net, cache, loss_grad_logits, affine_only):
                 np.multiply(inv_std[..., None, :] / n, g, out=g)
             else:
                 g = np.multiply(dxhat, inv_std[..., None, :], out=dxhat)
-            own = True
         if not affine_only:
             np.add.reduce(g, 0, out=grad[bias])
             np.matmul(g.T, x, out=grad[weight].reshape(-1, x.shape[-1]))
         if block.dense:  # layer 0 reads the network input: no gradient
             g = g @ net.layers[block.dense].weight
-            own = True
     return grad
 
 
@@ -423,21 +418,57 @@ def network_to_dict(net):
             "meta": dict(net.meta)}
 
 
-def checkpoint_json(net, layer_texts):
-    """``json.dumps(network_to_dict(net), sort_keys=True)``, given each
-    layer's ``json.dumps(layer_to_dict(layer), sort_keys=True)`` in order."""
+# one (key, text) per layer position: the fields of the layer serialised
+# there last, and its text. The digests of a run share one network, so its
+# dense layers, which no affine row changes, are serialised once.
+_layer_texts = {}
+
+
+def _field_key(value):
+    """A layer field, exactly: a number by its float64 bits in hex, so that
+    -0.0 stays apart from 0.0, and an array by its shape and bytes."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, np.ndarray):
+        return value.shape, np.asarray(value, dtype=np.float64).tobytes()
+    return float(value).hex()
+
+
+def _layer_text(i, layer):
+    """``json.dumps(layer_to_dict(layer), sort_keys=True)``, memoised in
+    slot i on every field of the layer."""
+    key = (type(layer), *((name, _field_key(value))
+                          for name, value in vars(layer).items()))
+    slot = _layer_texts.get(i)
+    if slot is None or slot[0] != key:
+        slot = _layer_texts[i] = key, json.dumps(layer_to_dict(layer),
+                                                  sort_keys=True)
+    return slot[1]
+
+
+def checkpoint_text(net, affine=None):
+    """``json.dumps(network_to_dict(net), sort_keys=True)`` for net with the
+    (A,) gamma/beta row ``affine`` (default ``net.affine``) in its BN
+    layers. Each layer is its own ``json.dumps``, which runs the C encoder,
+    so one layer's floats at a time are Python objects."""
+    layers = list(net.layers)
+    if affine is not None:
+        affine = np.asarray(affine)
+        if affine.shape != net.affine.shape:
+            raise InvalidInput(f"affine must be {net.affine.shape}, got shape"
+                               f" {affine.shape}")
+        for b in net.blocks:
+            if b.bn is not None:
+                layers[b.bn] = replace(layers[b.bn], gamma=affine[b.gamma],
+                                       beta=affine[b.beta])
+    texts = ", ".join(_layer_text(i, layer) for i, layer in enumerate(layers))
     meta = json.dumps(dict(net.meta), sort_keys=True)
-    return (f'{{"k": {int(net.k)}, "layers": [{", ".join(layer_texts)}],'
-            f' "meta": {meta}}}')
+    return f'{{"k": {int(net.k)}, "layers": [{texts}], "meta": {meta}}}'
 
 
 def save_checkpoint(net, path):
     """Write the network as a JSON checkpoint (decimal, exact round-trip)."""
-    # layer by layer, so one layer's floats at a time are Python objects;
-    # json.dumps runs the C encoder, json.dump streams through the Python one
-    text = checkpoint_json(net, (json.dumps(layer_to_dict(layer),
-                                            sort_keys=True)
-                                 for layer in net.layers)) + "\n"
+    text = checkpoint_text(net) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

@@ -1,5 +1,6 @@
 import copy
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -703,6 +704,29 @@ class TestAdamInPlace:
             assert ours.t.tobytes() == oracle.t.tobytes()
             assert ours.m.tobytes() == oracle.m.tobytes()
             assert ours.v.tobytes() == oracle.v.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 4), (3, 4)])
+    def test_first_call_stepping_no_row_is_a_no_op(self, rng, shape):
+        params = rng.normal(size=shape)
+        start = params.copy()
+        adam = Adam(0.1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            adam.step(params, rng.normal(size=shape),
+                      rows=np.zeros(shape[0], bool))
+        assert caught == []
+        zeros = np.zeros(shape)
+        assert params.tobytes() == start.tobytes()
+        assert adam.m.tobytes() == adam.v.tobytes() == zeros.tobytes()
+        assert adam.t.tobytes() == np.zeros(shape[0], np.int64).tobytes()
+        grad = rng.normal(size=shape)
+        fresh, fresh_params = Adam(0.1), start.copy()
+        adam.step(params, grad)
+        fresh.step(fresh_params, grad)
+        assert params.tobytes() == fresh_params.tobytes()
+        for ours, theirs in ((adam.t, fresh.t), (adam.m, fresh.m),
+                             (adam.v, fresh.v)):
+            assert ours.tobytes() == theirs.tobytes()
 
     def test_two_optimizers_share_no_buffer(self, rng):
         a, b = Adam(0.1), Adam(0.1)

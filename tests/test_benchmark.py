@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ttalab import benchmark
+from ttalab import benchmark, network
 from ttalab.adaptation import (STRATEGIES, AdaptationConfig, Adapter,
                                flip_signal, make_optimizer)
 from ttalab.benchmark import (CORRUPTION_KINDS, NOISE_SIGMA, SIGNAL_LENGTH,
@@ -19,8 +20,9 @@ from ttalab.benchmark import (CORRUPTION_KINDS, NOISE_SIGMA, SIGNAL_LENGTH,
                               generate_dataset, histogram_overlap,
                               params_digest, stream_eval, train_source)
 from ttalab.errors import DegenerateBatch, InvalidInput, TrainingDiverged
-from ttalab.network import (BNMode, backward_all, forward, make_network,
-                            network_to_dict)
+from ttalab.network import (BatchNormLayer, BNMode, DenseLayer, Network,
+                            backward_all, forward, make_network,
+                            network_to_dict, save_checkpoint)
 from ttalab.numeric import softmax
 
 
@@ -470,11 +472,88 @@ class TestParamsDigest:
         assert params_digest(net) == document_digest(net) != before
 
     def test_memo_stays_within_its_size(self):
-        for seed in range(100):
-            net = make_network(input_dim=4, hidden=3, k=3, seed=seed)
+        rng = np.random.default_rng(3)
+        nets = [random_net(rng, seed) for seed in range(100)]
+        for net in nets:
             assert params_digest(net) == document_digest(net)
-            assert len(benchmark._layer_json_memo) \
-                <= benchmark.LAYER_JSON_MEMO_SIZE
+        assert len(network._layer_texts) \
+            <= max(len(net.layers) for net in nets)
+
+    def test_interleaved_networks(self, source_net):
+        a, b = source_net, make_network(seed=1)
+        row = a.affine + 0.25
+        adapted = copy.deepcopy(a)
+        adapted.affine[:] = row
+        for net, affine, reference in ((a, None, a), (b, None, b),
+                                       (a, None, a), (a, row, adapted)):
+            assert params_digest(net, affine) == document_digest(reference)
+        assert len({document_digest(n) for n in (a, b, adapted)}) == 3
+
+    @pytest.mark.parametrize("index, name", [
+        (i, f.name) for i, cls in ((0, DenseLayer), (1, BatchNormLayer))
+        for f in dataclasses.fields(cls)])
+    def test_every_field_counts(self, tmp_path, index, name):
+        base = make_network(input_dim=4, hidden=3, k=3, seed=2)
+        base.layers[1].eps = 0.0
+        for check in ("save", "digest"):
+            net = copy.deepcopy(base)
+            before = params_digest(net)  # the memo now holds every layer
+            layer = net.layers[index]
+            value = getattr(layer, name)
+            if name == "activation":
+                assert value == "relu"
+                layer.activation = "identity"
+            elif name == "eps":
+                layer.eps = -0.0
+            elif name == "momentum":
+                layer.momentum = value * 2.0
+            else:
+                flat = value.reshape(-1)
+                flat[-1] = np.nextafter(flat[-1], np.inf)
+            doc = json.dumps(network_to_dict(net), sort_keys=True)
+            if check == "save":
+                save_checkpoint(net, tmp_path / "net.json")
+                assert (tmp_path / "net.json").read_bytes() \
+                    == (doc + "\n").encode("utf-8")
+            else:
+                assert params_digest(net) == document_digest(net) != before
+
+    def test_hashes_through_the_benchmark_module(self, source_net,
+                                                 monkeypatch):
+        # perfbench counts benchmark.params_digest.bytes through this
+        # module attribute
+        hashed = []
+
+        class RecordingHashlib:
+            def sha256(self, data=b""):
+                hashed.append(data)
+                return hashlib.sha256(data)
+
+        monkeypatch.setattr(benchmark, "hashlib", RecordingHashlib())
+        row = source_net.affine - 0.5
+        adapted = copy.deepcopy(source_net)
+        adapted.affine[:] = row
+        digest = params_digest(source_net, row)
+        assert hashed == [json.dumps(network_to_dict(adapted),
+                                     sort_keys=True).encode()]
+        assert digest == document_digest(adapted)
+
+
+def random_net(rng, seed):
+    """A network of one to three dense-led blocks, each with or without a
+    BN layer."""
+    layers, width = [], 4
+    blocks = int(rng.integers(1, 4))
+    for i in range(blocks):
+        out = 3 if i == blocks - 1 else int(rng.integers(1, 6))
+        layers.append(DenseLayer(weight=rng.normal(size=(out, width)),
+                                 bias=rng.normal(size=out),
+                                 activation="identity" if i == blocks - 1
+                                 else "relu"))
+        if rng.random() < 0.5:
+            layers.append(BatchNormLayer.identity(out))
+        width = out
+    return Network(layers=layers, k=3, meta={"seed": seed})
 
 
 class TestHistogramOverlap:

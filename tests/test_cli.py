@@ -80,6 +80,19 @@ class TestTrainSource:
         assert caught == []
         assert not out.exists()
 
+    def test_last_step_divergence_warns_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train-source", "--out", str(out), "--lr", "1e306",
+                         "--m", "30", "--epochs", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "training failed: trained network is unusable: forward produced"
+            " non-finite logits"]
+        assert caught == []
+        assert not out.exists()
+
 
 class TestAdapt:
     def test_source_on_clean_stream_matches_checkpoint_accuracy(
