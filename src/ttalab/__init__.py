@@ -2,9 +2,8 @@
 with a mini-batch k-means companion and a synthetic corruption benchmark."""
 
 from .adaptation import (AdaptationConfig, Adapter, GradientAccumulator,
-                         accumulate_and_maybe_step, default_q, entropy_filter,
-                         flip_signal, rla_forward, sample_weights, tent_loss,
-                         ttc_loss)
+                         accumulate_and_maybe_step, default_q, flip_signal,
+                         rla_forward, sample_weights, tent_loss, ttc_loss)
 from .benchmark import (Corruption, RunReport, SignalDataset, StreamProtocol,
                         accuracy_score, apply_corruption, eval_streams,
                         generate_dataset, stream_eval, train_source)

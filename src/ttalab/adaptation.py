@@ -211,13 +211,6 @@ def ttc_loss(combined_logits, tau, n):
     return np.sum(w * h, axis=-1), w[..., None] * _entropy_grad(probs)
 
 
-def entropy_filter(entropies, threshold):
-    """Boolean mask accepting samples with entropy strictly below threshold."""
-    if threshold <= 0:
-        raise InvalidInput("threshold must be positive")
-    return np.asarray(entropies, dtype=np.float64) < threshold
-
-
 # ---------------------------------------------------------------------------
 # robust label assignment
 # ---------------------------------------------------------------------------
@@ -289,56 +282,50 @@ def rla_forward(net, batch, affine=None, rla=None):
 # ---------------------------------------------------------------------------
 
 class GradientAccumulator:
-    """Gradient accumulation of length ``q`` for S streams:
-    ``batches_seen`` holds one int per stream, ``accumulated`` the sums
-    since each stream's last step, an (S, P) stack. An Adapter keeps one
-    per ``Window``; its streams count their batches together unless one
-    sits a batch out."""
+    """Gradient accumulation of length ``q`` for a window of streams that
+    step in phase: ``batches_seen`` counts the window's batches since its
+    last step, ``accumulated`` holds their sum, an (S, P) stack. An Adapter
+    keeps one per ``Window``."""
 
-    def __init__(self, q, streams=1):
+    def __init__(self, q):
         self.q = q
-        self.batches_seen = [0] * streams
+        self.batches_seen = 0
         self.accumulated = None
 
 
 def accumulate_and_maybe_step(acc, grad, optimizer, params, live=None):
-    """Add each live stream's (already 1/Q-scaled) gradient, a row of an
-    (S, P) stack with S = ``len(acc.batches_seen)``, like ``params``; step
-    each stream on its Q-th batch.
+    """Add the window's (already 1/Q-scaled) gradient, an (S, P) stack like
+    ``params``, and step on the window's Q-th batch.
 
-    ``live`` is None (every stream) or a bool per stream, False where the
-    stream sits this batch out: it neither counts the batch nor steps. The
-    first batch of a window is copied, not added to zero, so a -0.0 entry
-    stays -0.0; after a step ``acc.accumulated`` still holds the gradient
-    that was applied. While every stream is live the windows stay in phase
-    and each call is one whole-array copy or add; only a stream that sits
-    out takes the masked path. Returns a bool per stream: whether it
-    stepped.
+    The first batch of a window is copied, not added to zero, so a -0.0
+    entry stays -0.0; after a step ``acc.accumulated`` still holds the
+    gradient that was applied. ``live`` is None (every stream) or, in a
+    window of Q = 1 only, a bool per stream, False where the stream sits
+    this batch out: the optimizer steps the live rows only. Returns whether
+    the window stepped.
     """
-    s = len(acc.batches_seen)
-    if np.shape(grad)[:-1] != (s,) or np.shape(params) != grad.shape:
-        raise InvalidInput(f"grad and params must be ({s}, P) stacks,"
-                           f" got {np.shape(grad)} and {np.shape(params)}")
-    seen = acc.batches_seen
-    if live is None:
-        live = [True] * s
-    opening = [on and not n for on, n in zip(live, seen)]
-    if acc.accumulated is None or all(opening):
-        acc.accumulated = grad.copy()
-    elif any(opening) or not all(live):  # the windows are out of phase
-        adding = [on and not first for on, first in zip(live, opening)]
-        np.copyto(acc.accumulated, grad, where=np.array(opening)[:, None])
-        np.add(acc.accumulated, grad, out=acc.accumulated,
-               where=np.array(adding)[:, None])
-    else:
+    shape = np.shape(grad)
+    if (len(shape) != 2 or np.shape(params) != shape
+            or (live is not None and np.shape(live) != shape[:1])
+            or (acc.batches_seen and acc.accumulated.shape != shape)):
+        raise InvalidInput(f"grad and params must be the window's (S, P)"
+                           f" stacks and live one bool per stream, got"
+                           f" {shape}, {np.shape(params)} and"
+                           f" {np.shape(live)}")
+    if live is not None and acc.q > 1:
+        raise InvalidInput(f"only a window of Q = 1 lets a stream sit a"
+                           f" batch out, got Q = {acc.q}")
+    if acc.batches_seen:
         acc.accumulated += grad
-    acc.batches_seen = seen = [n + on for n, on in zip(seen, live)]
-    stepped = [n >= acc.q for n in seen]
-    if any(stepped):
-        acc.batches_seen = [0 if done else n for n, done in zip(seen, stepped)]
-        optimizer.step(params, acc.accumulated,
-                       None if all(stepped) else np.array(stepped))
-    return stepped
+    else:
+        acc.accumulated = grad.copy()
+    acc.batches_seen += 1
+    if acc.batches_seen < acc.q:
+        return False
+    acc.batches_seen = 0
+    optimizer.step(params, acc.accumulated,
+                   None if live is None else np.array(live, dtype=bool))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -424,15 +411,16 @@ class Adapter:
 
     That state lives in ``windows``, one ``Window`` per maximal run of
     consecutive streams that share Q: its own ``GradientAccumulator`` and
-    optimizer over its rows of ``affine``. The streams of a window count
-    their batches and step together, so the accumulator adds and the
+    optimizer over its rows of ``affine``. The streams of a window share one
+    batch count and step together, so the accumulator adds and the
     optimizer corrects its bias once for the whole window. Configs sorted
     by Q give one window per distinct Q; any order gives the same bits.
 
     With gradient accumulation a stream steps on every Q-th batch only;
-    gradients accumulated after its last step are discarded. A
-    ``tent-filtered`` stream whose filter accepts no sample of a batch
-    neither steps nor counts that batch.
+    gradients accumulated after its last step are discarded. Only a window
+    of Q = 1 lets a stream sit a batch out: a ``tent-filtered`` stream
+    (always Q = 1) whose filter accepts no sample of a batch does not step
+    on it, and Adam keeps a step count per stream for its bias correction.
     """
 
     def __init__(self, net, configs, batch_size):
@@ -460,7 +448,7 @@ class Adapter:
         starts = [s for s in range(len(rows))
                   if s == 0 or rows[s].q != rows[s - 1].q]
         self.windows = [
-            Window(slice(lo, hi), GradientAccumulator(rows[lo].q, hi - lo),
+            Window(slice(lo, hi), GradientAccumulator(rows[lo].q),
                    make_optimizer(self.plan.optimizer, self.plan.lr))
             for lo, hi in zip(starts, starts[1:] + [len(rows)])]
         # under RLA the live logits get half the combined-logit gradient

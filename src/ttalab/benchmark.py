@@ -385,7 +385,9 @@ def _adapt_trip(net, inputs, labels, n, streams):
     """Adapt streams of one plan and batch size n in lock-step: each sample
     of each stream is predicted exactly once. The trip's input is built
     once, as the adapter's (S + R, m, d) stack ``with_flips``; streams that
-    share (corruption, seed) share one corruption and one order."""
+    share (corruption, seed) share one corruption and one order. Raises
+    TrainingDiverged, naming N, the batch and the trip's streams, when a
+    batch overflows or computes an invalid value."""
     m = len(labels)
     adapter = Adapter(net, [config for _, _, config in streams], n)
     x = np.empty((len(adapter.stack_rows),) + inputs.shape)
@@ -404,8 +406,17 @@ def _adapt_trip(net, inputs, labels, n, streams):
     with_flips(x[:len(streams)], adapter.flips, out=x)
     hits = np.empty(y.shape, dtype=bool)
     batches = batch_slices(m, n)
-    for batch in batches:
-        hits[:, batch] = adapter.adapt_batch(x[:, batch])[0] == y[:, batch]
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise",
+                         under="ignore"):
+            for b, batch in enumerate(batches):
+                hits[:, batch] = (adapter.adapt_batch(x[:, batch])[0]
+                                  == y[:, batch])
+    except FloatingPointError as e:
+        names = ", ".join(f"{config.strategy} seed {protocol.seed}"
+                          for _, protocol, config in streams)
+        raise TrainingDiverged(f"adaptation diverged at N={n}, batch {b + 1},"
+                               f" in the trip of {names}: {e}") from None
     # np.mean's steps: a count, exact in float64, over the batch size
     starts = [batch.start for batch in batches]
     sizes = np.diff(starts + [m])

@@ -1,10 +1,10 @@
 """Command-line entry points: source training, adaptation runs, the
 batch-size sweep, the entropy-descent check, and feature-density export.
 
-Exit codes: 0 success, 1 property violation, 2 training failure,
-3 I/O, argument or out-of-memory error. Every command is deterministic
-under --seed and writes no timestamps, so reruns produce byte-identical
-outputs.
+Exit codes: 0 success, 1 property violation, 2 training or adaptation
+diverged, 3 I/O, argument or out-of-memory error. Every command is
+deterministic under --seed and writes no timestamps, so reruns produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -263,8 +263,8 @@ def cmd_adapt(args):
     config = _config(args)
     dataset = _test_set(args, net.k)
     protocol = _protocol(args, net.k, config)
-    out = _outdir(args)
     report = stream_eval(net, dataset, _corruption_of(args), protocol, config)
+    out = _outdir(args)  # a diverged run writes nothing
     stem = _report_stem(config.strategy, report.corruption, report.severity,
                         args.seed)
     (out / f"{stem}.json").write_text(report.json_str(), encoding="utf-8")
@@ -284,7 +284,6 @@ def cmd_sweep_batch_size(args):
     corruption = _corruption_of(args)
     dataset = _test_set(args, net.k)
     ttc = _config(args, strategy="ttc")
-    out = _outdir(args)
     variants = {
         ("tent", False): replace(ttc, strategy="tent"),
         # tent plus accumulation is ttc with both other components off
@@ -298,6 +297,7 @@ def cmd_sweep_batch_size(args):
         (corruption, StreamProtocol(batch_size=n, seed=seed),
          variants[variant])
         for variant, n in cells for seed in range(args.seeds)]))
+    out = _outdir(args)  # a diverged run writes nothing
     lines = ["strategy,batch_size,ga,accuracy_mean,accuracy_std"]
     for (strategy, ga), n in cells:
         accs = [next(results)[0] for _ in range(args.seeds)]
@@ -395,7 +395,6 @@ def cmd_density(args):
                           for s in (args.strategy_a, args.strategy_b))
     protocol = _protocol(args, net.k, config_a, config_b)
     _at_least("--bins", args.bins, 1)
-    out = _outdir(args)
     # corrupted once: both strategies adapt over and are read on this stream
     inputs = dataset.inputs
     if corruption is not None:
@@ -404,6 +403,7 @@ def cmd_density(args):
     results = adapt_streams(net, inputs, dataset.labels,
                             [(None, protocol, config_a),
                              (None, protocol, config_b)])
+    out = _outdir(args)  # a diverged run writes nothing
     # clean reference: the source checkpoint on the uncorrupted stream
     reference = collect_features(net, dataset.inputs, args.batch_size,
                                  BNMode.EVAL_STATS)

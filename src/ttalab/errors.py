@@ -22,4 +22,4 @@ class SchemaError(TTALabError):
 
 
 class TrainingDiverged(TTALabError):
-    """Source training produced a non-finite loss."""
+    """Source training or adaptation overflowed or went non-finite."""

@@ -1,13 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ttalab
 from ttalab import benchmark, cli
@@ -173,6 +178,140 @@ class TestAdapt:
                     assert main(args) == 0
         reports = list(tmp_path.glob("report_*.json"))
         assert len(reports) == len(strategies) * len(corruptions) * 5
+
+
+# adapt argvs (--test-m 600 on the seed-0 checkpoint, N = 100) whose
+# adaptation overflows, and the one stderr line each exits 2 with
+DIVERGING = [
+    (["--strategy", "tent", "--lr", "1e300"],
+     "batch 2, in the trip of tent seed 0: overflow encountered in multiply"),
+    (["--strategy", "ttc", "--optimizer", "sgd", "--lr", "1e300"],
+     "batch 3, in the trip of ttc seed 0: overflow encountered in multiply"),
+    (["--strategy", "ttc", "--tau", "30"],
+     "batch 2, in the trip of ttc seed 0: overflow encountered in multiply"),
+    (["--strategy", "ttc", "--tau", "400"],
+     "batch 1, in the trip of ttc seed 0: overflow encountered in power"),
+]
+
+
+class TestAdaptationDivergence:
+    @pytest.mark.parametrize("warnings_flags", [[], ["-W",
+                                                     "error::RuntimeWarning"]],
+                             ids=["default", "warnings-are-errors"])
+    @pytest.mark.parametrize("argv, tail", DIVERGING,
+                             ids=[" ".join(a) for a, _ in DIVERGING])
+    def test_diverging_run_exits_two_naming_the_batch(
+            self, workdir, tmp_path, argv, tail, warnings_flags):
+        out = tmp_path / "out"
+        proc = run_python(*warnings_flags, "-m", "ttalab.cli", "adapt",
+                          "--checkpoint", str(workdir / "source.json"),
+                          "--out", str(out), "--test-m", "600", *argv)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "training failed: adaptation diverged at N=100, " + tail]
+        assert proc.stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--strategy", "ttc", "--tau", "25"],
+                                      ["--strategy", "tent", "--lr", "1e4"]],
+                             ids=["tau-25", "tent-lr-1e4"])
+    def test_large_but_finite_steps_still_exit_zero(self, workdir, tmp_path,
+                                                    argv):
+        assert run_adapt(workdir, tmp_path, "--test-m", "600",
+                         "--batch-size", "100", *argv) == 0
+
+    @pytest.mark.parametrize("argv, trip", [
+        (["sweep-batch-size", "--batch-sizes", "10", "--seeds", "2"],
+         "tent seed 0, tent seed 1, ttc seed 0, ttc seed 1, ttc seed 0, ttc"
+         " seed 1, ttc seed 0, ttc seed 1"),
+        (["density", "--batch-size", "10"], "tent seed 0, ttc seed 0"),
+    ], ids=["sweep-batch-size", "density"])
+    def test_diverging_command_names_every_stream_of_the_trip(
+            self, workdir, tmp_path, capsys, argv, trip):
+        command, *flags = argv
+        out = tmp_path / "out"
+        code = main([command, "--checkpoint", str(workdir / "source.json"),
+                     "--out", str(out), "--test-m", "40", "--lr", "1e300",
+                     *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        (line,) = captured.err.splitlines()
+        assert line.startswith("training failed: adaptation diverged at N=10,"
+                               " batch ")
+        assert f" in the trip of {trip}: overflow encountered in " in line
+        assert captured.out == ""
+        assert not out.exists()
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(strategy=st.sampled_from(STRATEGIES),
+           optimizer=st.sampled_from(["sgd", "adam"]),
+           test_m=st.integers(3, 60), n=st.integers(1, 60),
+           q=st.one_of(st.none(), st.integers(1, 40)),
+           lr=st.floats(-6, 300).map(lambda e: 10.0 ** e),
+           tau=st.floats(0, 1e3), seed=st.integers(0, 3))
+    def test_every_adapt_run_completes_or_fails_by_name(
+            self, workdir, strategy, optimizer, test_m, n, q, lr, tau, seed):
+        """An adapt argv exits 0 with finite accuracies, 2 with an
+        ``adaptation diverged`` line, or 3 with an ``error:`` line; nothing
+        escapes as a traceback or a numpy warning."""
+        argv = ["adapt", "--checkpoint", str(workdir / "source.json"),
+                "--strategy", strategy, "--optimizer", optimizer,
+                "--test-m", str(test_m), "--batch-size", str(n),
+                "--lr", repr(lr), "--tau", repr(tau), "--seed", str(seed)]
+        if q is not None:
+            argv += ["--q", str(q)]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            err, stdout = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(stdout):
+                code = main([*argv, "--out", str(out)])
+            lines = err.getvalue().splitlines()
+            assert code in (0, 2, 3)
+            if code == 0:
+                (report,) = [json.loads(path.read_text())
+                             for path in out.glob("report_*.json")]
+                assert math.isfinite(report["accuracy"])
+                assert all(map(math.isfinite, report["per_batch_accuracy"]))
+                assert lines == []
+            elif code == 2:
+                (line,) = lines
+                assert line.startswith("training failed: adaptation diverged"
+                                       f" at N={n}, batch ")
+                assert not out.exists()
+            else:
+                (line,) = lines
+                assert line.startswith("error: ")
+                assert not out.exists()
+
+
+class TestBatchStatisticsRemoveAnOffset:
+    """norm normalizes each batch with its own statistics, which removes
+    a constant offset: its per-batch accuracies on ``brightness`` are those
+    on the clean stream, at every severity, N = 2 and N = 100 and seeds
+    0-9 (checked on the seed-0 checkpoint, --test-m 600). ``contrast`` is
+    removed too at N = 100, but never at N = 2."""
+
+    def test_brightness_and_large_batch_contrast_read_the_clean_stream(
+            self, workdir):
+        net = load_checkpoint(workdir / "source.json")
+        dataset = generate_dataset(3, 600, 777)
+        norm = AdaptationConfig(strategy="norm")
+        for n in (2, 100):
+            for seed in range(10):
+                protocol = benchmark.StreamProtocol(batch_size=n, seed=seed)
+                corruptions = [None] + [
+                    benchmark.Corruption(kind, severity)
+                    for kind in ("brightness", "contrast")
+                    for severity in range(1, 6)]
+                clean, *shifted = [report.per_batch_csv() for report in
+                                   benchmark.eval_streams(net, dataset, [
+                                       (c, protocol, norm)
+                                       for c in corruptions])]
+                for corruption, csv in zip(corruptions[1:], shifted):
+                    removed = corruption.kind == "brightness" or n == 100
+                    assert (csv == clean) == removed, (n, seed, corruption)
 
 
 class TestSweepBatchSize:

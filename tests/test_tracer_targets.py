@@ -1,4 +1,5 @@
-"""Every ttalab function and method the benchmark's tracer wraps exists.
+"""Every ttalab function and method the benchmark's tracer wraps exists,
+and every optimizer step an Adapter makes is one the tracer counts.
 
 ``perfbench/spans.py`` names its targets as strings; a rename or deletion
 in ttalab would crash ``perfbench/run.py --trace 1`` without failing any
@@ -9,6 +10,14 @@ imported or executed here.
 import ast
 import importlib
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ttalab import adaptation
+from ttalab.adaptation import AdaptationConfig, Adapter
+from ttalab.benchmark import batch_slices
+from ttalab.network import make_network
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -38,3 +47,73 @@ def test_every_traced_method_is_defined_on_its_class():
                if not callable(vars(getattr(importlib.import_module(module),
                                             cls, object)).get(attr))]
     assert missing == []
+
+
+def tent_with_q(q, **common):
+    return AdaptationConfig(strategy="ttc", rla_enabled=False,
+                            wa_enabled=False, accumulation_q=q, **common)
+
+
+# Adapters as lists of configs, built with one optimizer and lr
+ADAPTERS = {
+    **{strategy: lambda common, strategy=strategy: [
+        AdaptationConfig(strategy=strategy, **common)]
+       for strategy in ("source", "norm", "tent")},
+    "ttc": lambda common: [AdaptationConfig(strategy="ttc", accumulation_q=2,
+                                            **common)],
+    "tent-filtered": lambda common: [AdaptationConfig(
+        strategy="tent-filtered", filter_threshold=0.8, **common)],
+    "mixed-q": lambda common: [AdaptationConfig(strategy="tent", **common),
+                               tent_with_q(2, **common),
+                               tent_with_q(2, **common),
+                               AdaptationConfig(strategy="ttc",
+                                                accumulation_q=5, **common)],
+    # the filter sits batches out in a window of Q = 1 beside tent, next
+    # to a window of Q = 3
+    "sit-out-beside-q3": lambda common: [
+        AdaptationConfig(strategy="tent-filtered", filter_threshold=0.8,
+                         **common),
+        AdaptationConfig(strategy="tent", **common),
+        AdaptationConfig(strategy="ttc", accumulation_q=3, **common)],
+}
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+@pytest.mark.parametrize("name", ADAPTERS)
+def test_every_adapter_step_is_inside_accumulate_and_maybe_step(
+        monkeypatch, name, optimizer):
+    """The tracer's ``step_ratio`` counts the optimizer steps whose parent
+    span is ``accumulate_and_maybe_step``; a step an Adapter made anywhere
+    else would move that ratio without failing any other test."""
+    depth = [0]
+    steps = []  # (inside the accumulator, the rows mask)
+    accumulate = adaptation.accumulate_and_maybe_step
+
+    def accumulating(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return accumulate(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+    monkeypatch.setattr(adaptation, "accumulate_and_maybe_step", accumulating)
+    for cls in (adaptation.SGD, adaptation.Adam):
+        def stepping(self, params, grad, rows=None, _step=cls.step):
+            steps.append((depth[0] > 0, rows))
+            return _step(self, params, grad, rows)
+        monkeypatch.setattr(cls, "step", stepping)
+
+    lr = {"sgd": 0.5, "adam": 0.05}[optimizer]
+    configs = ADAPTERS[name](dict(optimizer=optimizer, lr=lr))
+    net, n, m = make_network(input_dim=8, hidden=6, k=3, seed=0), 4, 36
+    data = np.random.default_rng(3).normal(size=(len(configs), m, 8))
+    adapter = Adapter(net, configs, n)
+    for batch in batch_slices(m, n):
+        adapter.adapt_batch(data[:, batch])
+    assert [inside for inside, _ in steps] == [True] * len(steps)
+    assert bool(steps) == (name not in ("source", "norm"))
+    masked = [rows for _, rows in steps if rows is not None]
+    if name == "sit-out-beside-q3":
+        assert masked and all(rows.tolist() == [False, True]
+                              for rows in masked)
+    else:
+        assert masked == []
