@@ -25,13 +25,15 @@ together. Each stream gets bit for bit the predictions and parameters it
 would get alone. A call runs one forward (under RLA, over the (S + R, N, d)
 stack of the batches and the flips of the R streams with RLA) and one
 softmax; a learning plan takes its loss gradient from those probabilities.
-Consecutive streams that share Q accumulate and step as one window, with an
-accumulator and optimizer of their own.
+Consecutive streams that share Q step as one window; a window steps all of
+its streams or none, so a tent-filtered stream, which sits out a batch whose
+filter accepts no sample, is a window of its own.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -93,72 +95,60 @@ class AdaptationConfig:
         if self.filter_threshold is not None and not self.filter_threshold > 0:
             raise InvalidInput(
                 f"filter_threshold must be positive, got {self.filter_threshold}")
-        if self.accumulation_q is not None and self.accumulation_q < 1:
-            raise InvalidInput("accumulation_q must be a positive integer")
+        q = self.accumulation_q  # an int or a numpy integer, not a bool
+        if q is not None:
+            if q is True or not (isinstance(q, (int, np.integer)) and q > 0):
+                raise InvalidInput(
+                    f"accumulation_q must be a positive integer, got {q!r}")
+            self.accumulation_q = operator.index(q)
 
     def to_json(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # ---------------------------------------------------------------------------
-# optimizers: step(params, grad, rows) updates the parameters in place
+# optimizers: step(params, grad) updates the parameters in place
 # ---------------------------------------------------------------------------
 # ``params`` and ``grad`` are one (P,) vector or an (S, P) stack of one row
-# per stream. ``rows`` is None (every row steps) or, for a stack, a bool per
-# row, True where the row steps; the other rows keep every bit.
+# per stream. Every row steps: a window steps all of its streams or none.
 
 class SGD:
     def __init__(self, lr):
         self.lr = lr
 
-    def step(self, params, grad, rows=None):
-        np.subtract(params, self.lr * grad, out=params,
-                    where=True if rows is None else rows[:, None])
+    def step(self, params, grad):
+        np.subtract(params, self.lr * grad, out=params)
 
 
 class Adam:
-    """Adam with per-row state: step counts ``t``, of shape (S,) or (), and
-    moments ``m``, ``v`` shaped like the parameters, so that a row that sits
-    a step out keeps its own bias correction."""
+    """Adam with one step count ``t`` for all of its rows, and moments
+    ``m``, ``v`` shaped like the parameters."""
 
     def __init__(self, lr):
         self.lr = lr
+        self.t = 0
         # created on the first step, with two scratch buffers like m
-        self.t = self.m = self.v = self._scratch = None
+        self.m = self.v = self._scratch = None
 
-    def step(self, params, grad, rows=None):
+    def step(self, params, grad):
         if self.m is None:
             self.m, self.v = np.zeros_like(grad), np.zeros_like(grad)
-            self.t = np.zeros(grad.shape[:-1], dtype=np.int64)
             self._scratch = np.empty_like(grad), np.empty_like(grad)
-        live = True
-        if rows is None:
-            self.t += 1
-        else:
-            self.t += rows
-            live = rows[:, None]
+        self.t += 1
         # bias corrections from Python's float power, as numpy's vector
-        # power can round differently: one pair if every row is at the same
-        # step, else one per row. A row that has not stepped yet gets the
-        # correction of step 1, which its masked update does not read.
-        t = self.t.ravel().tolist()
-        if min(t) == max(t):
-            n = max(t[0], 1)
-            c1, c2 = 1.0 - ADAM_BETA1 ** n, 1.0 - ADAM_BETA2 ** n
-        else:
-            c1, c2 = (np.array([[1.0 - beta ** max(n, 1)] for n in t])
-                      for beta in (ADAM_BETA1, ADAM_BETA2))
+        # power can round differently
+        c1, c2 = 1.0 - ADAM_BETA1 ** self.t, 1.0 - ADAM_BETA2 ** self.t
         # the ufunc steps of m += (1 - b1) (g - m), v += (1 - b2) (g g - v),
         # params -= lr (m / c1) / (sqrt(v / c2) + eps), through two buffers
         m, v = self.m, self.v
         a, b = self._scratch
         np.multiply(1.0 - ADAM_BETA1, np.subtract(grad, m, out=a), out=a)
-        np.add(m, a, out=m, where=live)
+        np.add(m, a, out=m)
         np.subtract(np.multiply(grad, grad, out=a), v, out=a)
-        np.add(v, np.multiply(1.0 - ADAM_BETA2, a, out=a), out=v, where=live)
+        np.add(v, np.multiply(1.0 - ADAM_BETA2, a, out=a), out=v)
         np.multiply(self.lr, np.divide(m, c1, out=a), out=a)
         np.add(np.sqrt(np.divide(v, c2, out=b), out=b), ADAM_EPS, out=b)
-        np.subtract(params, np.divide(a, b, out=a), out=params, where=live)
+        np.subtract(params, np.divide(a, b, out=a), out=params)
 
 
 def make_optimizer(name, lr):
@@ -293,28 +283,19 @@ class GradientAccumulator:
         self.accumulated = None
 
 
-def accumulate_and_maybe_step(acc, grad, optimizer, params, live=None):
+def accumulate_and_maybe_step(acc, grad, optimizer, params):
     """Add the window's (already 1/Q-scaled) gradient, an (S, P) stack like
-    ``params``, and step on the window's Q-th batch.
+    ``params``, and step every stream of the window on its Q-th batch.
 
     The first batch of a window is copied, not added to zero, so a -0.0
     entry stays -0.0; after a step ``acc.accumulated`` still holds the
-    gradient that was applied. ``live`` is None (every stream) or, in a
-    window of Q = 1 only, a bool per stream, False where the stream sits
-    this batch out: the optimizer steps the live rows only. Returns whether
-    the window stepped.
+    gradient that was applied. Returns whether the window stepped.
     """
     shape = np.shape(grad)
     if (len(shape) != 2 or np.shape(params) != shape
-            or (live is not None and np.shape(live) != shape[:1])
             or (acc.batches_seen and acc.accumulated.shape != shape)):
         raise InvalidInput(f"grad and params must be the window's (S, P)"
-                           f" stacks and live one bool per stream, got"
-                           f" {shape}, {np.shape(params)} and"
-                           f" {np.shape(live)}")
-    if live is not None and acc.q > 1:
-        raise InvalidInput(f"only a window of Q = 1 lets a stream sit a"
-                           f" batch out, got Q = {acc.q}")
+                           f" stacks, got {shape} and {np.shape(params)}")
     if acc.batches_seen:
         acc.accumulated += grad
     else:
@@ -323,8 +304,7 @@ def accumulate_and_maybe_step(acc, grad, optimizer, params, live=None):
     if acc.batches_seen < acc.q:
         return False
     acc.batches_seen = 0
-    optimizer.step(params, acc.accumulated,
-                   None if live is None else np.array(live, dtype=bool))
+    optimizer.step(params, acc.accumulated)
     return True
 
 
@@ -355,8 +335,9 @@ class StreamRow(NamedTuple):
 
 
 class Window(NamedTuple):
-    """A maximal run of an Adapter's streams that share Q, with the
-    accumulator and optimizer it steps them with."""
+    """A maximal run of an Adapter's streams that share Q, or one
+    ``tent-filtered`` stream alone, with the accumulator and optimizer it
+    steps them with."""
 
     rows: slice               # of the Adapter's streams
     accumulator: GradientAccumulator
@@ -411,16 +392,14 @@ class Adapter:
 
     That state lives in ``windows``, one ``Window`` per maximal run of
     consecutive streams that share Q: its own ``GradientAccumulator`` and
-    optimizer over its rows of ``affine``. The streams of a window share one
-    batch count and step together, so the accumulator adds and the
-    optimizer corrects its bias once for the whole window. Configs sorted
-    by Q give one window per distinct Q; any order gives the same bits.
-
-    With gradient accumulation a stream steps on every Q-th batch only;
-    gradients accumulated after its last step are discarded. Only a window
-    of Q = 1 lets a stream sit a batch out: a ``tent-filtered`` stream
-    (always Q = 1) whose filter accepts no sample of a batch does not step
-    on it, and Adam keeps a step count per stream for its bias correction.
+    optimizer over its rows of ``affine``. A window steps all of its streams
+    or none, so the accumulator adds and the optimizer corrects its bias
+    once for the whole window. With gradient accumulation a stream steps on
+    every Q-th batch only; gradients accumulated after its last step are
+    discarded. A ``tent-filtered`` stream (always Q = 1) sits out a batch
+    whose filter accepts no sample, so it is a window of its own. Configs
+    sorted by Q give one window per distinct Q and filtered stream; any
+    order gives the same bits.
     """
 
     def __init__(self, net, configs, batch_size):
@@ -445,8 +424,10 @@ class Adapter:
         self.wa = [(tau, np.array([row.tau == tau for row in rows]))
                    for tau in sorted({row.tau for row in rows} - {0.0})]
         self.threshold = np.array([[row.threshold] for row in rows])
-        starts = [s for s in range(len(rows))
-                  if s == 0 or rows[s].q != rows[s - 1].q]
+        # a filtered stream may sit a batch out, so it is a window alone
+        alone = [row.threshold < math.inf for row in rows]
+        starts = [s for s in range(len(rows)) if s == 0 or alone[s]
+                  or alone[s - 1] or rows[s].q != rows[s - 1].q]
         self.windows = [
             Window(slice(lo, hi), GradientAccumulator(rows[lo].q),
                    make_optimizer(self.plan.optimizer, self.plan.lr))
@@ -505,9 +486,8 @@ class Adapter:
         w = mask * powers / np.maximum(accepted, 1)[:, None]
         grad = backward_bn_affine(self.net, cache, self.grad_scale
                                   * (w[..., None] * _entropy_grad(probs)))
+        # only a filtered stream, alone in its window, can sit a batch out
         for rows, accumulator, optimizer in self.windows:
-            on = live[rows]
-            if any(on):
+            if live[rows.start]:
                 accumulate_and_maybe_step(accumulator, grad[rows], optimizer,
-                                          self.affine[rows],
-                                          None if all(on) else on)
+                                          self.affine[rows])

@@ -361,10 +361,16 @@ def adapt_streams(net, inputs, labels, streams):
     adapt in one Adapter, at most ``MAX_TRIP_ROWS // N`` at a time, so
     tent, tent-filtered and every ttc ablation of one N share each call.
     Each group is stably sorted by Q before it is cut into trips, so the
-    streams of one Q form one accumulation window (``Adapter.windows``).
+    streams of one Q form one accumulation window (``Adapter.windows``),
+    but for each tent-filtered stream, which is a window of its own.
     Returns one (accuracy, per_batch_accuracy, adapted gamma/beta
     row laid out like ``net.affine``) per stream, in order.
     """
+    inputs, labels = np.asarray(inputs), np.asarray(labels)
+    if inputs.ndim != 2 or labels.shape != inputs.shape[:1] or not len(labels):
+        raise InvalidInput(f"inputs and labels must be a non-empty (m, d)"
+                           f" stream and its (m,) labels, got shapes"
+                           f" {inputs.shape} and {labels.shape}")
     groups = {}
     for i, (_, protocol, config) in enumerate(streams):
         key = (stream_plan(config), protocol.batch_size)
@@ -379,6 +385,15 @@ def adapt_streams(net, inputs, labels, streams):
                     net, inputs, labels, n, [streams[i] for i in trip])):
                 results[i] = result
     return results
+
+
+def _stream_name(config):
+    """``<strategy>[-norla][-nowa][-noga]``: the strategy and, for ttc, the
+    components it switches off."""
+    offs = ((config.rla_enabled, "-norla"), (config.wa_enabled, "-nowa"),
+            (config.ga_enabled, "-noga"))
+    return config.strategy + "".join(
+        tag for on, tag in offs if config.strategy == "ttc" and not on)
 
 
 def _adapt_trip(net, inputs, labels, n, streams):
@@ -413,7 +428,7 @@ def _adapt_trip(net, inputs, labels, n, streams):
                 hits[:, batch] = (adapter.adapt_batch(x[:, batch])[0]
                                   == y[:, batch])
     except FloatingPointError as e:
-        names = ", ".join(f"{config.strategy} seed {protocol.seed}"
+        names = ", ".join(f"{_stream_name(config)} seed {protocol.seed}"
                           for _, protocol, config in streams)
         raise TrainingDiverged(f"adaptation diverged at N={n}, batch {b + 1},"
                                f" in the trip of {names}: {e}") from None

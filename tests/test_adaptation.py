@@ -1,6 +1,5 @@
 import copy
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from ttalab.adaptation import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EPS_ENTROPY,
                                Adapter, GradientAccumulator,
                                accumulate_and_maybe_step, default_q,
                                default_filter_threshold, flip_signal,
-                               make_optimizer, rla_forward, sample_weights,
+                               rla_forward, sample_weights,
                                tent_loss, ttc_loss)
 from ttalab.errors import InvalidInput, TTALabError
 from ttalab.network import (BNMode, backward_bn_affine, forward, make_network,
@@ -454,50 +453,16 @@ class TestGradientAccumulation:
         np.testing.assert_array_equal(snapshot, expected)
         np.testing.assert_array_equal(acc.accumulated, expected[None])
 
-    @pytest.mark.parametrize("shape", [(3,), (2, 3), (1, 3, 1)],
-                             ids=["vector", "two-rows-for-one", "3-d"])
-    def test_only_a_stack_of_one_row_per_stream_is_taken(self, shape):
+    @pytest.mark.parametrize("shape, params_shape", [
+        ((3,), (3,)), ((2, 3), (1, 3)), ((1, 3, 1), (1, 3, 1))],
+        ids=["vector", "two-rows-for-one", "3-d"])
+    def test_only_a_stack_of_one_row_per_stream_is_taken(self, shape,
+                                                         params_shape):
         acc = GradientAccumulator(2)
         with pytest.raises(InvalidInput, match=re.escape(str(shape))):
             accumulate_and_maybe_step(acc, np.ones(shape), SGD(lr=1.0),
-                                      np.zeros(shape), live=[False])
+                                      np.zeros(params_shape))
         assert acc.accumulated is None and acc.batches_seen == 0
-
-    @settings(max_examples=100, deadline=None)
-    @given(streams=st.integers(1, 4), length=st.integers(1, 12),
-           seed=st.integers(0, 2**32 - 1),
-           optimizer=st.sampled_from(["sgd", "adam"]))
-    def test_a_stream_sitting_a_batch_out_keeps_every_bit(self, streams,
-                                                          length, seed,
-                                                          optimizer):
-        """In a window of Q = 1, a stream that sits a batch out keeps its
-        parameters, and the live streams step as the optimizer steps them
-        under the mask."""
-        rng = np.random.default_rng(seed)
-        acc = GradientAccumulator(1)
-        opt, ref_opt = (make_optimizer(optimizer, 0.1) for _ in range(2))
-        params = signed_zeros(rng, (streams, 5))
-        ref_params = params.copy()
-        for _ in range(length):
-            live = (rng.random(streams) < 0.6).tolist()
-            before = params.copy()
-            grad = signed_zeros(rng, params.shape)
-            assert accumulate_and_maybe_step(acc, grad, opt, params,
-                                             live) is True
-            ref_opt.step(ref_params, grad, np.array(live))
-            assert params.tobytes() == ref_params.tobytes()
-            for s in np.flatnonzero(np.logical_not(live)):
-                assert params[s].tobytes() == before[s].tobytes()
-
-    @pytest.mark.parametrize("q", [2, 5])
-    def test_only_a_window_of_q_one_lets_a_stream_sit_out(self, q):
-        acc = GradientAccumulator(q)
-        params = np.zeros((2, 3))
-        with pytest.raises(InvalidInput, match=f"Q = {q}"):
-            accumulate_and_maybe_step(acc, np.ones((2, 3)), SGD(lr=1.0),
-                                      params, live=[True, False])
-        assert acc.accumulated is None and acc.batches_seen == 0
-        assert not params.any()
 
 
 class DictSGD:
@@ -561,9 +526,9 @@ def recording(cls):
             super().__init__(lr)
             self.applied = []
 
-        def step(self, params, grads, *rows):
+        def step(self, params, grads):
             self.applied.append(copy.deepcopy(grads))
-            super().step(params, grads, *rows)
+            super().step(params, grads)
     return Recording
 
 
@@ -615,7 +580,7 @@ class TestVectorMatchesPerArrayPath:
         for applied, ref_applied in zip(opt.applied, ref_opt.applied):
             assert applied.tobytes() == flat(ref_applied).tobytes()
         if optimizer == "adam" and opt.applied:
-            assert opt.t.tolist() == [ref_opt.t]
+            assert opt.t == ref_opt.t
             assert opt.m.tobytes() == flat(ref_opt.m).tobytes()
             assert opt.v.tobytes() == flat(ref_opt.v).tobytes()
 
@@ -633,97 +598,49 @@ class OutOfPlaceAdam:
 
     def __init__(self, lr):
         self.lr = lr
-        self.t = self.m = self.v = None  # created on the first step
+        self.t = 0
+        self.m = self.v = None  # created on the first step
 
-    def step(self, params, grad, rows=None):
+    def step(self, params, grad):
         if self.m is None:
             self.m, self.v = np.zeros_like(grad), np.zeros_like(grad)
-            self.t = np.zeros(grad.shape[:-1], dtype=np.int64)
-        live = True
-        if rows is None:
-            self.t += 1
-        else:
-            self.t += rows
-            live = rows[:, None]
+        self.t += 1
         # bias corrections from Python's float power, as numpy's vector
-        # power can round differently: one pair if every row is at the same
-        # step, else one per row. A row that has not stepped yet gets the
-        # correction of step 1, which its masked update does not read.
-        t = self.t.ravel().tolist()
-        if min(t) == max(t):
-            c1, c2 = 1.0 - ADAM_BETA1 ** t[0], 1.0 - ADAM_BETA2 ** t[0]
-        else:
-            c1, c2 = (np.array([[1.0 - beta ** max(n, 1)] for n in t])
-                      for beta in (ADAM_BETA1, ADAM_BETA2))
+        # power can round differently
+        c1, c2 = 1.0 - ADAM_BETA1 ** self.t, 1.0 - ADAM_BETA2 ** self.t
         m, v = self.m, self.v
-        np.add(m, (1.0 - ADAM_BETA1) * (grad - m), out=m, where=live)
-        np.add(v, (1.0 - ADAM_BETA2) * (grad * grad - v), out=v, where=live)
-        np.subtract(params, self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS),
-                    out=params, where=live)
+        m += (1.0 - ADAM_BETA1) * (grad - m)
+        v += (1.0 - ADAM_BETA2) * (grad * grad - v)
+        params -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 @st.composite
 def adam_runs(draw):
-    """A shape, (P,) or (S, P), and 1-5 steps of (gradient, rows), where
-    rows is None or, for a stack, a mask whose first step leaves row 0 out,
-    so that row steps later or never. Some row steps at every step, as
-    ``accumulate_and_maybe_step`` steps only then."""
+    """A shape, (P,) or (S, P), and 1-5 gradients of that shape."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     p = draw(st.integers(1, 6))
     s = draw(st.sampled_from([None, 1, 2, 4]))
     shape = (p,) if s is None else (s, p)
-    masked = s is not None and s > 1 and draw(st.booleans())
-    steps = []
-    for i in range(draw(st.integers(1, 5))):
-        rows = None
-        if masked:
-            rows = np.array(draw(st.lists(st.booleans(), min_size=s,
-                                          max_size=s)))
-            rows[0] &= i > 0
-            rows[-1] |= not rows.any()
-        steps.append((signed_zeros(rng, shape)
-                      * 10.0 ** draw(st.integers(-3, 3)), rows))
-    return signed_zeros(rng, shape), steps
+    grads = [signed_zeros(rng, shape) * 10.0 ** draw(st.integers(-3, 3))
+             for _ in range(draw(st.integers(1, 5)))]
+    return signed_zeros(rng, shape), grads
 
 
 class TestAdamInPlace:
     @settings(max_examples=150, deadline=None)
     @given(run=adam_runs(), lr=st.sampled_from([1e-3, 0.05, 1.0]))
     def test_moments_steps_and_params_bit_identical(self, run, lr):
-        start, steps = run
+        start, grads = run
         ours, oracle = Adam(lr), OutOfPlaceAdam(lr)
         params, ref_params = start.copy(), start.copy()
-        for grad, rows in steps:
-            ours.step(params, grad, rows)
-            oracle.step(ref_params, grad, rows)
+        for grad in grads:
+            ours.step(params, grad)
+            oracle.step(ref_params, grad)
             assert params.tobytes() == ref_params.tobytes()
-            assert ours.t.tobytes() == oracle.t.tobytes()
+            assert ours.t == oracle.t
             assert ours.m.tobytes() == oracle.m.tobytes()
             assert ours.v.tobytes() == oracle.v.tobytes()
-
-    @pytest.mark.parametrize("shape", [(1, 4), (3, 4)])
-    def test_first_call_stepping_no_row_is_a_no_op(self, rng, shape):
-        params = rng.normal(size=shape)
-        start = params.copy()
-        adam = Adam(0.1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            adam.step(params, rng.normal(size=shape),
-                      rows=np.zeros(shape[0], bool))
-        assert caught == []
-        zeros = np.zeros(shape)
-        assert params.tobytes() == start.tobytes()
-        assert adam.m.tobytes() == adam.v.tobytes() == zeros.tobytes()
-        assert adam.t.tobytes() == np.zeros(shape[0], np.int64).tobytes()
-        grad = rng.normal(size=shape)
-        fresh, fresh_params = Adam(0.1), start.copy()
-        adam.step(params, grad)
-        fresh.step(fresh_params, grad)
-        assert params.tobytes() == fresh_params.tobytes()
-        for ours, theirs in ((adam.t, fresh.t), (adam.m, fresh.m),
-                             (adam.v, fresh.v)):
-            assert ours.tobytes() == theirs.tobytes()
 
     def test_two_optimizers_share_no_buffer(self, rng):
         a, b = Adam(0.1), Adam(0.1)
@@ -862,6 +779,18 @@ class TestConfig:
             AdaptationConfig(tau=-0.5)
         with pytest.raises(InvalidInput):
             AdaptationConfig(accumulation_q=0)
+
+    @pytest.mark.parametrize("q", [2.5, 3.0, True, False, np.float64(2.0),
+                                   np.bool_(True), "3"],
+                             ids=repr)
+    def test_non_integer_q_rejected_naming_it(self, q):
+        with pytest.raises(InvalidInput, match=re.escape(repr(q))):
+            AdaptationConfig(accumulation_q=q)
+
+    def test_numpy_integer_q_is_stored_as_an_int(self):
+        config = AdaptationConfig(strategy="ttc", accumulation_q=np.int64(3))
+        assert type(config.accumulation_q) is int
+        assert config == AdaptationConfig(strategy="ttc", accumulation_q=3)
 
     def test_default_q_rule(self):
         assert default_q(100) == 2
@@ -1009,10 +938,9 @@ def final_adam_state(adapter, s):
     None before the window's first step."""
     window, row = window_of(adapter, s)
     optimizer = window.optimizer
-    if optimizer.t is None:
+    if optimizer.m is None:
         return 0, None, None
-    return (np.reshape(optimizer.t, -1)[row], optimizer.m[row],
-            optimizer.v[row])
+    return optimizer.t, optimizer.m[row], optimizer.v[row]
 
 
 @st.composite
@@ -1058,6 +986,10 @@ class TestMixedPlansShareOneAdapter:
         net = make_network(input_dim=8, hidden=6, k=3, seed=run["seed"] % 97)
         data = rng.normal(size=(s, m, 8))
         mixed = Adapter(net, configs, n)
+        for i, config in enumerate(configs):
+            if config.strategy == "tent-filtered":
+                window, _ = window_of(mixed, i)
+                assert window.rows == slice(i, i + 1)
         alone = [Adapter(net, [c], n) for c in configs]
         for batch in batch_slices(m, n):
             preds, probs = mixed.adapt_batch(data[:, batch])
@@ -1194,7 +1126,7 @@ class TestQWindows:
     def test_interleaved_q_with_a_skipping_filter_matches_each_alone(self):
         from ttalab.benchmark import batch_slices
 
-        # windows of Q 1, 3, 1, 3; the filter shares the first with tent
+        # windows of Q 1, 1, 3, 1, 3; the filter is a window of its own
         common = dict(optimizer="adam", lr=0.05)
         configs = [AdaptationConfig(strategy="tent-filtered",
                                     filter_threshold=0.8, **common),
@@ -1208,7 +1140,8 @@ class TestQWindows:
         data = np.random.default_rng(3).normal(size=(len(configs), m, 8))
         mixed = Adapter(net, configs, n)
         assert [(w.rows.stop - w.rows.start, w.accumulator.q)
-                for w in mixed.windows] == [(2, 1), (1, 3), (1, 1), (1, 3)]
+                for w in mixed.windows] == [(1, 1), (1, 1), (1, 3), (1, 1),
+                                            (1, 3)]
         alone = [Adapter(net, [c], n) for c in configs]
         batches = batch_slices(m, n)
         for batch in batches:

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -372,6 +373,18 @@ class TestStreamEval:
             assert per_batch == own_per_batch
             assert row.tobytes() == own_row.tobytes()
 
+    @pytest.mark.parametrize("m, labels_m", [(0, 0), (40, 39), (40, 41)])
+    def test_a_stream_and_labels_of_other_lengths_are_named(self, rng, m,
+                                                            labels_m):
+        inputs = rng.normal(size=(m, 8))
+        labels = rng.integers(0, 3, size=labels_m)
+        streams = [(None, StreamProtocol(batch_size=10), AdaptationConfig())]
+        # no RuntimeWarning first: the project's pytest config makes it fail
+        with pytest.raises(InvalidInput, match=re.escape(
+                f"got shapes {(m, 8)} and {(labels_m,)}")):
+            adapt_streams(make_network(input_dim=8, hidden=6, k=3), inputs,
+                          labels, streams)
+
     def test_identical_runs_produce_identical_reports(self, source_net,
                                                       test_dataset):
         def run():
@@ -381,6 +394,16 @@ class TestStreamEval:
                                AdaptationConfig(strategy="ttc"))
 
         assert run().json_str() == run().json_str()
+
+    def test_numpy_integer_q_reports_as_an_int(self, source_net,
+                                               test_dataset):
+        def run(q):
+            return stream_eval(source_net, test_dataset, None,
+                               StreamProtocol(batch_size=100, seed=0),
+                               AdaptationConfig(strategy="ttc",
+                                                accumulation_q=q))
+
+        assert run(np.int64(3)).json_str() == run(3).json_str()
 
     def test_report_json_schema(self, source_net, test_dataset):
         report = stream_eval(source_net, test_dataset,

@@ -222,8 +222,9 @@ class TestAdaptationDivergence:
 
     @pytest.mark.parametrize("argv, trip", [
         (["sweep-batch-size", "--batch-sizes", "10", "--seeds", "2"],
-         "tent seed 0, tent seed 1, ttc seed 0, ttc seed 1, ttc seed 0, ttc"
-         " seed 1, ttc seed 0, ttc seed 1"),
+         "tent seed 0, tent seed 1, ttc-noga seed 0, ttc-noga seed 1,"
+         " ttc-norla-nowa seed 0, ttc-norla-nowa seed 1, ttc seed 0, ttc"
+         " seed 1"),
         (["density", "--batch-size", "10"], "tent seed 0, ttc seed 0"),
     ], ids=["sweep-batch-size", "density"])
     def test_diverging_command_names_every_stream_of_the_trip(
@@ -565,7 +566,8 @@ class TestDensity:
 
 class TestDensityBytes:
     """density's two CSVs and its stdout, pinned by sha256 on the seed-0
-    checkpoint, for one gradient pair and one filtered-against-norm pair."""
+    checkpoint, for one gradient pair, one filtered-against-norm pair and
+    the filter beside tent at N = 2 with each optimizer."""
 
     @pytest.mark.parametrize("argv, digests", [
         (["--strategy-a", "ttc", "--strategy-b", "tent", "--test-m", "400",
@@ -579,7 +581,21 @@ class TestDensityBytes:
          ("0f2df34fe4828d035a9305554210235023d92140407b04d80384e36a848b2fe4",
           "c42058f2627dd3b91a2f567722396cae7ff81659e91d335f6978116b9099bf7a",
           "a137bb67f7b2b4549afa8431da8528498acc88e5c9e664ce5a3dab8f6f12cd6e")),
-    ], ids=["ttc-tent", "tent-filtered-norm-contrast"])
+        # at N = 2 the filter sits batches out beside tent, which steps on
+        # every batch
+        (["--strategy-a", "tent-filtered", "--strategy-b", "tent",
+          "--test-m", "400", "--batch-size", "2", "--bins", "16"],
+         ("a3bbbe43cae7eb5850e152c7ea672f210bd6ee4469509427cd9341bcd3cb5c6d",
+          "8e12bab2da2fa0e3ba59001b79260d170d3f78ed806bc338aee52097285df1aa",
+          "e0574eb26004aff2462672a0b3a4d22f5bb9329ae70ddb6a0dcbdf6087f3f96d")),
+        (["--strategy-a", "tent-filtered", "--strategy-b", "tent",
+          "--test-m", "400", "--batch-size", "2", "--bins", "16",
+          "--optimizer", "sgd"],
+         ("0dfd21b4d60314e9abf23f37f87613e69a33e8c21fee2ec9e17a817b8b483d5f",
+          "b57c65003354dcc3371fc141bc359e7a302395c8b56736dd2d1ea1cbfd84cf81",
+          "76a1a7755aba5204d197f022a753c18f0c710d0cddce1f95be7836c18bbd3da8")),
+    ], ids=["ttc-tent", "tent-filtered-norm-contrast",
+            "tent-filtered-tent-adam", "tent-filtered-tent-sgd"])
     def test_outputs_are_pinned(self, workdir, tmp_path, capsys, argv,
                                 digests):
         capsys.readouterr()

@@ -68,8 +68,8 @@ ADAPTERS = {
                                tent_with_q(2, **common),
                                AdaptationConfig(strategy="ttc",
                                                 accumulation_q=5, **common)],
-    # the filter sits batches out in a window of Q = 1 beside tent, next
-    # to a window of Q = 3
+    # the filter sits batches out in a window of its own, beside tent and
+    # a window of Q = 3
     "sit-out-beside-q3": lambda common: [
         AdaptationConfig(strategy="tent-filtered", filter_threshold=0.8,
                          **common),
@@ -86,7 +86,7 @@ def test_every_adapter_step_is_inside_accumulate_and_maybe_step(
     span is ``accumulate_and_maybe_step``; a step an Adapter made anywhere
     else would move that ratio without failing any other test."""
     depth = [0]
-    steps = []  # (inside the accumulator, the rows mask)
+    steps = []  # whether each step is inside the accumulator
     accumulate = adaptation.accumulate_and_maybe_step
 
     def accumulating(*args, **kwargs):
@@ -97,9 +97,9 @@ def test_every_adapter_step_is_inside_accumulate_and_maybe_step(
             depth[0] -= 1
     monkeypatch.setattr(adaptation, "accumulate_and_maybe_step", accumulating)
     for cls in (adaptation.SGD, adaptation.Adam):
-        def stepping(self, params, grad, rows=None, _step=cls.step):
-            steps.append((depth[0] > 0, rows))
-            return _step(self, params, grad, rows)
+        def stepping(self, params, grad, _step=cls.step):
+            steps.append(depth[0] > 0)
+            return _step(self, params, grad)
         monkeypatch.setattr(cls, "step", stepping)
 
     lr = {"sgd": 0.5, "adam": 0.05}[optimizer]
@@ -109,11 +109,7 @@ def test_every_adapter_step_is_inside_accumulate_and_maybe_step(
     adapter = Adapter(net, configs, n)
     for batch in batch_slices(m, n):
         adapter.adapt_batch(data[:, batch])
-    assert [inside for inside, _ in steps] == [True] * len(steps)
+    assert steps == [True] * len(steps)
     assert bool(steps) == (name not in ("source", "norm"))
-    masked = [rows for _, rows in steps if rows is not None]
     if name == "sit-out-beside-q3":
-        assert masked and all(rows.tolist() == [False, True]
-                              for rows in masked)
-    else:
-        assert masked == []
+        assert adapter.windows[0].rows == slice(0, 1)
