@@ -33,6 +33,7 @@ filter accepts no sample, is a window of its own.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -87,6 +88,15 @@ class AdaptationConfig:
             raise InvalidInput(f"unknown strategy {self.strategy!r}")
         if self.optimizer not in OPTIMIZERS:
             raise InvalidInput(f"unknown optimizer {self.optimizer!r}")
+        for name in ("lr", "tau", "filter_threshold"):
+            value = getattr(self, name)
+            if name == "filter_threshold" and value is None:
+                continue
+            # a real number, numpy's included, but not a bool
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InvalidInput(
+                    f"{name} must be a real number, got {value!r}")
+            setattr(self, name, float(value))
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise InvalidInput(f"lr must be finite and positive, got {self.lr}")
         if not (math.isfinite(self.tau) and self.tau >= 0):

@@ -8,6 +8,8 @@ count-weighted streaming mean used by mini-batch k-means.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import InvalidInput
@@ -115,6 +117,9 @@ def run_minibatch_kmeans(stream, k, init="first_k", seed=0,
     seed). Returns the final centers and a per-batch objective trace, each
     trace entry evaluated on that batch with the just-updated centers.
     """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise InvalidInput(f"k must be an integer, got {k!r}")
+    k = operator.index(k)
     if k < 2:
         raise InvalidInput("k must be at least 2")
     batches = iter(stream)

@@ -10,6 +10,8 @@ renormalizes, so downstream logs never see zero.
 from __future__ import annotations
 
 import io
+import numbers
+import operator
 
 import numpy as np
 
@@ -149,8 +151,14 @@ def simulate_entropy_descent(p0, lr, steps):
     p0 = _validate_probs(np.asarray(p0, dtype=np.float64))
     if p0.ndim not in (1, 2):
         raise InvalidInput("p0 must be a probability vector or an (R, K) stack")
+    if isinstance(lr, bool) or not isinstance(lr, numbers.Real):
+        raise InvalidInput(f"learning rate must be a real number, got {lr!r}")
+    lr = float(lr)
     if not (np.isfinite(lr) and lr > 0):
         raise InvalidInput(f"learning rate must be finite and positive, got {lr}")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
+        raise InvalidInput(f"steps must be an integer, got {steps!r}")
+    steps = operator.index(steps)
     if steps < 0:
         raise InvalidInput(f"steps must be non-negative, got {steps}")
     traj = np.empty((steps + 1,) + p0.shape, dtype=np.float64)
@@ -170,13 +178,42 @@ def simulate_entropy_descent(p0, lr, steps):
     return traj
 
 
+def _column_runs(bits):
+    """Group the columns of a 2-D int64 array that are equal in every row.
+
+    Returns the first column of each group, in column order, and the runs
+    of consecutive columns in one group as two lists: each run's group and
+    its length. A column is keyed on the hash of its bytes and each hash
+    match is confirmed in full, so no copy of a column is kept and a
+    collision only opens a group.
+    """
+    firsts, groups, lengths, by_hash = [], [], [], {}
+    for j, col in enumerate(bits.T):
+        bucket = by_hash.setdefault(hash(col.tobytes()), [])
+        for g in bucket:
+            if np.array_equal(bits[:, firsts[g]], col):
+                break
+        else:
+            g = len(firsts)
+            firsts.append(j)
+            bucket.append(g)
+        if groups and groups[-1] == g:
+            lengths[-1] += 1
+        else:
+            groups.append(g)
+            lengths.append(1)
+    return firsts, groups, lengths
+
+
 def trajectory_csv(trajectory):
     """Render a descent trajectory as CSV with header step,p_1,...,p_K.
 
-    Each row formats each of its distinct values once and gathers its cells'
-    strings from them. Values are keyed on their bits, so -0.0 and 0.0 keep
-    their own repr. A descent keeps equal classes bitwise equal, so a start
-    with K-1 tied classes has two distinct values per row.
+    Columns whose bits are equal in every row are grouped once per
+    trajectory, so -0.0 and 0.0 stay apart. Each row formats one repr per
+    group and writes each run of consecutive equal columns by one string
+    repeat: the same bytes as a repr per cell. A descent keeps equal classes
+    bitwise equal, so a start of one class above K-1 tied ones has two
+    groups in two runs.
     """
     trajectory = np.asarray(trajectory, dtype=np.float64)
     if trajectory.ndim != 2:
@@ -186,11 +223,15 @@ def trajectory_csv(trajectory):
     buf = io.StringIO()
     k = trajectory.shape[1]
     buf.write("step," + ",".join(f"p_{i + 1}" for i in range(k)) + "\n")
-    # row by row: one tolist() of the whole trajectory holds all its floats
+    firsts, groups, lengths = _column_runs(trajectory.view(np.int64))
+    firsts = np.array(firsts, dtype=np.intp)
+    # row by row: gathering the groups of the whole trajectory at once
+    # would hold a copy of every distinct column
     for step, row in enumerate(trajectory):
-        keys = row.view(np.int64).tolist()
-        text = {key: repr(value)
-                for key, value in dict(zip(keys, row.tolist())).items()}
-        buf.write(str(step) + "," + ",".join(map(text.__getitem__, keys))
-                  + "\n")
+        text = list(map(",".__add__, map(repr, row[firsts].tolist())))
+        # one string repeat per run
+        cells = "".join(map(operator.mul, map(text.__getitem__, groups),
+                            lengths))
+        # with K = 0 a row still ends its step with a comma
+        buf.write(str(step) + (cells or ",") + "\n")
     return buf.getvalue()

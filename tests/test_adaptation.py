@@ -1,5 +1,6 @@
 import copy
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -786,6 +787,23 @@ class TestConfig:
     def test_non_integer_q_rejected_naming_it(self, q):
         with pytest.raises(InvalidInput, match=re.escape(repr(q))):
             AdaptationConfig(accumulation_q=q)
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", True), ("lr", "0.1"), ("lr", None), ("tau", False),
+        ("tau", "1"), ("tau", np.bool_(True)), ("filter_threshold", True),
+        ("filter_threshold", "0.5")], ids=repr)
+    def test_non_number_rejected_naming_field_and_value(self, field, value):
+        with pytest.raises(InvalidInput,
+                           match=f"^{field} .*{re.escape(repr(value))}$"):
+            AdaptationConfig(strategy="tent-filtered", **{field: value})
+
+    def test_reals_are_stored_as_floats(self):
+        config = AdaptationConfig(lr=np.float64(0.1), tau=np.float32(1.0),
+                                  filter_threshold=Fraction(1, 2))
+        assert config.to_json() == AdaptationConfig(
+            lr=0.1, tau=1.0, filter_threshold=0.5).to_json()
+        assert {type(config.lr), type(config.tau),
+                type(config.filter_threshold)} == {float}
 
     def test_numpy_integer_q_is_stored_as_an_int(self):
         config = AdaptationConfig(strategy="ttc", accumulation_q=np.int64(3))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -263,6 +265,20 @@ class TestRunMinibatchKmeans:
             run_minibatch_kmeans([x], 12, init="first_k")
         with pytest.raises(InvalidInput):
             run_minibatch_kmeans([], 2, init="first_k")
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, np.float64(3), True, "3"],
+                             ids=repr)
+    def test_non_integer_k_rejected_naming_it(self, rng, k):
+        x = rng.normal(size=(10, 2))
+        with pytest.raises(InvalidInput, match=rf"^k .*{re.escape(repr(k))}$"):
+            run_minibatch_kmeans([x], k, init="first_k")
+
+    def test_numpy_integer_k_runs_as_its_int(self, rng):
+        x = rng.normal(size=(10, 2))
+        ours = run_minibatch_kmeans([x, x], np.int64(3), init="first_k")
+        theirs = run_minibatch_kmeans([x, x], 3, init="first_k")
+        np.testing.assert_array_equal(ours[0], theirs[0])
+        assert ours[1] == theirs[1]
 
 
 class TestEntropyClusteringCorrespondence:

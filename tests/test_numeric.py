@@ -1,4 +1,7 @@
 import io
+import re
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -204,6 +207,24 @@ class TestSimulateEntropyDescent:
         with pytest.raises(InvalidInput):
             simulate_entropy_descent([0.7, 0.7], lr=0.1, steps=5)
 
+    @pytest.mark.parametrize("name, value", [
+        ("steps", 2.5), ("steps", 3.0), ("steps", np.float64(3)),
+        ("steps", True), ("steps", "3"), ("lr", True), ("lr", "0.1"),
+        ("lr", None)], ids=repr)
+    def test_non_numbers_rejected_naming_the_argument(self, name, value):
+        label = "learning rate" if name == "lr" else name
+        with pytest.raises(InvalidInput,
+                           match=f"^{label} .*{re.escape(repr(value))}$"):
+            simulate_entropy_descent([0.6, 0.4], **({"lr": 0.05, "steps": 3}
+                                                    | {name: value}))
+
+    def test_numpy_and_fraction_arguments_run_as_int_and_float(self):
+        expected = simulate_entropy_descent([0.6, 0.4], 0.05, 3).tobytes()
+        for lr, steps in ((0.05, np.int64(3)), (np.float64(0.05), 3),
+                          (Fraction(1, 20), np.uint8(3))):
+            traj = simulate_entropy_descent([0.6, 0.4], lr, steps)
+            assert traj.tobytes() == expected
+
 
 def sequential_descent(p0, lr, steps):
     """The one-vector loop the stacked simulator replaced: the gradient from
@@ -371,6 +392,50 @@ def tied_trajectories(draw):
     return traj
 
 
+def bits_differ(a, b):
+    return np.float64(a).view(np.int64) != np.float64(b).view(np.int64)
+
+
+@st.composite
+def tied_columns(draw):
+    """A (rows, K) float64 array, K in 0-130 and 0-6 rows, laid out from a
+    few base columns by a column map of runs and interleavings (a b a b b).
+    Cells come from the float64 edge values or any float; the bases may add
+    a 0.0 column beside a -0.0 one, and with K >= 2 the map holds a base and
+    its near twin, the base changed in one row. It is C-ordered,
+    Fortran-ordered or a traj[:, r] of a stack."""
+    rows, k = draw(st.integers(0, 6)), draw(st.integers(0, 130))
+    values = st.sampled_from(EDGE_VALUES[np.float64]) | st.floats()
+    bases = draw(st.lists(st.lists(values, min_size=rows, max_size=rows),
+                          min_size=1, max_size=4))
+    if draw(st.booleans()):
+        bases += [[0.0] * rows, [-0.0] * rows]
+    colmap = []
+    while len(colmap) < k:
+        run = draw(st.integers(1, 3) | st.integers(1, k))
+        colmap += [draw(st.integers(0, len(bases) - 1))] * run
+    colmap = colmap[:k]
+    if rows and k >= 2:
+        base = draw(st.integers(0, len(bases) - 1))
+        twin = list(bases[base])
+        i = draw(st.integers(0, rows - 1))
+        twin[i] = draw(values.filter(lambda v: bits_differ(v, twin[i])))
+        bases.append(twin)
+        at = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2,
+                           unique=True))
+        colmap[at[0]], colmap[at[1]] = base, len(bases) - 1
+    traj = np.array([bases[b] for b in colmap],
+                    dtype=np.float64).reshape(k, rows).T
+    layout = draw(st.sampled_from(["C", "F", "column"]))
+    if layout == "C":
+        traj = np.ascontiguousarray(traj)
+    elif layout == "column":
+        stack = np.full((rows, 2, k), 0.5)
+        stack[:, 1] = traj
+        traj = stack[:, 1]
+    return traj
+
+
 class TestTrajectoryCsv:
     def test_bytes_match_per_scalar_formatter(self):
         edge = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1.0 - 2**-53,
@@ -384,6 +449,36 @@ class TestTrajectoryCsv:
     @given(traj=tied_trajectories())
     def test_bytes_match_per_scalar_formatter_on_ties(self, traj):
         assert trajectory_csv(traj).encode() == per_scalar_csv(traj).encode()
+
+    @settings(max_examples=300, deadline=None)
+    @given(traj=tied_columns())
+    def test_bytes_match_per_scalar_formatter_on_tied_columns(self, traj):
+        assert trajectory_csv(traj).encode() == per_scalar_csv(traj).encode()
+
+    @settings(max_examples=100, deadline=None)
+    @given(traj=tied_columns())
+    def test_colliding_column_hashes_still_match(self, traj):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(numeric, "hash", lambda _: 0, raising=False)
+            text = trajectory_csv(traj)
+        assert text.encode() == per_scalar_csv(traj).encode()
+
+    def test_traced_peak_stays_near_the_output_length(self):
+        """On a tie-free (1001, 100) descent the traced peak reads 2.04x the
+        output's length, the StringIO and its value; a whole-trajectory
+        tolist() reads 3.5x, and a copy of the distinct columns 2.4x."""
+        traj = simulate_entropy_descent(
+            np.random.default_rng(0).dirichlet(np.ones(100)), lr=0.05,
+            steps=1000)
+        assert len({col.tobytes() for col in traj.T}) == 100
+        tracemalloc.start()
+        try:
+            text = trajectory_csv(traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == per_scalar_csv(traj)
+        assert peak < 2.2 * len(text)
 
     def test_header_and_roundtrip(self):
         traj = simulate_entropy_descent([0.6, 0.3, 0.1], lr=0.05, steps=4)
