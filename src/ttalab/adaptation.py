@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInput
-from .network import BNMode, backward_bn_affine, check_shapes, forward
+from .network import BNMode, backward_bn_affine, forward
 from .numeric import _entropy, _entropy_grad, softmax
 
 STRATEGIES = ("source", "norm", "tent", "tent-filtered", "ttc")
@@ -229,52 +229,19 @@ def with_flips(stack, flips, out=None):
     return out
 
 
-def _forward_with_flips(net, x, mode, affine, flips):
-    """``forward`` on a stack ``with_flips``, as (combined, cache,
-    aug_logits): the S streams' logits, averaged with the flip's for
-    streams ``flips``, their cache, and the R flips' logits."""
+def rla_forward(net, x, affine, flips):
+    """Robust label assignment: one TEST_BATCH_STATS ``forward`` (ttc's
+    plan) over the (S + R, N, d) stack ``with_flips`` builds and its
+    (S + R, A) affine rows, each branch getting bit for bit its own logits.
+    Returns the S streams' logits, averaged with their flip's for the
+    streams ``flips`` indexes; the cache of the S streams, the only gradient
+    path, so a flipping stream's live logits get half its combined-logit
+    gradient; and the R flips' logits."""
     s = len(x) - len(flips)
-    logits, cache = forward(net, x, mode, affine)
+    logits, cache = forward(net, x, BNMode.TEST_BATCH_STATS, affine)
     combined, aug_logits = logits[:s].copy(), logits[s:]
     combined[flips] = 0.5 * (combined[flips] + aug_logits)
     return combined, cache.streams(slice(None, s)), aug_logits
-
-
-def rla_forward(net, batch, affine=None, rla=None):
-    """Average the logits of a batch and of its flip (``flip_signal``).
-
-    ``batch`` and ``affine`` are as for ``forward``; a lone (N, d) batch is
-    a stack of S = 1. ``rla`` is None, every stream flips, or for a stack a
-    bool per stream, True for the R streams that flip; the others keep
-    their own logits. The S batches and the R flips run as one
-    (S + R, N, d) stack (``with_flips``, as in ``Adapter.adapt_batch``) in
-    one TEST_BATCH_STATS forward, each stream normalizing with its own batch
-    statistics and reading its own affine row, so each branch gets bit for
-    bit the logits of a forward of its own. Gradients flow only through the
-    first S streams, the un-flipped branch; because the combination is
-    (live + frozen)/2, the gradient reaching the live logits of a flipping
-    stream is half the gradient at its combined logits.
-
-    Returns (combined_logits, cache, aug_logits) where cache belongs to the
-    un-flipped branch, shaped as ``forward`` on ``batch`` gives it, and
-    aug_logits, the flipped branch's logits ((R, N, K) for a stack), carry
-    no gradient path.
-    """
-    x = np.asarray(batch, dtype=np.float64)
-    affine = check_shapes(net, x, BNMode.TEST_BATCH_STATS, affine)
-    if rla is not None and (x.ndim != 3 or np.shape(rla) != x.shape[:1]):
-        raise InvalidInput(f"rla must hold one bool per stream of an"
-                           f" (S, N, d) stack, got shape {np.shape(rla)} for"
-                           f" a batch of shape {x.shape}")
-    stack, rows = (x, affine) if x.ndim == 3 else (x[None], affine[None])
-    s = len(stack)
-    flips = np.arange(s) if rla is None else np.flatnonzero(rla)
-    combined, cache, aug_logits = _forward_with_flips(
-        net, with_flips(stack, flips), BNMode.TEST_BATCH_STATS,
-        rows[np.concatenate([np.arange(s), flips])], flips)
-    if x.ndim == 3:
-        return combined, cache, aug_logits
-    return combined[0], cache.streams(0), aug_logits[0]
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +349,8 @@ def stream_row(config, k, batch_size):
 
 
 class Adapter:
-    """Adapts S streams that share a plan, one (S, N, d) stack of batches
-    per call (or the (S + R, N, d) stack with the flips of its R streams
-    with RLA that a trip builds), over copies of one network's BN affine
-    parameters.
+    """Adapts S streams that share a plan, one stack of batches per call
+    (``adapt_batch``), over copies of one network's BN affine parameters.
 
     The plan (``stream_plan``) is resolved once, here, from the configs,
     which must all resolve to the same one; each stream keeps its own
@@ -458,18 +423,19 @@ class Adapter:
         forward; a stream with RLA gets them from its flip-averaged logits.
         """
         x = np.asarray(batch, dtype=np.float64)
-        s, r = len(self.affine), len(self.flips)
-        if x.ndim != 3 or len(x) not in (s, s + r) or x.shape[1] == 0:
+        s, r, d = len(self.affine), len(self.flips), self.net.input_dim
+        if (x.ndim != 3 or len(x) not in (s, s + r) or x.shape[1] == 0
+                or x.shape[2] != d):
             also = f" or {s + r} with the flips of its streams with RLA"
             raise InvalidInput(f"batch must be a non-empty (S, N, d) stack of"
-                               f" {s} batches{also if r else ''}, got shape"
-                               f" {x.shape}")
+                               f" {s} batches{also if r else ''}, with {d}"
+                               f" columns, got shape {x.shape}")
         if not r:
             logits, cache = forward(self.net, x, self.plan.mode, self.affine)
         else:
-            logits, cache, _ = _forward_with_flips(
+            logits, cache, _ = rla_forward(
                 self.net, with_flips(x, self.flips) if len(x) == s else x,
-                self.plan.mode, self.affine[self.stack_rows], self.flips)
+                self.affine[self.stack_rows], self.flips)
         probs = softmax(logits)
         if self.plan.learns:
             self._learn(probs, cache)

@@ -14,6 +14,8 @@ import hashlib
 import io
 import json
 import math
+import numbers
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -45,6 +47,17 @@ GAUSSIAN_SIGMA_PER_LEVEL = 0.1
 IMPULSE_PROB_PER_LEVEL = 0.03
 CONTRAST_LOSS_PER_LEVEL = 0.15
 BRIGHTNESS_PER_LEVEL = 0.2
+
+
+def _integer(name, value, low, high=None):
+    """``value`` as a Python int if it is an integer (a numpy one included,
+    a bool not) in ``low``..``high``; InvalidInput naming ``name`` and the
+    value otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < low or (high is not None and value > high)):
+        want = f"at least {low}" if high is None else f"in {low}..{high}"
+        raise InvalidInput(f"{name} must be an integer {want}, got {value!r}")
+    return operator.index(value)
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +105,9 @@ def class_templates(k):
 
 def generate_dataset(k, m, seed, noise_sigma=NOISE_SIGMA):
     """Balanced noisy-template dataset; bit-identical for a given seed."""
-    if k < 2:
-        raise InvalidInput("k must be at least 2")
-    if m < k:
-        raise InvalidInput("need at least one sample per class")
+    k = _integer("k", k, 2)
+    m = _integer("m", m, k)  # at least one sample per class
+    seed = _integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     templates = class_templates(k)
     counts = np.full(k, m // k)
@@ -118,8 +130,8 @@ class Corruption:
     def __post_init__(self):
         if self.kind not in CORRUPTION_KINDS:
             raise InvalidInput(f"unknown corruption kind {self.kind!r}")
-        if not 1 <= self.severity <= 5:
-            raise InvalidInput("severity must be in 1..5")
+        object.__setattr__(self, "severity",
+                           _integer("severity", self.severity, 1, 5))
 
 
 def _moving_average(x, size):
@@ -271,8 +283,8 @@ class StreamProtocol:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise InvalidInput("batch_size must be positive")
+        self.batch_size = _integer("batch_size", self.batch_size, 1)
+        self.seed = _integer("seed", self.seed, 0)
 
 
 @dataclass

@@ -122,21 +122,24 @@ def run_minibatch_kmeans(stream, k, init="first_k", seed=0,
     k = operator.index(k)
     if k < 2:
         raise InvalidInput("k must be at least 2")
+    if init not in ("first_k", "seeded_random"):
+        raise InvalidInput(f"unknown init {init!r}")
     batches = iter(stream)
     try:
         first = np.asarray(next(batches), dtype=np.float64)
     except StopIteration:
         raise InvalidInput("stream yielded no batches") from None
+    if first.ndim != 2:
+        raise InvalidInput(f"the first batch must be an (n, d) array, got"
+                           f" shape {first.shape}")
+    if k > first.shape[0]:
+        raise InvalidInput(f"first batch smaller than k for {init} init")
     if init == "first_k":
-        if k > first.shape[0]:
-            raise InvalidInput("first batch smaller than k for first_k init")
         centers = first[:k].copy()
-    elif init == "seeded_random":
+    else:
         rng = np.random.default_rng(seed)
         idx = rng.choice(first.shape[0], size=k, replace=False)
         centers = first[idx].copy()
-    else:
-        raise InvalidInput(f"unknown init {init!r}")
 
     counts = np.zeros(k, dtype=np.int64)
     trace = []

@@ -222,10 +222,17 @@ class ForwardCache:
             affine=self.affine[index])
 
 
-def check_shapes(net, x, mode, affine):
-    """The affine that ``forward`` reads for the float64 batch ``x``:
-    ``affine``, or ``net.affine`` if None. Raises InvalidInput, in
-    ``forward``'s words, for a batch or affine of the wrong shape."""
+def forward(net, batch, mode, affine=None):
+    """Run the network on a batch, returning logits and a backward cache.
+
+    ``batch`` is (N, d), or (S, N, d) for S streams. ``affine`` holds the
+    gamma/beta, laid out like ``net.affine`` (its default), with shape
+    ``batch.shape[:-2] + (A,)``: one row for a batch, one row per stream for
+    a stack. In TEST_BATCH_STATS mode the batch must have at least two rows
+    so the batch variance is defined. TRAIN_STATS, which updates the
+    running statistics, takes the network's own gamma/beta.
+    """
+    x = np.asarray(batch, dtype=np.float64)
     n_in = net.input_dim
     if x.ndim not in (2, 3) or x.shape[-2] < 1 or x.shape[-1] != n_in:
         raise InvalidInput(
@@ -238,21 +245,6 @@ def check_shapes(net, x, mode, affine):
     if affine.shape != want:
         raise InvalidInput(f"affine must be {want} for a batch of shape"
                            f" {x.shape}, got shape {affine.shape}")
-    return affine
-
-
-def forward(net, batch, mode, affine=None):
-    """Run the network on a batch, returning logits and a backward cache.
-
-    ``batch`` is (N, d), or (S, N, d) for S streams. ``affine`` holds the
-    gamma/beta, laid out like ``net.affine`` (its default), with shape
-    ``batch.shape[:-2] + (A,)``: one row for a batch, one row per stream for
-    a stack. In TEST_BATCH_STATS mode the batch must have at least two rows
-    so the batch variance is defined. TRAIN_STATS, which updates the
-    running statistics, takes the network's own gamma/beta.
-    """
-    x = np.asarray(batch, dtype=np.float64)
-    affine = check_shapes(net, x, mode, affine)
     if not np.isfinite(x).all():
         raise InvalidInput("batch contains non-finite values")
     if mode is BNMode.TEST_BATCH_STATS and x.shape[-2] < 2:

@@ -12,8 +12,8 @@ from ttalab.adaptation import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EPS_ENTROPY,
                                accumulate_and_maybe_step, default_q,
                                default_filter_threshold, flip_signal,
                                rla_forward, sample_weights,
-                               tent_loss, ttc_loss)
-from ttalab.errors import InvalidInput, TTALabError
+                               tent_loss, ttc_loss, with_flips)
+from ttalab.errors import DegenerateBatch, InvalidInput
 from ttalab.network import (BNMode, backward_bn_affine, forward, make_network,
                             network_to_dict)
 from ttalab.numeric import entropy, finite_diff_check, softmax
@@ -25,6 +25,14 @@ def small_net(seed=0):
 
 def small_batch(rng, n=10, d=8):
     return rng.normal(size=(n, d))
+
+
+def rla_of(net, x, affine, flips):
+    """``rla_forward`` on an (S, N, d) stack and its (S, A) affine rows,
+    flipping the streams ``flips`` indexes."""
+    flips = np.asarray(flips, dtype=np.intp)
+    rows = np.concatenate([np.arange(len(x)), flips])
+    return rla_forward(net, with_flips(x, flips), affine[rows], flips)
 
 
 class TestTentLoss:
@@ -156,16 +164,18 @@ class TestRlaForward:
         net = small_net()
         half = rng.normal(size=(6, 4))
         x = np.hstack([half, half[:, ::-1]])  # rows equal their reversal
-        combined, _, _ = rla_forward(net, x)
+        combined, _, _ = rla_of(net, x[None], net.affine[None], [0])
         plain, _ = forward(net, x, BNMode.TEST_BATCH_STATS)
-        np.testing.assert_allclose(combined, plain, atol=1e-12)
+        np.testing.assert_allclose(combined[0], plain, atol=1e-12)
 
     def test_gradient_matches_fd_with_frozen_augmented_branch(self, rng):
         net = small_net(seed=3)
         x = small_batch(rng, n=12)
-        combined, cache, aug_logits = rla_forward(net, x)
+        combined, cache, aug_logits = rla_of(net, x[None], net.affine[None],
+                                             [0])
+        combined, aug_logits = combined[0], aug_logits[0]
         _, g_combined = ttc_loss(combined, tau=0.5, n=12)
-        grads = backward_bn_affine(net, cache, 0.5 * g_combined)
+        grads = backward_bn_affine(net, cache, 0.5 * g_combined[None])[0]
 
         h0 = entropy(softmax(combined))
         w0 = sample_weights(h0, 0.5, 12)
@@ -224,7 +234,8 @@ class TestRlaForward:
 
 def two_forward_rla(net, x, affine=None):
     """RLA as two forwards, one per branch: the oracle that the one stacked
-    forward of ``rla_forward`` matches bit for bit."""
+    forward of ``rla_forward`` matches bit for bit, for a lone (N, d) batch
+    or an (S, N, d) stack of streams that all flip."""
     logits, cache = forward(net, x, BNMode.TEST_BATCH_STATS, affine)
     aug_logits, _ = forward(net, flip_signal(x), BNMode.TEST_BATCH_STATS,
                             affine)
@@ -241,11 +252,10 @@ def as_bytes(a):
 
 @st.composite
 def rla_inputs(draw):
-    """A network, an (N, d) batch or an (S, N, d) stack holding signed zeros,
-    and affine rows (or None for a lone batch) moved off the network's own:
-    entries set to 0.0 or -0.0, or one ulp up or down."""
-    lone = draw(st.booleans())
-    s = 1 if lone else draw(st.integers(1, 6))
+    """A network, an (S, N, d) stack holding signed zeros, and affine rows
+    moved off the network's own: entries set to 0.0 or -0.0, or one ulp up
+    or down."""
+    s = draw(st.integers(1, 6))
     n = draw(st.integers(2, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     net = make_network(input_dim=8, hidden=6, k=3,
@@ -257,8 +267,6 @@ def rla_inputs(draw):
     affine[move == 2] = -0.0
     affine = np.where(move == 3, np.nextafter(affine, np.inf), affine)
     affine = np.where(move == 4, np.nextafter(affine, -np.inf), affine)
-    if lone:
-        x, affine = x[0], draw(st.sampled_from([affine[0], None]))
     return net, x, affine, signed_zeros(rng, x.shape[:-1] + (3,))
 
 
@@ -267,7 +275,7 @@ class TestRlaIsOneStackedForward:
     @given(case=rla_inputs())
     def test_matches_two_forwards_bit_for_bit(self, case):
         net, x, affine, g = case
-        combined, cache, aug = rla_forward(net, x, affine)
+        combined, cache, aug = rla_of(net, x, affine, np.arange(len(x)))
         ref_combined, ref_cache, ref_aug = two_forward_rla(net, x, affine)
         assert as_bytes(combined) == as_bytes(ref_combined)
         assert as_bytes(aug) == as_bytes(ref_aug)
@@ -292,11 +300,8 @@ class TestRlaIsOneStackedForward:
         """Only the streams the mask names flip; the others get the logits
         and cache of a plain forward, bit for bit."""
         net, x, affine, g = case
-        if x.ndim == 2:  # as a stack of one
-            x, g = x[None], g[None]
-            affine = (net.affine if affine is None else affine)[None]
         rla = np.array(flips[:len(x)])
-        combined, cache, aug = rla_forward(net, x, affine, rla)
+        combined, cache, aug = rla_of(net, x, affine, np.flatnonzero(rla))
         flipped, flipped_cache, flipped_aug = two_forward_rla(net, x, affine)
         plain, plain_cache = forward(net, x, BNMode.TEST_BATCH_STATS, affine)
         assert as_bytes(aug) == as_bytes(flipped_aug[rla])
@@ -306,40 +311,39 @@ class TestRlaIsOneStackedForward:
         assert (as_bytes(backward_bn_affine(net, cache, g))
                 == as_bytes(backward_bn_affine(net, plain_cache, g)))
 
-    @pytest.mark.parametrize("lone", [True, False])
-    def test_a_mask_needs_one_bool_per_stream_of_a_stack(self, rng, lone):
+    @pytest.mark.parametrize("pre_flipped", [False, True])
+    @pytest.mark.parametrize("spoil", ["nan", "inf", "columns", "one row",
+                                       "no rows"])
+    def test_bad_input_to_an_rla_adapter_raises(self, rng, pre_flipped,
+                                                spoil):
+        """An Adapter whose second stream has RLA raises on a bad stack,
+        bare or with its flip, and names the shape the caller passed."""
         net = small_net()
-        x, affine = rng.normal(size=(3, 10, 8)), np.tile(net.affine, (3, 1))
-        if lone:
-            x, affine = x[0], affine[0]
-        with pytest.raises(InvalidInput, match="one bool per stream"):
-            rla_forward(net, x, affine, [True, False])
-
-    @pytest.mark.parametrize("lone", [True, False])
-    @pytest.mark.parametrize("spoil", ["nan", "inf", "columns", "affine",
-                                       "one row"])
-    def test_bad_input_raises_as_two_forwards_do(self, rng, lone, spoil):
-        net = small_net()
-        x = rng.normal(size=(3, 10, 8))
-        affine = np.tile(net.affine, (3, 1))
+        adapter = Adapter(net, [
+            AdaptationConfig(strategy="ttc", rla_enabled=False),
+            AdaptationConfig(strategy="ttc")], 10)
+        x = rng.normal(size=(2, 10, 8))
         if spoil == "nan":
-            x[0, 7, 4] = np.nan
+            x[1, 7, 4] = np.nan
         elif spoil == "inf":
             x[0, 0, 0] = -np.inf
         elif spoil == "columns":
             x = x[..., :7]
-        elif spoil == "affine":
-            affine = affine[:, :-1]
-        else:
+        elif spoil == "one row":
             x = x[:, :1]
-        if lone:
-            x, affine = x[0], affine[0]
-        with pytest.raises(TTALabError) as stacked:
-            rla_forward(net, x, affine)
-        with pytest.raises(TTALabError) as two:
-            two_forward_rla(net, x, affine)
-        assert type(stacked.value) is type(two.value)
-        assert str(stacked.value) == str(two.value)
+        else:
+            x = x[:, :0]
+        if pre_flipped:
+            x = with_flips(x, [1])
+        if spoil in ("nan", "inf"):
+            error, match = InvalidInput, "non-finite"
+        elif spoil == "one row":
+            error, match = DegenerateBatch, "at least 2"
+        else:
+            error, match = InvalidInput, re.escape(f"got shape {x.shape}")
+        with pytest.raises(error, match=match):
+            adapter.adapt_batch(x)
+        assert (adapter.affine == net.affine).all()  # nothing stepped
 
 
 def counting(monkeypatch, module, name, counts):
@@ -369,7 +373,8 @@ class TestOneForwardOneSoftmaxPerBatch:
         net = small_net()
         adapter = Adapter(net, [config] * 2, 10)
         counts = {}
-        for name in ("forward", "softmax", "ttc_loss", "tent_loss"):
+        for name in ("forward", "rla_forward", "softmax", "ttc_loss",
+                     "tent_loss"):
             counting(monkeypatch, adaptation, name, counts)
         for module in (adaptation, numeric):  # the adapter binds neither
             for name in ("entropy", "entropy_grad_logits"):
@@ -377,9 +382,10 @@ class TestOneForwardOneSoftmaxPerBatch:
         batches = 4
         for _ in range(batches):
             adapter.adapt_batch(rng.normal(size=(2, 10, 8)))
-        assert counts == {"forward": batches, "softmax": batches,
-                          "ttc_loss": 0, "tent_loss": 0, "entropy": 0,
-                          "entropy_grad_logits": 0}
+        rla = config.strategy == "ttc" and config.rla_enabled
+        assert counts == {"forward": batches, "rla_forward": rla * batches,
+                          "softmax": batches, "ttc_loss": 0, "tent_loss": 0,
+                          "entropy": 0, "entropy_grad_logits": 0}
         learns = config.strategy not in ("source", "norm")
         assert (adapter.affine != net.affine).any() == learns
 
@@ -1063,7 +1069,8 @@ class TestPreFlippedStack:
         bare, flipped = Adapter(net, configs, n), Adapter(net, configs, n)
         alone = [Adapter(net, [c], n) for c in configs]
         for x in data:
-            want, _, _ = rla_forward(net, x, bare.affine.copy(), rla)
+            want, _, _ = rla_of(net, x, bare.affine.copy(),
+                                np.flatnonzero(rla))
             with mock.patch.object(adaptation, "softmax",
                                    wraps=softmax) as spy:
                 preds, probs = bare.adapt_batch(x)

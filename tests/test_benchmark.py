@@ -63,6 +63,22 @@ class TestGenerateDataset:
         with pytest.raises(InvalidInput):
             generate_dataset(5, 3, seed=0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("k", 2.5), ("k", True), ("m", 30.0), ("m", "30"), ("seed", -1),
+        ("seed", 2.5), ("seed", None)], ids=repr)
+    def test_non_integer_or_negative_argument_named(self, name, value):
+        args = dict(k=3, m=30, seed=0) | {name: value}
+        with pytest.raises(InvalidInput,
+                           match=rf"^{name} .*{re.escape(repr(value))}$"):
+            generate_dataset(**args)
+
+    def test_numpy_integers_run_as_their_ints(self):
+        ours = generate_dataset(np.int64(3), np.int32(30), np.uint8(7))
+        theirs = generate_dataset(3, 30, 7)
+        assert ours.inputs.tobytes() == theirs.inputs.tobytes()
+        assert ours.labels.tobytes() == theirs.labels.tobytes()
+        assert type(ours.seed) is int
+
 
 class TestApplyCorruption:
     def test_brightness_is_an_offset(self, rng):
@@ -135,6 +151,36 @@ class TestApplyCorruption:
             Corruption("contrast", 0)
         with pytest.raises(InvalidInput):
             Corruption("contrast", 6)
+
+    @pytest.mark.parametrize("kind", ["smooth_blur", "gaussian_noise"])
+    @pytest.mark.parametrize("severity", [2.5, 3.0, True, np.float64(2),
+                                          "3", None], ids=repr)
+    def test_non_integer_severity_rejected_naming_it(self, kind, severity):
+        with pytest.raises(InvalidInput, match=(
+                rf"^severity .*{re.escape(repr(severity))}$")):
+            Corruption(kind, severity)
+
+
+class TestStreamProtocol:
+    @pytest.mark.parametrize("name, value", [
+        ("batch_size", 2.5), ("batch_size", 0), ("batch_size", True),
+        ("seed", -1), ("seed", 2.5), ("seed", False), ("seed", None)],
+        ids=repr)
+    def test_non_integer_or_out_of_range_field_named(self, name, value):
+        with pytest.raises(InvalidInput,
+                           match=rf"^{name} .*{re.escape(repr(value))}$"):
+            StreamProtocol(**{name: value})
+
+    def test_numpy_integers_report_as_ints(self, source_net, test_dataset):
+        def run(severity, batch_size, seed):
+            return stream_eval(
+                source_net, test_dataset,
+                Corruption("gaussian_noise", severity),
+                StreamProtocol(batch_size=batch_size, seed=seed),
+                AdaptationConfig(strategy="tent"))
+
+        ours = run(np.int64(3), np.int64(50), np.int64(1))
+        assert ours.json_str() == run(3, 50, 1).json_str()
 
 
 class TestTrainSource:

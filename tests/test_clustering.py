@@ -266,6 +266,20 @@ class TestRunMinibatchKmeans:
         with pytest.raises(InvalidInput):
             run_minibatch_kmeans([], 2, init="first_k")
 
+    @pytest.mark.parametrize("init", ["first_k", "seeded_random"])
+    def test_k_above_the_first_batch_rejected_for_either_init(self, rng,
+                                                              init):
+        x = rng.normal(size=(10, 2))
+        with pytest.raises(InvalidInput, match=f"smaller than k for {init}"):
+            run_minibatch_kmeans([x], 11, init=init)
+
+    @pytest.mark.parametrize("init", ["first_k", "seeded_random"])
+    def test_a_first_batch_not_two_dimensional_is_named(self, rng, init):
+        for first in (rng.normal(size=10), rng.normal(size=(2, 5, 2))):
+            with pytest.raises(InvalidInput, match=re.escape(
+                    f"got shape {first.shape}")):
+                run_minibatch_kmeans([first], 2, init=init)
+
     @pytest.mark.parametrize("k", [2.5, 3.0, np.float64(3), True, "3"],
                              ids=repr)
     def test_non_integer_k_rejected_naming_it(self, rng, k):

@@ -113,3 +113,33 @@ def test_every_adapter_step_is_inside_accumulate_and_maybe_step(
     assert bool(steps) == (name not in ("source", "norm"))
     if name == "sit-out-beside-q3":
         assert adapter.windows[0].rows == slice(0, 1)
+
+
+@pytest.mark.parametrize("pre_flipped", [False, True])
+@pytest.mark.parametrize("name", [*ADAPTERS, "ttc-norla"])
+def test_rla_forward_is_called_once_per_batch_under_rla(monkeypatch, name,
+                                                         pre_flipped):
+    """The tracer's ``adaptation.rla_forward`` counts one call per batch of
+    an Adapter with a stream that has RLA, bare stack or pre-flipped, and
+    none otherwise; a forward that bypassed it would read 0 calls."""
+    calls = []
+    rla_forward = adaptation.rla_forward
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rla_forward(*args, **kwargs)
+    monkeypatch.setattr(adaptation, "rla_forward", counted)
+
+    common = dict(optimizer="adam", lr=0.05)
+    configs = (ADAPTERS[name](common) if name in ADAPTERS else
+               [AdaptationConfig(strategy="ttc", rla_enabled=False, **common)])
+    net, n, m = make_network(input_dim=8, hidden=6, k=3, seed=0), 4, 36
+    data = np.random.default_rng(3).normal(size=(len(configs), m, 8))
+    adapter = Adapter(net, configs, n)
+    batches = batch_slices(m, n)
+    for batch in batches:
+        x = data[:, batch]
+        adapter.adapt_batch(adaptation.with_flips(x, adapter.flips)
+                            if pre_flipped else x)
+    rla = any(c.strategy == "ttc" and c.rla_enabled for c in configs)
+    assert len(calls) == rla * len(batches)
