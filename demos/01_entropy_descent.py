@@ -6,6 +6,8 @@ preferred. This is the single-sample picture behind entropy-based
 test-time adaptation.
 """
 
+import io
+
 import numpy as np
 
 from ttalab import simulate_entropy_descent
@@ -25,6 +27,8 @@ flat = simulate_entropy_descent(np.full(4, 0.25), lr=0.05, steps=100)
 print("uniform start stays uniform:", np.allclose(flat, 0.25))
 
 # trajectories export as plain CSV for plotting elsewhere
-csv_text = trajectory_csv(simulate_entropy_descent([0.55, 0.45], 0.05, 50))
+buf = io.StringIO()
+trajectory_csv(simulate_entropy_descent([0.55, 0.45], 0.05, 50), buf)
+csv_text = buf.getvalue()
 print("\nfirst CSV lines:")
 print("\n".join(csv_text.splitlines()[:4]))

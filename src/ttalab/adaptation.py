@@ -34,13 +34,12 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, _integer
 from .network import BNMode, backward_bn_affine, forward
 from .numeric import _entropy, _entropy_grad, softmax
 
@@ -105,12 +104,9 @@ class AdaptationConfig:
         if self.filter_threshold is not None and not self.filter_threshold > 0:
             raise InvalidInput(
                 f"filter_threshold must be positive, got {self.filter_threshold}")
-        q = self.accumulation_q  # an int or a numpy integer, not a bool
-        if q is not None:
-            if q is True or not (isinstance(q, (int, np.integer)) and q > 0):
-                raise InvalidInput(
-                    f"accumulation_q must be a positive integer, got {q!r}")
-            self.accumulation_q = operator.index(q)
+        if self.accumulation_q is not None:
+            self.accumulation_q = _integer("accumulation_q",
+                                           self.accumulation_q, 1)
 
     def to_json(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -430,8 +426,9 @@ class Adapter:
             raise InvalidInput(f"batch must be a non-empty (S, N, d) stack of"
                                f" {s} batches{also if r else ''}, with {d}"
                                f" columns, got shape {x.shape}")
-        if not r:
-            logits, cache = forward(self.net, x, self.plan.mode, self.affine)
+        if not r:  # a plan that does not learn keeps no backward cache
+            logits, cache = forward(self.net, x, self.plan.mode, self.affine,
+                                    cache=self.plan.learns)
         else:
             logits, cache, _ = rla_forward(
                 self.net, with_flips(x, self.flips) if len(x) == s else x,

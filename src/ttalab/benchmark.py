@@ -14,15 +14,13 @@ import hashlib
 import io
 import json
 import math
-import numbers
-import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .adaptation import (Adapter, flip_signal, make_optimizer, stream_plan,
                          stream_row, with_flips)
-from .errors import InvalidInput, TrainingDiverged
+from .errors import InvalidInput, TrainingDiverged, _integer
 from .network import (BNMode, backward_all, checkpoint_text, forward,
                       make_network, penultimate_features)
 from .numeric import softmax
@@ -47,17 +45,6 @@ GAUSSIAN_SIGMA_PER_LEVEL = 0.1
 IMPULSE_PROB_PER_LEVEL = 0.03
 CONTRAST_LOSS_PER_LEVEL = 0.15
 BRIGHTNESS_PER_LEVEL = 0.2
-
-
-def _integer(name, value, low, high=None):
-    """``value`` as a Python int if it is an integer (a numpy one included,
-    a bool not) in ``low``..``high``; InvalidInput naming ``name`` and the
-    value otherwise."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < low or (high is not None and value > high)):
-        want = f"at least {low}" if high is None else f"in {low}..{high}"
-        raise InvalidInput(f"{name} must be an integer {want}, got {value!r}")
-    return operator.index(value)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +158,7 @@ def apply_corruption(x, corruption, seed):
     """
     x = np.asarray(x, dtype=np.float64)
     s = corruption.severity
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     if corruption.kind == "gaussian_noise":
         return x + rng.normal(0.0, GAUSSIAN_SIGMA_PER_LEVEL * s, size=x.shape)
     if corruption.kind == "impulse_noise":
@@ -241,8 +228,9 @@ def train_source(dataset, epochs, seed, lr=1e-2, hidden=64):
 
 
 def evaluate_accuracy(net, dataset):
-    """Plain accuracy under running statistics, no adaptation."""
-    logits, _ = forward(net, dataset.inputs, BNMode.EVAL_STATS)
+    """Plain accuracy under running statistics, no adaptation: a forward
+    that keeps no backward cache."""
+    logits, _ = forward(net, dataset.inputs, BNMode.EVAL_STATS, cache=False)
     return accuracy_score(np.argmax(logits, axis=1), dataset.labels)
 
 

@@ -357,8 +357,8 @@ def cmd_lemma_check(args):
     summary = ["k,final_max_prob,monotone"]
     for k in args.k_list:
         traj = simulate_entropy_descent(_tilted_start(k), args.lr, args.steps)
-        (out / f"lemma_k{k}.csv").write_text(trajectory_csv(traj),
-                                             encoding="utf-8")
+        with open(out / f"lemma_k{k}.csv", "w", encoding="utf-8") as fh:
+            trajectory_csv(traj, fh)
         top = traj[:, 0]  # class 0 starts largest
         monotone = bool(np.all(np.diff(top) >= 0.0))
         if not monotone:

@@ -8,11 +8,9 @@ count-weighted streaming mean used by mini-batch k-means.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, _integer
 
 FULL_BATCH = "full_batch"
 MINIBATCH_RUNNING = "minibatch_running"
@@ -117,11 +115,8 @@ def run_minibatch_kmeans(stream, k, init="first_k", seed=0,
     seed). Returns the final centers and a per-batch objective trace, each
     trace entry evaluated on that batch with the just-updated centers.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise InvalidInput(f"k must be an integer, got {k!r}")
-    k = operator.index(k)
-    if k < 2:
-        raise InvalidInput("k must be at least 2")
+    k = _integer("k", k, 2)
+    seed = _integer("seed", seed, 0)
     if init not in ("first_k", "seeded_random"):
         raise InvalidInput(f"unknown init {init!r}")
     batches = iter(stream)

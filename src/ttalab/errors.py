@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule that
+checks an integer argument."""
+
+import numbers
+import operator
 
 
 class TTALabError(Exception):
@@ -23,3 +27,14 @@ class SchemaError(TTALabError):
 
 class TrainingDiverged(TTALabError):
     """Source training or adaptation overflowed or went non-finite."""
+
+
+def _integer(name, value, low, high=None):
+    """``value`` as a Python int if it is an integer (a numpy one included,
+    a bool not) in ``low``..``high``; InvalidInput naming ``name`` and the
+    value otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < low or (high is not None and value > high)):
+        want = f"at least {low}" if high is None else f"in {low}..{high}"
+        raise InvalidInput(f"{name} must be an integer {want}, got {value!r}")
+    return operator.index(value)

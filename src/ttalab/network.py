@@ -222,7 +222,7 @@ class ForwardCache:
             affine=self.affine[index])
 
 
-def forward(net, batch, mode, affine=None):
+def forward(net, batch, mode, affine=None, cache=True):
     """Run the network on a batch, returning logits and a backward cache.
 
     ``batch`` is (N, d), or (S, N, d) for S streams. ``affine`` holds the
@@ -231,6 +231,12 @@ def forward(net, batch, mode, affine=None):
     a stack. In TEST_BATCH_STATS mode the batch must have at least two rows
     so the batch variance is defined. TRAIN_STATS, which updates the
     running statistics, takes the network's own gamma/beta.
+
+    With ``cache=False``, for a forward that no backward pass follows, the
+    same checks and arithmetic run, but no block's input, x-hat or ReLU
+    mask is kept: BN writes ``gamma * xhat + beta`` into the x-hat array,
+    and the logits, bit for bit those of the cached call, come back with
+    ``None`` for the cache.
     """
     x = np.asarray(batch, dtype=np.float64)
     n_in = net.input_dim
@@ -261,14 +267,16 @@ def forward(net, batch, mode, affine=None):
         if bn is not None:  # views of shape (..., 1, F)
             x, bn_rec = _bn_forward(net.layers[bn], x, mode,
                                     affine[..., None, gamma],
-                                    affine[..., None, beta])
+                                    affine[..., None, beta], cache)
         if relu:
             mask = x > 0.0
             np.multiply(x, mask, out=x)
-        records.append((x_in, bn_rec, mask))
+        if cache:
+            records.append((x_in, bn_rec, mask))
     if not np.isfinite(x).all():
         raise InvalidInput("forward produced non-finite logits")
-    return x, ForwardCache(records=records, affine=affine)
+    return x, (ForwardCache(records=records, affine=affine) if cache
+               else None)
 
 
 def _batch_stats(x, out=None):
@@ -285,8 +293,9 @@ def _batch_stats(x, out=None):
     return mean, d, np.add.reduce(d * d, -2) / n
 
 
-def _bn_forward(layer, x, mode, gamma, beta):
-    """Normalize ``x``, which the caller owns: it becomes the cached xhat."""
+def _bn_forward(layer, x, mode, gamma, beta, cache):
+    """Normalize ``x``, which the caller owns: it becomes the cached xhat,
+    or, with ``cache=False``, the output, and no record is returned."""
     if mode is BNMode.EVAL_STATS:
         mean, var = layer.running_mean, layer.running_var
         d = np.subtract(x, mean, out=x)
@@ -298,8 +307,11 @@ def _bn_forward(layer, x, mode, gamma, beta):
             layer.running_var = (1.0 - m) * layer.running_var + m * var
     inv_std = 1.0 / np.sqrt(var + layer.eps)
     xhat = np.multiply(d, inv_std[..., None, :], out=d)
-    out = gamma * xhat
+    # without a cache gamma * xhat is written over xhat: the same products
+    out = np.multiply(gamma, xhat, out=None if cache else xhat)
     np.add(out, beta, out=out)
+    if not cache:
+        return out, None
     return out, (xhat, inv_std, mode is not BNMode.EVAL_STATS)
 
 

@@ -9,13 +9,12 @@ renormalizes, so downstream logs never see zero.
 
 from __future__ import annotations
 
-import io
 import numbers
 import operator
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, _integer
 
 # Probability clamp applied before any log; keeps near-one-hot outputs finite.
 EPS_PROB = 1e-12
@@ -156,11 +155,7 @@ def simulate_entropy_descent(p0, lr, steps):
     lr = float(lr)
     if not (np.isfinite(lr) and lr > 0):
         raise InvalidInput(f"learning rate must be finite and positive, got {lr}")
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
-        raise InvalidInput(f"steps must be an integer, got {steps!r}")
-    steps = operator.index(steps)
-    if steps < 0:
-        raise InvalidInput(f"steps must be non-negative, got {steps}")
+    steps = _integer("steps", steps, 0)
     traj = np.empty((steps + 1,) + p0.shape, dtype=np.float64)
     traj[0] = p0
     z = np.log(np.maximum(p0, EPS_PROB))
@@ -205,8 +200,10 @@ def _column_runs(bits):
     return firsts, groups, lengths
 
 
-def trajectory_csv(trajectory):
-    """Render a descent trajectory as CSV with header step,p_1,...,p_K.
+def trajectory_csv(trajectory, out):
+    """Write a descent trajectory as CSV, header step,p_1,...,p_K, to the
+    text stream ``out``, one row at a time, so one row's text is held at
+    once; nothing is written if the trajectory is rejected.
 
     Columns whose bits are equal in every row are grouped once per
     trajectory, so -0.0 and 0.0 stay apart. Each row formats one repr per
@@ -220,9 +217,8 @@ def trajectory_csv(trajectory):
         raise InvalidInput(
             "trajectory must be a 2-D (steps+1, K) array, got shape"
             f" {trajectory.shape}; write start r of a stack as traj[:, r]")
-    buf = io.StringIO()
     k = trajectory.shape[1]
-    buf.write("step," + ",".join(f"p_{i + 1}" for i in range(k)) + "\n")
+    out.write("step," + ",".join(f"p_{i + 1}" for i in range(k)) + "\n")
     firsts, groups, lengths = _column_runs(trajectory.view(np.int64))
     firsts = np.array(firsts, dtype=np.intp)
     # row by row: gathering the groups of the whole trajectory at once
@@ -233,5 +229,4 @@ def trajectory_csv(trajectory):
         cells = "".join(map(operator.mul, map(text.__getitem__, groups),
                             lengths))
         # with K = 0 a row still ends its step with a comma
-        buf.write(str(step) + (cells or ",") + "\n")
-    return buf.getvalue()
+        out.write(str(step) + (cells or ",") + "\n")

@@ -390,6 +390,28 @@ class TestOneForwardOneSoftmaxPerBatch:
         assert (adapter.affine != net.affine).any() == learns
 
 
+@pytest.mark.parametrize("strategy", ["source", "norm", "tent",
+                                      "tent-filtered"])
+def test_only_a_learning_plan_keeps_a_backward_cache(monkeypatch, rng,
+                                                     strategy):
+    """Without RLA the adapter runs ``forward`` with a cache exactly when
+    its plan learns: source and norm predict from an uncached forward."""
+    from ttalab import adaptation
+
+    caches = []
+
+    def recording(*args, **kwargs):
+        logits, cache = forward(*args, **kwargs)
+        caches.append(cache is not None)
+        return logits, cache
+    monkeypatch.setattr(adaptation, "forward", recording)
+    adapter = Adapter(small_net(), [AdaptationConfig(strategy=strategy)] * 2,
+                      10)
+    for _ in range(3):
+        adapter.adapt_batch(rng.normal(size=(2, 10, 8)))
+    assert caches == [adapter.plan.learns] * 3
+
+
 class TestGradientAccumulation:
     def test_q_one_steps_every_call(self):
         acc = GradientAccumulator(1)

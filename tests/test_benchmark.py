@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -135,6 +136,22 @@ class TestApplyCorruption:
                                             mode="reflect")
         assert out.shape == expected.shape
         assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", CORRUPTION_KINDS)
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, None, "0",
+                                      np.float64(1.0)], ids=repr)
+    def test_bad_seed_rejected_naming_it(self, kind, seed):
+        x = np.zeros((2, SIGNAL_LENGTH))
+        with pytest.raises(InvalidInput,
+                           match=rf"^seed .*{re.escape(repr(seed))}$"):
+            apply_corruption(x, Corruption(kind, 1), seed)
+
+    def test_numpy_integer_seed_runs_as_its_int(self, rng):
+        x = rng.normal(size=(8, 32))
+        for kind in CORRUPTION_KINDS:
+            c = Corruption(kind, 3)
+            assert (apply_corruption(x, c, np.uint16(7)).tobytes()
+                    == apply_corruption(x, c, 7).tobytes())
 
     def test_deterministic_per_seed(self, rng):
         x = rng.normal(size=(8, 32))
@@ -302,6 +319,23 @@ class TestAccuracyMetric:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidInput):
             accuracy_score(np.zeros(3), np.zeros(4))
+
+    def test_evaluate_accuracy_keeps_no_backward_cache(self):
+        """Over 3000 rows at hidden 64 the accuracy pass traces about two
+        (m, 64) activations; with every block's cached input, x-hat and
+        ReLU mask it traced 4.3 of them."""
+        ds = generate_dataset(3, 3000, seed=0)
+        net = make_network(input_dim=SIGNAL_LENGTH, hidden=64, k=3, seed=0)
+        logits, _ = forward(net, ds.inputs, BNMode.EVAL_STATS)
+        expected = accuracy_score(np.argmax(logits, axis=1), ds.labels)
+        tracemalloc.start()
+        try:
+            acc = evaluate_accuracy(net, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert acc == expected
+        assert peak < 2.5 * 3000 * 64 * 8
 
 
 class TestBatchSlices:

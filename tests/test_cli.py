@@ -504,8 +504,10 @@ class TestLemmaTrajectoryBytes:
         assert self.digests(tmp_path) == self.DEFAULT_ARGS
 
     def test_demo_01(self):
-        text = trajectory_csv(simulate_entropy_descent([0.55, 0.45], 0.05, 50))
-        assert hashlib.sha256(text.encode()).hexdigest() == self.DEMO_01
+        buf = io.StringIO()
+        trajectory_csv(simulate_entropy_descent([0.55, 0.45], 0.05, 50), buf)
+        assert (hashlib.sha256(buf.getvalue().encode()).hexdigest()
+                == self.DEMO_01)
 
 
 class TestDensity:

@@ -287,6 +287,22 @@ class TestRunMinibatchKmeans:
         with pytest.raises(InvalidInput, match=rf"^k .*{re.escape(repr(k))}$"):
             run_minibatch_kmeans([x], k, init="first_k")
 
+    @pytest.mark.parametrize("init", ["first_k", "seeded_random"])
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, None, "0"], ids=repr)
+    def test_bad_seed_rejected_naming_it(self, rng, init, seed):
+        x = rng.normal(size=(10, 2))
+        with pytest.raises(InvalidInput,
+                           match=rf"^seed .*{re.escape(repr(seed))}$"):
+            run_minibatch_kmeans([x], 3, init=init, seed=seed)
+
+    def test_numpy_integer_seed_runs_as_its_int(self, rng):
+        x = rng.normal(size=(10, 2))
+        ours = run_minibatch_kmeans([x, x], 3, init="seeded_random",
+                                    seed=np.int64(5))
+        theirs = run_minibatch_kmeans([x, x], 3, init="seeded_random", seed=5)
+        np.testing.assert_array_equal(ours[0], theirs[0])
+        assert ours[1] == theirs[1]
+
     def test_numpy_integer_k_runs_as_its_int(self, rng):
         x = rng.normal(size=(10, 2))
         ours = run_minibatch_kmeans([x, x], np.int64(3), init="first_k")

@@ -192,6 +192,64 @@ class TestBatchStatistics:
                     assert same_bits(a.running_var, b.running_var)
 
 
+class TestUncachedForward:
+    @settings(max_examples=60, deadline=None)
+    @given(streams=st.none() | st.integers(1, 3),
+           bn=st.lists(st.booleans(), min_size=2, max_size=2),
+           **scaled_batches)
+    def test_logits_running_stats_and_params_match_the_cached_call(
+            self, streams, bn, **batch):
+        """cache=False gives the cached call's logits bit for bit, with no
+        cache, for a batch and for a stack with affine rows of its own, in
+        every BN mode; TRAIN_STATS moves the running statistics as the
+        cached call does, and neither call writes into the network's
+        parameters, the batch or the affine."""
+        rng = np.random.default_rng(batch["seed"])
+        x = scaled_batch(**batch)
+        net = random_net(rng, widths=(x.shape[1], 8, 6), bn=bn)
+        forms = [(x, None)]
+        if streams is not None:
+            stack = (rng.normal(size=(streams,) + x.shape) + batch["shift"]
+                     ) * 10.0 ** batch["exponent"]
+            rows = net.affine + rng.normal(scale=0.3,
+                                           size=(streams, net.affine.size))
+            forms += [(x, rows[0]), (stack, rows)]
+        params = net.params.tobytes()
+        for mode in BNMode:
+            for inputs, affine in forms:
+                if mode is BNMode.TRAIN_STATS and affine is not None:
+                    continue
+                given_in = inputs.tobytes()
+                given_affine = None if affine is None else affine.tobytes()
+                cached, uncached = copy.deepcopy(net), copy.deepcopy(net)
+                logits, cache = forward(cached, inputs, mode, affine)
+                bare, none = forward(uncached, inputs, mode, affine,
+                                     cache=False)
+                assert none is None and cache is not None
+                assert same_bits(bare, logits)
+                for a, b in zip(cached.layers, uncached.layers):
+                    if isinstance(a, BatchNormLayer):
+                        assert same_bits(a.running_mean, b.running_mean)
+                        assert same_bits(a.running_var, b.running_var)
+                assert uncached.params.tobytes() == params
+                assert inputs.tobytes() == given_in
+                if affine is not None:
+                    assert affine.tobytes() == given_affine
+                forward(net, inputs, mode, affine, cache=False)
+                assert net.params.tobytes() == params
+
+    def test_checks_are_kept(self, rng):
+        net = random_net(rng)
+        x = rng.normal(size=(4, 5))
+        with pytest.raises(DegenerateBatch):
+            forward(net, x[:1], BNMode.TEST_BATCH_STATS, cache=False)
+        with pytest.raises(InvalidInput, match="affine must be"):
+            forward(net, x[None], BNMode.EVAL_STATS, cache=False)
+        x[0, 0] = np.inf
+        with pytest.raises(InvalidInput, match="non-finite values"):
+            forward(net, x, BNMode.EVAL_STATS, cache=False)
+
+
 class TestBackwardBnAffine:
     def test_zero_gradient_in_zero_out(self, rng):
         net = random_net(rng)

@@ -344,6 +344,13 @@ class TestInPlaceDescent:
             assert traj.tobytes() == expected.tobytes()
 
 
+def csv_text(trajectory):
+    """What trajectory_csv writes, as one string."""
+    buf = io.StringIO()
+    trajectory_csv(trajectory, buf)
+    return buf.getvalue()
+
+
 def per_scalar_csv(trajectory):
     """trajectory_csv's former row formatter: repr of one numpy scalar at a time."""
     lines = ["step," + ",".join(f"p_{i + 1}" for i in range(trajectory.shape[1]))]
@@ -443,46 +450,48 @@ class TestTrajectoryCsv:
         for traj in (np.array(edge).reshape(2, 5),
                      simulate_entropy_descent(np.full(100, 0.01) + np.linspace(
                          -0.005, 0.005, 100), lr=0.05, steps=30)):
-            assert trajectory_csv(traj).encode() == per_scalar_csv(traj).encode()
+            assert csv_text(traj).encode() == per_scalar_csv(traj).encode()
 
     @settings(max_examples=300, deadline=None)
     @given(traj=tied_trajectories())
     def test_bytes_match_per_scalar_formatter_on_ties(self, traj):
-        assert trajectory_csv(traj).encode() == per_scalar_csv(traj).encode()
+        assert csv_text(traj).encode() == per_scalar_csv(traj).encode()
 
     @settings(max_examples=300, deadline=None)
     @given(traj=tied_columns())
     def test_bytes_match_per_scalar_formatter_on_tied_columns(self, traj):
-        assert trajectory_csv(traj).encode() == per_scalar_csv(traj).encode()
+        assert csv_text(traj).encode() == per_scalar_csv(traj).encode()
 
     @settings(max_examples=100, deadline=None)
     @given(traj=tied_columns())
     def test_colliding_column_hashes_still_match(self, traj):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(numeric, "hash", lambda _: 0, raising=False)
-            text = trajectory_csv(traj)
+            text = csv_text(traj)
         assert text.encode() == per_scalar_csv(traj).encode()
 
-    def test_traced_peak_stays_near_the_output_length(self):
-        """On a tie-free (1001, 100) descent the traced peak reads 2.04x the
-        output's length, the StringIO and its value; a whole-trajectory
-        tolist() reads 3.5x, and a copy of the distinct columns 2.4x."""
+    def test_traced_peak_is_one_row_not_the_output(self, tmp_path):
+        """Written to a file, a tie-free (1001, 100) descent, 2.2 MB of CSV,
+        traces a peak of ~32 KB: one row's text, its column groups and the
+        file's buffer, whatever the number of rows."""
         traj = simulate_entropy_descent(
             np.random.default_rng(0).dirichlet(np.ones(100)), lr=0.05,
             steps=1000)
         assert len({col.tobytes() for col in traj.T}) == 100
-        tracemalloc.start()
-        try:
-            text = trajectory_csv(traj)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert text == per_scalar_csv(traj)
-        assert peak < 2.2 * len(text)
+        path = tmp_path / "trajectory.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            tracemalloc.start()
+            try:
+                trajectory_csv(traj, fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert path.read_bytes() == per_scalar_csv(traj).encode()
+        assert peak < 64 * 2**10
 
     def test_header_and_roundtrip(self):
         traj = simulate_entropy_descent([0.6, 0.3, 0.1], lr=0.05, steps=4)
-        text = trajectory_csv(traj)
+        text = csv_text(traj)
         lines = text.strip().split("\n")
         assert lines[0] == "step,p_1,p_2,p_3"
         assert len(lines) == 6
@@ -493,12 +502,16 @@ class TestTrajectoryCsv:
     def test_stack_rejected_with_a_pointer_to_one_start(self):
         traj = simulate_entropy_descent([[0.6, 0.4], [0.3, 0.7]], lr=0.05,
                                         steps=4)
+        buf = io.StringIO()
         with pytest.raises(InvalidInput,
                            match=r"\(5, 2, 2\).*traj\[:, r\]"):
-            trajectory_csv(traj)
-        assert trajectory_csv(traj[:, 1]) == trajectory_csv(
+            trajectory_csv(traj, buf)
+        assert buf.getvalue() == ""
+        assert csv_text(traj[:, 1]) == csv_text(
             simulate_entropy_descent([0.3, 0.7], lr=0.05, steps=4))
 
     def test_vector_rejected_with_its_shape(self):
+        buf = io.StringIO()
         with pytest.raises(InvalidInput, match=r"2-D.*\(3,\)"):
-            trajectory_csv([0.6, 0.3, 0.1])
+            trajectory_csv([0.6, 0.3, 0.1], buf)
+        assert buf.getvalue() == ""
