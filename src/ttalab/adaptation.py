@@ -33,13 +33,12 @@ filter accepts no sample, is a window of its own.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInput, _integer
+from .errors import InvalidInput, _integer, _real
 from .network import BNMode, backward_bn_affine, forward
 from .numeric import _entropy, _entropy_grad, softmax
 
@@ -87,23 +86,11 @@ class AdaptationConfig:
             raise InvalidInput(f"unknown strategy {self.strategy!r}")
         if self.optimizer not in OPTIMIZERS:
             raise InvalidInput(f"unknown optimizer {self.optimizer!r}")
-        for name in ("lr", "tau", "filter_threshold"):
-            value = getattr(self, name)
-            if name == "filter_threshold" and value is None:
-                continue
-            # a real number, numpy's included, but not a bool
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise InvalidInput(
-                    f"{name} must be a real number, got {value!r}")
-            setattr(self, name, float(value))
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise InvalidInput(f"lr must be finite and positive, got {self.lr}")
-        if not (math.isfinite(self.tau) and self.tau >= 0):
-            raise InvalidInput(
-                f"tau must be finite and non-negative, got {self.tau}")
-        if self.filter_threshold is not None and not self.filter_threshold > 0:
-            raise InvalidInput(
-                f"filter_threshold must be positive, got {self.filter_threshold}")
+        self.lr = _real("lr", self.lr, "finite and positive")
+        self.tau = _real("tau", self.tau, "finite and non-negative")
+        if self.filter_threshold is not None:
+            self.filter_threshold = _real("filter_threshold",
+                                          self.filter_threshold, "positive")
         if self.accumulation_q is not None:
             self.accumulation_q = _integer("accumulation_q",
                                            self.accumulation_q, 1)
@@ -374,8 +361,7 @@ class Adapter:
     """
 
     def __init__(self, net, configs, batch_size):
-        if batch_size < 1:
-            raise InvalidInput("batch_size must be positive")
+        batch_size = _integer("batch_size", batch_size, 1)
         plans = {stream_plan(c) for c in configs}
         if len(plans) != 1:
             raise InvalidInput(

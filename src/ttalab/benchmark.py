@@ -13,14 +13,13 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .adaptation import (Adapter, flip_signal, make_optimizer, stream_plan,
                          stream_row, with_flips)
-from .errors import InvalidInput, TrainingDiverged, _integer
+from .errors import InvalidInput, TrainingDiverged, _integer, _real
 from .network import (BNMode, backward_all, checkpoint_text, forward,
                       make_network, penultimate_features)
 from .numeric import softmax
@@ -76,8 +75,7 @@ def class_templates(k):
     the signals a nonzero mean, so zero-mean corruptions such as impulse
     noise shift the input statistics the way real covariate shift does.
     """
-    if k < 2:
-        raise InvalidInput("k must be at least 2")
+    k = _integer("k", k, 2)
     grid = np.arange(SIGNAL_LENGTH, dtype=np.float64)
     lo, hi = 2.0, 13.5
     positions = np.linspace(lo, hi, k)
@@ -93,7 +91,7 @@ def class_templates(k):
 def generate_dataset(k, m, seed, noise_sigma=NOISE_SIGMA):
     """Balanced noisy-template dataset; bit-identical for a given seed."""
     k = _integer("k", k, 2)
-    m = _integer("m", m, k)  # at least one sample per class
+    m = _integer("m", m, k, why=f"one sample per class, k={k}")
     seed = _integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     templates = class_templates(k)
@@ -186,10 +184,8 @@ def train_source(dataset, epochs, seed, lr=1e-2, hidden=64):
     statistics are populated. Raises TrainingDiverged, naming the epoch and
     the batch, when a step overflows or computes an invalid value.
     """
-    if epochs < 0:
-        raise InvalidInput(f"epochs must be non-negative, got {epochs}")
-    if not (math.isfinite(lr) and lr > 0):
-        raise InvalidInput(f"lr must be finite and positive, got {lr}")
+    epochs = _integer("epochs", epochs, 0)
+    lr = _real("lr", lr, "finite and positive")
     k = dataset.num_classes
     net = make_network(input_dim=dataset.inputs.shape[1], hidden=hidden,
                        k=k, seed=seed)
@@ -458,8 +454,7 @@ def feature_histograms(features_by_name, bins=64):
     each name to a (channels, bins) array of densities summing to 1 per
     channel.
     """
-    if bins < 1:
-        raise InvalidInput(f"bins must be positive, got {bins}")
+    bins = _integer("bins", bins, 1)
     names = list(features_by_name)
     stacked = np.vstack([features_by_name[n] for n in names])
     channels = stacked.shape[1]

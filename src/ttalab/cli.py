@@ -10,8 +10,8 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -23,7 +23,8 @@ from .benchmark import (CORRUPTION_KINDS, SIGNAL_LENGTH, Corruption,
                         collect_features, evaluate_accuracy,
                         feature_histograms, generate_dataset,
                         histogram_overlap, stream_eval, train_source)
-from .errors import InvalidInput, TrainingDiverged, TTALabError
+from .errors import (InvalidInput, TrainingDiverged, TTALabError, _integer,
+                     _real)
 from .network import BNMode, load_checkpoint, save_checkpoint
 from .numeric import simulate_entropy_descent, trajectory_csv
 
@@ -137,23 +138,29 @@ def build_parser():
     return parser
 
 
+@contextmanager
+def _flags(*same, **renamed):
+    """Report a scalar rule's error of an argument as the flag that set it:
+    ``<flag>: <value!r> <rule>``. An argument in ``same`` has the flag of
+    its name (``random_steps``: ``--random-steps``), ``renamed`` the rest."""
+    flags = {name: "--" + name.replace("_", "-") for name in same} | renamed
+    try:
+        yield
+    except InvalidInput as e:
+        if e.name not in flags:
+            raise
+        raise _SpecError(f"{flags[e.name]}: {e.value!r} {e.rule}") from None
+
+
 def _config(args, **changes):
     """The stream config the flags set, with ``changes`` applied on top.
 
-    The numeric flags are checked here, so that an error names the flag
-    rather than the config field it sets.
+    AdaptationConfig checks the numbers; an error names the flag rather
+    than the config field it sets.
     """
     flags = {f.name: vars(args)[f.name] for f in fields(AdaptationConfig)}
-    _finite_positive("--lr", flags["lr"])
-    if not (math.isfinite(flags["tau"]) and flags["tau"] >= 0):
-        raise _SpecError(f"--tau: {flags['tau']} must be finite and"
-                         f" non-negative")
-    if flags["accumulation_q"] is not None:
-        _at_least("--q", flags["accumulation_q"], 1)
-    threshold = flags["filter_threshold"]
-    if threshold is not None and not threshold > 0:
-        raise _SpecError(f"--filter-threshold: {threshold} must be positive")
-    return AdaptationConfig(**(flags | changes))
+    with _flags("lr", "tau", "filter_threshold", accumulation_q="--q"):
+        return AdaptationConfig(**(flags | changes))
 
 
 def _corruption_of(args):
@@ -162,23 +169,11 @@ def _corruption_of(args):
     return Corruption(kind=args.corruption, severity=args.severity)
 
 
-def _at_least(flag, value, low, reason=None):
-    """Reject a flag value below ``low``, naming the flag and the value."""
-    if value < low:
-        why = f" ({reason})" if reason else ""
-        raise _SpecError(f"{flag}: {value} too small, need >= {low}{why}")
-
-
 def _distinct(flag, values):
     """Reject a list flag that names one value twice."""
     for i, value in enumerate(values):
         if value in values[:i]:
             raise _SpecError(f"{flag}: {value} repeated")
-
-
-def _finite_positive(flag, value):
-    if not (math.isfinite(value) and value > 0):
-        raise _SpecError(f"{flag}: {value} must be finite and positive")
 
 
 def _source_net(args):
@@ -193,21 +188,20 @@ def _source_net(args):
 
 def _test_set(args, k):
     """The held-out test stream ``--test-m`` and ``--data-seed`` describe."""
-    _at_least("--test-m", args.test_m, k, f"one sample per class, k={k}")
-    _at_least("--data-seed", args.data_seed, 0)
-    return generate_dataset(k, args.test_m, args.data_seed)
+    with _flags(m="--test-m", seed="--data-seed"):
+        return generate_dataset(k, args.test_m, args.data_seed)
 
 
-def _protocol(args, k, *configs):
+def _protocol(args, *configs):
     """The stream protocol ``--batch-size`` and ``--seed`` describe, for
-    streams adapted under ``configs`` on a network of k classes."""
-    _at_least("--seed", args.seed, 0)
-    _at_least("--batch-size", args.batch_size, 1)
-    for config in configs:
-        if stream_plan(config).mode is BNMode.TEST_BATCH_STATS:
-            _at_least("--batch-size", args.batch_size, 2,
-                      f"strategy {config.strategy} needs batch statistics")
-    return StreamProtocol(batch_size=args.batch_size, seed=args.seed)
+    streams adapted under ``configs``."""
+    with _flags("batch_size", "seed"):
+        protocol = StreamProtocol(batch_size=args.batch_size, seed=args.seed)
+        for config in configs:
+            if stream_plan(config).mode is BNMode.TEST_BATCH_STATS:
+                _integer("batch_size", args.batch_size, 2, why=(
+                    f"strategy {config.strategy} needs batch statistics"))
+    return protocol
 
 
 def _outdir(args):
@@ -221,18 +215,13 @@ def _outdir(args):
 # ---------------------------------------------------------------------------
 
 def cmd_train_source(args):
-    _at_least("--k", args.k, 2)
-    _at_least("--m", args.m, args.k, f"one sample per class, k={args.k}")
-    _at_least("--hidden", args.hidden, 1)
-    _at_least("--epochs", args.epochs, 0)
-    _at_least("--seed", args.seed, 0)
-    _finite_positive("--lr", args.lr)
+    with _flags("k", "m", "seed", "epochs", "lr", "hidden"):
+        dataset = generate_dataset(args.k, args.m, args.seed)
+        net = train_source(dataset, epochs=args.epochs, seed=args.seed,
+                           lr=args.lr, hidden=args.hidden)
     if args.epochs == 0:
         print("warning: --epochs 0, checkpoint will hold untrained weights",
               file=sys.stderr)
-    dataset = generate_dataset(args.k, args.m, args.seed)
-    net = train_source(dataset, epochs=args.epochs, seed=args.seed,
-                       lr=args.lr, hidden=args.hidden)
     # a last step that diverges shows only here, so no checkpoint is written;
     # forward's finiteness check reports it, not numpy's warnings
     try:
@@ -262,7 +251,7 @@ def cmd_adapt(args):
     net = _source_net(args)
     config = _config(args)
     dataset = _test_set(args, net.k)
-    protocol = _protocol(args, net.k, config)
+    protocol = _protocol(args, config)
     report = stream_eval(net, dataset, _corruption_of(args), protocol, config)
     out = _outdir(args)  # a diverged run writes nothing
     stem = _report_stem(config.strategy, report.corruption, report.severity,
@@ -276,10 +265,11 @@ def cmd_adapt(args):
 
 
 def cmd_sweep_batch_size(args):
-    for n in args.batch_sizes:
-        _at_least("--batch-sizes", n, 2, "per-batch statistics")
-    _distinct("--batch-sizes", args.batch_sizes)
-    _at_least("--seeds", args.seeds, 1)
+    with _flags("batch_sizes", "seeds"):
+        for n in args.batch_sizes:
+            _integer("batch_sizes", n, 2, why="per-batch statistics")
+        _distinct("--batch-sizes", args.batch_sizes)
+        _integer("seeds", args.seeds, 1)
     net = _source_net(args)
     corruption = _corruption_of(args)
     dataset = _test_set(args, net.k)
@@ -344,14 +334,14 @@ def _random_start_violations(k_list, count, lr, steps, rng):
 
 
 def cmd_lemma_check(args):
-    _at_least("--k-list", min(args.k_list), 2)
-    _distinct("--k-list", args.k_list)
-    for flag, value in (("--steps", args.steps),
-                        ("--random-starts", args.random_starts),
-                        ("--random-steps", args.random_steps),
-                        ("--seed", args.seed)):
-        _at_least(flag, value, 0)
-    _finite_positive("--lr", args.lr)
+    # checked up front: the descents reach them only after --out exists
+    with _flags("k_list", "steps", "random_starts", "random_steps", "seed",
+                "lr"):
+        _integer("k_list", min(args.k_list), 2)
+        _distinct("--k-list", args.k_list)
+        for name in ("steps", "random_starts", "random_steps", "seed"):
+            _integer(name, vars(args)[name], 0)
+        _real("lr", args.lr, "finite and positive")
     out = _outdir(args)
     failures = []
     summary = ["k,final_max_prob,monotone"]
@@ -393,8 +383,9 @@ def cmd_density(args):
     dataset = _test_set(args, net.k)
     config_a, config_b = (_config(args, strategy=s)
                           for s in (args.strategy_a, args.strategy_b))
-    protocol = _protocol(args, net.k, config_a, config_b)
-    _at_least("--bins", args.bins, 1)
+    protocol = _protocol(args, config_a, config_b)
+    with _flags("bins"):  # feature_histograms runs after --out exists
+        _integer("bins", args.bins, 1)
     # corrupted once: both strategies adapt over and are read on this stream
     inputs = dataset.inputs
     if corruption is not None:

@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and the one rule that
-checks an integer argument."""
+"""Exception types shared across the package, and the two rules that check
+a scalar argument. An error of either reads ``<name> <rule>, got <value!r>``
+and carries ``name``, ``value`` and ``rule``, so the command line can report
+it as the flag that set the argument."""
 
+import math
 import numbers
 import operator
 
@@ -11,6 +14,8 @@ class TTALabError(Exception):
 
 class InvalidInput(TTALabError):
     """An argument violates a documented precondition."""
+
+    name = value = rule = None
 
 
 class DegenerateBatch(TTALabError):
@@ -29,12 +34,40 @@ class TrainingDiverged(TTALabError):
     """Source training or adaptation overflowed or went non-finite."""
 
 
-def _integer(name, value, low, high=None):
+def _broken(name, value, rule):
+    error = InvalidInput(f"{name} {rule}, got {value!r}")
+    error.name, error.value, error.rule = name, value, rule
+    return error
+
+
+def _integer(name, value, low, high=None, why=None):
     """``value`` as a Python int if it is an integer (a numpy one included,
-    a bool not) in ``low``..``high``; InvalidInput naming ``name`` and the
-    value otherwise."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < low or (high is not None and value > high)):
-        want = f"at least {low}" if high is None else f"in {low}..{high}"
-        raise InvalidInput(f"{name} must be an integer {want}, got {value!r}")
+    a bool not) in ``low``..``high``; InvalidInput naming ``name``, the
+    value and, for a value below ``low``, ``why`` the bound holds."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise _broken(name, value, "must be an integer")
+    if value < low:
+        raise _broken(name, value, f"too small, need >= {low}"
+                      + (f" ({why})" if why else ""))
+    if high is not None and value > high:
+        raise _broken(name, value, f"too large, need <= {high}")
     return operator.index(value)
+
+
+_REAL_RULES = {
+    "finite and positive": lambda x: math.isfinite(x) and x > 0,
+    "finite and non-negative": lambda x: math.isfinite(x) and x >= 0,
+    "positive": lambda x: x > 0,  # inf included
+}
+
+
+def _real(name, value, rule):
+    """``value`` as a float if it is a real number (a numpy one included, a
+    bool not) that keeps ``rule``, a key of ``_REAL_RULES``; InvalidInput
+    naming ``name`` and the value otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise _broken(name, value, "must be a real number")
+    value = float(value)
+    if not _REAL_RULES[rule](value):
+        raise _broken(name, value, f"must be {rule}")
+    return value

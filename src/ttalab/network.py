@@ -34,7 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateBatch, InvalidInput, ParseError, SchemaError
+from .errors import (DegenerateBatch, InvalidInput, ParseError, SchemaError,
+                     _integer)
 
 
 class BNMode(Enum):
@@ -177,11 +178,10 @@ class Network:
 
 def make_network(input_dim=32, hidden=64, k=3, seed=0):
     """Canonical experiment architecture: d -> Dense(h)+BN+relu twice -> Dense(k)."""
-    if input_dim < 1 or hidden < 1:
-        raise InvalidInput(
-            f"input_dim and hidden must be positive, got {input_dim}, {hidden}")
-    if k < 2:
-        raise InvalidInput(f"k must be at least 2, got {k}")
+    input_dim = _integer("input_dim", input_dim, 1)
+    hidden = _integer("hidden", hidden, 1)
+    k = _integer("k", k, 2)
+    seed = _integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
 
     def dense(n_in, n_out, act):

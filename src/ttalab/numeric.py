@@ -9,12 +9,11 @@ renormalizes, so downstream logs never see zero.
 
 from __future__ import annotations
 
-import numbers
 import operator
 
 import numpy as np
 
-from .errors import InvalidInput, _integer
+from .errors import InvalidInput, _integer, _real
 
 # Probability clamp applied before any log; keeps near-one-hot outputs finite.
 EPS_PROB = 1e-12
@@ -150,11 +149,7 @@ def simulate_entropy_descent(p0, lr, steps):
     p0 = _validate_probs(np.asarray(p0, dtype=np.float64))
     if p0.ndim not in (1, 2):
         raise InvalidInput("p0 must be a probability vector or an (R, K) stack")
-    if isinstance(lr, bool) or not isinstance(lr, numbers.Real):
-        raise InvalidInput(f"learning rate must be a real number, got {lr!r}")
-    lr = float(lr)
-    if not (np.isfinite(lr) and lr > 0):
-        raise InvalidInput(f"learning rate must be finite and positive, got {lr}")
+    lr = _real("lr", lr, "finite and positive")
     steps = _integer("steps", steps, 0)
     traj = np.empty((steps + 1,) + p0.shape, dtype=np.float64)
     traj[0] = p0

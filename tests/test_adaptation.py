@@ -766,9 +766,12 @@ class TestAdaptBatch:
         assert window.accumulator.q == (default_q(10)
                                         if strategy == "ttc" and ga else 1)
 
-    def test_nonpositive_batch_size_rejected(self):
-        with pytest.raises(InvalidInput):
-            Adapter(small_net(), [AdaptationConfig()], 0)
+    @pytest.mark.parametrize("batch_size", [0, -1, 2.5, True,
+                                            np.float64(4)], ids=repr)
+    def test_bad_batch_size_rejected_naming_it(self, batch_size):
+        with pytest.raises(InvalidInput, match=(
+                rf"^batch_size .*{re.escape(repr(batch_size))}$")):
+            Adapter(small_net(), [AdaptationConfig()], batch_size)
 
     def test_streams_of_different_plans_rejected(self):
         with pytest.raises(InvalidInput, match="share one plan"):

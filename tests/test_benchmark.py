@@ -19,8 +19,9 @@ from ttalab.benchmark import (CORRUPTION_KINDS, NOISE_SIGMA, SIGNAL_LENGTH,
                               SignalDataset, StreamProtocol, accuracy_score,
                               adapt_streams, apply_corruption, batch_slices,
                               class_templates, evaluate_accuracy,
-                              generate_dataset, histogram_overlap,
-                              params_digest, stream_eval, train_source)
+                              feature_histograms, generate_dataset,
+                              histogram_overlap, params_digest, stream_eval,
+                              train_source)
 from ttalab.errors import DegenerateBatch, InvalidInput, TrainingDiverged
 from ttalab.network import (BatchNormLayer, BNMode, DenseLayer, Network,
                             backward_all, forward, make_network,
@@ -72,6 +73,12 @@ class TestGenerateDataset:
         with pytest.raises(InvalidInput,
                            match=rf"^{name} .*{re.escape(repr(value))}$"):
             generate_dataset(**args)
+
+    @pytest.mark.parametrize("k", [1, 2.5, True], ids=repr)
+    def test_class_templates_name_a_bad_k(self, k):
+        with pytest.raises(InvalidInput,
+                           match=rf"^k .*{re.escape(repr(k))}$"):
+            class_templates(k)
 
     def test_numpy_integers_run_as_their_ints(self):
         ours = generate_dataset(np.int64(3), np.int32(30), np.uint8(7))
@@ -207,6 +214,16 @@ class TestTrainSource:
         b = train_source(ds, epochs=5, seed=3)
         assert network_to_dict(a) == network_to_dict(b)
 
+    @pytest.mark.parametrize("name, value", [
+        ("epochs", -1), ("epochs", 1.5), ("epochs", True), ("lr", 0.0),
+        ("lr", math.inf), ("lr", "x"), ("lr", True), ("seed", -1),
+        ("seed", 2.5), ("hidden", 0), ("hidden", True)], ids=repr)
+    def test_bad_argument_named(self, name, value):
+        args = dict(epochs=1, seed=0, lr=1e-2, hidden=4) | {name: value}
+        with pytest.raises(InvalidInput,
+                           match=rf"^{name} .*{re.escape(repr(value))}$"):
+            train_source(generate_dataset(3, 30, seed=0), **args)
+
     def test_heldout_accuracy_target(self, source_net, test_dataset):
         assert evaluate_accuracy(source_net, test_dataset) >= 0.95
 
@@ -233,11 +250,8 @@ class TestTrainSource:
 
 def per_batch_train_source(dataset, epochs, seed, lr=1e-2, hidden=64):
     """train_source as a loop that gathers, flips and scores one batch at a
-    time: the oracle the epoch-at-once loop must match bit for bit."""
-    if epochs < 0:
-        raise InvalidInput(f"epochs must be non-negative, got {epochs}")
-    if not (math.isfinite(lr) and lr > 0):
-        raise InvalidInput(f"lr must be finite and positive, got {lr}")
+    time: the oracle the epoch-at-once loop must match bit for bit. It takes
+    arguments that train_source accepts and checks none."""
     k = dataset.num_classes
     net = make_network(input_dim=dataset.inputs.shape[1], hidden=hidden,
                        k=k, seed=seed)
@@ -657,6 +671,14 @@ def random_net(rng, seed):
             layers.append(BatchNormLayer.identity(out))
         width = out
     return Network(layers=layers, k=3, meta={"seed": seed})
+
+
+class TestFeatureHistograms:
+    @pytest.mark.parametrize("bins", [0, -1, 2.5, True, "8"], ids=repr)
+    def test_bad_bins_named(self, rng, bins):
+        with pytest.raises(InvalidInput,
+                           match=rf"^bins .*{re.escape(repr(bins))}$"):
+            feature_histograms({"a": rng.normal(size=(6, 2))}, bins=bins)
 
 
 class TestHistogramOverlap:

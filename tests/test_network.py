@@ -548,6 +548,17 @@ class TestBlockLayout:
             network_from_dict(doc)
 
 
+class TestMakeNetwork:
+    @pytest.mark.parametrize("name, value", [
+        ("input_dim", 0), ("hidden", 0), ("hidden", 2.5), ("hidden", True),
+        ("k", 1), ("k", 3.0), ("seed", -1), ("seed", 2.5), ("seed", None)],
+        ids=repr)
+    def test_bad_argument_named(self, name, value):
+        with pytest.raises(InvalidInput,
+                           match=rf"^{name} .*{re.escape(repr(value))}$"):
+            make_network(**{name: value})
+
+
 class TestPenultimateFeatures:
     def test_single_dense_network_returns_input(self, rng):
         net = Network(layers=[DenseLayer(weight=rng.normal(size=(3, 4)),

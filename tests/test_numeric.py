@@ -212,9 +212,8 @@ class TestSimulateEntropyDescent:
         ("steps", True), ("steps", "3"), ("lr", True), ("lr", "0.1"),
         ("lr", None)], ids=repr)
     def test_non_numbers_rejected_naming_the_argument(self, name, value):
-        label = "learning rate" if name == "lr" else name
         with pytest.raises(InvalidInput,
-                           match=f"^{label} .*{re.escape(repr(value))}$"):
+                           match=f"^{name} .*{re.escape(repr(value))}$"):
             simulate_entropy_descent([0.6, 0.4], **({"lr": 0.05, "steps": 3}
                                                     | {name: value}))
 
