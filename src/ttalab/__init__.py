@@ -5,7 +5,7 @@ from .adaptation import (AdaptationConfig, Adapter, GradientAccumulator,
                          accumulate_and_maybe_step, default_q, flip_signal,
                          rla_forward, sample_weights, tent_loss, ttc_loss)
 from .benchmark import (Corruption, RunReport, SignalDataset, StreamProtocol,
-                        accuracy_score, apply_corruption, eval_streams,
+                        accuracy_score, adapt_streams, apply_corruption,
                         generate_dataset, stream_eval, train_source)
 from .clustering import (assign_step, kmeans_objective, run_minibatch_kmeans,
                          update_step)

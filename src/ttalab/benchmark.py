@@ -19,7 +19,8 @@ import numpy as np
 
 from .adaptation import (Adapter, flip_signal, make_optimizer, stream_plan,
                          stream_row, with_flips)
-from .errors import InvalidInput, TrainingDiverged, _integer, _real
+from .errors import (InvalidInput, TrainingDiverged, _float_rule, _integer,
+                     _real)
 from .network import (BNMode, backward_all, checkpoint_text, forward,
                       make_network, penultimate_features)
 from .numeric import softmax
@@ -88,7 +89,7 @@ def class_templates(k):
     return templates
 
 
-def generate_dataset(k, m, seed, noise_sigma=NOISE_SIGMA):
+def generate_dataset(k, m, seed):
     """Balanced noisy-template dataset; bit-identical for a given seed."""
     k = _integer("k", k, 2)
     m = _integer("m", m, k, why=f"one sample per class, k={k}")
@@ -98,7 +99,7 @@ def generate_dataset(k, m, seed, noise_sigma=NOISE_SIGMA):
     counts = np.full(k, m // k)
     counts[: m % k] += 1
     labels = np.repeat(np.arange(k), counts)
-    inputs = templates[labels] + rng.normal(0.0, noise_sigma, size=(m, SIGNAL_LENGTH))
+    inputs = templates[labels] + rng.normal(0.0, NOISE_SIGMA, size=(m, SIGNAL_LENGTH))
     order = rng.permutation(m)
     return SignalDataset(inputs=inputs[order], labels=labels[order], seed=seed)
 
@@ -182,7 +183,7 @@ def train_source(dataset, epochs, seed, lr=1e-2, hidden=64):
 
     Uses Adam on all parameters with BN in training mode, so running
     statistics are populated. Raises TrainingDiverged, naming the epoch and
-    the batch, when a step overflows or computes an invalid value.
+    the batch, when a step breaks the floating-point rule.
     """
     epochs = _integer("epochs", epochs, 0)
     lr = _real("lr", lr, "finite and positive")
@@ -196,8 +197,8 @@ def train_source(dataset, epochs, seed, lr=1e-2, hidden=64):
     # BN batch statistics need two samples
     used = m - 1 if m % TRAIN_BATCH_SIZE == 1 else m
     xs = np.empty_like(dataset.inputs[:used])
-    with np.errstate(over="raise", invalid="raise", divide="raise",
-                     under="ignore"):
+    with _float_rule(lambda e: TrainingDiverged(
+            f"diverged in epoch {epoch + 1}, batch {batch + 1}: {e}")):
         for epoch in range(epochs):
             order = rng.permutation(m)[:used]
             # order is in range; "clip" spares the buffer "raise" makes
@@ -209,16 +210,11 @@ def train_source(dataset, epochs, seed, lr=1e-2, hidden=64):
             for batch, start in enumerate(range(0, used, TRAIN_BATCH_SIZE)):
                 x = xs[start:start + TRAIN_BATCH_SIZE]
                 y = ys[start:start + TRAIN_BATCH_SIZE]
-                try:
-                    logits, cache = forward(net, x, BNMode.TRAIN_STATS)
-                    grad = softmax(logits)  # minus the one-hot, over N
-                    grad[np.arange(len(y)), y] -= 1.0
-                    grad /= len(y)
-                    optimizer.step(net.params, backward_all(net, cache, grad))
-                except (FloatingPointError, InvalidInput) as e:
-                    raise TrainingDiverged(
-                        f"diverged in epoch {epoch + 1}, batch {batch + 1}:"
-                        f" {e}") from None
+                logits, cache = forward(net, x, BNMode.TRAIN_STATS)
+                grad = softmax(logits)  # minus the one-hot, over N
+                grad[np.arange(len(y)), y] -= 1.0
+                grad /= len(y)
+                optimizer.step(net.params, backward_all(net, cache, grad))
     net.meta = {"seed": seed, "trained_epochs": epochs}
     return net
 
@@ -306,22 +302,12 @@ def params_digest(net, affine=None):
 
 
 def stream_eval(net, dataset, corruption, protocol, config):
-    """One pass over a (possibly corrupted) test stream with adaptation: the
-    one-stream case of ``eval_streams``."""
-    return eval_streams(net, dataset, [(corruption, protocol, config)])[0]
-
-
-def eval_streams(net, dataset, streams):
-    """One pass over each of several test streams of one dataset.
-
-    ``streams`` holds one (corruption or None, protocol, config) per stream.
-    Returns one RunReport per stream, in order: each the report the stream
-    gets alone; the network is never mutated. Accuracy counts the
-    predictions made before any parameter update triggered by that same
-    batch.
-    """
-    results = adapt_streams(net, dataset.inputs, dataset.labels, streams)
-    return [RunReport(
+    """One pass over a (possibly corrupted) test stream with adaptation; the
+    network is never mutated. Accuracy counts the predictions made before
+    any parameter update triggered by that same batch."""
+    (accuracy, per_batch, row), = adapt_streams(
+        net, dataset.inputs, dataset.labels, [(corruption, protocol, config)])
+    return RunReport(
         strategy=config.strategy,
         corruption=corruption.kind if corruption is not None else "none",
         severity=corruption.severity if corruption is not None else 0,
@@ -331,8 +317,7 @@ def eval_streams(net, dataset, streams):
         per_batch_accuracy=per_batch,
         config=config.to_json(),
         params_digest=params_digest(net, row),
-    ) for (corruption, protocol, config), (accuracy, per_batch, row)
-        in zip(streams, results)]
+    )
 
 
 # Rows one Adapter call carries at most: streams with a plan (BN mode,
@@ -398,7 +383,7 @@ def _adapt_trip(net, inputs, labels, n, streams):
     once, as the adapter's (S + R, m, d) stack ``with_flips``; streams that
     share (corruption, seed) share one corruption and one order. Raises
     TrainingDiverged, naming N, the batch and the trip's streams, when a
-    batch overflows or computes an invalid value."""
+    batch breaks the floating-point rule."""
     m = len(labels)
     adapter = Adapter(net, [config for _, _, config in streams], n)
     x = np.empty((len(adapter.stack_rows),) + inputs.shape)
@@ -417,17 +402,13 @@ def _adapt_trip(net, inputs, labels, n, streams):
     with_flips(x[:len(streams)], adapter.flips, out=x)
     hits = np.empty(y.shape, dtype=bool)
     batches = batch_slices(m, n)
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise",
-                         under="ignore"):
-            for b, batch in enumerate(batches):
-                hits[:, batch] = (adapter.adapt_batch(x[:, batch])[0]
-                                  == y[:, batch])
-    except FloatingPointError as e:
-        names = ", ".join(f"{_stream_name(config)} seed {protocol.seed}"
-                          for _, protocol, config in streams)
-        raise TrainingDiverged(f"adaptation diverged at N={n}, batch {b + 1},"
-                               f" in the trip of {names}: {e}") from None
+    names = ", ".join(f"{_stream_name(config)} seed {protocol.seed}"
+                      for _, protocol, config in streams)
+    with _float_rule(lambda e: TrainingDiverged(
+            f"adaptation diverged at N={n}, batch {b + 1}, in the trip of"
+            f" {names}: {e}")):
+        for b, batch in enumerate(batches):
+            hits[:, batch] = adapter.adapt_batch(x[:, batch])[0] == y[:, batch]
     # np.mean's steps: a count, exact in float64, over the batch size
     starts = [batch.start for batch in batches]
     sizes = np.diff(starts + [m])

@@ -10,6 +10,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
@@ -23,8 +24,8 @@ from .benchmark import (CORRUPTION_KINDS, SIGNAL_LENGTH, Corruption,
                         collect_features, evaluate_accuracy,
                         feature_histograms, generate_dataset,
                         histogram_overlap, stream_eval, train_source)
-from .errors import (InvalidInput, TrainingDiverged, TTALabError, _integer,
-                     _real)
+from .errors import (InvalidInput, TrainingDiverged, TTALabError, _float_rule,
+                     _integer, _real)
 from .network import BNMode, load_checkpoint, save_checkpoint
 from .numeric import simulate_entropy_descent, trajectory_csv
 
@@ -43,11 +44,12 @@ class _SpecError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports bad flags through our exit-code convention and
-    takes no abbreviations, so ``--batch-size`` never means ``--batch-sizes``."""
+    """argparse with our exit codes, no abbreviations (``--batch-size`` never
+    means ``--batch-sizes``) and ``-1e-05`` or ``-inf`` read as a value."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d|-inf|-nan", re.I)
 
     def error(self, message):
         raise _SpecError(message)
@@ -222,13 +224,10 @@ def cmd_train_source(args):
     if args.epochs == 0:
         print("warning: --epochs 0, checkpoint will hold untrained weights",
               file=sys.stderr)
-    # a last step that diverges shows only here, so no checkpoint is written;
-    # forward's finiteness check reports it, not numpy's warnings
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            train_acc = evaluate_accuracy(net, dataset)
-    except InvalidInput as e:
-        raise TrainingDiverged(f"trained network is unusable: {e}") from None
+    # a last step that diverges shows only here, so no checkpoint is written
+    with _float_rule(lambda e: TrainingDiverged(
+            f"trained network is unusable: {e}")):
+        train_acc = evaluate_accuracy(net, dataset)
     out = _outdir(args)
     ckpt = out / "source.json"
     save_checkpoint(net, ckpt)
@@ -394,19 +393,21 @@ def cmd_density(args):
     results = adapt_streams(net, inputs, dataset.labels,
                             [(None, protocol, config_a),
                              (None, protocol, config_b)])
+    # the source network on the clean stream, then each strategy's features
+    # under the row it adapted, which can overflow past its last checked batch
+    passes = [("reference", "the source network", dataset.inputs,
+               BNMode.EVAL_STATS, None)] + [
+        (key, f"strategy {c.strategy}", inputs, stream_plan(c).mode, row)
+        for key, c, (_, _, row) in zip("ab", (config_a, config_b), results)]
+    feats = {}
+    with _float_rule(lambda e: TrainingDiverged(
+            f"the features of {who} are unusable: {e}")):
+        for key, who, x, mode, row in passes:
+            feats[key] = collect_features(net, x, args.batch_size, mode, row)
     out = _outdir(args)  # a diverged run writes nothing
-    # clean reference: the source checkpoint on the uncorrupted stream
-    reference = collect_features(net, dataset.inputs, args.batch_size,
-                                 BNMode.EVAL_STATS)
-    # each strategy's features under the affine row it adapted
-    feats_a, feats_b = (collect_features(net, inputs, args.batch_size,
-                                         stream_plan(config).mode, row)
-                        for config, (_, _, row) in zip((config_a, config_b),
-                                                       results))
-    edges, hists = feature_histograms(
-        {"reference": reference, "a": feats_a, "b": feats_b}, bins=args.bins)
+    edges, hists = feature_histograms(feats, bins=args.bins)
 
-    channels = reference.shape[1]
+    channels = feats["reference"].shape[1]
     hist_lines = ["channel,bin_lo,bin_hi,reference,a,b"]
     for ch in range(channels):
         for b in range(args.bins):

@@ -1,11 +1,14 @@
-"""Exception types shared across the package, and the two rules that check
-a scalar argument. An error of either reads ``<name> <rule>, got <value!r>``
-and carries ``name``, ``value`` and ``rule``, so the command line can report
-it as the flag that set the argument."""
+"""Exception types shared across the package, the one floating-point rule,
+and the two rules that check a scalar argument, whose error reads ``<name>
+<rule>, got <value!r>`` and carries ``name``, ``value`` and ``rule``, so the
+command line can report it as the flag that set the argument."""
 
 import math
 import numbers
 import operator
+from contextlib import contextmanager
+
+import numpy as np
 
 
 class TTALabError(Exception):
@@ -13,7 +16,7 @@ class TTALabError(Exception):
 
 
 class InvalidInput(TTALabError):
-    """An argument violates a documented precondition."""
+    """The caller's input violates a documented precondition."""
 
     name = value = rule = None
 
@@ -63,11 +66,27 @@ _REAL_RULES = {
 
 def _real(name, value, rule):
     """``value`` as a float if it is a real number (a numpy one included, a
-    bool not) that keeps ``rule``, a key of ``_REAL_RULES``; InvalidInput
-    naming ``name`` and the value otherwise."""
+    bool not; an int beyond the float range counts as +-inf) that keeps
+    ``rule``, a key of ``_REAL_RULES``; InvalidInput naming ``name`` and the
+    value otherwise."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise _broken(name, value, "must be a real number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf if value > 0 else -math.inf
     if not _REAL_RULES[rule](value):
         raise _broken(name, value, f"must be {rule}")
     return value
+
+
+@contextmanager
+def _float_rule(fault):
+    """Run the block under the package's one floating-point rule: overflow,
+    an invalid value and division by zero raise, underflow is benign; the
+    ``FloatingPointError`` leaves as the caller's ``fault(error)``."""
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            yield
+    except FloatingPointError as e:
+        raise fault(e) from None

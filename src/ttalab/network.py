@@ -273,8 +273,9 @@ def forward(net, batch, mode, affine=None, cache=True):
             np.multiply(x, mask, out=x)
         if cache:
             records.append((x_in, bn_rec, mask))
+    # logits are computed, not input; BLAS may overflow unseen by numpy
     if not np.isfinite(x).all():
-        raise InvalidInput("forward produced non-finite logits")
+        raise FloatingPointError("forward produced non-finite logits")
     return x, (ForwardCache(records=records, affine=affine) if cache
                else None)
 

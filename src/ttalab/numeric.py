@@ -13,7 +13,7 @@ import operator
 
 import numpy as np
 
-from .errors import InvalidInput, _integer, _real
+from .errors import InvalidInput, _float_rule, _integer, _real
 
 # Probability clamp applied before any log; keeps near-one-hot outputs finite.
 EPS_PROB = 1e-12
@@ -156,15 +156,12 @@ def simulate_entropy_descent(p0, lr, steps):
     z = np.log(np.maximum(p0, EPS_PROB))
     p = softmax(z)
     # z starts finite, so it turns non-finite only through a floating-point
-    # error, which one errstate catches for every step; underflow is benign
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise",
-                         under="ignore"):
-            for t in range(1, steps + 1):
-                z = z - lr * _entropy_grad(p)
-                p = _softmax(z, out=traj[t])
-    except FloatingPointError:
-        raise InvalidInput("logits contains non-finite values") from None
+    # error, which one rule catches for every step
+    with _float_rule(lambda e: InvalidInput(
+            "logits contains non-finite values")):
+        for t in range(1, steps + 1):
+            z = z - lr * _entropy_grad(p)
+            p = _softmax(z, out=traj[t])
     return traj
 
 

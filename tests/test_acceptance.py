@@ -15,7 +15,7 @@ from ttalab.adaptation import (AdaptationConfig, Adapter, GradientAccumulator,
                                SGD, accumulate_and_maybe_step, sample_weights,
                                tent_loss, ttc_loss)
 from ttalab.benchmark import (CORRUPTION_KINDS, Corruption, StreamProtocol,
-                              apply_corruption, eval_streams)
+                              adapt_streams, apply_corruption)
 from ttalab.clustering import (FULL_BATCH, assign_step, kmeans_objective,
                                update_step)
 from ttalab.cli import main
@@ -221,13 +221,14 @@ def test_criterion_07_desk_benchmark(source_net, test_dataset):
         strategies = ("source", "norm", "tent", "ttc")
         cells = [(strategy, kind) for strategy in strategies
                  for kind in CORRUPTION_KINDS]
-        reports = iter(eval_streams(source_net, test_dataset, [
-            (Corruption(kind, 5), StreamProtocol(batch_size=100, seed=s),
-             AdaptationConfig(strategy=strategy))
-            for strategy, kind in cells for s in SEEDS]))
+        results = iter(adapt_streams(
+            source_net, test_dataset.inputs, test_dataset.labels, [
+                (Corruption(kind, 5), StreamProtocol(batch_size=100, seed=s),
+                 AdaptationConfig(strategy=strategy))
+                for strategy, kind in cells for s in SEEDS]))
         means = {strategy: {} for strategy in strategies}
         for strategy, kind in cells:
-            means[strategy][kind] = np.mean([next(reports).accuracy
+            means[strategy][kind] = np.mean([next(results)[0]
                                              for _ in SEEDS])
         for kind in ("gaussian_noise", "impulse_noise"):
             assert means["norm"][kind] >= means["source"][kind], (
@@ -250,10 +251,11 @@ def test_criterion_08_batch_size_sweep(source_net, test_dataset):
 
         sizes = (2, 10, 50, 100)
         cells = [(tent, n) for n in sizes] + [(tent_ga, 10)]
-        reports = iter(eval_streams(source_net, test_dataset, [
-            (corruption, StreamProtocol(batch_size=n, seed=s), config)
-            for config, n in cells for s in SEEDS]))
-        means = [np.mean([next(reports).accuracy for _ in SEEDS])
+        results = iter(adapt_streams(
+            source_net, test_dataset.inputs, test_dataset.labels, [
+                (corruption, StreamProtocol(batch_size=n, seed=s), config)
+                for config, n in cells for s in SEEDS]))
+        means = [np.mean([next(results)[0] for _ in SEEDS])
                  for _ in cells]
         tent_curve = means[:len(sizes)]
         for smaller, larger in zip(tent_curve[:-1], tent_curve[1:]):
@@ -266,14 +268,15 @@ def test_criterion_09_tau_sweep(source_net, test_dataset):
     with criterion(9, "tau sweep runs clean at every value, no NaN/Inf"):
         recorded = {}
         taus = (0.05, 0.1, 0.5, 1.0, 5.0, 10.0)
-        reports = eval_streams(source_net, test_dataset, [
-            (Corruption("gaussian_noise", 5),
-             StreamProtocol(batch_size=100, seed=0),
-             AdaptationConfig(strategy="ttc", tau=tau)) for tau in taus])
-        for tau, report in zip(taus, reports):
-            assert np.isfinite(report.accuracy)
-            assert np.all(np.isfinite(report.per_batch_accuracy))
-            recorded[tau] = report.accuracy
+        results = adapt_streams(
+            source_net, test_dataset.inputs, test_dataset.labels, [
+                (Corruption("gaussian_noise", 5),
+                 StreamProtocol(batch_size=100, seed=0),
+                 AdaptationConfig(strategy="ttc", tau=tau)) for tau in taus])
+        for tau, (accuracy, per_batch, _) in zip(taus, results):
+            assert np.isfinite(accuracy)
+            assert np.all(np.isfinite(per_batch))
+            recorded[tau] = accuracy
         assert len(recorded) == 6
         print("  tau ->", {t: round(a, 4) for t, a in recorded.items()},
               end=" ")

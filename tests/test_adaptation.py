@@ -828,6 +828,23 @@ class TestConfig:
                            match=f"^{field} .*{re.escape(repr(value))}$"):
             AdaptationConfig(strategy="tent-filtered", **{field: value})
 
+    @pytest.mark.parametrize("field, value, rule", [
+        ("lr", 10**400, "finite and positive"),
+        ("lr", -10**400, "finite and positive"),
+        ("tau", 10**400, "finite and non-negative"),
+        ("tau", -10**400, "finite and non-negative"),
+        ("filter_threshold", -10**400, "positive")], ids=repr)
+    def test_int_beyond_the_float_range_is_infinite(self, field, value, rule):
+        shown = "inf" if value > 0 else "-inf"
+        with pytest.raises(InvalidInput,
+                           match=f"^{field} must be {rule}, got {shown}$"):
+            AdaptationConfig(strategy="tent-filtered", **{field: value})
+
+    def test_threshold_beyond_the_float_range_is_accepted_as_inf(self):
+        config = AdaptationConfig(strategy="tent-filtered",
+                                  filter_threshold=10**400)
+        assert config.filter_threshold == float("inf")
+
     def test_reals_are_stored_as_floats(self):
         config = AdaptationConfig(lr=np.float64(0.1), tau=np.float32(1.0),
                                   filter_threshold=Fraction(1, 2))

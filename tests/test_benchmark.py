@@ -55,7 +55,9 @@ class TestGenerateDataset:
         np.testing.assert_array_equal(t, t[:, ::-1])
 
     def test_noiseless_variant_trains_to_perfection(self):
-        ds = generate_dataset(3, 300, seed=1, noise_sigma=0.0)
+        labels = np.arange(300) % 3
+        ds = SignalDataset(inputs=class_templates(3)[labels], labels=labels,
+                           seed=1)
         net = train_source(ds, epochs=10, seed=1)
         assert evaluate_accuracy(net, ds) == 1.0
 
@@ -239,6 +241,23 @@ class TestTrainSource:
         ds = generate_dataset(3, 200, seed=0)
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
             train_source(ds, epochs=50, seed=0, lr=1e306)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=repr)
+    def test_non_finite_dataset_is_invalid_input(self, bad):
+        """A non-finite sample is the caller's input, not a divergence."""
+        ds = generate_dataset(3, 200, seed=0)
+        ds.inputs[150, 7] = bad
+        with pytest.raises(InvalidInput,
+                           match="^batch contains non-finite values$"):
+            train_source(ds, epochs=1, seed=0)
+
+    @pytest.mark.parametrize("lr, shown", [(10**400, "inf"),
+                                           (-10**400, "-inf")], ids=repr)
+    def test_lr_beyond_the_float_range_is_infinite(self, lr, shown):
+        with pytest.raises(InvalidInput, match=(
+                f"^lr must be finite and positive, got {shown}$")):
+            train_source(generate_dataset(3, 30, seed=0), epochs=1, seed=0,
+                         lr=lr)
 
     def test_running_stats_populated(self, source_net):
         from ttalab.network import BatchNormLayer

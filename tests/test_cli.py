@@ -94,8 +94,8 @@ class TestTrainSource:
                          "--m", "30", "--epochs", "1"])
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
-            "training failed: trained network is unusable: forward produced"
-            " non-finite logits"]
+            "training failed: trained network is unusable: overflow"
+            " encountered in multiply"]
         assert caught == []
         assert not out.exists()
 
@@ -213,6 +213,26 @@ class TestAdaptationDivergence:
         assert proc.stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("warnings_flags", [[], ["-W",
+                                                     "error::RuntimeWarning"]],
+                             ids=["default", "warnings-are-errors"])
+    def test_overflowing_feature_pass_exits_two_writing_nothing(
+            self, workdir, tmp_path, warnings_flags):
+        """density's one batch adapts to finite but huge rows, and the
+        feature passes under them overflow: one line, no output."""
+        out = tmp_path / "out"
+        proc = run_python(*warnings_flags, "-m", "ttalab.cli", "density",
+                          "--checkpoint", str(workdir / "source.json"),
+                          "--out", str(out), "--test-m", "20",
+                          "--batch-size", "20", "--lr", "1e300",
+                          "--strategy-a", "tent", "--strategy-b", "ttc")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "training failed: the features of strategy tent are unusable:"
+            " overflow encountered in multiply"]
+        assert proc.stdout == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [["--strategy", "ttc", "--tau", "25"],
                                       ["--strategy", "tent", "--lr", "1e4"]],
                              ids=["tau-25", "tent-lr-1e4"])
@@ -307,13 +327,14 @@ class TestBatchStatisticsRemoveAnOffset:
                     benchmark.Corruption(kind, severity)
                     for kind in ("brightness", "contrast")
                     for severity in range(1, 6)]
-                clean, *shifted = [report.per_batch_csv() for report in
-                                   benchmark.eval_streams(net, dataset, [
-                                       (c, protocol, norm)
-                                       for c in corruptions])]
-                for corruption, csv in zip(corruptions[1:], shifted):
+                clean, *shifted = [per_batch for _, per_batch, _ in
+                                   benchmark.adapt_streams(
+                                       net, dataset.inputs, dataset.labels,
+                                       [(c, protocol, norm)
+                                        for c in corruptions])]
+                for corruption, accs in zip(corruptions[1:], shifted):
                     removed = corruption.kind == "brightness" or n == 100
-                    assert (csv == clean) == removed, (n, seed, corruption)
+                    assert (accs == clean) == removed, (n, seed, corruption)
 
 
 class TestSweepBatchSize:
@@ -654,7 +675,7 @@ class TestArgumentValidation:
         assert main(["fine-tune"]) == 3
 
 
-# argv, exit code, the one line printed to stderr, as the parent printed it
+# argv, exit code and the one line printed to stderr
 BAD_ARGUMENTS = [
     (["adapt", "--lr", "nan"], 3,
      "error: --lr: nan must be finite and positive"),
@@ -756,8 +777,17 @@ BAD_ARGUMENTS = [
      "error: --hidden: 0 too small, need >= 1"),
     # diverges on its last step: caught before the checkpoint is written
     (["train-source", "--lr", "1e306", "--m", "30", "--epochs", "1"], 2,
-     "training failed: trained network is unusable: forward produced "
-     "non-finite logits"),
+     "training failed: trained network is unusable: overflow encountered in "
+     "multiply"),
+    # negative numbers in every form float() reads are values, not flags
+    (["adapt", "--lr", "-1e-05"], 3,
+     "error: --lr: -1e-05 must be finite and positive"),
+    (["adapt", "--strategy", "tent-filtered", "--filter-threshold", "-inf"], 3,
+     "error: --filter-threshold: -inf must be positive"),
+    (["lemma-check", "--lr", "-.5E+3"], 3,
+     "error: --lr: -500.0 must be finite and positive"),
+    (["density", "--tau", "-nan"], 3,
+     "error: --tau: nan must be finite and non-negative"),
 ]
 
 
@@ -820,13 +850,16 @@ OUT_OF_RANGE = {
 @given(data=st.data(), untrained=st.booleans())
 def test_one_out_of_range_flag_prints_one_line_naming_it(workdir, command,
                                                          data, untrained):
-    """``error: <flag>: <value> <rule>``, exit 3 and no --out; with
-    ``--epochs 0``, train-source warns only once its flags pass."""
+    """``error: <flag>: <value> <rule>``, exit 3 and no --out, whether the
+    value is passed as ``<flag>=<value>`` or as a token of its own (a
+    negative one included); with ``--epochs 0``, train-source warns only
+    once its flags pass."""
     flag = data.draw(st.sampled_from(sorted(OUT_OF_RANGE[command])))
     text, tail = data.draw(OUT_OF_RANGE[command][flag])
-    argv = [command, f"{flag}={text}"]
+    argv = [command, *data.draw(st.sampled_from(
+        [[f"{flag}={text}"], [flag, text]]))]
     if command == "train-source" and untrained and flag != "--epochs":
-        argv.append("--epochs=0")
+        argv += ["--epochs", "0"]
     if command in ("adapt", "sweep-batch-size", "density"):
         argv += ["--checkpoint", str(workdir / "source.json")]
     with tempfile.TemporaryDirectory() as tmp:
@@ -857,6 +890,32 @@ def test_cli_bounds_no_flag_itself():
             assert "math" not in [alias.name for alias in node.names]
         if isinstance(node, ast.ImportFrom):
             assert node.module != "math"
+
+
+def test_one_floating_point_rule():
+    """The floating-point rule is stated once: only ``errors.py`` calls
+    ``np.errstate`` (or ``np.seterr``), and no handler that catches
+    InvalidInput raises TrainingDiverged, so a caller's bad input never
+    reads as a divergence."""
+    catching = {"InvalidInput", "TTALabError", "Exception", "BaseException"}
+    for path in sorted(Path(ttalab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("errstate", "seterr")
+                    or isinstance(node, ast.Name)
+                    and node.id in ("errstate", "seterr")):
+                assert path.name == "errors.py", where
+            if isinstance(node, ast.ExceptHandler) and (
+                    node.type is None or catching & {
+                        n.id if isinstance(n, ast.Name) else n.attr
+                        for n in ast.walk(node.type)
+                        if isinstance(n, (ast.Name, ast.Attribute))}):
+                raised = [ast.unparse(n.exc) for n in ast.walk(node)
+                          if isinstance(n, ast.Raise) and n.exc is not None]
+                assert not [r for r in raised if "TrainingDiverged" in r], (
+                    where)
 
 
 # id, --checkpoint, --out (both under tmp_path), what the error line names

@@ -107,6 +107,24 @@ class TestForward:
         with pytest.raises(InvalidInput):
             forward(net, x, BNMode.EVAL_STATS)
 
+    @pytest.mark.parametrize("rule", ["ignore", "raise"])
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_overflowing_weights_raise_floating_point_error(self, rng, rule,
+                                                            cache):
+        """Logits are a value forward computed, not the caller's input: when
+        they overflow, forward's own check raises FloatingPointError if
+        numpy's error state let the overflow pass, as the state does if it
+        raises."""
+        net = random_net(rng)
+        for layer in net.layers:
+            if isinstance(layer, DenseLayer):
+                layer.weight *= 1e300
+        x = rng.normal(size=(6, 5))
+        with np.errstate(all=rule), pytest.raises(FloatingPointError) as err:
+            forward(net, x, BNMode.EVAL_STATS, cache=cache)
+        if rule == "ignore":
+            assert str(err.value) == "forward produced non-finite logits"
+
 
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)

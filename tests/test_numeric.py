@@ -217,6 +217,13 @@ class TestSimulateEntropyDescent:
             simulate_entropy_descent([0.6, 0.4], **({"lr": 0.05, "steps": 3}
                                                     | {name: value}))
 
+    @pytest.mark.parametrize("lr, shown", [(10**400, "inf"),
+                                           (-10**400, "-inf")], ids=repr)
+    def test_lr_beyond_the_float_range_is_infinite(self, lr, shown):
+        with pytest.raises(InvalidInput, match=(
+                f"^lr must be finite and positive, got {shown}$")):
+            simulate_entropy_descent([0.6, 0.4], lr, 3)
+
     def test_numpy_and_fraction_arguments_run_as_int_and_float(self):
         expected = simulate_entropy_descent([0.6, 0.4], 0.05, 3).tobytes()
         for lr, steps in ((0.05, np.int64(3)), (np.float64(0.05), 3),
