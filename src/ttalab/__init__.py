@@ -14,7 +14,7 @@ from .errors import (DegenerateBatch, InvalidInput, ParseError, SchemaError,
 from .network import (BatchNormLayer, BNMode, DenseLayer, Network,
                       backward_bn_affine, forward, load_checkpoint,
                       make_network, penultimate_features, save_checkpoint)
-from .numeric import (binary_entropy_grad, entropy, entropy_grad_logits,
-                      finite_diff_check, simulate_entropy_descent, softmax)
+from .numeric import (entropy, entropy_grad_logits, simulate_entropy_descent,
+                      softmax)
 
 __version__ = "0.1.0"

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInput, _integer, _real
+from .errors import InvalidInput, _bool, _integer, _real
 from .network import BNMode, backward_bn_affine, forward
 from .numeric import _entropy, _entropy_grad, softmax
 
@@ -94,6 +94,8 @@ class AdaptationConfig:
         if self.accumulation_q is not None:
             self.accumulation_q = _integer("accumulation_q",
                                            self.accumulation_q, 1)
+        for name in ("rla_enabled", "wa_enabled", "ga_enabled"):
+            setattr(self, name, _bool(name, getattr(self, name)))
 
     def to_json(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -215,7 +215,7 @@ def train_source(dataset, epochs, seed, lr=1e-2, hidden=64):
                 grad[np.arange(len(y)), y] -= 1.0
                 grad /= len(y)
                 optimizer.step(net.params, backward_all(net, cache, grad))
-    net.meta = {"seed": seed, "trained_epochs": epochs}
+    net.meta["trained_epochs"] = epochs  # beside make_network's checked seed
     return net
 
 
@@ -294,9 +294,9 @@ class RunReport:
 
 
 def params_digest(net, affine=None):
-    """sha256 of ``json.dumps(network_to_dict(net), sort_keys=True)`` for
-    net with the (A,) gamma/beta row ``affine`` (default ``net.affine``):
-    the hash of ``network.checkpoint_text``."""
+    """sha256 of ``network.checkpoint_text(net, affine)``: the checkpoint
+    document of net with the (A,) gamma/beta row ``affine`` (default
+    ``net.affine``)."""
     doc = checkpoint_text(net, affine)
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 

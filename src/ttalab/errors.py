@@ -1,5 +1,5 @@
 """Exception types shared across the package, the one floating-point rule,
-and the two rules that check a scalar argument, whose error reads ``<name>
+and the three rules that check a scalar argument, whose error reads ``<name>
 <rule>, got <value!r>`` and carries ``name``, ``value`` and ``rule``, so the
 command line can report it as the flag that set the argument."""
 
@@ -78,6 +78,14 @@ def _real(name, value, rule):
     if not _REAL_RULES[rule](value):
         raise _broken(name, value, f"must be {rule}")
     return value
+
+
+def _bool(name, value):
+    """``value`` as a Python bool if it is a bool (a numpy one included);
+    InvalidInput naming ``name`` and the value otherwise."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise _broken(name, value, "must be a bool")
+    return bool(value)
 
 
 @contextmanager

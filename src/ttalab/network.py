@@ -133,6 +133,11 @@ class Network:
     affine: np.ndarray = field(init=False, repr=False, compare=False)
     # each block's (weight, bias) slices of params
     dense_slices: tuple = field(init=False, repr=False, compare=False)
+    # one (key, text) per layer position: the fields of the layer serialised
+    # there last, and its text. The digests of a run share one network, so
+    # its dense layers, which no affine row changes, are serialised once.
+    layer_texts: dict = field(init=False, repr=False, compare=False,
+                              default_factory=dict)
 
     def __post_init__(self):
         self.blocks = _blocks(self.layers)
@@ -417,18 +422,6 @@ def layer_to_dict(layer):
     }
 
 
-def network_to_dict(net):
-    return {"k": int(net.k), "layers": [layer_to_dict(layer)
-                                         for layer in net.layers],
-            "meta": dict(net.meta)}
-
-
-# one (key, text) per layer position: the fields of the layer serialised
-# there last, and its text. The digests of a run share one network, so its
-# dense layers, which no affine row changes, are serialised once.
-_layer_texts = {}
-
-
 def _field_key(value):
     """A layer field, exactly: a number by its float64 bits in hex, so that
     -0.0 stays apart from 0.0, and an array by its shape and bytes."""
@@ -439,22 +432,22 @@ def _field_key(value):
     return float(value).hex()
 
 
-def _layer_text(i, layer):
+def _layer_text(texts, i, layer):
     """``json.dumps(layer_to_dict(layer), sort_keys=True)``, memoised in
-    slot i on every field of the layer."""
+    slot i of ``texts`` on every field of the layer."""
     key = (type(layer), *((name, _field_key(value))
                           for name, value in vars(layer).items()))
-    slot = _layer_texts.get(i)
+    slot = texts.get(i)
     if slot is None or slot[0] != key:
-        slot = _layer_texts[i] = key, json.dumps(layer_to_dict(layer),
-                                                  sort_keys=True)
+        slot = texts[i] = key, json.dumps(layer_to_dict(layer),
+                                          sort_keys=True)
     return slot[1]
 
 
 def checkpoint_text(net, affine=None):
-    """``json.dumps(network_to_dict(net), sort_keys=True)`` for net with the
-    (A,) gamma/beta row ``affine`` (default ``net.affine``) in its BN
-    layers. Each layer is its own ``json.dumps``, which runs the C encoder,
+    """The checkpoint document of net, keys sorted, with the (A,) gamma/beta
+    row ``affine`` (default ``net.affine``) in its BN layers. Each layer is
+    its own ``json.dumps`` (the C encoder), memoised in ``net.layer_texts``,
     so one layer's floats at a time are Python objects."""
     layers = list(net.layers)
     if affine is not None:
@@ -466,7 +459,8 @@ def checkpoint_text(net, affine=None):
             if b.bn is not None:
                 layers[b.bn] = replace(layers[b.bn], gamma=affine[b.gamma],
                                        beta=affine[b.beta])
-    texts = ", ".join(_layer_text(i, layer) for i, layer in enumerate(layers))
+    texts = ", ".join(_layer_text(net.layer_texts, i, layer)
+                      for i, layer in enumerate(layers))
     meta = json.dumps(dict(net.meta), sort_keys=True)
     return f'{{"k": {int(net.k)}, "layers": [{texts}], "meta": {meta}}}'
 

@@ -1,6 +1,6 @@
-"""Dense numeric primitives: stable softmax, Shannon entropy, their analytic
-gradients, a central finite-difference checker, and an entropy-descent
-simulator that runs one start or a stack of starts in lock-step.
+"""Dense numeric primitives: stable softmax, Shannon entropy, its analytic
+gradient, and an entropy-descent simulator that runs one start or a stack
+of starts in lock-step.
 
 Probability vectors live in ordinary float64 numpy arrays. Anything that
 returns probabilities clamps entries into [EPS_PROB, 1 - EPS_PROB] and
@@ -17,9 +17,6 @@ from .errors import InvalidInput, _float_rule, _integer, _real
 
 # Probability clamp applied before any log; keeps near-one-hot outputs finite.
 EPS_PROB = 1e-12
-
-# Central-difference step balancing truncation and round-off in float64.
-FD_STEP = 1e-5
 
 
 def _require_finite(name, arr):
@@ -76,17 +73,6 @@ def _entropy(p):
     return -np.add.reduce(p * logp, -1)
 
 
-def binary_entropy_grad(p):
-    """dH/dp for the two-class entropy H = -p log p - (1-p) log(1-p).
-
-    Equals log((1-p)/p): zero at p = 0.5, negative for p > 0.5.
-    """
-    p = float(p)
-    if not (EPS_PROB <= p <= 1.0 - EPS_PROB):
-        raise InvalidInput(f"p={p} outside [{EPS_PROB}, {1.0 - EPS_PROB}]")
-    return float(np.log((1.0 - p) / p))
-
-
 def entropy_grad_logits(z):
     """Analytic gradient of H(softmax(z)) with respect to the logits z.
 
@@ -103,36 +89,6 @@ def _entropy_grad(p):
     logp = np.log(p)
     h = -np.add.reduce(p * logp, -1, keepdims=True)
     return -p * (logp + h)
-
-
-def finite_diff_check(f, x, analytic):
-    """Max relative error between an analytic gradient and central differences
-    with step FD_STEP.
-
-    Args:
-        f: scalar-valued function of a 1-D vector.
-        x: point at which to check.
-        analytic: claimed gradient of f at x, same shape as x.
-
-    Returns:
-        max over coordinates of |analytic - fd| / max(1, |analytic|).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    analytic = np.asarray(analytic, dtype=np.float64)
-    if analytic.shape != x.shape:
-        raise InvalidInput("analytic gradient shape does not match x")
-    worst = 0.0
-    for i in range(x.size):
-        bump = np.zeros_like(x)
-        bump.flat[i] = FD_STEP
-        hi = float(f(x + bump))
-        lo = float(f(x - bump))
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise InvalidInput("f returned a non-finite value near x")
-        fd = (hi - lo) / (2.0 * FD_STEP)
-        a = analytic.flat[i]
-        worst = max(worst, abs(a - fd) / max(1.0, abs(a)))
-    return worst
 
 
 def simulate_entropy_descent(p0, lr, steps):

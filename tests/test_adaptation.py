@@ -1,4 +1,5 @@
 import copy
+import json
 import re
 from fractions import Fraction
 
@@ -14,9 +15,10 @@ from ttalab.adaptation import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EPS_ENTROPY,
                                rla_forward, sample_weights,
                                tent_loss, ttc_loss, with_flips)
 from ttalab.errors import DegenerateBatch, InvalidInput
-from ttalab.network import (BNMode, backward_bn_affine, forward, make_network,
-                            network_to_dict)
-from ttalab.numeric import entropy, finite_diff_check, softmax
+from ttalab.network import BNMode, backward_bn_affine, forward, make_network
+from ttalab.numeric import entropy, softmax
+
+from oracles import finite_diff_check, network_to_dict
 
 
 def small_net(seed=0):
@@ -852,6 +854,25 @@ class TestConfig:
             lr=0.1, tau=1.0, filter_threshold=0.5).to_json()
         assert {type(config.lr), type(config.tau),
                 type(config.filter_threshold)} == {float}
+
+    @pytest.mark.parametrize("value", ["no", 1, None], ids=repr)
+    @pytest.mark.parametrize("field", ["rla_enabled", "wa_enabled",
+                                       "ga_enabled"])
+    def test_non_bool_switch_rejected_naming_it(self, field, value):
+        pattern = rf"^{field} must be a bool, got {re.escape(repr(value))}$"
+        with pytest.raises(InvalidInput, match=pattern):
+            AdaptationConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [np.bool_(False), np.bool_(True)],
+                             ids=repr)
+    @pytest.mark.parametrize("field", ["rla_enabled", "wa_enabled",
+                                       "ga_enabled"])
+    def test_numpy_bool_switch_is_stored_as_a_bool(self, field, value):
+        config = AdaptationConfig(**{field: value})
+        assert type(getattr(config, field)) is bool
+        assert config == AdaptationConfig(**{field: bool(value)})
+        assert json.dumps(config.to_json()) == json.dumps(
+            AdaptationConfig(**{field: bool(value)}).to_json())
 
     def test_numpy_integer_q_is_stored_as_an_int(self):
         config = AdaptationConfig(strategy="ttc", accumulation_q=np.int64(3))

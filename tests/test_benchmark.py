@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ttalab import benchmark, network
+from ttalab import benchmark
 from ttalab.adaptation import (STRATEGIES, AdaptationConfig, Adapter,
                                flip_signal, make_optimizer)
 from ttalab.benchmark import (CORRUPTION_KINDS, NOISE_SIGMA, SIGNAL_LENGTH,
@@ -25,8 +25,10 @@ from ttalab.benchmark import (CORRUPTION_KINDS, NOISE_SIGMA, SIGNAL_LENGTH,
 from ttalab.errors import DegenerateBatch, InvalidInput, TrainingDiverged
 from ttalab.network import (BatchNormLayer, BNMode, DenseLayer, Network,
                             backward_all, forward, make_network,
-                            network_to_dict, save_checkpoint)
+                            network_from_dict, save_checkpoint)
 from ttalab.numeric import softmax
+
+from oracles import network_to_dict
 
 
 class TestGenerateDataset:
@@ -225,6 +227,14 @@ class TestTrainSource:
         with pytest.raises(InvalidInput,
                            match=rf"^{name} .*{re.escape(repr(value))}$"):
             train_source(generate_dataset(3, 30, seed=0), **args)
+
+    def test_numpy_integer_seed_is_kept_as_its_int(self):
+        ds = generate_dataset(3, 60, seed=0)
+        net = train_source(ds, epochs=1, seed=np.int64(5), hidden=4)
+        assert net.meta == {"seed": 5, "trained_epochs": 1}
+        assert type(net.meta["seed"]) is int
+        assert params_digest(net) == params_digest(
+            train_source(ds, epochs=1, seed=5, hidden=4))
 
     def test_heldout_accuracy_target(self, source_net, test_dataset):
         assert evaluate_accuracy(source_net, test_dataset) >= 0.95
@@ -612,8 +622,36 @@ class TestParamsDigest:
         nets = [random_net(rng, seed) for seed in range(100)]
         for net in nets:
             assert params_digest(net) == document_digest(net)
-        assert len(network._layer_texts) \
-            <= max(len(net.layers) for net in nets)
+            assert len(net.layer_texts) <= len(net.layers)
+
+    def test_memo_belongs_to_its_network(self, source_net):
+        a, b = copy.deepcopy(source_net), make_network(seed=1)
+        assert a.layer_texts == {} and b.layer_texts == {}
+        texts = []
+        for net in (a, b, a, b, a):
+            assert params_digest(net) == document_digest(net)
+            texts.append(dict(net.layer_texts))
+        # b's digests evict none of a's slots: a's texts are the same objects
+        for i, (_, text) in texts[0].items():
+            assert texts[2][i][1] is text and texts[4][i][1] is text
+        a.params[-1] = np.nextafter(a.params[-1], np.inf)  # a's last bias
+        assert params_digest(a) == document_digest(a)
+        assert params_digest(b) == document_digest(b)
+        assert copy.deepcopy(a).layer_texts == {}
+        assert network_from_dict(network_to_dict(a)).layer_texts == {}
+
+    def test_a_dropped_network_leaves_no_texts(self, tmp_path):
+        save_checkpoint(make_network(seed=0), tmp_path / "warm.json")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            net = make_network(seed=1)
+            save_checkpoint(net, tmp_path / "net.json")
+            del net
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert left < 20_000
 
     def test_interleaved_networks(self, source_net):
         a, b = source_net, make_network(seed=1)

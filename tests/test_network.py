@@ -15,8 +15,10 @@ from ttalab.errors import (DegenerateBatch, InvalidInput, ParseError,
 from ttalab.network import (BatchNormLayer, BNMode, DenseLayer, Network,
                             _batch_stats, backward_all, backward_bn_affine,
                             forward, load_checkpoint,
-                            make_network, network_from_dict, network_to_dict,
+                            make_network, network_from_dict,
                             penultimate_features, save_checkpoint)
+
+from oracles import network_to_dict
 
 
 def random_net(rng, widths=(5, 8, 6), k=3, bn=None):

@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from ttalab import numeric
 from ttalab.errors import InvalidInput
-from ttalab.numeric import (EPS_PROB, binary_entropy_grad, entropy,
-                            entropy_grad_logits, finite_diff_check,
+from ttalab.numeric import (EPS_PROB, entropy, entropy_grad_logits,
                             simulate_entropy_descent, softmax,
                             trajectory_csv)
+
+from oracles import finite_diff_check
 
 
 class TestSoftmax:
@@ -93,35 +94,6 @@ class TestEntropy:
             entropy([1.2, -0.2])  # negative entry
 
 
-class TestBinaryEntropyGrad:
-    def test_uniform_point_is_zero(self):
-        assert binary_entropy_grad(0.5) == 0.0
-
-    def test_frozen_value(self):
-        # log(1/9) evaluated independently
-        np.testing.assert_allclose(binary_entropy_grad(0.9),
-                                   -2.1972245773362194, atol=1e-12)
-
-    def test_antisymmetry(self):
-        np.testing.assert_allclose(binary_entropy_grad(0.1),
-                                   -binary_entropy_grad(0.9), atol=1e-12)
-
-    def test_sign_matches_half_point(self):
-        grid = np.linspace(1e-4, 1.0 - 1e-4, 10000)
-        for p in grid:
-            g = binary_entropy_grad(p)
-            if p > 0.5:
-                assert g < 0
-            elif p < 0.5:
-                assert g > 0
-
-    def test_domain_enforced(self):
-        with pytest.raises(InvalidInput):
-            binary_entropy_grad(0.0)
-        with pytest.raises(InvalidInput):
-            binary_entropy_grad(1.0)
-
-
 class TestEntropyGradLogits:
     def test_uniform_is_stationary(self):
         g = entropy_grad_logits(np.zeros(6))
@@ -145,26 +117,6 @@ class TestEntropyGradLogits:
         for _ in range(100):
             z = rng.normal(scale=4.0, size=int(rng.integers(2, 20)))
             assert abs(entropy_grad_logits(z).sum()) < 1e-12
-
-
-class TestFiniteDiffCheck:
-    def test_linear_function_is_exact(self, rng):
-        x = rng.normal(size=7)
-        err = finite_diff_check(np.sum, x, np.ones(7))
-        assert err < 1e-10
-
-    def test_entropy_softmax_composition(self, rng):
-        z = rng.normal(size=6)
-        err = finite_diff_check(lambda v: entropy(softmax(v)), z,
-                                entropy_grad_logits(z))
-        assert err < 1e-5
-
-    def test_non_finite_function_rejected(self):
-        def bad(v):
-            return np.inf
-
-        with pytest.raises(InvalidInput):
-            finite_diff_check(bad, np.ones(2), np.ones(2))
 
 
 class TestSimulateEntropyDescent:
