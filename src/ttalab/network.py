@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (DegenerateBatch, InvalidInput, ParseError, SchemaError,
-                     _integer)
+                     _broken, _integer)
 
 
 class BNMode(Enum):
@@ -140,6 +140,11 @@ class Network:
                               default_factory=dict)
 
     def __post_init__(self):
+        try:  # the meta text of checkpoint_text, here rather than at a save
+            json.dumps(dict(self.meta), sort_keys=True)
+        except (TypeError, ValueError) as e:
+            raise _broken("meta", self.meta,
+                          f"must serialise to JSON ({e})") from None
         self.blocks = _blocks(self.layers)
         n_out = self.layers[self.blocks[-1].dense].weight.shape[0]
         if n_out != self.k:

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ttalab.benchmark import generate_dataset, train_source
 
 TRAIN_SEED = 0
 TEST_SEED = 777
 K = 3
+
+# one profile for every property test: its examples run whole networks, so
+# their time varies with the machine's load, not with the code
+settings.register_profile("ttalab", deadline=None)
+settings.load_profile("ttalab")
 
 
 @pytest.fixture(scope="session")

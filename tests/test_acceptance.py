@@ -24,7 +24,7 @@ from ttalab.network import (BNMode, backward_bn_affine, forward, make_network,
 from ttalab.numeric import (entropy, entropy_grad_logits,
                             simulate_entropy_descent, softmax)
 
-from oracles import finite_diff_check
+from oracles import brute_force_assign, finite_diff_check
 
 SEEDS = range(5)
 
@@ -93,21 +93,17 @@ def test_criterion_02_gradient_oracles():
             _, gl = tent_loss(logits)
             grads = backward_bn_affine(net, cache, gl)
 
-            def loss_value():
-                lg, _ = forward(net, x, BNMode.TEST_BATCH_STATS)
+            # one entry of each 5-wide gamma and beta
+            entries = np.arange(instance % 5, net.affine.size, 5)
+
+            def loss_at(values):
+                affine = net.affine.copy()
+                affine[entries] = values
+                lg, _ = forward(net, x, BNMode.TEST_BATCH_STATS, affine)
                 return tent_loss(lg)[0]
 
-            h = 1e-5
-            arr = net.affine  # gamma, beta of each 5-wide BN layer
-            for j in range(instance % 5, arr.size, 5):  # one entry of each
-                orig = arr[j]
-                arr[j] = orig + h
-                hi = loss_value()
-                arr[j] = orig - h
-                lo = loss_value()
-                arr[j] = orig
-                fd = (hi - lo) / (2 * h)
-                assert abs(grads[j] - fd) / max(1.0, abs(grads[j])) < 1e-4
+            assert finite_diff_check(loss_at, net.affine[entries],
+                                     grads[entries]) < 1e-4
 
         # weighted entropy loss w.r.t. logits, weights frozen
         for _ in range(100):
@@ -181,10 +177,8 @@ def test_criterion_05_kmeans():
         for _ in range(10):
             features = rng.normal(size=(200, 5))
             centers = rng.normal(size=(10, 5))
-            fast = assign_step(features, centers)
-            for i in range(200):
-                dists = [np.sum((features[i] - c) ** 2) for c in centers]
-                assert fast[i] == int(np.argmin(dists))
+            assert (assign_step(features, centers).tolist()
+                    == brute_force_assign(features, centers).tolist())
         for _ in range(100):
             n = int(rng.integers(10, 60))
             features = rng.normal(size=(n, 3))

@@ -13,22 +13,20 @@ from hypothesis import given, settings, strategies as st
 
 from ttalab import benchmark
 from ttalab.adaptation import (STRATEGIES, AdaptationConfig, Adapter,
-                               flip_signal, make_optimizer)
+                               flip_signal)
 from ttalab.benchmark import (CORRUPTION_KINDS, NOISE_SIGMA, SIGNAL_LENGTH,
-                              TRAIN_BATCH_SIZE, TRAIN_FLIP_PROB, Corruption,
-                              SignalDataset, StreamProtocol, accuracy_score,
-                              adapt_streams, apply_corruption, batch_slices,
-                              class_templates, evaluate_accuracy,
+                              Corruption, SignalDataset, StreamProtocol,
+                              accuracy_score, adapt_streams, apply_corruption,
+                              batch_slices, class_templates, evaluate_accuracy,
                               feature_histograms, generate_dataset,
                               histogram_overlap, params_digest, stream_eval,
                               train_source)
 from ttalab.errors import DegenerateBatch, InvalidInput, TrainingDiverged
 from ttalab.network import (BatchNormLayer, BNMode, DenseLayer, Network,
-                            backward_all, forward, make_network,
-                            network_from_dict, save_checkpoint)
-from ttalab.numeric import softmax
+                            forward, make_network, network_from_dict,
+                            save_checkpoint)
 
-from oracles import network_to_dict
+from oracles import document_digest, network_to_dict, per_batch_train_source
 
 
 class TestGenerateDataset:
@@ -129,7 +127,7 @@ class TestApplyCorruption:
         out = apply_corruption(x, Corruption("smooth_blur", 4), seed=0)
         np.testing.assert_allclose(out, 0.7, atol=1e-12)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(rows=st.none() | st.integers(1, 60), length=st.integers(1, 40),
            severity=st.integers(1, 5), exponent=st.integers(-150, 150),
            zeros=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
@@ -277,48 +275,10 @@ class TestTrainSource:
                 assert not np.allclose(layer.running_mean, 0.0)
 
 
-def per_batch_train_source(dataset, epochs, seed, lr=1e-2, hidden=64):
-    """train_source as a loop that gathers, flips and scores one batch at a
-    time: the oracle the epoch-at-once loop must match bit for bit. It takes
-    arguments that train_source accepts and checks none."""
-    k = dataset.num_classes
-    net = make_network(input_dim=dataset.inputs.shape[1], hidden=hidden,
-                       k=k, seed=seed)
-    optimizer = make_optimizer("adam", lr)
-    rng = np.random.default_rng(seed)
-    m = len(dataset)
-    for _ in range(epochs):
-        order = rng.permutation(m)
-        for start in range(0, m, TRAIN_BATCH_SIZE):
-            idx = order[start:start + TRAIN_BATCH_SIZE]
-            if len(idx) < 2:
-                continue  # BN batch statistics need two samples
-            x = dataset.inputs[idx]
-            y = dataset.labels[idx]
-            flips = rng.random(len(idx)) < TRAIN_FLIP_PROB
-            if flips.any():
-                x = x.copy()
-                x[flips] = flip_signal(x[flips])
-            try:
-                logits, cache = forward(net, x, BNMode.TRAIN_STATS)
-            except InvalidInput as e:
-                raise TrainingDiverged(f"forward blew up: {e}") from None
-            p = softmax(logits)
-            loss = -np.mean(np.log(p[np.arange(len(idx)), y]))
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"loss became {loss}")
-            grad = p.copy()
-            grad[np.arange(len(idx)), y] -= 1.0
-            grad /= len(idx)
-            optimizer.step(net.params, backward_all(net, cache, grad))
-    net.meta = {"seed": seed, "trained_epochs": epochs}
-    return net
-
-
 class TestTrainingMatchesPerBatchLoop:
     # m = k, one short batch, whole batches, a lone last row (skipped),
     # several batches
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(k=st.integers(2, 4),
            m=st.one_of(st.just("k"), st.integers(2, 63),
                        st.sampled_from([64, 65, 129, 300])),
@@ -330,8 +290,7 @@ class TestTrainingMatchesPerBatchLoop:
         ours = train_source(dataset, epochs, seed, hidden=hidden)
         oracle = per_batch_train_source(dataset, epochs, seed, hidden=hidden)
         # json holds each float's shortest repr, so equal text is equal bits
-        assert (json.dumps(network_to_dict(ours), sort_keys=True)
-                == json.dumps(network_to_dict(oracle), sort_keys=True))
+        assert document_digest(ours) == document_digest(oracle)
 
 
 class TestTrainingDivergence:
@@ -420,7 +379,7 @@ class TestStreamEval:
         assert report.n_test == len(test_dataset)
         assert len(report.per_batch_accuracy) == int(np.ceil(3000 / 128))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(m=st.integers(3, 60), n=st.integers(1, 12),
            strategy=st.sampled_from(STRATEGIES), q=st.integers(1, 5))
     def test_one_pass_property(self, m, n, strategy, q):
@@ -562,12 +521,6 @@ class TestStreamEval:
                 assert lo <= hi + 0.01, f"{kind}: {means}"
 
 
-def document_digest(net):
-    """sha256 of the checkpoint document, serialised whole."""
-    doc = json.dumps(network_to_dict(net), sort_keys=True)
-    return hashlib.sha256(doc.encode("utf-8")).hexdigest()
-
-
 class TestParamsDigest:
     def test_equals_digest_of_checkpoint_document(self, source_net,
                                                   test_dataset):
@@ -603,7 +556,7 @@ class TestParamsDigest:
         assert digests[1] == digests[2] == digests[0]
         assert len(set(digests[:1] + digests[3:])) == len(nets) - 2
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(1, 8),
            k=st.integers(2, 4), pick=st.integers(0, 10**6))
     def test_one_ulp_anywhere_is_seen(self, seed, hidden, k, pick):

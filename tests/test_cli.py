@@ -264,7 +264,7 @@ class TestAdaptationDivergence:
         assert captured.out == ""
         assert not out.exists()
 
-    @settings(max_examples=60, deadline=None,
+    @settings(max_examples=60,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(strategy=st.sampled_from(STRATEGIES),
            optimizer=st.sampled_from(["sgd", "adam"]),
@@ -845,7 +845,7 @@ OUT_OF_RANGE = {
 
 
 @pytest.mark.parametrize("command", OUT_OF_RANGE)
-@settings(max_examples=40, deadline=None,
+@settings(max_examples=40,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), untrained=st.booleans())
 def test_one_out_of_range_flag_prints_one_line_naming_it(workdir, command,

@@ -9,17 +9,7 @@ from ttalab.clustering import (FULL_BATCH, MINIBATCH_RUNNING, assign_step,
                                update_step)
 from ttalab.errors import InvalidInput
 
-
-def brute_force_assign(features, centers):
-    labels = np.empty(len(features), dtype=np.int64)
-    for i, z in enumerate(features):
-        best, best_d = 0, np.inf
-        for c, center in enumerate(centers):
-            d = np.sum((z - center) ** 2)
-            if d < best_d:
-                best, best_d = c, d
-        labels[i] = best
-    return labels
+from oracles import brute_force_assign, per_point_update
 
 
 class TestAssignStep:
@@ -37,13 +27,6 @@ class TestAssignStep:
         np.testing.assert_array_equal(assign_step(features, centers),
                                       brute_force_assign(features, centers))
 
-    def test_matches_brute_force_at_scale(self, rng):
-        for _ in range(5):
-            features = rng.normal(size=(200, 6))
-            centers = rng.normal(size=(10, 6))
-            np.testing.assert_array_equal(assign_step(features, centers),
-                                          brute_force_assign(features, centers))
-
     def test_dimension_mismatch_rejected(self, rng):
         with pytest.raises(InvalidInput):
             assign_step(rng.normal(size=(4, 3)), rng.normal(size=(2, 2)))
@@ -56,18 +39,6 @@ class TestUpdateStep:
         new = update_step(features, np.array([0, 0]), centers)
         np.testing.assert_array_equal(new[0], [1.0, 2.0])
         np.testing.assert_array_equal(new[1], [5.0, 5.0])  # empty, unchanged
-
-    def test_full_batch_update_never_increases_objective(self, rng):
-        for _ in range(100):
-            n = int(rng.integers(5, 40))
-            k = int(rng.integers(2, 6))
-            features = rng.normal(size=(n, 3))
-            centers = rng.normal(size=(k, 3))
-            labels = assign_step(features, centers)
-            before = kmeans_objective(features, labels, centers)
-            centers2 = update_step(features, labels, centers, mode=FULL_BATCH)
-            after = kmeans_objective(features, labels, centers2)
-            assert after <= before + 1e-10
 
     def test_minibatch_running_counts_form_streaming_mean(self):
         centers = np.zeros((2, 1))
@@ -82,16 +53,6 @@ class TestUpdateStep:
         with pytest.raises(InvalidInput):
             update_step(np.zeros((1, 1)), np.array([0]), np.zeros((2, 1)),
                         mode="annealed")
-
-
-def per_point_update(features, assignment, centers, counts):
-    """update_step's former MINIBATCH_RUNNING loop: numpy-scalar counts and a
-    fresh temporary per point."""
-    new_centers = np.array(centers, dtype=np.float64, copy=True)
-    for x, c in zip(np.asarray(features, dtype=np.float64), assignment):
-        counts[c] += 1
-        new_centers[c] += (x - new_centers[c]) / counts[c]
-    return new_centers
 
 
 @st.composite
@@ -115,7 +76,7 @@ def kmeans_streams(draw):
 
 
 class TestInPlaceRunningUpdate:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(stream=kmeans_streams())
     def test_centers_and_counts_match_per_point_loop_bitwise(self, stream):
         centers, counts, batches = stream
@@ -129,7 +90,7 @@ class TestInPlaceRunningUpdate:
             assert our_counts.dtype == their_counts.dtype
             assert our_counts.tolist() == their_counts.tolist()
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(stream=kmeans_streams())
     def test_without_counts_matches_fresh_zero_counts(self, stream):
         centers, counts, batches = stream
