@@ -90,7 +90,14 @@ def class_templates(k):
 
 
 def generate_dataset(k, m, seed):
-    """Balanced noisy-template dataset; bit-identical for a given seed."""
+    """Balanced noisy-template dataset; bit-identical for a given seed.
+
+    One ``(m, SIGNAL_LENGTH)`` array is built: the noise, with each class's
+    template added in place over its rows, then its rows and the labels
+    permuted in place by the swaps that ``rng.permutation(m)`` draws. So
+    the outputs are ``(templates[labels] + noise)[order]`` and
+    ``labels[order]`` for ``order = rng.permutation(m)``, without a copy.
+    """
     k = _integer("k", k, 2)
     m = _integer("m", m, k, why=f"one sample per class, k={k}")
     seed = _integer("seed", seed, 0)
@@ -99,9 +106,19 @@ def generate_dataset(k, m, seed):
     counts = np.full(k, m // k)
     counts[: m % k] += 1
     labels = np.repeat(np.arange(k), counts)
-    inputs = templates[labels] + rng.normal(0.0, NOISE_SIGMA, size=(m, SIGNAL_LENGTH))
-    order = rng.permutation(m)
-    return SignalDataset(inputs=inputs[order], labels=labels[order], seed=seed)
+    inputs = rng.normal(0.0, NOISE_SIGMA, size=(m, SIGNAL_LENGTH))
+    # the labels are sorted, so each class's rows are one block
+    stops = np.cumsum(counts).tolist()
+    for template, start, stop in zip(templates, [0] + stops, stops):
+        inputs[start:stop] += template
+    # permutation(m) is shuffle(arange(m)); shuffling a 1-D array makes the
+    # same swaps, and one void item per row makes them row swaps
+    rows = inputs.view(np.dtype((np.void, inputs.strides[0]))).reshape(m)
+    state = rng.bit_generator.state
+    rng.shuffle(rows)
+    rng.bit_generator.state = state
+    rng.shuffle(labels)
+    return SignalDataset(inputs=inputs, labels=labels, seed=seed)
 
 
 # ---------------------------------------------------------------------------

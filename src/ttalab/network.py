@@ -140,11 +140,7 @@ class Network:
                               default_factory=dict)
 
     def __post_init__(self):
-        try:  # the meta text of checkpoint_text, here rather than at a save
-            json.dumps(dict(self.meta), sort_keys=True)
-        except (TypeError, ValueError) as e:
-            raise _broken("meta", self.meta,
-                          f"must serialise to JSON ({e})") from None
+        _meta_text(self.meta)  # here, not first at a save
         self.blocks = _blocks(self.layers)
         n_out = self.layers[self.blocks[-1].dense].weight.shape[0]
         if n_out != self.k:
@@ -449,6 +445,16 @@ def _layer_text(texts, i, layer):
     return slot[1]
 
 
+def _meta_text(meta):
+    """The checkpoint text of ``meta``, keys sorted; InvalidInput if it does
+    not serialise to JSON. Run at construction and at every write, so a
+    meta changed after construction is held to the same rule."""
+    try:
+        return json.dumps(dict(meta), sort_keys=True)
+    except (TypeError, ValueError) as e:
+        raise _broken("meta", meta, f"must serialise to JSON ({e})") from None
+
+
 def checkpoint_text(net, affine=None):
     """The checkpoint document of net, keys sorted, with the (A,) gamma/beta
     row ``affine`` (default ``net.affine``) in its BN layers. Each layer is
@@ -466,8 +472,8 @@ def checkpoint_text(net, affine=None):
                                        beta=affine[b.beta])
     texts = ", ".join(_layer_text(net.layer_texts, i, layer)
                       for i, layer in enumerate(layers))
-    meta = json.dumps(dict(net.meta), sort_keys=True)
-    return f'{{"k": {int(net.k)}, "layers": [{texts}], "meta": {meta}}}'
+    return (f'{{"k": {int(net.k)}, "layers": [{texts}],'
+            f' "meta": {_meta_text(net.meta)}}}')
 
 
 def save_checkpoint(net, path):

@@ -9,10 +9,12 @@ import json
 
 import numpy as np
 
-from ttalab.adaptation import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, default_q,
+from ttalab.adaptation import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
+                               AdaptationConfig, default_q,
                                default_filter_threshold, flip_signal,
                                tent_loss, ttc_loss)
-from ttalab.benchmark import TRAIN_BATCH_SIZE, TRAIN_FLIP_PROB
+from ttalab.benchmark import (NOISE_SIGMA, SIGNAL_LENGTH, TRAIN_BATCH_SIZE,
+                              TRAIN_FLIP_PROB, class_templates)
 from ttalab.errors import InvalidInput
 from ttalab.network import (BNMode, backward_all, backward_bn_affine,
                             forward, layer_to_dict, make_network)
@@ -219,6 +221,29 @@ class ReferenceStream:
         g = backward_bn_affine(self.net, cache, self.grad_scale * grad)
         self.accumulator.add(g, self.optimizer, self.net.affine)
         return preds, probs
+
+
+def q_configs(qs, **common):
+    """A tent stream for each Q of 1 and a tent+GA stream (ttc without RLA
+    and WA) for each other Q, in the order given."""
+    return [AdaptationConfig(strategy="tent", **common) if q == 1 else
+            AdaptationConfig(strategy="ttc", rla_enabled=False,
+                             wa_enabled=False, accumulation_q=q, **common)
+            for q in qs]
+
+
+def reference_dataset(k, m, seed):
+    """generate_dataset's inputs and labels as two gathers: the templates
+    gathered by label plus the noise, then both permuted by
+    ``rng.permutation(m)``. It checks no argument."""
+    rng = np.random.default_rng(seed)
+    counts = np.full(k, m // k)
+    counts[: m % k] += 1
+    labels = np.repeat(np.arange(k), counts)
+    inputs = class_templates(k)[labels] + rng.normal(
+        0.0, NOISE_SIGMA, size=(m, SIGNAL_LENGTH))
+    order = rng.permutation(m)
+    return inputs[order], labels[order]
 
 
 def per_batch_train_source(dataset, epochs, seed, lr=1e-2, hidden=64):

@@ -18,7 +18,7 @@ from ttalab.numeric import entropy, softmax
 
 from oracles import (ReferenceAccumulator, ReferenceAdam, ReferenceSGD,
                      ReferenceStream, bits, finite_diff_check,
-                     network_to_dict, two_forward_rla)
+                     network_to_dict, q_configs, two_forward_rla)
 
 
 def small_net(seed=0):
@@ -798,15 +798,6 @@ class TestPreFlippedStack:
             with pytest.raises(InvalidInput, match=r"of 2 batches or 3 with"
                                r" the flips .*, got shape \(" + str(s)):
                 adapter.adapt_batch(rng.normal(size=(s, 10, 8)))
-
-
-def q_configs(qs, **common):
-    """A tent stream for each Q of 1 and a tent+GA stream for each other Q,
-    in the order given."""
-    return [AdaptationConfig(strategy="tent", **common) if q == 1 else
-            AdaptationConfig(strategy="ttc", rla_enabled=False,
-                             wa_enabled=False, accumulation_q=q, **common)
-            for q in qs]
 
 
 class TestQWindows:

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ttalab.adaptation import AdaptationConfig, tent_loss
-from ttalab.benchmark import StreamProtocol, adapt_streams
+from ttalab.benchmark import StreamProtocol, adapt_streams, params_digest
 from ttalab.errors import (DegenerateBatch, InvalidInput, ParseError,
                            SchemaError)
 from ttalab.network import (BatchNormLayer, BNMode, DenseLayer, Network,
                             _batch_stats, backward_all, backward_bn_affine,
                             forward, load_checkpoint,
                             make_network, network_from_dict,
-                            penultimate_features, save_checkpoint)
+                            checkpoint_text, penultimate_features,
+                            save_checkpoint)
 
 from oracles import (bits, document_digest, finite_diff_check,
                      network_to_dict, reference_forward)
@@ -593,6 +594,26 @@ class TestCheckpoint:
         with pytest.raises(InvalidInput, match=(
                 rf"^meta must serialise to JSON .*, got {shown}$")):
             Network(layers=net.layers, k=net.k, meta=meta)
+
+    @pytest.mark.parametrize("key, value", [
+        ("x", np.int64(1)), ("tags", {"a"}), (1, "a")],
+        ids=["int64", "set", "mixed-keys"])
+    def test_meta_changed_after_construction_rejected_at_every_write(
+            self, tmp_path, key, value):
+        net = make_network(input_dim=4, hidden=3, k=2, seed=0)
+        net.meta["trained_epochs"] = 3  # as train_source writes it
+        save_checkpoint(net, tmp_path / "kept.json")
+        assert load_checkpoint(tmp_path / "kept.json").meta == {
+            "seed": 0, "trained_epochs": 3}
+        net.meta[key] = value
+        shown = re.escape(repr(net.meta))
+        path = tmp_path / "net.json"
+        for write in (checkpoint_text, params_digest,
+                      lambda net: save_checkpoint(net, path)):
+            with pytest.raises(InvalidInput, match=(
+                    rf"^meta must serialise to JSON .*, got {shown}$")):
+                write(net)
+        assert not path.exists()
 
     def test_truncated_file_is_parse_error(self, rng, tmp_path):
         net = random_net(rng)

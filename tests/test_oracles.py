@@ -4,6 +4,7 @@ guard that each is pinned here and that no other test module defines a
 reference of its own. The guard reads the files, never imports them."""
 
 import ast
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from ttalab.adaptation import ADAM_EPS, AdaptationConfig
-from ttalab.benchmark import SignalDataset
+from ttalab.benchmark import SignalDataset, class_templates
 from ttalab.errors import InvalidInput
 from ttalab.network import (BatchNormLayer, BNMode, DenseLayer, Network,
                             forward, make_network)
@@ -22,8 +23,8 @@ from oracles import (ReferenceAccumulator, ReferenceAdam, ReferenceSGD,
                      ReferenceStream, bits, brute_force_assign,
                      document_digest, entropy_descent, finite_diff_check,
                      network_to_dict, per_batch_train_source,
-                     per_point_update, per_scalar_csv, reference_forward,
-                     two_forward_rla)
+                     per_point_update, per_scalar_csv, q_configs,
+                     reference_dataset, reference_forward, two_forward_rla)
 
 TESTS = Path(__file__).resolve().parent
 
@@ -174,6 +175,38 @@ def test_stream_steps_on_the_mean_gradient_of_q_batches(rng):
 
     assert finite_diff_check(mean_entropy, net.affine,
                              net.affine - ref.net.affine) < 1e-6
+
+
+def test_q_configs_is_tent_at_q_1_and_tent_with_ga_otherwise(rng):
+    """A ttc stream without RLA and WA at Q = 1 steps as tent does, bit for
+    bit, so Q = 1 is tent itself."""
+    common = dict(optimizer="adam", lr=0.05)
+    tent, ga = q_configs([1, 3], **common)
+    assert tent == AdaptationConfig(strategy="tent", **common)
+    assert (ga.strategy, ga.rla_enabled, ga.wa_enabled, ga.ga_enabled,
+            ga.accumulation_q, ga.optimizer, ga.lr) == (
+                "ttc", False, False, True, 3, "adam", 0.05)
+    net = make_network(input_dim=4, hidden=3, k=3, seed=3)
+    streams = [ReferenceStream(net, config, 6)
+               for config in (tent, dataclasses.replace(ga, accumulation_q=1))]
+    for x in rng.normal(size=(3, 6, 4)):
+        (_, a), (_, b) = (stream.adapt_batch(x) for stream in streams)
+        assert bits(a) == bits(b)
+    assert bits(streams[0].net.affine) == bits(streams[1].net.affine)
+    assert bits(streams[0].net.affine) != bits(net.affine)
+
+
+def test_reference_dataset_by_hand():
+    """k = 3, m = 5: classes of 2, 2 and 1 rows in label order. Row i is
+    the template of its label plus noise row order[i], where the (5, 32)
+    noise of sigma 0.1 is drawn first and order = permutation(5) next."""
+    inputs, labels = reference_dataset(3, 5, 4)
+    rng = np.random.default_rng(4)
+    noise = rng.normal(0.0, 0.1, size=(5, 32))
+    order = rng.permutation(5)
+    assert labels.tolist() == [[0, 0, 1, 1, 2][i] for i in order]
+    np.testing.assert_allclose(inputs - class_templates(3)[labels],
+                               noise[order], rtol=0, atol=1e-15)
 
 
 def test_training_steps_on_the_fd_gradient_of_the_cross_entropy(

@@ -19,6 +19,8 @@ from ttalab.adaptation import AdaptationConfig, Adapter
 from ttalab.benchmark import batch_slices
 from ttalab.network import make_network
 
+from oracles import q_configs
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -49,11 +51,6 @@ def test_every_traced_method_is_defined_on_its_class():
     assert missing == []
 
 
-def tent_with_q(q, **common):
-    return AdaptationConfig(strategy="ttc", rla_enabled=False,
-                            wa_enabled=False, accumulation_q=q, **common)
-
-
 # Adapters as lists of configs, built with one optimizer and lr
 ADAPTERS = {
     **{strategy: lambda common, strategy=strategy: [
@@ -63,9 +60,7 @@ ADAPTERS = {
                                             **common)],
     "tent-filtered": lambda common: [AdaptationConfig(
         strategy="tent-filtered", filter_threshold=0.8, **common)],
-    "mixed-q": lambda common: [AdaptationConfig(strategy="tent", **common),
-                               tent_with_q(2, **common),
-                               tent_with_q(2, **common),
+    "mixed-q": lambda common: [*q_configs([1, 2, 2], **common),
                                AdaptationConfig(strategy="ttc",
                                                 accumulation_q=5, **common)],
     # the filter sits batches out in a window of its own, beside tent and
