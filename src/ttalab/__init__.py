@@ -9,8 +9,7 @@ from .benchmark import (Corruption, RunReport, SignalDataset, StreamProtocol,
                         generate_dataset, stream_eval, train_source)
 from .clustering import (assign_step, kmeans_objective, run_minibatch_kmeans,
                          update_step)
-from .errors import (DegenerateBatch, InvalidInput, ParseError, SchemaError,
-                     TrainingDiverged, TTALabError)
+from .errors import InvalidInput, TrainingDiverged, TTALabError
 from .network import (BatchNormLayer, BNMode, DenseLayer, Network,
                       backward_bn_affine, forward, load_checkpoint,
                       make_network, penultimate_features, save_checkpoint)

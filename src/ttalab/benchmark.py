@@ -265,6 +265,7 @@ def batch_slices(m, n):
     has n + 1 rows, because batch statistics need at least two rows.
     Otherwise the slices start at range(0, m, n).
     """
+    n = _integer("batch_size", n, 1)
     starts = list(range(0, m, n))
     if m > 1 and m % n == 1:
         del starts[-1]
@@ -454,6 +455,8 @@ def feature_histograms(features_by_name, bins=64):
     """
     bins = _integer("bins", bins, 1)
     names = list(features_by_name)
+    if not names:
+        raise InvalidInput(f"no features to histogram, got {features_by_name!r}")
     stacked = np.vstack([features_by_name[n] for n in names])
     channels = stacked.shape[1]
     lo = stacked.min(axis=0)

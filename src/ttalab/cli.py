@@ -2,7 +2,8 @@
 batch-size sweep, the entropy-descent check, and feature-density export.
 
 Exit codes: 0 success, 1 property violation, 2 training or adaptation
-diverged, 3 I/O, argument or out-of-memory error. Every command is
+diverged (TrainingDiverged), 3 the caller's fault (InvalidInput: a flag or
+a checkpoint), an I/O error or out of memory. Every command is
 deterministic under --seed and writes no timestamps, so reruns produce
 byte-identical outputs.
 """
@@ -39,10 +40,6 @@ EXIT_SPEC = 3
 LEMMA_STACK_BYTES = 16 * 2**20
 
 
-class _SpecError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse with our exit codes, no abbreviations (``--batch-size`` never
     means ``--batch-sizes``) and ``-1e-05`` or ``-inf`` read as a value."""
@@ -52,7 +49,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d|-inf|-nan", re.I)
 
     def error(self, message):
-        raise _SpecError(message)
+        raise InvalidInput(message)
 
 
 def _add_optimizer_flags(p):
@@ -151,7 +148,7 @@ def _flags(*same, **renamed):
     except InvalidInput as e:
         if e.name not in flags:
             raise
-        raise _SpecError(f"{flags[e.name]}: {e.value!r} {e.rule}") from None
+        raise InvalidInput(f"{flags[e.name]}: {e.value!r} {e.rule}") from None
 
 
 def _config(args, **changes):
@@ -175,16 +172,16 @@ def _distinct(flag, values):
     """Reject a list flag that names one value twice."""
     for i, value in enumerate(values):
         if value in values[:i]:
-            raise _SpecError(f"{flag}: {value} repeated")
+            raise InvalidInput(f"{flag}: {value} repeated")
 
 
 def _source_net(args):
     """The network at ``--checkpoint``, which must read the test signals."""
     net = load_checkpoint(args.checkpoint)
     if net.input_dim != SIGNAL_LENGTH:
-        raise _SpecError(f"--checkpoint {args.checkpoint}: the network takes"
-                         f" {net.input_dim} columns, but the test signals"
-                         f" have {SIGNAL_LENGTH}")
+        raise InvalidInput(f"--checkpoint {args.checkpoint}: the network takes"
+                           f" {net.input_dim} columns, but the test signals"
+                           f" have {SIGNAL_LENGTH}")
     return net
 
 
@@ -455,7 +452,7 @@ def main(argv=None):
     except TrainingDiverged as e:
         print(f"training failed: {e}", file=sys.stderr)
         return EXIT_TRAINING
-    except (_SpecError, TTALabError, OSError) as e:
+    except (TTALabError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SPEC
     except MemoryError as e:  # such as numpy's for a huge --m or --test-m

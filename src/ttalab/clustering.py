@@ -26,8 +26,10 @@ def assign_step(features, centers):
     """Assign each point to its nearest center (lowest index wins ties)."""
     features = np.asarray(features, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
-    if features.shape[1] != centers.shape[1]:
-        raise InvalidInput("feature and center dimensions differ")
+    if (features.ndim != 2 or centers.ndim != 2
+            or features.shape[1] != centers.shape[1]):
+        raise InvalidInput(f"features must be (n, d) and centers (k, d), got"
+                           f" {features.shape} and {centers.shape}")
     return np.argmin(_squared_distances(features, centers), axis=1)
 
 

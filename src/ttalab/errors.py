@@ -1,7 +1,8 @@
-"""Exception types shared across the package, the one floating-point rule,
-and the three rules that check a scalar argument, whose error reads ``<name>
-<rule>, got <value!r>`` and carries ``name``, ``value`` and ``rule``, so the
-command line can report it as the flag that set the argument."""
+"""The package's exception types, whose type is the fault: InvalidInput the
+caller's (exit 3), TrainingDiverged the program's (exit 2); the one
+floating-point rule; and the three rules that check a scalar argument, whose
+error reads ``<name> <rule>, got <value!r>`` and carries ``name``, ``value``
+and ``rule``, so the command line can report it as the flag that set it."""
 
 import math
 import numbers
@@ -16,21 +17,9 @@ class TTALabError(Exception):
 
 
 class InvalidInput(TTALabError):
-    """The caller's input violates a documented precondition."""
+    """The caller's argument, batch, flag or checkpoint file is invalid."""
 
     name = value = rule = None
-
-
-class DegenerateBatch(TTALabError):
-    """A batch is too small for the requested normalization mode."""
-
-
-class ParseError(TTALabError):
-    """A checkpoint or report file could not be parsed."""
-
-
-class SchemaError(TTALabError):
-    """A parsed file has the wrong structure or shapes."""
 
 
 class TrainingDiverged(TTALabError):

@@ -34,8 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DegenerateBatch, InvalidInput, ParseError, SchemaError,
-                     _broken, _integer)
+from .errors import InvalidInput, _broken, _integer
 
 
 class BNMode(Enum):
@@ -260,7 +259,7 @@ def forward(net, batch, mode, affine=None, cache=True):
     if not np.isfinite(x).all():
         raise InvalidInput("batch contains non-finite values")
     if mode is BNMode.TEST_BATCH_STATS and x.shape[-2] < 2:
-        raise DegenerateBatch("TEST_BATCH_STATS needs a batch of at least 2")
+        raise InvalidInput("TEST_BATCH_STATS needs a batch of at least 2")
 
     records = []
     for dense, bn, relu, gamma, beta in net.blocks:
@@ -488,15 +487,15 @@ def _array_field(i, obj, key, shape):
     try:
         arr = np.asarray(obj[key], dtype=np.float64)
     except KeyError:
-        raise SchemaError(f"layer {i} missing field {key!r}") from None
+        raise InvalidInput(f"layer {i} missing field {key!r}") from None
     except (TypeError, ValueError):
-        raise SchemaError(f"layer {i} field {key!r} is not numeric") from None
+        raise InvalidInput(f"layer {i} field {key!r} is not numeric") from None
     if arr.size != int(np.prod(shape)):
-        raise SchemaError(f"layer {i} field {key!r} has {arr.size} values,"
-                          f" expected shape {shape}")
+        raise InvalidInput(f"layer {i} field {key!r} has {arr.size} values,"
+                           f" expected shape {shape}")
     # json reads NaN and Infinity
     if not np.isfinite(arr).all():
-        raise SchemaError(f"layer {i} field {key!r} holds a non-finite value")
+        raise InvalidInput(f"layer {i} field {key!r} holds a non-finite value")
     return arr.reshape(shape)
 
 
@@ -504,14 +503,14 @@ def _shape_field(obj, kind, ndim):
     shape = obj.get("shape")
     if not (isinstance(shape, list) and len(shape) == ndim
             and all(type(n) is int and n >= 1 for n in shape)):
-        raise SchemaError(f"{kind} layer needs a shape of {ndim} positive"
-                          f" integers, got {shape!r}")
+        raise InvalidInput(f"{kind} layer needs a shape of {ndim} positive"
+                           f" integers, got {shape!r}")
     return tuple(shape)
 
 
 def _layer_from_dict(i, entry):
     if not isinstance(entry, dict):
-        raise SchemaError(f"layer {i} is not a JSON object")
+        raise InvalidInput(f"layer {i} is not a JSON object")
     kind = entry.get("kind")
     if kind == "dense":
         shape = _shape_field(entry, "dense", 2)
@@ -529,48 +528,47 @@ def _layer_from_dict(i, entry):
                    for key in ("eps", "momentum") if key in entry}
         layer = BatchNormLayer(**arrays, **scalars)
         if not layer.eps > 0:
-            raise SchemaError(
+            raise InvalidInput(
                 f"layer {i} field 'eps' must be positive, got {layer.eps!r}")
         if (layer.running_var < 0).any():
-            raise SchemaError(
+            raise InvalidInput(
                 f"layer {i} field 'running_var' holds a negative value")
         return layer
-    raise SchemaError(f"unknown layer kind {kind!r}")
+    raise InvalidInput(f"unknown layer kind {kind!r}")
 
 
 def network_from_dict(doc, expect_k=None):
+    """The Network of a parsed checkpoint document; InvalidInput naming what
+    is wrong for a document that describes none, or has a k not expect_k."""
     if not isinstance(doc, dict):
-        raise SchemaError("checkpoint root must be a JSON object")
+        raise InvalidInput("checkpoint root must be a JSON object")
     doc = {"meta": {}, **doc}
     for key, kind in (("k", int), ("layers", list), ("meta", dict)):
         if key not in doc:
-            raise SchemaError(f"checkpoint missing {key!r}")
+            raise InvalidInput(f"checkpoint missing {key!r}")
         if not isinstance(doc[key], kind) or isinstance(doc[key], bool):
-            raise SchemaError(f"checkpoint {key!r} must be of type"
-                              f" {kind.__name__}, got {type(doc[key]).__name__}")
+            raise InvalidInput(f"checkpoint {key!r} must be of type"
+                               f" {kind.__name__}, got {type(doc[key]).__name__}")
     k = doc["k"]
     if expect_k is not None and k != expect_k:
-        raise SchemaError(f"checkpoint has k={k}, expected k={expect_k}")
-    try:
-        return Network(layers=[_layer_from_dict(i, entry)
-                               for i, entry in enumerate(doc["layers"])],
-                       k=k, meta=dict(doc["meta"]))
-    except InvalidInput as e:
-        raise SchemaError(str(e)) from None
+        raise InvalidInput(f"checkpoint has k={k}, expected k={expect_k}")
+    return Network(layers=[_layer_from_dict(i, entry)
+                           for i, entry in enumerate(doc["layers"])],
+                   k=k, meta=dict(doc["meta"]))
 
 
 def load_checkpoint(path, expect_k=None):
     """Read a JSON checkpoint back into a Network.
 
-    Raises ParseError (with the byte offset) for malformed JSON or UTF-8,
-    and SchemaError for structurally invalid documents.
+    Raises InvalidInput for malformed JSON or UTF-8 (naming the byte
+    offset) and for a document that describes no valid network.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         doc = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as e:
-        raise ParseError(f"checkpoint is not UTF-8 text at byte {e.start}") from None
+        raise InvalidInput(f"checkpoint is not UTF-8 text at byte {e.start}") from None
     except json.JSONDecodeError as e:
-        raise ParseError(f"invalid checkpoint JSON at byte {e.pos}: {e.msg}") from None
+        raise InvalidInput(f"invalid checkpoint JSON at byte {e.pos}: {e.msg}") from None
     return network_from_dict(doc, expect_k=expect_k)

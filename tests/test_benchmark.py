@@ -21,7 +21,7 @@ from ttalab.benchmark import (CORRUPTION_KINDS, NOISE_SIGMA, SIGNAL_LENGTH,
                               feature_histograms, generate_dataset,
                               histogram_overlap, params_digest, stream_eval,
                               train_source)
-from ttalab.errors import DegenerateBatch, InvalidInput, TrainingDiverged
+from ttalab.errors import InvalidInput, TrainingDiverged
 from ttalab.network import (BatchNormLayer, BNMode, DenseLayer, Network,
                             forward, make_network, network_from_dict,
                             save_checkpoint)
@@ -424,7 +424,8 @@ class TestStreamEval:
         protocol = StreamProtocol(batch_size=n, seed=0)
         streams = [(None, protocol, config)]
         if n == 1 and strategy != "source":
-            with pytest.raises(DegenerateBatch):
+            with pytest.raises(InvalidInput, match="TEST_BATCH_STATS needs a"
+                               " batch of at least 2"):
                 adapt_streams(net, dataset.inputs, dataset.labels, streams)
             return
         (accuracy, per_batch, row), = adapt_streams(

@@ -1,0 +1,95 @@
+"""A caller's fault, in any public module, raises ``InvalidInput``: the one
+type the command line maps to exit code 3. Each row is one misuse, the
+start of the message it raises, and nothing broader than ``InvalidInput``
+is accepted (a ``ValueError``, ``IndexError`` or ``TTALabError`` fails)."""
+
+import re
+
+import numpy as np
+import pytest
+
+from ttalab import cli
+from ttalab.adaptation import AdaptationConfig
+from ttalab.benchmark import batch_slices, collect_features, feature_histograms
+from ttalab.clustering import assign_step
+from ttalab.errors import InvalidInput
+from ttalab.network import (BNMode, checkpoint_text, forward, load_checkpoint,
+                            make_network)
+from ttalab.numeric import softmax
+
+NET = make_network(input_dim=4, hidden=3, k=2, seed=0)
+TEXT = checkpoint_text(NET).encode()
+
+
+def checkpoint(tmp_path, data):
+    """load_checkpoint of a file holding the bytes ``data``."""
+    path = tmp_path / "net.json"
+    path.write_bytes(data)
+    return load_checkpoint(path)
+
+
+def flagged(**config):
+    """An AdaptationConfig built the way the command line builds one."""
+    with cli._flags("lr", accumulation_q="--q"):
+        return AdaptationConfig(**config)
+
+
+MISUSES = {
+    "numeric: non-finite logits": (
+        lambda tmp: softmax(np.array([0.0, np.nan])),
+        "logits contains non-finite values"),
+    "adaptation: unknown strategy": (
+        lambda tmp: AdaptationConfig(strategy="nope"),
+        "unknown strategy 'nope'"),
+    "benchmark: batch size 0": (
+        lambda tmp: batch_slices(10, 0),
+        "batch_size too small, need >= 1, got 0"),
+    "benchmark: batch size -1": (
+        lambda tmp: batch_slices(10, -1),
+        "batch_size too small, need >= 1, got -1"),
+    "benchmark: batch size 2.5": (
+        lambda tmp: batch_slices(10, 2.5),
+        "batch_size must be an integer, got 2.5"),
+    "benchmark: collect_features at batch size 0": (
+        lambda tmp: collect_features(NET, np.zeros((6, 4)), 0,
+                                     BNMode.EVAL_STATS),
+        "batch_size too small, need >= 1, got 0"),
+    "benchmark: no features to histogram": (
+        lambda tmp: feature_histograms({}),
+        "no features to histogram, got {}"),
+    "clustering: 1-D features": (
+        lambda tmp: assign_step(np.zeros(3), np.zeros((2, 3))),
+        "features must be (n, d) and centers (k, d), got (3,) and (2, 3)"),
+    "clustering: 1-D centers": (
+        lambda tmp: assign_step(np.zeros((4, 3)), np.zeros(3)),
+        "features must be (n, d) and centers (k, d), got (4, 3) and (3,)"),
+    "network: 1-row batch under TEST_BATCH_STATS": (
+        lambda tmp: forward(NET, np.zeros((1, 4)), BNMode.TEST_BATCH_STATS),
+        "TEST_BATCH_STATS needs a batch of at least 2"),
+    "network: truncated checkpoint": (
+        lambda tmp: checkpoint(tmp, TEXT[:len(TEXT) // 2]),
+        "invalid checkpoint JSON at byte"),
+    "network: non-UTF-8 checkpoint": (
+        lambda tmp: checkpoint(tmp, TEXT + b"\xff"),
+        f"checkpoint is not UTF-8 text at byte {len(TEXT)}"),
+    "network: checkpoint layer of unknown kind": (
+        lambda tmp: checkpoint(tmp, TEXT.replace(b'"kind": "dense"',
+                                                 b'"kind": "conv"', 1)),
+        "unknown layer kind 'conv'"),
+    "cli: unknown flag": (
+        lambda tmp: cli.build_parser().parse_args(["adapt", "--no-such-flag"]),
+        "unrecognized arguments: --no-such-flag"),
+    "cli: repeated list entry": (
+        lambda tmp: cli._distinct("--batch-sizes", [2, 10, 2]),
+        "--batch-sizes: 2 repeated"),
+    "cli: a config field reported as its flag": (
+        lambda tmp: flagged(accumulation_q=0),
+        "--q: 0 too small, need >= 1"),
+}
+
+
+@pytest.mark.parametrize("call, message", MISUSES.values(), ids=MISUSES)
+def test_caller_fault_is_invalid_input(tmp_path, call, message):
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}") as err:
+        call(tmp_path)
+    assert type(err.value) is InvalidInput

@@ -3,11 +3,16 @@ program: named by another part of the library, by a demo, by a benchmark
 workload, or as a target of the benchmark's tracer. Test-only helpers live
 under ``tests/`` instead (see ``tests/oracles.py``).
 
+The library defines exactly three exception classes, so that the type of
+an error is its exit code: ``TTALabError``, ``InvalidInput`` (the caller's
+fault, exit 3) and ``TrainingDiverged`` (the program's fault, exit 2).
+
 Every file is read and parsed, never imported or executed. ``__init__.py``
 does not count: re-exporting a name does not run it.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,3 +55,26 @@ def test_every_library_definition_is_run_by_the_program():
                                    ast.ClassDef))
               and node.name not in used]
     assert unused == []
+
+
+def test_the_library_defines_exactly_three_exception_classes():
+    """Every class in src deriving, directly or through another class of
+    src, from a built-in exception."""
+    classes = {node.name: {getattr(base, "id", getattr(base, "attr", None))
+                           for base in node.bases}
+               for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(parse(path))
+               if isinstance(node, ast.ClassDef)}
+    exceptions = {name for name in vars(builtins)
+                  if isinstance(getattr(builtins, name), type)
+                  and issubclass(getattr(builtins, name), BaseException)}
+    grown = True
+    while grown:
+        found = {name for name, bases in classes.items() if bases & exceptions}
+        grown = not found <= exceptions
+        exceptions |= found
+    three = {"TTALabError", "InvalidInput", "TrainingDiverged"}
+    defined = exceptions & classes.keys()
+    extra = sorted(defined - three)
+    assert not extra, f"exception classes beyond the three: {extra}"
+    assert defined >= three

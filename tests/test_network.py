@@ -9,8 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ttalab.adaptation import AdaptationConfig, tent_loss
 from ttalab.benchmark import StreamProtocol, adapt_streams, params_digest
-from ttalab.errors import (DegenerateBatch, InvalidInput, ParseError,
-                           SchemaError)
+from ttalab.errors import InvalidInput
 from ttalab.network import (BatchNormLayer, BNMode, DenseLayer, Network,
                             _batch_stats, backward_all, backward_bn_affine,
                             forward, load_checkpoint,
@@ -87,7 +86,7 @@ class TestForward:
 
     def test_single_sample_rejected_in_batch_stats_mode(self, rng):
         net = random_net(rng)
-        with pytest.raises(DegenerateBatch):
+        with pytest.raises(InvalidInput, match="at least 2"):
             forward(net, rng.normal(size=(1, 5)), BNMode.TEST_BATCH_STATS)
         logits, _ = forward(net, rng.normal(size=(1, 5)), BNMode.EVAL_STATS)
         assert logits.shape == (1, 3)
@@ -226,7 +225,7 @@ class TestUncachedForward:
     def test_checks_are_kept(self, rng):
         net = random_net(rng)
         x = rng.normal(size=(4, 5))
-        with pytest.raises(DegenerateBatch):
+        with pytest.raises(InvalidInput, match="at least 2"):
             forward(net, x[:1], BNMode.TEST_BATCH_STATS, cache=False)
         with pytest.raises(InvalidInput, match="affine must be"):
             forward(net, x[None], BNMode.EVAL_STATS, cache=False)
@@ -504,11 +503,12 @@ class TestBlockLayout:
                              ids=["bn-first", "bn-after-bn", "empty"])
     def test_non_block_layouts_rejected(self, rng, order):
         net = random_net(rng)
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput) as built:
             Network(layers=[net.layers[i] for i in order], k=3)
         doc = network_to_dict(net)
         doc["layers"] = [doc["layers"][i] for i in order]
-        with pytest.raises(SchemaError):
+        with pytest.raises(InvalidInput,
+                           match=f"^{re.escape(str(built.value))}$"):
             network_from_dict(doc)
 
 
@@ -615,28 +615,30 @@ class TestCheckpoint:
                 write(net)
         assert not path.exists()
 
-    def test_truncated_file_is_parse_error(self, rng, tmp_path):
+    def test_truncated_file_is_rejected(self, rng, tmp_path):
         net = random_net(rng)
         path = tmp_path / "net.json"
         save_checkpoint(net, path)
         text = path.read_text()
         path.write_text(text[: len(text) // 2])
-        with pytest.raises(ParseError, match="byte"):
+        with pytest.raises(InvalidInput,
+                           match="invalid checkpoint JSON at byte"):
             load_checkpoint(path)
 
-    def test_class_count_mismatch_is_schema_error(self, rng, tmp_path):
+    def test_class_count_mismatch_is_rejected(self, rng, tmp_path):
         net = random_net(rng, k=3)
         path = tmp_path / "net.json"
         save_checkpoint(net, path)
-        with pytest.raises(SchemaError):
+        with pytest.raises(InvalidInput,
+                           match="checkpoint has k=3, expected k=10"):
             load_checkpoint(path, expect_k=10)
         loaded = load_checkpoint(path, expect_k=3)
         assert loaded.k == 3
 
-    def test_non_utf8_file_is_parse_error(self, tmp_path):
+    def test_non_utf8_file_is_rejected(self, tmp_path):
         path = tmp_path / "net.json"
         path.write_bytes(b'{"k": 3, "layers": []}\xff')
-        with pytest.raises(ParseError, match="UTF-8"):
+        with pytest.raises(InvalidInput, match="not UTF-8 text at byte 22"):
             load_checkpoint(path)
 
     def test_schema_violations_rejected(self, rng, tmp_path):
@@ -654,29 +656,46 @@ class TestCheckpoint:
         def set_key(d, key, value):
             d[key] = value
 
+        # each mutation, and the start of the error it raises
         mutations = [
-            lambda d: set_key(d["layers"][0], "kind", "conv"),
-            lambda d: d["layers"][1].pop("gamma"),
-            lambda d: set_key(d["layers"][0], "weight",
-                              d["layers"][0]["weight"][:-1]),
-            lambda d: set_key(d["layers"], 1, 5),  # a layer that is no object
-            lambda d: set_key(d, "k", "x"),
-            lambda d: set_key(d, "k", None),
-            lambda d: set_key(d, "k", 4),  # the final dense layer outputs 3
-            lambda d: set_key(d, "layers", 5),
-            lambda d: set_key(d, "meta", 5),
-            lambda d: set_key(d["layers"][0], "shape", ["8", 5]),
-            lambda d: set_key(d["layers"][0], "shape", [-8, -5]),
-            lambda d: set_key(d["layers"][1], "eps", "x"),
-            lambda d: set_key(d["layers"][0], "activation", "tanh"),
-            lambda d: resize(d["layers"][1], [9]),  # BN wider than its dense
-            lambda d: resize(d["layers"][1], [7]),  # BN narrower
-            lambda d: resize(d["layers"][2], [6, 7]),  # takes 7 of 8 outputs
+            (lambda d: set_key(d["layers"][0], "kind", "conv"),
+             "unknown layer kind 'conv'"),
+            (lambda d: d["layers"][1].pop("gamma"),
+             "layer 1 missing field 'gamma'"),
+            (lambda d: set_key(d["layers"][0], "weight",
+                               d["layers"][0]["weight"][:-1]),
+             "layer 0 field 'weight' has 39 values"),
+            (lambda d: set_key(d["layers"], 1, 5),
+             "layer 1 is not a JSON object"),
+            (lambda d: set_key(d, "k", "x"),
+             "checkpoint 'k' must be of type int, got str"),
+            (lambda d: set_key(d, "k", None),
+             "checkpoint 'k' must be of type int, got NoneType"),
+            (lambda d: set_key(d, "k", 4),
+             "final dense layer outputs 3, expected k=4"),
+            (lambda d: set_key(d, "layers", 5),
+             "checkpoint 'layers' must be of type list"),
+            (lambda d: set_key(d, "meta", 5),
+             "checkpoint 'meta' must be of type dict"),
+            (lambda d: set_key(d["layers"][0], "shape", ["8", 5]),
+             "dense layer needs a shape of 2 positive integers, got ['8', 5]"),
+            (lambda d: set_key(d["layers"][0], "shape", [-8, -5]),
+             "dense layer needs a shape of 2 positive integers, got [-8, -5]"),
+            (lambda d: set_key(d["layers"][1], "eps", "x"),
+             "layer 1 field 'eps' is not numeric"),
+            (lambda d: set_key(d["layers"][0], "activation", "tanh"),
+             "unknown activation 'tanh'"),
+            (lambda d: resize(d["layers"][1], [9]),  # BN wider than its dense
+             "layer 1 normalizes 9 features, but layer 0 outputs 8"),
+            (lambda d: resize(d["layers"][1], [7]),  # BN narrower
+             "layer 1 normalizes 7 features, but layer 0 outputs 8"),
+            (lambda d: resize(d["layers"][2], [6, 7]),
+             "layer 2 takes 7 inputs, but the block before it outputs 8"),
         ]
-        for mutate in mutations:
+        for mutate, message in mutations:
             bad = json.loads(json.dumps(doc))
             mutate(bad)
-            with pytest.raises(SchemaError):
+            with pytest.raises(InvalidInput, match=f"^{re.escape(message)}"):
                 network_from_dict(bad)
 
         # values json reads but no network can use: the error names the
@@ -711,7 +730,7 @@ class TestCheckpoint:
         for mutate, names in named:
             bad = json.loads(json.dumps(doc))
             mutate(bad)
-            with pytest.raises(SchemaError, match=re.escape(names)):
+            with pytest.raises(InvalidInput, match=re.escape(names)):
                 network_from_dict(bad)
 
 
