@@ -199,8 +199,10 @@ def train_source(dataset, epochs, seed, lr=1e-2, hidden=64):
     """Train the canonical network on a clean dataset with random flips.
 
     Uses Adam on all parameters with BN in training mode, so running
-    statistics are populated. Raises TrainingDiverged, naming the epoch and
-    the batch, when a step breaks the floating-point rule.
+    statistics are populated. Each epoch draws its order and its flips
+    once; each batch gathers its own rows and flips them in place, so no
+    copy of the dataset is made. Raises TrainingDiverged, naming the epoch
+    and the batch, when a step breaks the floating-point rule.
     """
     epochs = _integer("epochs", epochs, 0)
     lr = _real("lr", lr, "finite and positive")
@@ -213,20 +215,18 @@ def train_source(dataset, epochs, seed, lr=1e-2, hidden=64):
     # rows of an epoch that train: a last batch of one row is skipped, as
     # BN batch statistics need two samples
     used = m - 1 if m % TRAIN_BATCH_SIZE == 1 else m
-    xs = np.empty_like(dataset.inputs[:used])
     with _float_rule(lambda e: TrainingDiverged(
             f"diverged in epoch {epoch + 1}, batch {batch + 1}: {e}")):
         for epoch in range(epochs):
             order = rng.permutation(m)[:used]
-            # order is in range; "clip" spares the buffer "raise" makes
-            np.take(dataset.inputs, order, axis=0, out=xs, mode="clip")
-            ys = dataset.labels[order]
             # one draw per row, the stream a draw per batch makes
             flips = rng.random(used) < TRAIN_FLIP_PROB
-            xs[flips] = flip_signal(xs[flips])
             for batch, start in enumerate(range(0, used, TRAIN_BATCH_SIZE)):
-                x = xs[start:start + TRAIN_BATCH_SIZE]
-                y = ys[start:start + TRAIN_BATCH_SIZE]
+                rows = order[start:start + TRAIN_BATCH_SIZE]
+                x = dataset.inputs[rows]  # a gather: the loop's own rows
+                f = flips[start:start + TRAIN_BATCH_SIZE]
+                x[f] = flip_signal(x[f])
+                y = dataset.labels[rows]
                 logits, cache = forward(net, x, BNMode.TRAIN_STATS)
                 grad = softmax(logits)  # minus the one-hot, over N
                 grad[np.arange(len(y)), y] -= 1.0
@@ -237,10 +237,19 @@ def train_source(dataset, epochs, seed, lr=1e-2, hidden=64):
 
 
 def evaluate_accuracy(net, dataset):
-    """Plain accuracy under running statistics, no adaptation: a forward
-    that keeps no backward cache."""
-    logits, _ = forward(net, dataset.inputs, BNMode.EVAL_STATS, cache=False)
-    return accuracy_score(np.argmax(logits, axis=1), dataset.labels)
+    """Plain accuracy under running statistics, no adaptation: forwards
+    that keep no backward cache, over consecutive ``TRAIN_BATCH_SIZE``-row
+    slices, so the pass holds one slice's activations at a time. Running
+    statistics treat each row alone, so the predictions are those of one
+    forward over all rows."""
+    m = len(dataset)
+    predictions = np.empty(m, dtype=np.intp)
+    for start in range(0, m, TRAIN_BATCH_SIZE):
+        rows = slice(start, start + TRAIN_BATCH_SIZE)
+        logits, _ = forward(net, dataset.inputs[rows], BNMode.EVAL_STATS,
+                            cache=False)
+        np.argmax(logits, axis=1, out=predictions[rows])
+    return accuracy_score(predictions, dataset.labels)
 
 
 def accuracy_score(predictions, labels):
@@ -441,22 +450,41 @@ def _adapt_trip(net, inputs, labels, n, streams):
 # ---------------------------------------------------------------------------
 
 def collect_features(net, inputs, batch_size, mode, affine=None):
-    """Penultimate features (m, feature_dim) of a stream under ``affine``."""
-    return np.vstack([penultimate_features(net, inputs[batch], mode, affine)
-                      for batch in batch_slices(inputs.shape[0], batch_size)])
+    """Penultimate features (m, feature_dim) of a non-empty (m, d) stream
+    under ``affine``, each batch's written into one array."""
+    inputs = np.asarray(inputs)
+    if inputs.ndim != 2 or not len(inputs):
+        raise InvalidInput(f"inputs must be a non-empty (m, d) stream, got"
+                           f" shape {inputs.shape}")
+    features = np.empty((len(inputs), net.feature_dim))
+    for batch in batch_slices(len(inputs), batch_size):
+        features[batch] = penultimate_features(net, inputs[batch], mode,
+                                               affine)
+    return features
 
 
 def feature_histograms(features_by_name, bins=64):
     """Per-channel normalized histograms over a range shared by all inputs.
 
-    Returns (edges, hists) where edges is (channels, bins+1) and hists maps
-    each name to a (channels, bins) array of densities summing to 1 per
-    channel.
+    Each input is a non-empty (n, channels) array, with the same channels
+    for all. Returns (edges, hists) where edges is (channels, bins+1) and
+    hists maps each name to a (channels, bins) array of densities summing
+    to 1 per channel.
     """
     bins = _integer("bins", bins, 1)
     names = list(features_by_name)
     if not names:
         raise InvalidInput(f"no features to histogram, got {features_by_name!r}")
+    first = np.shape(features_by_name[names[0]])
+    for n in names:
+        shape = np.shape(features_by_name[n])
+        if len(shape) != 2 or not shape[0]:
+            raise InvalidInput(f"features {n!r} must be a non-empty"
+                               f" (n, channels) array, got shape {shape}")
+        if shape[1] != first[1]:
+            raise InvalidInput(f"features {n!r} of shape {shape} differ in"
+                               f" channels from {names[0]!r} of shape"
+                               f" {first}")
     stacked = np.vstack([features_by_name[n] for n in names])
     channels = stacked.shape[1]
     lo = stacked.min(axis=0)

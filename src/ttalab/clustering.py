@@ -30,6 +30,9 @@ def assign_step(features, centers):
             or features.shape[1] != centers.shape[1]):
         raise InvalidInput(f"features must be (n, d) and centers (k, d), got"
                            f" {features.shape} and {centers.shape}")
+    if not len(centers):
+        raise InvalidInput(f"no centers to assign to: features"
+                           f" {features.shape}, centers {centers.shape}")
     return np.argmin(_squared_distances(features, centers), axis=1)
 
 
@@ -100,10 +103,14 @@ def update_step(features, assignment, centers, mode=FULL_BATCH, counts=None):
 
 
 def kmeans_objective(features, assignment, centers):
-    """Mean squared distance of each point to its assigned center."""
+    """Mean squared distance of each point to its assigned center; the
+    mean needs at least one point."""
     features = np.asarray(features, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
     assignment = _checked_assignment(features, assignment, centers)
+    if not len(features):
+        raise InvalidInput(f"no points to score: features {features.shape},"
+                           f" centers {centers.shape}")
     diff = features - centers[assignment]
     return float(np.mean(np.sum(diff * diff, axis=1)))
 

@@ -247,10 +247,10 @@ def reference_dataset(k, m, seed):
 
 
 def per_batch_train_source(dataset, epochs, seed, lr=1e-2, hidden=64):
-    """train_source as a loop that gathers, flips and scores one batch at a
-    time and steps with ReferenceAdam: the oracle the epoch-at-once loop
-    must match bit for bit. It takes arguments that train_source accepts
-    and checks none."""
+    """train_source as a loop that draws its flips batch by batch and
+    steps with ReferenceAdam: the oracle that train_source, which draws an
+    epoch's flips at once, must match bit for bit. It takes arguments that
+    train_source accepts and checks none."""
     net = make_network(input_dim=dataset.inputs.shape[1], hidden=hidden,
                        k=dataset.num_classes, seed=seed)
     optimizer = ReferenceAdam(lr)

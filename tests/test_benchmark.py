@@ -15,9 +15,10 @@ from ttalab import benchmark
 from ttalab.adaptation import (STRATEGIES, AdaptationConfig, Adapter,
                                flip_signal)
 from ttalab.benchmark import (CORRUPTION_KINDS, NOISE_SIGMA, SIGNAL_LENGTH,
-                              Corruption, SignalDataset, StreamProtocol,
-                              accuracy_score, adapt_streams, apply_corruption,
-                              batch_slices, class_templates, evaluate_accuracy,
+                              TRAIN_BATCH_SIZE, Corruption, SignalDataset,
+                              StreamProtocol, accuracy_score, adapt_streams,
+                              apply_corruption, batch_slices, class_templates,
+                              collect_features, evaluate_accuracy,
                               feature_histograms, generate_dataset,
                               histogram_overlap, params_digest, stream_eval,
                               train_source)
@@ -302,6 +303,19 @@ class TestTrainSource:
             train_source(generate_dataset(3, 30, seed=0), epochs=1, seed=0,
                          lr=lr)
 
+    def test_traced_peak_is_one_batch(self):
+        """Each batch gathers and flips its own 64 rows: an epoch gathered
+        into one (m, 32) buffer and flipped through two half-size
+        temporaries traced 2.08 times the inputs."""
+        ds = generate_dataset(3, 30000, seed=0)
+        tracemalloc.start()
+        try:
+            train_source(ds, epochs=1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * ds.inputs.nbytes
+
     def test_running_stats_populated(self, source_net):
         from ttalab.network import BatchNormLayer
 
@@ -373,6 +387,32 @@ class TestAccuracyMetric:
             tracemalloc.stop()
         assert acc == expected
         assert peak < 2.5 * 3000 * 64 * 8
+
+    def test_evaluate_accuracy_traced_peak_is_one_slice(self):
+        """One forward over all 30000 rows traced 4.27 times the inputs."""
+        ds = generate_dataset(3, 30000, seed=0)
+        net = make_network(input_dim=SIGNAL_LENGTH, hidden=64, k=3, seed=0)
+        tracemalloc.start()
+        try:
+            evaluate_accuracy(net, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * ds.inputs.nbytes
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(2, 5),
+           m=st.integers(2, 300) | st.sampled_from([65, 129, 193, 257]),
+           hidden=st.integers(1, 16), seed=st.integers(0, 50))
+    def test_evaluate_accuracy_is_the_mean_of_per_slice_hits(self, k, m,
+                                                             hidden, seed):
+        ds = generate_dataset(k, max(m, k), seed=seed)
+        net = train_source(ds, epochs=1, seed=seed, hidden=hidden)
+        hits = [np.argmax(forward(net, ds.inputs[a:a + TRAIN_BATCH_SIZE],
+                                  BNMode.EVAL_STATS)[0], axis=1)
+                == ds.labels[a:a + TRAIN_BATCH_SIZE]
+                for a in range(0, len(ds), TRAIN_BATCH_SIZE)]
+        assert evaluate_accuracy(net, ds) == np.mean(np.concatenate(hits))
 
 
 class TestBatchSlices:
@@ -725,6 +765,31 @@ class TestFeatureHistograms:
         with pytest.raises(InvalidInput,
                            match=rf"^bins .*{re.escape(repr(bins))}$"):
             feature_histograms({"a": rng.normal(size=(6, 2))}, bins=bins)
+
+    @pytest.mark.parametrize("features, shown", [
+        ({"a": np.zeros(3)}, "'a' must be a non-empty (n, channels) array,"
+         " got shape (3,)"),
+        ({"a": np.zeros((2, 2, 2))}, "'a' must be a non-empty (n, channels)"
+         " array, got shape (2, 2, 2)"),
+        ({"a": np.zeros((3, 2)), "b": np.zeros((0, 2))},
+         "'b' must be a non-empty (n, channels) array, got shape (0, 2)"),
+        ({"a": np.zeros((3, 2)), "b": np.zeros((3, 3))},
+         "'b' of shape (3, 3) differ in channels from 'a' of shape (3, 2)"),
+    ], ids=["1-D", "3-D", "no rows", "channels differ"])
+    def test_malformed_features_named(self, features, shown):
+        with pytest.raises(InvalidInput,
+                           match=re.escape(f"features {shown}")):
+            feature_histograms(features)
+
+
+class TestCollectFeatures:
+    @pytest.mark.parametrize("shape", [(0, SIGNAL_LENGTH), (SIGNAL_LENGTH,)])
+    def test_no_stream_named(self, source_net, shape):
+        with pytest.raises(InvalidInput, match=re.escape(
+                f"inputs must be a non-empty (m, d) stream, got shape"
+                f" {shape}")):
+            collect_features(source_net, np.zeros(shape), 10,
+                             BNMode.EVAL_STATS)
 
 
 class TestHistogramOverlap:

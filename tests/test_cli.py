@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -98,6 +99,21 @@ class TestTrainSource:
             " encountered in multiply"]
         assert caught == []
         assert not out.exists()
+
+    def test_traced_peak_is_the_dataset_and_one_batch(self, tmp_path):
+        """Any whole-stream pass on top of the (m, 32) dataset shows here:
+        training on an epoch buffer and scoring in one forward traced 5.4
+        times the dataset."""
+        m = 30000
+        tracemalloc.start()
+        try:
+            code = main(["train-source", "--m", str(m), "--epochs", "1",
+                         "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 1.5 * m * 32 * 8
 
 
 class TestAdapt:

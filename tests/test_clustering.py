@@ -31,6 +31,17 @@ class TestAssignStep:
         with pytest.raises(InvalidInput):
             assign_step(rng.normal(size=(4, 3)), rng.normal(size=(2, 2)))
 
+    @pytest.mark.parametrize("n", [0, 4])
+    def test_no_centers_rejected_naming_the_shapes(self, rng, n):
+        with pytest.raises(InvalidInput, match=re.escape(
+                f"no centers to assign to: features ({n}, 3), centers"
+                f" (0, 3)")):
+            assign_step(rng.normal(size=(n, 3)), np.empty((0, 3)))
+
+    def test_no_features_assign_nothing(self, rng):
+        labels = assign_step(np.empty((0, 3)), rng.normal(size=(2, 3)))
+        assert labels.shape == (0,)
+
 
 class TestUpdateStep:
     def test_two_points_average_to_midpoint(self):
@@ -138,6 +149,14 @@ class TestBadAssignmentRejected:
 
 
 class TestObjective:
+    def test_no_points_rejected_naming_the_shapes(self):
+        """The mean of no distances is undefined; numpy's reads NaN, with
+        a RuntimeWarning."""
+        with pytest.raises(InvalidInput, match=re.escape(
+                "no points to score: features (0, 2), centers (3, 2)")):
+            kmeans_objective(np.empty((0, 2)), np.empty(0, dtype=np.int64),
+                             np.zeros((3, 2)))
+
     def test_points_at_centers_give_zero(self):
         centers = np.array([[1.0, 1.0], [2.0, 2.0]])
         features = centers.copy()
@@ -226,6 +245,13 @@ class TestRunMinibatchKmeans:
             run_minibatch_kmeans([x], 12, init="first_k")
         with pytest.raises(InvalidInput):
             run_minibatch_kmeans([], 2, init="first_k")
+
+    @pytest.mark.parametrize("mode", [FULL_BATCH, MINIBATCH_RUNNING])
+    def test_an_empty_later_batch_rejected(self, rng, mode):
+        x = rng.normal(size=(10, 2))
+        with pytest.raises(InvalidInput, match=re.escape(
+                "no points to score: features (0, 2), centers (3, 2)")):
+            run_minibatch_kmeans([x, np.empty((0, 2)), x], 3, mode=mode)
 
     @pytest.mark.parametrize("init", ["first_k", "seeded_random"])
     def test_k_above_the_first_batch_rejected_for_either_init(self, rng,
