@@ -13,8 +13,10 @@ import numpy as np
 from ttalab import simulate_entropy_descent
 from ttalab.numeric import trajectory_csv
 
-for k, p0 in [(2, [0.6, 0.4]), (3, [0.4, 0.35, 0.25])]:
-    traj = simulate_entropy_descent(p0, lr=0.05, steps=5000)
+# both starts descend in lock-step through one call, keyed by K
+starts = {2: [0.6, 0.4], 3: [0.4, 0.35, 0.25]}
+for k, traj in simulate_entropy_descent(starts, lr=0.05, steps=5000).items():
+    p0 = starts[k]
     top = traj[:, 0]
     print(f"K={k}, start {p0}")
     for step in (0, 10, 100, 1000, 5000):

@@ -201,17 +201,21 @@ def train_source(dataset, epochs, seed, lr=1e-2, hidden=64):
     Uses Adam on all parameters with BN in training mode, so running
     statistics are populated. Each epoch draws its order and its flips
     once; each batch gathers its own rows and flips them in place, so no
-    copy of the dataset is made. Raises TrainingDiverged, naming the epoch
-    and the batch, when a step breaks the floating-point rule.
+    copy of the dataset is made. Raises InvalidInput for a dataset of fewer
+    than two rows, and TrainingDiverged, naming the epoch and the batch,
+    when a step breaks the floating-point rule.
     """
     epochs = _integer("epochs", epochs, 0)
     lr = _real("lr", lr, "finite and positive")
+    m = len(dataset)
+    if m < 2:
+        raise InvalidInput(f"train_source needs m >= 2 rows, as BN batch"
+                           f" statistics need two samples, got m={m}")
     k = dataset.num_classes
     net = make_network(input_dim=dataset.inputs.shape[1], hidden=hidden,
                        k=k, seed=seed)
     optimizer = make_optimizer("adam", lr)
     rng = np.random.default_rng(seed)
-    m = len(dataset)
     # rows of an epoch that train: a last batch of one row is skipped, as
     # BN batch statistics need two samples
     used = m - 1 if m % TRAIN_BATCH_SIZE == 1 else m

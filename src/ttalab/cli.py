@@ -35,8 +35,9 @@ EXIT_PROPERTY = 1
 EXIT_TRAINING = 2
 EXIT_SPEC = 3
 
-# Byte budget of one stacked lemma-check descent's trajectory: the random
-# starts of one K run as one (R, K) stack, split only past this size.
+# Byte budget of the trajectories of one lemma-check descent call: the
+# starts of a call descend in lock-step, split into calls only past this
+# size, and a start or stack over it descends alone.
 LEMMA_STACK_BYTES = 16 * 2**20
 
 
@@ -303,17 +304,35 @@ def _tilted_start(k):
     return p / p.sum()
 
 
+def _descend(starts, lr, steps):
+    """simulate_entropy_descent of the mapping starts, {key: trajectory} in
+    its order, in as few calls as keep each call's trajectories within
+    LEMMA_STACK_BYTES: consecutive starts share a call while they fit, and
+    a start or stack over the budget descends alone."""
+    trajs, group, held = {}, {}, 0
+    for key, p0 in starts.items():
+        size = (steps + 1) * p0.size * 8
+        if group and held + size > LEMMA_STACK_BYTES:
+            trajs.update(simulate_entropy_descent(group, lr, steps))
+            group, held = {}, 0
+        group[key] = p0
+        held += size
+    if group:
+        trajs.update(simulate_entropy_descent(group, lr, steps))
+    return trajs
+
+
 def _random_start_violations(k_list, count, lr, steps, rng):
     """Count the random starts whose largest class ever loses probability.
 
     Start i is a Dirichlet draw of size K = k_list[i % len(k_list)], drawn
     from rng in index order. Starts run in windows of consecutive indices,
-    sized so that each K's stack of a window keeps its trajectory within
-    LEMMA_STACK_BYTES; in a window each K (k_list repeats none) descends
-    as one stack.
+    holding as many starts of each K as keep the window's trajectories,
+    sized from the sum of the k-list, within LEMMA_STACK_BYTES (at least
+    one). A window's starts of one K (k_list repeats none) form one (R, K)
+    stack, and its stacks of every K descend in lock-step through _descend.
     """
-    per_window = max(1, min(LEMMA_STACK_BYTES // ((steps + 1) * k * 8)
-                            for k in k_list))
+    per_window = max(1, LEMMA_STACK_BYTES // ((steps + 1) * sum(k_list) * 8))
     window = per_window * len(k_list)
     violations = 0
     for lo in range(0, count, window):
@@ -321,8 +340,9 @@ def _random_start_violations(k_list, count, lr, steps, rng):
         for i in range(lo, min(lo + window, count)):
             k = k_list[i % len(k_list)]
             stacks.setdefault(k, []).append(rng.dirichlet(np.ones(k)))
-        for p0 in map(np.array, stacks.values()):
-            traj = simulate_entropy_descent(p0, lr, steps)
+        stacks = {k: np.array(rows) for k, rows in stacks.items()}
+        for k, traj in _descend(stacks, lr, steps).items():
+            p0 = stacks[k]
             top = traj[:, np.arange(len(p0)), p0.argmax(axis=1)]
             violations += int(np.count_nonzero(
                 ~np.all(np.diff(top, axis=0) >= 0.0, axis=0)))
@@ -341,8 +361,9 @@ def cmd_lemma_check(args):
     out = _outdir(args)
     failures = []
     summary = ["k,final_max_prob,monotone"]
-    for k in args.k_list:
-        traj = simulate_entropy_descent(_tilted_start(k), args.lr, args.steps)
+    trajs = _descend({k: _tilted_start(k) for k in args.k_list}, args.lr,
+                     args.steps)
+    for k, traj in trajs.items():
         with open(out / f"lemma_k{k}.csv", "w", encoding="utf-8") as fh:
             trajectory_csv(traj, fh)
         top = traj[:, 0]  # class 0 starts largest

@@ -86,15 +86,17 @@ def update_step(features, assignment, centers, mode=FULL_BATCH, counts=None):
                     f" {held.shape}")
             n = held.tolist()
         # one point at a time, as three ufuncs into one reused row: the same
-        # arithmetic as c += (x - c) / n without a temporary per point
+        # arithmetic as c += (x - c) / n without a temporary per point. The
+        # count goes in as a float, exact below 2**53, and out by position,
+        # so no call converts an int or parses a keyword
         rows = list(new_centers)
         step = np.empty(new_centers.shape[1:], dtype=np.float64)
-        for x, c in zip(features, assignment.tolist()):
+        for x, c in zip(list(features), assignment.tolist()):
             n[c] += 1
             row = rows[c]
-            np.subtract(x, row, out=step)
-            np.divide(step, n[c], out=step)
-            np.add(row, step, out=row)
+            np.subtract(x, row, step)
+            np.divide(step, float(n[c]), step)
+            np.add(row, step, row)
         if counts is not None:
             counts[:] = n
     else:

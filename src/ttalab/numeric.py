@@ -1,6 +1,6 @@
 """Dense numeric primitives: stable softmax, Shannon entropy, its analytic
-gradient, and an entropy-descent simulator that runs one start or a stack
-of starts in lock-step.
+gradient, and an entropy-descent simulator that runs one start, a stack of
+starts, or a mapping of starts of different K in lock-step.
 
 Probability vectors live in ordinary float64 numpy arrays. Anything that
 returns probabilities clamps entries into [EPS_PROB, 1 - EPS_PROB] and
@@ -10,6 +10,8 @@ renormalizes, so downstream logs never see zero.
 from __future__ import annotations
 
 import operator
+from collections.abc import Mapping
+from itertools import accumulate
 
 import numpy as np
 
@@ -36,14 +38,21 @@ def softmax(z):
     return _softmax(z)
 
 
-def _softmax(z, out=None):
+def _last_axis(ufunc, x):
+    """ufunc.reduce over the last axis of x, kept broadcastable against x:
+    the row layout of an ordinary array."""
+    return ufunc.reduce(x, -1, keepdims=True)
+
+
+def _softmax(z, out=None, rows=_last_axis):
     """``softmax`` of float64 logits already known to be finite, written into
-    ``out`` when given: the same bits, without the check."""
-    shifted = z - np.maximum.reduce(z, -1, keepdims=True)
+    ``out`` when given: the same bits, without the check. ``rows`` reduces
+    each row of z, as _last_axis or a _StartRows layout."""
+    shifted = z - rows(np.maximum, z)
     e = np.exp(shifted)
-    p = e / np.add.reduce(e, -1, keepdims=True)
+    p = e / rows(np.add, e)
     p = np.minimum(np.maximum(p, EPS_PROB), 1.0 - EPS_PROB)
-    return np.divide(p, np.add.reduce(p, -1, keepdims=True), out=out)
+    return np.divide(p, rows(np.add, p), out=out)
 
 
 def _validate_probs(p):
@@ -84,41 +93,86 @@ def entropy_grad_logits(z):
     return _entropy_grad(softmax(z))
 
 
-def _entropy_grad(p):
-    """-p_k (log p_k + H(p)) row-wise: dH/dz at the logits whose softmax is p."""
+def _entropy_grad(p, rows=_last_axis):
+    """-p_k (log p_k + H(p)) row-wise: dH/dz at the logits whose softmax is
+    p, with the rows of p laid out as for _softmax."""
     logp = np.log(p)
-    h = -np.add.reduce(p * logp, -1, keepdims=True)
+    h = -rows(np.add, p * logp)
     return -p * (logp + h)
 
 
-def simulate_entropy_descent(p0, lr, steps):
-    """Gradient descent on the logits of one probability vector or a stack.
+class _StartRows:
+    """The row layout of starts laid end to end in one flat buffer.
 
-    p0 is a (K,) vector or an (R, K) stack of R starts. Starts from
+    A (K,) start is one row of K entries and an (R, K) stack is R rows, each
+    start with its own K. Calling the layout reduces each start's rows with
+    one ``ufunc.reduce(x, -1, keepdims=True)`` on that start's (R, K) view,
+    so each row gets the bits it gets alone, and spreads every row's value
+    back over the row's entries.
+    """
+
+    def __init__(self, shapes):
+        shapes = [shape if len(shape) == 2 else (1,) + shape
+                  for shape in shapes]
+        ends = [0, *accumulate(r * k for r, k in shapes)]
+        firsts = [0, *accumulate(r for r, _ in shapes)]
+        self.size = ends[-1]
+        self.spans = list(map(slice, ends, ends[1:]))
+        self._per_row = np.empty(firsts[-1], dtype=np.float64)
+        self._parts = [(span, shape, self._per_row[a:b, None])
+                       for span, shape, a, b
+                       in zip(self.spans, shapes, firsts, firsts[1:])]
+        self._row_of = np.repeat(np.arange(firsts[-1]),
+                                 [k for r, k in shapes for _ in range(r)])
+
+    def __call__(self, ufunc, x):
+        # out and keepdims passed by position: keywords cost a parse per call
+        for span, shape, out in self._parts:
+            ufunc.reduce(x[span].reshape(shape), -1, None, out, True)
+        return self._per_row[self._row_of]
+
+
+def simulate_entropy_descent(p0, lr, steps):
+    """Gradient descent on the logits of one probability vector, a stack, or
+    a mapping of them.
+
+    p0 is a (K,) vector, an (R, K) stack of R starts, or a mapping
+    {key: start} whose starts are vectors or stacks of any K. Starts from
     z = log(p0) and iterates z <- z - lr * dH/dz, recording the softmax after
     every step: the trajectory is (steps+1, K), or (steps+1, R, K) for a
-    stack, and its row 0 is p0 itself. Rows of a stack are bitwise
-    independent: traj[:, r] equals the call on p0[r] alone. The probability
+    stack, and its row 0 is p0 itself; a mapping gives {key: trajectory}.
+    All starts descend in lock-step through one flat buffer, and each
+    trajectory is a view into one (steps+1, total entries) array. Rows are
+    bitwise independent: traj[:, r] equals the call on p0[r] alone, and a
+    mapping's trajectory equals the call on its start alone. The probability
     of each start's initially-largest class never decreases along its
     trajectory.
     """
-    p0 = _validate_probs(np.asarray(p0, dtype=np.float64))
-    if p0.ndim not in (1, 2):
-        raise InvalidInput("p0 must be a probability vector or an (R, K) stack")
+    starts = dict(p0) if isinstance(p0, Mapping) else {None: p0}
+    for key, start in starts.items():
+        start = _validate_probs(start)
+        if start.ndim not in (1, 2) or not start.shape[-1]:
+            raise InvalidInput(
+                "p0 must be a probability vector or an (R, K) stack")
+        starts[key] = start
     lr = _real("lr", lr, "finite and positive")
     steps = _integer("steps", steps, 0)
-    traj = np.empty((steps + 1,) + p0.shape, dtype=np.float64)
-    traj[0] = p0
-    z = np.log(np.maximum(p0, EPS_PROB))
-    p = softmax(z)
+    rows = _StartRows(start.shape for start in starts.values())
+    flat = np.empty((steps + 1, rows.size), dtype=np.float64)
+    trajs = {}
+    for (key, start), span in zip(starts.items(), rows.spans):
+        trajs[key] = flat[:, span].reshape((steps + 1,) + start.shape)
+        trajs[key][0] = start
+    z = np.log(np.maximum(flat[0], EPS_PROB))
     # z starts finite, so it turns non-finite only through a floating-point
     # error, which one rule catches for every step
     with _float_rule(lambda e: InvalidInput(
             "logits contains non-finite values")):
+        p = _softmax(z, rows=rows)
         for t in range(1, steps + 1):
-            z = z - lr * _entropy_grad(p)
-            p = _softmax(z, out=traj[t])
-    return traj
+            z = z - lr * _entropy_grad(p, rows=rows)
+            p = _softmax(z, out=flat[t], rows=rows)
+    return trajs if isinstance(p0, Mapping) else trajs[None]
 
 
 def _column_runs(bits):

@@ -10,7 +10,8 @@ import pytest
 
 from ttalab import cli
 from ttalab.adaptation import AdaptationConfig
-from ttalab.benchmark import batch_slices, collect_features, feature_histograms
+from ttalab.benchmark import (SignalDataset, batch_slices, collect_features,
+                              feature_histograms, train_source)
 from ttalab.clustering import assign_step
 from ttalab.errors import InvalidInput
 from ttalab.network import (BNMode, checkpoint_text, forward, load_checkpoint,
@@ -57,6 +58,17 @@ MISUSES = {
     "benchmark: no features to histogram": (
         lambda tmp: feature_histograms({}),
         "no features to histogram, got {}"),
+    "benchmark: train_source on one row": (
+        lambda tmp: train_source(SignalDataset(np.ones((1, 32)), np.array([1]),
+                                               0), 3, 0),
+        "train_source needs m >= 2 rows, as BN batch statistics need two"
+        " samples, got m=1"),
+    "benchmark: train_source on no rows": (
+        lambda tmp: train_source(SignalDataset(np.ones((0, 32)),
+                                               np.array([], dtype=int), 0),
+                                 3, 0),
+        "train_source needs m >= 2 rows, as BN batch statistics need two"
+        " samples, got m=0"),
     "clustering: 1-D features": (
         lambda tmp: assign_step(np.zeros(3), np.zeros((2, 3))),
         "features must be (n, d) and centers (k, d), got (3,) and (2, 3)"),

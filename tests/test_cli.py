@@ -430,12 +430,15 @@ class TestLemmaCheck:
         # wire check: a broken trajectory must surface as exit code 1
         import ttalab.cli as cli
 
-        def descending(p0, lr, steps):
-            p0 = np.asarray(p0, dtype=float)
-            traj = np.repeat(p0[None], steps + 1, axis=0)  # one start or a stack
-            traj[1:, ..., 0] -= 1e-3  # top class loses mass
-            traj[1:, ..., 1] += 1e-3
-            return traj
+        def descending(starts, lr, steps):
+            trajs = {}
+            for key, p0 in starts.items():  # each a start or a stack
+                traj = np.repeat(np.asarray(p0, dtype=float)[None], steps + 1,
+                                 axis=0)
+                traj[1:, ..., 0] -= 1e-3  # top class loses mass
+                traj[1:, ..., 1] += 1e-3
+                trajs[key] = traj
+            return trajs
 
         monkeypatch.setattr(cli, "simulate_entropy_descent", descending)
         code = main(["lemma-check", "--out", str(tmp_path), "--k-list", "2",
@@ -450,14 +453,15 @@ class TestLemmaCheck:
         real = cli.simulate_entropy_descent
         shapes = []
 
-        def breaking(p0, lr, steps):
-            traj = real(p0, lr, steps)
-            if traj.ndim == 3:
-                shapes.append(traj.shape)
-                rows = np.arange(0, 3 * broken, 3)
-                top = np.argmax(p0[rows], axis=1)
-                traj[-1, rows, top] = 0.0  # each broken row's top class drops
-            return traj
+        def breaking(starts, lr, steps):
+            trajs = real(starts, lr, steps)
+            for key, traj in trajs.items():
+                if traj.ndim == 3:
+                    shapes.append(traj.shape)
+                    rows = np.arange(0, 3 * broken, 3)
+                    top = np.argmax(starts[key][rows], axis=1)
+                    traj[-1, rows, top] = 0.0  # each broken row's top drops
+            return trajs
 
         monkeypatch.setattr(cli, "simulate_entropy_descent", breaking)
         code = main(["lemma-check", "--out", str(tmp_path), "--k-list", "3",
@@ -483,11 +487,13 @@ class TestLemmaCheck:
             seen = {k: [] for k in k_list}
             calls = []
 
-            def recording(p0, lr, steps):
-                if np.ndim(p0) == 2:
-                    calls.append(len(p0))
-                    seen[p0.shape[1]].extend(p0)
-                return real(p0, lr, steps)
+            def recording(starts, lr, steps):
+                stacks = {k: p0 for k, p0 in starts.items() if np.ndim(p0) == 2}
+                if stacks:
+                    calls.append({k: len(p0) for k, p0 in stacks.items()})
+                for k, p0 in stacks.items():
+                    seen[k].extend(p0)
+                return real(starts, lr, steps)
 
             monkeypatch.setattr(cli, "simulate_entropy_descent", recording)
             assert main(["lemma-check", "--out", str(tmp_path / name),
@@ -499,11 +505,57 @@ class TestLemmaCheck:
             return calls, (tmp_path / name / "lemma_summary.csv").read_bytes()
 
         calls, summary = run("default")
-        assert calls == [11, 10, 10]  # one stack per K
+        assert calls == [{2: 11, 5: 10, 9: 10}]  # one call, one stack per K
         monkeypatch.setattr(cli, "LEMMA_STACK_BYTES", 1)
         calls, one_row = run("one-row")
-        assert calls == [1] * starts
+        assert calls == [{k_list[i % len(k_list)]: 1} for i in range(starts)]
         assert one_row == summary
+
+
+    @pytest.mark.parametrize("budget", [1, 2000, 6000, 30000])
+    def test_no_call_exceeds_the_budget_unless_alone(self, tmp_path,
+                                                     monkeypatch, budget):
+        real = cli.simulate_entropy_descent
+        held = []
+
+        def measuring(starts, lr, steps):
+            trajs = real(starts, lr, steps)
+            held.append((len(starts),
+                         sum(traj.nbytes for traj in trajs.values())))
+            return trajs
+
+        def run(name):
+            assert main(["lemma-check", "--out", str(tmp_path / name),
+                         "--k-list", "2", "5", "9", "--steps", "30",
+                         "--random-starts", "31", "--random-steps", "20"]) == 0
+            return {path.name: path.read_bytes()
+                    for path in (tmp_path / name).iterdir()}
+
+        expected = run("default")
+        monkeypatch.setattr(cli, "simulate_entropy_descent", measuring)
+        monkeypatch.setattr(cli, "LEMMA_STACK_BYTES", budget)
+        assert run("budget") == expected
+        assert held
+        for count, nbytes in held:
+            assert count == 1 or nbytes <= budget
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_benchmark_arguments_descend_in_two_calls(self, tmp_path,
+                                                      monkeypatch, seed):
+        """The k-list's tilted starts in one call, and the 200 random
+        starts, one stack per K, in one more."""
+        real = cli.simulate_entropy_descent
+        calls = []
+
+        def counting(starts, lr, steps):
+            calls.append({k: np.shape(p0) for k, p0 in starts.items()})
+            return real(starts, lr, steps)
+
+        monkeypatch.setattr(cli, "simulate_entropy_descent", counting)
+        assert main(["lemma-check", "--seed", str(seed), "--steps", "1000",
+                     "--random-starts", "200", "--out", str(tmp_path)]) == 0
+        assert calls == [{2: (2,), 10: (10,), 100: (100,)},
+                         {2: (67, 2), 10: (67, 10), 100: (66, 100)}]
 
 
 class TestLemmaTrajectoryBytes:

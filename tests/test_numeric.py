@@ -215,11 +215,66 @@ class TestStackedDescent:
             with pytest.raises(InvalidInput) as stacked:
                 simulate_entropy_descent(stack, lr=0.1, steps=3)
             assert str(stacked.value) == str(alone.value)
+        with pytest.raises(InvalidInput) as mapped:
+            simulate_entropy_descent({2: [0.5, 0.5], 3: bad}, lr=0.1, steps=3)
+        assert str(mapped.value) == str(alone.value)
 
     def test_scalar_and_higher_rank_rejected(self):
-        for p0 in (1.0, np.full((2, 2, 2), 0.5)):
+        # and a stack of no classes, alone or in a mapping
+        for p0 in (1.0, np.full((2, 2, 2), 0.5), np.empty((0, 0)),
+                   {1: np.empty((0, 0))}):
             with pytest.raises(InvalidInput, match="stack"):
                 simulate_entropy_descent(p0, lr=0.1, steps=3)
+
+
+# around numpy's 8-wide pairwise unroll and its 128-entry block
+LOCK_STEP_KS = [1, 2, 3, 7, 8, 9, 16, 17, 100, 128, 129, 200]
+
+
+@st.composite
+def start_mappings(draw):
+    """{key: start} of 1-6 starts, each a (K,) vector or an (R, K) stack
+    with R in 0-5, of Dirichlet and near-one-hot rows, each of its own K."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    starts = {}
+    for key in range(draw(st.integers(1, 6))):
+        k = draw(st.sampled_from(LOCK_STEP_KS))
+        vector = draw(st.booleans())
+        rows = []
+        for _ in range(1 if vector else draw(st.integers(0, 5))):
+            if draw(st.booleans()):
+                alpha = draw(st.sampled_from([0.05, 1.0, 20.0]))
+                rows.append(rng.dirichlet(np.full(k, alpha)))
+            else:
+                eps = draw(st.sampled_from([0.0, 1e-15, 1e-6]))
+                row = np.full(k, eps)
+                row[rng.integers(k)] = 1.0 - (k - 1) * eps
+                rows.append(row)
+        starts[key] = rows[0] if vector else np.array(rows).reshape(-1, k)
+    return starts
+
+
+class TestLockStepDescent:
+    @settings(max_examples=150, deadline=None)
+    @given(starts=start_mappings(), steps=st.integers(0, 40),
+           lr=st.floats(1e-3, 1.0))
+    def test_each_trajectory_matches_its_own_call_bitwise(self, starts, steps,
+                                                          lr):
+        trajs = simulate_entropy_descent(starts, lr, steps)
+        assert list(trajs) == list(starts)
+        for key, p0 in starts.items():
+            traj = trajs[key]
+            assert traj.shape == (steps + 1,) + p0.shape
+            assert traj.tobytes() == simulate_entropy_descent(
+                p0, lr, steps).tobytes()
+            assert traj.tobytes() == entropy_descent(p0, lr, steps).tobytes()
+
+    def test_trajectories_are_views_of_one_array(self):
+        trajs = simulate_entropy_descent(
+            {"a": [0.6, 0.4], "b": [[0.2, 0.3, 0.5]] * 2}, lr=0.05, steps=3)
+        assert trajs["a"].base is trajs["b"].base
+        assert trajs["a"].base.shape == (4, 2 + 2 * 3)
+        assert simulate_entropy_descent({}, lr=0.05, steps=3) == {}
 
 
 class TestInPlaceDescent:
@@ -229,9 +284,9 @@ class TestInPlaceDescent:
         grad = numeric._entropy_grad
         calls = []
 
-        def overflowing(p):
+        def overflowing(p, **rows):
             calls.append(None)
-            return grad(p) if len(calls) < 3 else np.full_like(p, 1e300)
+            return grad(p, **rows) if len(calls) < 3 else np.full_like(p, 1e300)
 
         before = np.geterr()
         simulate_entropy_descent(start, lr=1e10, steps=2)
