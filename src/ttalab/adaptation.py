@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInput, _bool, _integer, _real
+from .errors import InvalidInput, _array, _bool, _integer, _real
 from .network import BNMode, backward_bn_affine, forward
 from .numeric import _entropy, _entropy_grad, softmax
 
@@ -156,14 +156,6 @@ def make_optimizer(name, lr):
 # losses: logits of shape (N, K), or (S, N, K) for S streams
 # ---------------------------------------------------------------------------
 
-def _check_logits(logits):
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim not in (2, 3) or logits.shape[-2] < 1:
-        raise InvalidInput("logits must be a non-empty (N, K) or (S, N, K)"
-                           " array")
-    return logits
-
-
 def tent_loss(logits):
     """Mean entropy over a batch of logits (per stream, for a stack): the
     weighted loss ``ttc_loss`` at tau = 0, where every weight is 1/N.
@@ -171,7 +163,7 @@ def tent_loss(logits):
     Returns (loss, grad) where grad is the analytic gradient of the mean
     entropy with respect to every logit.
     """
-    logits = _check_logits(logits)
+    logits = _array("logits", logits, "[S] N K")
     return ttc_loss(logits, 0.0, logits.shape[-2])
 
 
@@ -190,7 +182,7 @@ def ttc_loss(combined_logits, tau, n):
 
     Returns (loss, grad); at tau = 0 this is tent's mean-entropy loss.
     """
-    probs = softmax(_check_logits(combined_logits))
+    probs = softmax(_array("logits", combined_logits, "[S] N K"))
     h = _entropy(probs)
     w = sample_weights(h, tau, n)
     return np.sum(w * h, axis=-1), w[..., None] * _entropy_grad(probs)
@@ -253,11 +245,10 @@ def accumulate_and_maybe_step(acc, grad, optimizer, params):
     entry stays -0.0; after a step ``acc.accumulated`` still holds the
     gradient that was applied. Returns whether the window stepped.
     """
-    shape = np.shape(grad)
-    if (len(shape) != 2 or np.shape(params) != shape
-            or (acc.batches_seen and acc.accumulated.shape != shape)):
-        raise InvalidInput(f"grad and params must be the window's (S, P)"
-                           f" stacks, got {shape} and {np.shape(params)}")
+    # the window's rows, as held since its last step
+    held = dict(zip("SP", acc.accumulated.shape)) if acc.batches_seen else {}
+    s, p = _array("params", params, "S* P*", **held).shape
+    grad = _array("grad", grad, "S* P*", S=s, P=p)
     if acc.batches_seen:
         acc.accumulated += grad
     else:
@@ -407,19 +398,16 @@ class Adapter:
         forward; a stream with RLA gets them from its flip-averaged logits.
         """
         x = np.asarray(batch, dtype=np.float64)
-        s, r, d = len(self.affine), len(self.flips), self.net.input_dim
-        if (x.ndim != 3 or len(x) not in (s, s + r) or x.shape[1] == 0
-                or x.shape[2] != d):
-            also = f" or {s + r} with the flips of its streams with RLA"
-            raise InvalidInput(f"batch must be a non-empty (S, N, d) stack of"
-                               f" {s} batches{also if r else ''}, with {d}"
-                               f" columns, got shape {x.shape}")
-        if not r:  # a plan that does not learn keeps no backward cache
+        flipped = x.shape[:1] == self.stack_rows.shape  # a trip's slice
+        _array("batch", x, "S N d",
+               S=len(self.stack_rows) if flipped else len(self.affine),
+               d=self.net.input_dim)
+        if not len(self.flips):  # a plan that does not learn keeps no cache
             logits, cache = forward(self.net, x, self.plan.mode, self.affine,
                                     cache=self.plan.learns)
         else:
             logits, cache, _ = rla_forward(
-                self.net, with_flips(x, self.flips) if len(x) == s else x,
+                self.net, x if flipped else with_flips(x, self.flips),
                 self.affine[self.stack_rows], self.flips)
         probs = softmax(logits)
         if self.plan.learns:

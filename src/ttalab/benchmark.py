@@ -19,8 +19,8 @@ import numpy as np
 
 from .adaptation import (Adapter, flip_signal, make_optimizer, stream_plan,
                          stream_row, with_flips)
-from .errors import (InvalidInput, TrainingDiverged, _float_rule, _integer,
-                     _real)
+from .errors import (InvalidInput, TrainingDiverged, _array, _float_rule,
+                     _integer, _real)
 from .network import (BNMode, backward_all, checkpoint_text, forward,
                       make_network, penultimate_features)
 from .numeric import softmax
@@ -257,13 +257,10 @@ def evaluate_accuracy(net, dataset):
 
 
 def accuracy_score(predictions, labels):
-    """Fraction of predictions matching labels."""
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    if predictions.shape != labels.shape:
-        raise InvalidInput("predictions and labels differ in length")
-    if predictions.size == 0:
-        raise InvalidInput("cannot score an empty prediction set")
+    """Fraction of predictions matching labels, two non-empty (n,)
+    vectors."""
+    predictions = _array("predictions", predictions, "n", kind=None)
+    labels = _array("labels", labels, "n", kind=None, n=len(predictions))
     return float(np.mean(predictions == labels))
 
 
@@ -378,11 +375,8 @@ def adapt_streams(net, inputs, labels, streams):
     Returns one (accuracy, per_batch_accuracy, adapted gamma/beta
     row laid out like ``net.affine``) per stream, in order.
     """
-    inputs, labels = np.asarray(inputs), np.asarray(labels)
-    if inputs.ndim != 2 or labels.shape != inputs.shape[:1] or not len(labels):
-        raise InvalidInput(f"inputs and labels must be a non-empty (m, d)"
-                           f" stream and its (m,) labels, got shapes"
-                           f" {inputs.shape} and {labels.shape}")
+    inputs = _array("inputs", inputs, "m d", d=net.input_dim)
+    labels = _array("labels", labels, "m", kind=None, m=len(inputs))
     groups = {}
     for i, (_, protocol, config) in enumerate(streams):
         key = (stream_plan(config), protocol.batch_size)
@@ -456,10 +450,7 @@ def _adapt_trip(net, inputs, labels, n, streams):
 def collect_features(net, inputs, batch_size, mode, affine=None):
     """Penultimate features (m, feature_dim) of a non-empty (m, d) stream
     under ``affine``, each batch's written into one array."""
-    inputs = np.asarray(inputs)
-    if inputs.ndim != 2 or not len(inputs):
-        raise InvalidInput(f"inputs must be a non-empty (m, d) stream, got"
-                           f" shape {inputs.shape}")
+    inputs = _array("inputs", inputs, "m d", d=net.input_dim)
     features = np.empty((len(inputs), net.feature_dim))
     for batch in batch_slices(len(inputs), batch_size):
         features[batch] = penultimate_features(net, inputs[batch], mode,
@@ -470,26 +461,21 @@ def collect_features(net, inputs, batch_size, mode, affine=None):
 def feature_histograms(features_by_name, bins=64):
     """Per-channel normalized histograms over a range shared by all inputs.
 
-    Each input is a non-empty (n, channels) array, with the same channels
-    for all. Returns (edges, hists) where edges is (channels, bins+1) and
-    hists maps each name to a (channels, bins) array of densities summing
-    to 1 per channel.
+    Each input is a non-empty, finite (n, channels) array, with the same
+    channels for all. Returns (edges, hists) where edges is
+    (channels, bins+1) and hists maps each name to a (channels, bins) array
+    of densities summing to 1 per channel.
     """
     bins = _integer("bins", bins, 1)
     names = list(features_by_name)
     if not names:
         raise InvalidInput(f"no features to histogram, got {features_by_name!r}")
-    first = np.shape(features_by_name[names[0]])
-    for n in names:
-        shape = np.shape(features_by_name[n])
-        if len(shape) != 2 or not shape[0]:
-            raise InvalidInput(f"features {n!r} must be a non-empty"
-                               f" (n, channels) array, got shape {shape}")
-        if shape[1] != first[1]:
-            raise InvalidInput(f"features {n!r} of shape {shape} differ in"
-                               f" channels from {names[0]!r} of shape"
-                               f" {first}")
-    stacked = np.vstack([features_by_name[n] for n in names])
+    first = _array(f"features {names[0]!r}", features_by_name[names[0]],
+                   "n channels", finite=True)
+    features = {n: _array(f"features {n!r}", features_by_name[n],
+                          "n channels", finite=True, channels=first.shape[1])
+                for n in names}
+    stacked = np.vstack(list(features.values()))
     channels = stacked.shape[1]
     lo = stacked.min(axis=0)
     hi = stacked.max(axis=0)
@@ -498,16 +484,15 @@ def feature_histograms(features_by_name, bins=64):
     hists = {n: np.empty((channels, bins)) for n in names}
     for ch in range(channels):
         for n in names:
-            counts, _ = np.histogram(features_by_name[n][:, ch], bins=edges[ch])
+            counts, _ = np.histogram(features[n][:, ch], bins=edges[ch])
             total = counts.sum()
             hists[n][ch] = counts / total if total else counts
     return edges, hists
 
 
 def histogram_overlap(h1, h2):
-    """Overlap coefficient of two normalized histograms: sum of bin minima."""
-    h1 = np.asarray(h1, dtype=np.float64)
-    h2 = np.asarray(h2, dtype=np.float64)
-    if h1.shape != h2.shape:
-        raise InvalidInput("histograms differ in shape")
+    """Overlap coefficient of two normalized (bins,) histograms: sum of bin
+    minima."""
+    h1 = _array("h1", h1, "bins")
+    h2 = _array("h2", h2, "bins", bins=len(h1))
     return float(np.minimum(h1, h2).sum())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInput, _integer
+from .errors import InvalidInput, _array, _integer
 
 FULL_BATCH = "full_batch"
 MINIBATCH_RUNNING = "minibatch_running"
@@ -24,37 +24,28 @@ def _squared_distances(features, centers):
 
 def assign_step(features, centers):
     """Assign each point to its nearest center (lowest index wins ties)."""
-    features = np.asarray(features, dtype=np.float64)
-    centers = np.asarray(centers, dtype=np.float64)
-    if (features.ndim != 2 or centers.ndim != 2
-            or features.shape[1] != centers.shape[1]):
-        raise InvalidInput(f"features must be (n, d) and centers (k, d), got"
-                           f" {features.shape} and {centers.shape}")
-    if not len(centers):
-        raise InvalidInput(f"no centers to assign to: features"
-                           f" {features.shape}, centers {centers.shape}")
+    centers = _array("centers", centers, "k d")
+    features = _array("features", features, "n* d", d=centers.shape[1])
     return np.argmin(_squared_distances(features, centers), axis=1)
 
 
-def _checked_assignment(features, assignment, centers):
-    """The assignment as an integer vector, one index in [0, k) per row of
-    (n, d) features for (k, d) centers; InvalidInput naming the shapes
-    otherwise."""
-    assignment = np.asarray(assignment)
-    k = centers.shape[0]
-    if (features.ndim != 2 or centers.ndim != 2
-            or features.shape[1] != centers.shape[1]
-            or assignment.shape != features.shape[:1]
-            or assignment.dtype.kind not in "iu"
-            or (assignment.size
-                and (np.minimum.reduce(assignment) < 0
-                     or np.maximum.reduce(assignment) >= k))):
+def _checked(features, assignment, centers):
+    """(n, d) float64 features, the assignment as an (n,) integer vector of
+    indices in [0, k), and (k, d) float64 centers; InvalidInput naming the
+    argument otherwise."""
+    centers = _array("centers", centers, "k d")
+    features = _array("features", features, "n* d", d=centers.shape[1])
+    assignment = _array("assignment", assignment, "n*", kind="i",
+                        n=len(features))
+    k = len(centers)
+    if assignment.size and (np.minimum.reduce(assignment) < 0
+                            or np.maximum.reduce(assignment) >= k):
         raise InvalidInput(
             "assignment must hold one integer in [0, k) per row of (n, d)"
             f" features for (k, d) centers: got assignment {assignment.dtype}"
             f" {assignment.shape}, features {features.shape}, centers"
             f" {centers.shape}")
-    return assignment
+    return features, assignment, centers
 
 
 def update_step(features, assignment, centers, mode=FULL_BATCH, counts=None):
@@ -66,10 +57,9 @@ def update_step(features, assignment, centers, mode=FULL_BATCH, counts=None):
     pass the same counts array (k integers, updated in place) across batches
     to continue a stream.
     """
-    features = np.asarray(features, dtype=np.float64)
-    new_centers = np.array(centers, dtype=np.float64, copy=True)
-    k = new_centers.shape[0]
-    assignment = _checked_assignment(features, assignment, new_centers)
+    features, assignment, centers = _checked(features, assignment, centers)
+    new_centers = centers.copy()
+    k = len(new_centers)
     if mode == FULL_BATCH:
         for c in range(k):
             members = features[assignment == c]
@@ -79,12 +69,7 @@ def update_step(features, assignment, centers, mode=FULL_BATCH, counts=None):
         if counts is None:
             n = [0] * k
         else:
-            held = np.asarray(counts)
-            if held.shape != (k,) or held.dtype.kind not in "iu":
-                raise InvalidInput(
-                    f"counts must hold k={k} integers: got {held.dtype}"
-                    f" {held.shape}")
-            n = held.tolist()
+            n = _array("counts", counts, "k", kind="i", k=k).tolist()
         # one point at a time, as three ufuncs into one reused row: the same
         # arithmetic as c += (x - c) / n without a temporary per point. The
         # count goes in as a float, exact below 2**53, and out by position,
@@ -107,9 +92,7 @@ def update_step(features, assignment, centers, mode=FULL_BATCH, counts=None):
 def kmeans_objective(features, assignment, centers):
     """Mean squared distance of each point to its assigned center; the
     mean needs at least one point."""
-    features = np.asarray(features, dtype=np.float64)
-    centers = np.asarray(centers, dtype=np.float64)
-    assignment = _checked_assignment(features, assignment, centers)
+    features, assignment, centers = _checked(features, assignment, centers)
     if not len(features):
         raise InvalidInput(f"no points to score: features {features.shape},"
                            f" centers {centers.shape}")
@@ -132,12 +115,10 @@ def run_minibatch_kmeans(stream, k, init="first_k", seed=0,
         raise InvalidInput(f"unknown init {init!r}")
     batches = iter(stream)
     try:
-        first = np.asarray(next(batches), dtype=np.float64)
+        first = next(batches)
     except StopIteration:
         raise InvalidInput("stream yielded no batches") from None
-    if first.ndim != 2:
-        raise InvalidInput(f"the first batch must be an (n, d) array, got"
-                           f" shape {first.shape}")
+    first = _array("first batch", first, "n d")
     if k > first.shape[0]:
         raise InvalidInput(f"first batch smaller than k for {init} init")
     if init == "first_k":

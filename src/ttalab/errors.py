@@ -1,8 +1,11 @@
 """The package's exception types, whose type is the fault: InvalidInput the
 caller's (exit 3), TrainingDiverged the program's (exit 2); the one
-floating-point rule; and the three rules that check a scalar argument, whose
+floating-point rule; the three rules that check a scalar argument, whose
 error reads ``<name> <rule>, got <value!r>`` and carries ``name``, ``value``
-and ``rule``, so the command line can report it as the flag that set it."""
+and ``rule``, so the command line can report it as the flag that set it; and
+the one rule that checks an array argument, ``_array``, whose error reads
+``<name> must be a (<axes>) array..., got shape <shape>`` or ``<name>
+contains non-finite values``."""
 
 import math
 import numbers
@@ -87,3 +90,58 @@ def _float_rule(fault):
             yield
     except FloatingPointError as e:
         raise fault(e) from None
+
+
+def _array(name, value, dims, finite=False, kind="f", **sizes):
+    """``value`` as an array whose axes are ``dims``; InvalidInput naming
+    ``name``, the rule and the array's shape otherwise.
+
+    ``dims`` names the axes, space-separated, as in ``"m d"``. Names in
+    brackets are optional leading axes: ``"[S] N d"`` takes (N, d) and
+    (S, N, d). A size passed by name binds its axis, as ``d=4``; any other
+    axis must be non-empty unless its name ends in ``*``, as in ``"[R*] K"``.
+    ``kind`` "f" converts to float64, "i" takes an integer dtype only, and
+    None takes any dtype as it is. With ``finite``, a NaN or an infinity
+    raises ``<name> contains non-finite values``.
+    """
+    array = (np.asarray(value, dtype=np.float64) if kind == "f"
+             else np.asarray(value))
+    axes = dims.split()
+    shape = array.shape
+    # the array has the last len(shape) axes; all before them are optional
+    skipped = len(axes) - len(shape)
+    fits = skipped == 0 or 0 < skipped and axes[skipped - 1][0] == "["
+    if fits:
+        for axis, n in zip(axes[skipped:], shape):
+            size = sizes.get(axis.strip("[]*"))
+            if (n != size if size is not None
+                    else not n and "*" not in axis):
+                fits = False
+                break
+    if fits and (kind != "i" or array.dtype.kind in "iu"):
+        if finite and not np.isfinite(array).all():
+            raise InvalidInput(f"{name} contains non-finite values")
+        return array
+    raise InvalidInput(f"{name} must be {_array_rule(axes, kind, sizes)},"
+                       f" got shape {shape}"
+                       + (f" of dtype {array.dtype}" if kind == "i" else ""))
+
+
+def _array_rule(axes, kind, sizes):
+    """The rule ``_array`` states, as in ``a non-empty (N, d) or (S, N, d)
+    array with d=4``."""
+    names = [axis.strip("[]*") for axis in axes]
+    optional = sum(axis[0] == "[" for axis in axes)
+    shapes = " or ".join(
+        f"({', '.join(names[i:])}{',' if i == len(names) - 1 else ''})"
+        for i in range(optional, -1, -1))
+    free = [name for name in names if name not in sizes]
+    nonempty = [name for name, axis in zip(names, axes)
+                if name in free and "*" not in axis]
+    rules = [f"{name}={sizes[name]}" for name in names if name in sizes]
+    everywhere = nonempty and len(nonempty) == len(free)
+    if not everywhere:
+        rules += [f"{name} >= 1" for name in nonempty]
+    return (f"a {'non-empty ' if everywhere else ''}{shapes}"
+            f" {'integer ' if kind == 'i' else ''}array"
+            + (f" with {', '.join(rules)}" if rules else ""))

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInput, _broken, _integer
+from .errors import InvalidInput, _array, _broken, _integer
 
 
 class BNMode(Enum):
@@ -233,9 +233,10 @@ def forward(net, batch, mode, affine=None, cache=True):
     ``batch`` is (N, d), or (S, N, d) for S streams. ``affine`` holds the
     gamma/beta, laid out like ``net.affine`` (its default), with shape
     ``batch.shape[:-2] + (A,)``: one row for a batch, one row per stream for
-    a stack. In TEST_BATCH_STATS mode the batch must have at least two rows
-    so the batch variance is defined. TRAIN_STATS, which updates the
-    running statistics, takes the network's own gamma/beta.
+    a stack. Both must be finite. In TEST_BATCH_STATS mode the batch must
+    have at least two rows so the batch variance is defined. TRAIN_STATS,
+    which updates the running statistics, takes the network's own
+    gamma/beta.
 
     With ``cache=False``, for a forward that no backward pass follows, the
     same checks and arithmetic run, but no block's input, x-hat or ReLU
@@ -243,21 +244,13 @@ def forward(net, batch, mode, affine=None, cache=True):
     and the logits, bit for bit those of the cached call, come back with
     ``None`` for the cache.
     """
-    x = np.asarray(batch, dtype=np.float64)
-    n_in = net.input_dim
-    if x.ndim not in (2, 3) or x.shape[-2] < 1 or x.shape[-1] != n_in:
-        raise InvalidInput(
-            f"batch must be an (N, d) array or an (S, N, d) stack with at"
-            f" least one row and {n_in} columns, got shape {x.shape}")
+    x = _array("batch", batch, "[S] N d", finite=True, d=net.input_dim)
     if mode is BNMode.TRAIN_STATS and affine is not None:
         raise InvalidInput("TRAIN_STATS updates the network's own gamma/beta")
-    affine = net.affine if affine is None else np.asarray(affine)
-    want = x.shape[:-2] + net.affine.shape
-    if affine.shape != want:
-        raise InvalidInput(f"affine must be {want} for a batch of shape"
-                           f" {x.shape}, got shape {affine.shape}")
-    if not np.isfinite(x).all():
-        raise InvalidInput("batch contains non-finite values")
+    # one row for a batch, one per stream for a stack
+    affine = _array("affine", net.affine if affine is None else affine,
+                    "S A" if x.ndim == 3 else "A", finite=True, S=len(x),
+                    A=net.affine.size)
     if mode is BNMode.TEST_BATCH_STATS and x.shape[-2] < 2:
         raise InvalidInput("TEST_BATCH_STATS needs a batch of at least 2")
 
@@ -458,13 +451,13 @@ def checkpoint_text(net, affine=None):
     """The checkpoint document of net, keys sorted, with the (A,) gamma/beta
     row ``affine`` (default ``net.affine``) in its BN layers. Each layer is
     its own ``json.dumps`` (the C encoder), memoised in ``net.layer_texts``,
-    so one layer's floats at a time are Python objects."""
+    so one layer's floats at a time are Python objects. A non-finite value
+    in ``net.params`` or ``affine`` raises InvalidInput before any text is
+    made, as ``load_checkpoint`` would refuse the document."""
+    _array("params", net.params, "P", finite=True)
     layers = list(net.layers)
     if affine is not None:
-        affine = np.asarray(affine)
-        if affine.shape != net.affine.shape:
-            raise InvalidInput(f"affine must be {net.affine.shape}, got shape"
-                               f" {affine.shape}")
+        affine = _array("affine", affine, "A", finite=True, A=net.affine.size)
         for b in net.blocks:
             if b.bn is not None:
                 layers[b.bn] = replace(layers[b.bn], gamma=affine[b.gamma],

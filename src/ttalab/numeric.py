@@ -15,27 +15,21 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import InvalidInput, _float_rule, _integer, _real
+from .errors import InvalidInput, _array, _float_rule, _integer, _real
 
 # Probability clamp applied before any log; keeps near-one-hot outputs finite.
 EPS_PROB = 1e-12
 
 
-def _require_finite(name, arr):
-    if not np.isfinite(arr).all():
-        raise InvalidInput(f"{name} contains non-finite values")
-
-
 def softmax(z):
     """Numerically stable softmax along the last axis.
 
-    Accepts a single logit vector or a batch of rows. Entries of the result
-    are clamped to [EPS_PROB, 1 - EPS_PROB] and renormalized so each row sums
-    to one and every entry is strictly positive.
+    Accepts a (K,) logit vector, an (N, K) batch of rows or an (S, N, K)
+    stack, all finite. Entries of the result are clamped to
+    [EPS_PROB, 1 - EPS_PROB] and renormalized so each row sums to one and
+    every entry is strictly positive.
     """
-    z = np.asarray(z, dtype=np.float64)
-    _require_finite("logits", z)
-    return _softmax(z)
+    return _softmax(_array("logits", z, "[S*] [N*] K", finite=True))
 
 
 def _last_axis(ufunc, x):
@@ -56,8 +50,7 @@ def _softmax(z, out=None, rows=_last_axis):
 
 
 def _validate_probs(p):
-    p = np.asarray(p, dtype=np.float64)
-    _require_finite("probabilities", p)
+    p = _array("probabilities", p, "[S*] [N*] K", finite=True)
     if (p < 0.0).any():
         raise InvalidInput("probabilities must be non-negative")
     sums = p.sum(axis=-1)
@@ -150,11 +143,7 @@ def simulate_entropy_descent(p0, lr, steps):
     """
     starts = dict(p0) if isinstance(p0, Mapping) else {None: p0}
     for key, start in starts.items():
-        start = _validate_probs(start)
-        if start.ndim not in (1, 2) or not start.shape[-1]:
-            raise InvalidInput(
-                "p0 must be a probability vector or an (R, K) stack")
-        starts[key] = start
+        starts[key] = _validate_probs(_array("p0", start, "[R*] K"))
     lr = _real("lr", lr, "finite and positive")
     steps = _integer("steps", steps, 0)
     rows = _StartRows(start.shape for start in starts.values())
@@ -214,11 +203,8 @@ def trajectory_csv(trajectory, out):
     bitwise equal, so a start of one class above K-1 tied ones has two
     groups in two runs.
     """
-    trajectory = np.asarray(trajectory, dtype=np.float64)
-    if trajectory.ndim != 2:
-        raise InvalidInput(
-            "trajectory must be a 2-D (steps+1, K) array, got shape"
-            f" {trajectory.shape}; write start r of a stack as traj[:, r]")
+    # start r of a stack is written as traj[:, r]
+    trajectory = _array("trajectory", trajectory, "steps+1* K*")
     k = trajectory.shape[1]
     out.write("step," + ",".join(f"p_{i + 1}" for i in range(k)) + "\n")
     firsts, groups, lengths = _column_runs(trajectory.view(np.int64))

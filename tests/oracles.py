@@ -5,6 +5,7 @@ test module defines a reference of its own."""
 
 import copy
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -321,3 +322,18 @@ def per_point_update(features, assignment, centers, counts):
         counts[c] += 1
         new_centers[c] += (x - new_centers[c]) / counts[c]
     return new_centers
+
+
+def array_shapes(axes, largest):
+    """Every shape with axis sizes up to ``largest`` that the array rule
+    takes for ``axes``, each (optional, may_be_empty, bound size or None),
+    the optional ones leading: one product of each axis's sizes for every
+    count of leading optional axes left out."""
+    shapes = set()
+    for skip in range(len(axes) + 1):
+        if all(optional for optional, _, _ in axes[:skip]):
+            shapes.update(itertools.product(*(
+                [size] if size is not None
+                else range(0 if may_be_empty else 1, largest + 1)
+                for _, may_be_empty, size in axes[skip:])))
+    return shapes

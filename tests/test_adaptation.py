@@ -788,15 +788,16 @@ class TestPreFlippedStack:
         for i, ref in enumerate(references):
             assert_matches_reference(bare, i, ref)
 
-    def test_a_stack_of_neither_length_names_both(self, rng):
+    def test_a_stack_of_neither_length_is_named(self, rng):
         adapter = Adapter(small_net(), [
             AdaptationConfig(strategy="ttc"),
             AdaptationConfig(strategy="ttc", rla_enabled=False)], 10)
         for s in (2, 3):  # the bare stack and the one with the flip
             adapter.adapt_batch(rng.normal(size=(s, 10, 8)))
-        for s in (1, 4):
-            with pytest.raises(InvalidInput, match=r"of 2 batches or 3 with"
-                               r" the flips .*, got shape \(" + str(s)):
+        for s in (1, 4):  # named against the 2 streams, without the flip
+            with pytest.raises(InvalidInput, match="^" + re.escape(
+                    "batch must be a non-empty (S, N, d) array with S=2,"
+                    f" d=8, got shape ({s}, 10, 8)") + "$"):
                 adapter.adapt_batch(rng.normal(size=(s, 10, 8)))
 
 

@@ -367,9 +367,21 @@ class TestAccuracyMetric:
         perm = rng.permutation(50)
         assert accuracy_score(preds[perm], labels[perm]) == acc
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(InvalidInput):
-            accuracy_score(np.zeros(3), np.zeros(4))
+    @pytest.mark.parametrize("predictions, labels, message", [
+        (np.zeros(3), np.zeros(4),
+         "labels must be a (n,) array with n=3, got shape (4,)"),
+        (np.zeros((2, 2)), np.zeros((2, 2)),
+         "predictions must be a non-empty (n,) array, got shape (2, 2)"),
+        (np.zeros((2, 1)), np.zeros(2),
+         "predictions must be a non-empty (n,) array, got shape (2, 1)"),
+        (np.zeros(2), np.zeros((2, 1)),
+         "labels must be a (n,) array with n=2, got shape (2, 1)"),
+        (np.zeros(0), np.zeros(0),
+         "predictions must be a non-empty (n,) array, got shape (0,)"),
+    ], ids=["lengths", "2-D", "column", "column labels", "empty"])
+    def test_shape_mismatch_rejected(self, predictions, labels, message):
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            accuracy_score(predictions, labels)
 
     def test_evaluate_accuracy_traced_peak_is_one_slice(self):
         """The accuracy is one full EVAL_STATS forward's, and the pass
@@ -519,15 +531,19 @@ class TestStreamEval:
             assert per_batch == own_per_batch
             assert row.tobytes() == own_row.tobytes()
 
-    @pytest.mark.parametrize("m, labels_m", [(0, 0), (40, 39), (40, 41)])
+    @pytest.mark.parametrize("m, labels_m, message", [
+        (0, 0, "inputs must be a non-empty (m, d) array with d=8, got shape"
+         " (0, 8)"),
+        (40, 39, "labels must be a (m,) array with m=40, got shape (39,)"),
+        (40, 41, "labels must be a (m,) array with m=40, got shape (41,)")])
     def test_a_stream_and_labels_of_other_lengths_are_named(self, rng, m,
-                                                            labels_m):
+                                                            labels_m,
+                                                            message):
         inputs = rng.normal(size=(m, 8))
         labels = rng.integers(0, 3, size=labels_m)
         streams = [(None, StreamProtocol(batch_size=10), AdaptationConfig())]
         # no RuntimeWarning first: the project's pytest config makes it fail
-        with pytest.raises(InvalidInput, match=re.escape(
-                f"got shapes {(m, 8)} and {(labels_m,)}")):
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
             adapt_streams(make_network(input_dim=8, hidden=6, k=3), inputs,
                           labels, streams)
 
@@ -760,22 +776,27 @@ class TestFeatureHistograms:
         ({"a": np.zeros((2, 2, 2))}, "'a' must be a non-empty (n, channels)"
          " array, got shape (2, 2, 2)"),
         ({"a": np.zeros((3, 2)), "b": np.zeros((0, 2))},
-         "'b' must be a non-empty (n, channels) array, got shape (0, 2)"),
+         "'b' must be a non-empty (n, channels) array with channels=2, got"
+         " shape (0, 2)"),
         ({"a": np.zeros((3, 2)), "b": np.zeros((3, 3))},
-         "'b' of shape (3, 3) differ in channels from 'a' of shape (3, 2)"),
-    ], ids=["1-D", "3-D", "no rows", "channels differ"])
+         "'b' must be a non-empty (n, channels) array with channels=2, got"
+         " shape (3, 3)"),
+        ({"a": [[0.0], [np.nan]]}, "'a' contains non-finite values"),
+        ({"a": np.zeros((3, 1)), "b": [[0.0], [np.inf]]},
+         "'b' contains non-finite values"),
+    ], ids=["1-D", "3-D", "no rows", "channels differ", "nan", "inf"])
     def test_malformed_features_named(self, features, shown):
         with pytest.raises(InvalidInput,
-                           match=re.escape(f"features {shown}")):
+                           match=f"^{re.escape(f'features {shown}')}$"):
             feature_histograms(features)
 
 
 class TestCollectFeatures:
     @pytest.mark.parametrize("shape", [(0, SIGNAL_LENGTH), (SIGNAL_LENGTH,)])
     def test_no_stream_named(self, source_net, shape):
-        with pytest.raises(InvalidInput, match=re.escape(
-                f"inputs must be a non-empty (m, d) stream, got shape"
-                f" {shape}")):
+        with pytest.raises(InvalidInput, match="^" + re.escape(
+                f"inputs must be a non-empty (m, d) array with"
+                f" d={SIGNAL_LENGTH}, got shape {shape}") + "$"):
             collect_features(source_net, np.zeros(shape), 10,
                              BNMode.EVAL_STATS)
 
@@ -790,6 +811,12 @@ class TestHistogramOverlap:
         b = np.array([0.0, 0.0, 1.0])
         assert histogram_overlap(a, b) == 0.0
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(InvalidInput):
-            histogram_overlap(np.ones(3), np.ones(4))
+    @pytest.mark.parametrize("h1, h2, message", [
+        (np.ones(3), np.ones(4),
+         "h2 must be a (bins,) array with bins=3, got shape (4,)"),
+        (np.ones((2, 3)), np.ones((2, 3)),
+         "h1 must be a non-empty (bins,) array, got shape (2, 3)"),
+    ], ids=["lengths", "2-D"])
+    def test_shape_mismatch_rejected(self, h1, h2, message):
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            histogram_overlap(h1, h2)

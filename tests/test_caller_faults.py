@@ -71,13 +71,17 @@ MISUSES = {
         " samples, got m=0"),
     "clustering: 1-D features": (
         lambda tmp: assign_step(np.zeros(3), np.zeros((2, 3))),
-        "features must be (n, d) and centers (k, d), got (3,) and (2, 3)"),
+        "features must be a (n, d) array with d=3, got shape (3,)"),
     "clustering: 1-D centers": (
         lambda tmp: assign_step(np.zeros((4, 3)), np.zeros(3)),
-        "features must be (n, d) and centers (k, d), got (4, 3) and (3,)"),
+        "centers must be a non-empty (k, d) array, got shape (3,)"),
     "network: 1-row batch under TEST_BATCH_STATS": (
         lambda tmp: forward(NET, np.zeros((1, 4)), BNMode.TEST_BATCH_STATS),
         "TEST_BATCH_STATS needs a batch of at least 2"),
+    "network: non-finite affine": (
+        lambda tmp: forward(NET, np.zeros((2, 4)), BNMode.TEST_BATCH_STATS,
+                            affine=np.full(NET.affine.shape, np.nan)),
+        "affine contains non-finite values"),
     "network: truncated checkpoint": (
         lambda tmp: checkpoint(tmp, TEXT[:len(TEXT) // 2]),
         "invalid checkpoint JSON at byte"),

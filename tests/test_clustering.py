@@ -33,9 +33,9 @@ class TestAssignStep:
 
     @pytest.mark.parametrize("n", [0, 4])
     def test_no_centers_rejected_naming_the_shapes(self, rng, n):
-        with pytest.raises(InvalidInput, match=re.escape(
-                f"no centers to assign to: features ({n}, 3), centers"
-                f" (0, 3)")):
+        with pytest.raises(InvalidInput, match="^" + re.escape(
+                "centers must be a non-empty (k, d) array, got shape"
+                " (0, 3)") + "$"):
             assign_step(rng.normal(size=(n, 3)), np.empty((0, 3)))
 
     def test_no_features_assign_nothing(self, rng):
@@ -116,34 +116,50 @@ class TestBadAssignmentRejected:
     features = np.arange(6.0).reshape(3, 2)
     centers = np.array([[0.0, 0.0], [5.0, 5.0]])
 
+    out_of_range = ("assignment must hold one integer in [0, k) per row of"
+                    " (n, d) features for (k, d) centers: got assignment int64"
+                    " (3,), features (3, 2), centers (2, 2)")
+    misshapen = "assignment must be a (n,) integer array with n=3, got shape"
+    cases = [([0, 1, -1], out_of_range),
+             ([0, 1], f"{misshapen} (2,) of dtype int64"),
+             ([0, 1, 2], out_of_range),
+             ([0.0, 1.0, 1.0], f"{misshapen} (3,) of dtype float64"),
+             ([[0, 1, 1]], f"{misshapen} (1, 3) of dtype int64")]
+
     @pytest.mark.parametrize("mode", [FULL_BATCH, MINIBATCH_RUNNING])
-    @pytest.mark.parametrize("assignment", [[0, 1, -1], [0, 1], [0, 1, 2],
-                                            [0.0, 1.0, 1.0], [[0, 1, 1]]])
-    def test_update_step(self, mode, assignment):
+    @pytest.mark.parametrize("assignment, message", cases)
+    def test_update_step(self, mode, assignment, message):
         counts = np.zeros(2, dtype=np.int64)
-        with pytest.raises(InvalidInput, match=r"\[0, k\).*\(3, 2\)"):
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
             update_step(self.features, assignment, self.centers, mode=mode,
                         counts=counts)
         assert counts.tolist() == [0, 0]
 
-    @pytest.mark.parametrize("assignment", [[0], [0, 1, -1], [0, 1, 2]])
-    def test_objective(self, assignment):
-        with pytest.raises(InvalidInput, match=r"\[0, k\).*\(3, 2\)"):
+    @pytest.mark.parametrize("assignment, message", [
+        ([0], f"{misshapen} (1,) of dtype int64"), cases[0], cases[2]])
+    def test_objective(self, assignment, message):
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
             kmeans_objective(self.features, assignment, self.centers)
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_feature_width_must_match_centers(self, width):
         features = np.ones((3, width))
-        shapes = rf"\(3, {width}\).*\(2, 2\)"
+        shapes = "^" + re.escape("features must be a (n, d) array with d=2,"
+                                 f" got shape (3, {width})") + "$"
         for mode in (FULL_BATCH, MINIBATCH_RUNNING):
             with pytest.raises(InvalidInput, match=shapes):
                 update_step(features, [0, 1, 1], self.centers, mode=mode)
         with pytest.raises(InvalidInput, match=shapes):
             kmeans_objective(features, [0, 1, 1], self.centers)
 
-    @pytest.mark.parametrize("counts", [[0], [0, 0, 0], [0.0, 0.0], [[0, 0]]])
-    def test_counts_must_hold_k_integers(self, counts):
-        with pytest.raises(InvalidInput, match="k=2 integers"):
+    @pytest.mark.parametrize("counts, got", [
+        ([0], "(1,) of dtype int64"), ([0, 0, 0], "(3,) of dtype int64"),
+        ([0.0, 0.0], "(2,) of dtype float64"),
+        ([[0, 0]], "(1, 2) of dtype int64")])
+    def test_counts_must_hold_k_integers(self, counts, got):
+        with pytest.raises(InvalidInput, match="^" + re.escape(
+                f"counts must be a (k,) integer array with k=2, got shape"
+                f" {got}") + "$"):
             update_step(self.features, [0, 1, 1], self.centers,
                         mode=MINIBATCH_RUNNING, counts=np.array(counts))
 

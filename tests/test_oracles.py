@@ -20,7 +20,7 @@ from ttalab.network import (BatchNormLayer, BNMode, DenseLayer, Network,
 from ttalab.numeric import entropy, softmax
 
 from oracles import (ReferenceAccumulator, ReferenceAdam, ReferenceSGD,
-                     ReferenceStream, bits, brute_force_assign,
+                     ReferenceStream, array_shapes, bits, brute_force_assign,
                      document_digest, entropy_descent, finite_diff_check,
                      network_to_dict, per_batch_train_source,
                      per_point_update, per_scalar_csv, q_configs,
@@ -253,6 +253,14 @@ def test_entropy_descent_by_hand():
 def test_per_scalar_csv_by_hand():
     traj = np.array([[0.5, -0.0], [1e-300, np.inf]])
     assert per_scalar_csv(traj) == "step,p_1,p_2\n0,0.5,-0.0\n1,1e-300,inf\n"
+
+
+def test_array_shapes_by_hand():
+    # "[S] n* d" with d=2, sizes up to 1
+    assert array_shapes([(True, False, None), (False, True, None),
+                         (False, False, 2)], 1) == {
+        (0, 2), (1, 2), (1, 0, 2), (1, 1, 2)}
+    assert array_shapes([(True, False, None)], 1) == {(), (1,)}
 
 
 def test_kmeans_references_by_hand():
