@@ -16,15 +16,15 @@ w_i = [H_i < threshold] max(H_i, 1e-6)^-tau / accepted. Tent has
 tau = 0 and threshold = +inf (every weight 1/N), WA its tau, and the filter
 its threshold (1/accepted on the samples below it, 0 on the rest).
 
-An Adapter adapts S streams in lock-step, one (S, N, d) stack of batches
-per call (S = 1 for a lone stream), and returns predictions computed before
-any parameter update in the same call. Its streams share a Plan (BN mode,
-whether they learn, optimizer and lr); RLA, tau, the filter threshold and Q
-are rows of their own, so tent, the filter and every ttc ablation adapt
-together. Each stream gets bit for bit the predictions and parameters it
-would get alone. A call runs one forward (under RLA, over the (S + R, N, d)
-stack of the batches and the flips of the R streams with RLA) and one
-softmax; a learning plan takes its loss gradient from those probabilities.
+An Adapter adapts S streams in lock-step, one (S + R, N, d) stack per call:
+S batches (S = 1 for a lone stream), then the flips of the R streams with
+RLA. It returns predictions computed before any parameter update in the
+same call. Its streams share a Plan (BN mode, whether they learn, optimizer
+and lr); RLA, tau, the filter threshold and Q are rows of their own, so
+tent, the filter and every ttc ablation adapt together. Each stream gets
+bit for bit the predictions and parameters it would get alone. A call runs
+one forward, over that stack, and one softmax; a learning plan takes its
+loss gradient from those probabilities.
 Consecutive streams that share Q step as one window; a window steps all of
 its streams or none, so a tent-filtered stream, which sits out a batch whose
 filter accepts no sample, is a window of its own.
@@ -196,7 +196,7 @@ def with_flips(stack, flips, out=None):
     """(S + R, ..., d): the S streams of ``stack``, then the flip
     (``flip_signal``) of each stream that ``flips`` indexes, each written by
     one ``np.copyto`` of a reversed view; into ``out``, if given, whose
-    first S rows ``stack`` already is."""
+    first S rows ``stack`` already is: what ``Adapter.adapt_batch`` takes."""
     s = len(stack)
     if out is None:
         out = np.empty((s + len(flips),) + stack.shape[1:])
@@ -208,14 +208,15 @@ def with_flips(stack, flips, out=None):
 
 def rla_forward(net, x, affine, flips):
     """Robust label assignment: one TEST_BATCH_STATS ``forward`` (ttc's
-    plan) over the (S + R, N, d) stack ``with_flips`` builds and its
-    (S + R, A) affine rows, each branch getting bit for bit its own logits.
+    plan) over the (S + R, N, d) stack ``with_flips`` builds, which it
+    checks against its (S + R, A) affine rows, each branch getting bit for
+    bit its own logits.
     Returns the S streams' logits, averaged with their flip's for the
     streams ``flips`` indexes; the cache of the S streams, the only gradient
     path, so a flipping stream's live logits get half its combined-logit
     gradient; and the R flips' logits."""
-    s = len(x) - len(flips)
     logits, cache = forward(net, x, BNMode.TEST_BATCH_STATS, affine)
+    s = len(logits) - len(flips)
     combined, aug_logits = logits[:s].copy(), logits[s:]
     combined[flips] = 0.5 * (combined[flips] + aug_logits)
     return combined, cache.streams(slice(None, s)), aug_logits
@@ -390,25 +391,18 @@ class Adapter:
         """Process one batch of each stream: predict, then (for gradient
         strategies) update.
 
-        ``batch`` is an (S, N, d) stack, one batch per stream (a lone
-        stream's batch goes in as ``batch[None]``), which gets the flips of
-        the R streams with RLA appended, or a trip's slice that already
-        holds them: ``with_flips(stack, self.flips)``. Returns (predictions,
-        probs), shaped (S, N) and (S, N, K), computed from the pre-update
-        forward; a stream with RLA gets them from its flip-averaged logits.
+        ``batch`` is ``with_flips(stack, self.flips)`` of an (S, N, d) stack
+        of one batch per stream (a lone stream's is ``batch[None]``), as a
+        trip's slice holds it; ``forward`` checks it. Returns (predictions,
+        probs), shaped (S, N) and (S, N, K), from the pre-update forward; a
+        stream with RLA gets them from its flip-averaged logits.
         """
-        x = np.asarray(batch, dtype=np.float64)
-        flipped = x.shape[:1] == self.stack_rows.shape  # a trip's slice
-        _array("batch", x, "S N d",
-               S=len(self.stack_rows) if flipped else len(self.affine),
-               d=self.net.input_dim)
         if not len(self.flips):  # a plan that does not learn keeps no cache
-            logits, cache = forward(self.net, x, self.plan.mode, self.affine,
-                                    cache=self.plan.learns)
+            logits, cache = forward(self.net, batch, self.plan.mode,
+                                    self.affine, cache=self.plan.learns)
         else:
             logits, cache, _ = rla_forward(
-                self.net, x if flipped else with_flips(x, self.flips),
-                self.affine[self.stack_rows], self.flips)
+                self.net, batch, self.affine[self.stack_rows], self.flips)
         probs = softmax(logits)
         if self.plan.learns:
             self._learn(probs, cache)

@@ -102,11 +102,16 @@ def _array(name, value, dims, finite=False, kind="f", **sizes):
     axis must be non-empty unless its name ends in ``*``, as in ``"[R*] K"``.
     ``kind`` "f" converts to float64, "i" takes an integer dtype only, and
     None takes any dtype as it is. With ``finite``, a NaN or an infinity
-    raises ``<name> contains non-finite values``.
+    raises ``<name> contains non-finite values``. A value numpy cannot
+    convert raises the rule with numpy's message.
     """
-    array = (np.asarray(value, dtype=np.float64) if kind == "f"
-             else np.asarray(value))
     axes = dims.split()
+    try:
+        array = (np.asarray(value, dtype=np.float64) if kind == "f"
+                 else np.asarray(value))
+    except (TypeError, ValueError, OverflowError) as e:
+        raise InvalidInput(f"{name} must be {_array_rule(axes, kind, sizes)},"
+                           f" got a value numpy cannot convert: {e}") from None
     shape = array.shape
     # the array has the last len(shape) axes; all before them are optional
     skipped = len(axes) - len(shape)

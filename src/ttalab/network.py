@@ -230,13 +230,13 @@ class ForwardCache:
 def forward(net, batch, mode, affine=None, cache=True):
     """Run the network on a batch, returning logits and a backward cache.
 
-    ``batch`` is (N, d), or (S, N, d) for S streams. ``affine`` holds the
-    gamma/beta, laid out like ``net.affine`` (its default), with shape
-    ``batch.shape[:-2] + (A,)``: one row for a batch, one row per stream for
-    a stack. Both must be finite. In TEST_BATCH_STATS mode the batch must
-    have at least two rows so the batch variance is defined. TRAIN_STATS,
-    which updates the running statistics, takes the network's own
-    gamma/beta.
+    ``affine`` holds the gamma/beta, laid out like ``net.affine`` (its
+    default), and decides the layout of ``batch``: an (A,) row takes one
+    (N, d) batch, and an (S, A) stack of rows takes an (S, N, d) stack of S
+    batches, one per row. Both must be finite. In TEST_BATCH_STATS mode the
+    batch must have at least two rows so the batch variance is defined.
+    TRAIN_STATS, which updates the running statistics, takes the network's
+    own gamma/beta.
 
     With ``cache=False``, for a forward that no backward pass follows, the
     same checks and arithmetic run, but no block's input, x-hat or ReLU
@@ -244,13 +244,12 @@ def forward(net, batch, mode, affine=None, cache=True):
     and the logits, bit for bit those of the cached call, come back with
     ``None`` for the cache.
     """
-    x = _array("batch", batch, "[S] N d", finite=True, d=net.input_dim)
     if mode is BNMode.TRAIN_STATS and affine is not None:
         raise InvalidInput("TRAIN_STATS updates the network's own gamma/beta")
-    # one row for a batch, one per stream for a stack
     affine = _array("affine", net.affine if affine is None else affine,
-                    "S A" if x.ndim == 3 else "A", finite=True, S=len(x),
-                    A=net.affine.size)
+                    "[S] A", finite=True, A=net.affine.size)
+    x = _array("batch", batch, "S N d" if affine.ndim == 2 else "N d",
+               finite=True, S=len(affine), d=net.input_dim)
     if mode is BNMode.TEST_BATCH_STATS and x.shape[-2] < 2:
         raise InvalidInput("TEST_BATCH_STATS needs a batch of at least 2")
 

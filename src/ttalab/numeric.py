@@ -15,7 +15,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import InvalidInput, _array, _float_rule, _integer, _real
+from .errors import (InvalidInput, TrainingDiverged, _array, _float_rule,
+                     _integer, _real)
 
 # Probability clamp applied before any log; keeps near-one-hot outputs finite.
 EPS_PROB = 1e-12
@@ -139,7 +140,7 @@ def simulate_entropy_descent(p0, lr, steps):
     bitwise independent: traj[:, r] equals the call on p0[r] alone, and a
     mapping's trajectory equals the call on its start alone. The probability
     of each start's initially-largest class never decreases along its
-    trajectory.
+    trajectory. A step that overflows raises TrainingDiverged naming it.
     """
     starts = dict(p0) if isinstance(p0, Mapping) else {None: p0}
     for key, start in starts.items():
@@ -153,11 +154,10 @@ def simulate_entropy_descent(p0, lr, steps):
         trajs[key] = flat[:, span].reshape((steps + 1,) + start.shape)
         trajs[key][0] = start
     z = np.log(np.maximum(flat[0], EPS_PROB))
-    # z starts finite, so it turns non-finite only through a floating-point
-    # error, which one rule catches for every step
-    with _float_rule(lambda e: InvalidInput(
-            "logits contains non-finite values")):
-        p = _softmax(z, rows=rows)
+    p = _softmax(z, rows=rows)
+    # z starts finite: only a step can break the floating-point rule
+    with _float_rule(lambda e: TrainingDiverged(
+            f"entropy descent diverged at step {t}: {e}")):
         for t in range(1, steps + 1):
             z = z - lr * _entropy_grad(p, rows=rows)
             p = _softmax(z, out=flat[t], rows=rows)

@@ -271,13 +271,11 @@ class TestRlaIsOneStackedForward:
         assert (bits(backward_bn_affine(net, cache, g))
                 == bits(backward_bn_affine(net, plain_cache, g)))
 
-    @pytest.mark.parametrize("pre_flipped", [False, True])
     @pytest.mark.parametrize("spoil", ["nan", "inf", "columns", "one row",
                                        "no rows"])
-    def test_bad_input_to_an_rla_adapter_raises(self, rng, pre_flipped,
-                                                spoil):
-        """An Adapter whose second stream has RLA raises on a bad stack,
-        bare or with its flip, and names the shape the caller passed."""
+    def test_bad_input_to_an_rla_adapter_raises(self, rng, spoil):
+        """An Adapter whose second stream has RLA raises on a bad stack with
+        its flip, and names the shape the caller passed."""
         net = small_net()
         adapter = Adapter(net, [
             AdaptationConfig(strategy="ttc", rla_enabled=False),
@@ -293,8 +291,7 @@ class TestRlaIsOneStackedForward:
             x = x[:, :1]
         else:
             x = x[:, :0]
-        if pre_flipped:
-            x = with_flips(x, [1])
+        x = with_flips(x, adapter.flips)
         if spoil in ("nan", "inf"):
             match = "non-finite"
         elif spoil == "one row":
@@ -341,7 +338,8 @@ class TestOneForwardOneSoftmaxPerBatch:
                 counting(monkeypatch, module, name, counts)
         batches = 4
         for _ in range(batches):
-            adapter.adapt_batch(rng.normal(size=(2, 10, 8)))
+            adapter.adapt_batch(with_flips(rng.normal(size=(2, 10, 8)),
+                                           adapter.flips))
         rla = config.strategy == "ttc" and config.rla_enabled
         assert counts == {"forward": batches, "rla_forward": rla * batches,
                           "softmax": batches, "ttc_loss": 0, "tent_loss": 0,
@@ -370,6 +368,61 @@ def test_only_a_learning_plan_keeps_a_backward_cache(monkeypatch, rng,
     for _ in range(3):
         adapter.adapt_batch(rng.normal(size=(2, 10, 8)))
     assert caches == [adapter.plan.learns] * 3
+
+
+def sweep_configs(q):
+    """The four streams of a sweep-batch-size cell at two seeds, sorted by
+    Q as adapt_streams sorts them: tent and ttc without GA in a window of
+    Q = 1, then tent with GA and ttc in a window of Q = q."""
+    def ttc(**switches):
+        return AdaptationConfig(strategy="ttc", accumulation_q=q, **switches)
+    return [AdaptationConfig(strategy="tent")] * 2 + [
+        ttc(ga_enabled=False)] * 2 + [
+        ttc(rla_enabled=False, wa_enabled=False)] * 2 + [ttc()] * 2
+
+
+# the filter sits out every batch: a network of this size never gets
+# an entropy below it
+SITTING_OUT = AdaptationConfig(strategy="tent-filtered", filter_threshold=1e-3)
+
+
+@pytest.mark.parametrize(("configs", "windows"), [
+    ([AdaptationConfig(strategy="source")] * 2, 0),
+    ([AdaptationConfig(strategy="norm")] * 2, 0),
+    ([AdaptationConfig(strategy="tent")] * 2, 1),
+    ([AdaptationConfig(strategy="ttc", accumulation_q=2)] * 2, 1),
+    (sweep_configs(3), 2),
+    ([SITTING_OUT], 0),
+    ([SITTING_OUT, AdaptationConfig(strategy="tent")], 1),
+], ids=["source", "norm", "tent", "ttc", "sweep-mixed-q", "filter-sits-out",
+        "filter-sits-out-beside-tent"])
+def test_array_rule_passes_per_adapted_batch(monkeypatch, rng, configs,
+                                             windows):
+    """Each adapted batch passes the array rule once per argument that
+    ``forward``, ``softmax`` and each window that steps or accumulates on
+    it take: forward's affine and batch, softmax's logits, and the params
+    and grad of ``accumulate_and_maybe_step``. A check added to the
+    per-batch path fails this count, not only a timing."""
+    from ttalab import adaptation, errors, network, numeric
+
+    passes = []
+
+    def counted(name, *args, **kwargs):
+        passes.append(name)
+        return errors._array(name, *args, **kwargs)
+    for module in (adaptation, network, numeric):
+        monkeypatch.setattr(module, "_array", counted)
+    net = small_net()
+    adapter = Adapter(net, configs, 10)
+    for _ in range(3):
+        x = with_flips(rng.normal(size=(len(configs), 10, 8)), adapter.flips)
+        passes.clear()
+        adapter.adapt_batch(x)
+        assert passes == ["affine", "batch", "logits"] + ["params",
+                                                          "grad"] * windows
+    for config, row in zip(configs, adapter.affine):
+        if config is SITTING_OUT:
+            assert row.tobytes() == net.affine.tobytes()
 
 
 class TestGradientAccumulation:
@@ -740,21 +793,14 @@ def assert_matches_reference(adapter, s, ref):
         assert bits(None if ours is None else ours[row]) == bits(theirs)
 
 
-def window_states(adapter):
-    """Every window's accumulator count and sum and optimizer state."""
-    return [(w.accumulator.batches_seen, bits(w.accumulator.accumulated),
-             *(bits(getattr(w.optimizer, a, None)) for a in "tmv"))
-            for w in adapter.windows]
-
-
 class TestPreFlippedStack:
     """A trip hands ``adapt_batch`` its (S + R, N, d) stack with the flips
-    already in it; a bare (S, N, d) stack gets them appended. Both give
-    every stream what its ReferenceStream gives it."""
+    already in it, which gives every stream what its ReferenceStream gives
+    it."""
 
     @settings(max_examples=100)
     @given(run=stacked_runs(), batches=st.integers(3, 6))
-    def test_pre_flipped_bare_and_alone_agree(self, run, batches):
+    def test_pre_flipped_and_alone_agree(self, run, batches):
         from unittest import mock
 
         from ttalab import adaptation
@@ -767,36 +813,30 @@ class TestPreFlippedStack:
         rng = np.random.default_rng(run["seed"])
         net = make_network(input_dim=8, hidden=6, k=3, seed=run["seed"] % 97)
         data = rng.normal(size=(batches, s, n, 8))
-        bare, flipped = Adapter(net, configs, n), Adapter(net, configs, n)
+        flipped = Adapter(net, configs, n)
         references = [ReferenceStream(net, c, n) for c in configs]
         for x in data:
-            want, _, _ = rla_of(net, x, bare.affine.copy(),
+            want, _, _ = rla_of(net, x, flipped.affine.copy(),
                                 np.flatnonzero(rla))
             with mock.patch.object(adaptation, "softmax",
                                    wraps=softmax) as spy:
-                preds, probs = bare.adapt_batch(x)
+                preds, probs = flipped.adapt_batch(
+                    np.concatenate([x, flip_signal(x[rla])]))
             assert bits(spy.call_args.args[0]) == bits(want)
-            f_preds, f_probs = flipped.adapt_batch(
-                np.concatenate([x, flip_signal(x[rla])]))
-            assert bits(f_preds) == bits(preds)
-            assert bits(f_probs) == bits(probs)
             for i, ref in enumerate(references):
                 assert ([bits(a) for a in ref.adapt_batch(x[i])]
                         == [bits(preds[i]), bits(probs[i])])
-        assert flipped.affine.tobytes() == bare.affine.tobytes()
-        assert window_states(flipped) == window_states(bare)
         for i, ref in enumerate(references):
-            assert_matches_reference(bare, i, ref)
+            assert_matches_reference(flipped, i, ref)
 
-    def test_a_stack_of_neither_length_is_named(self, rng):
+    def test_a_stack_of_another_length_is_named(self, rng):
         adapter = Adapter(small_net(), [
             AdaptationConfig(strategy="ttc"),
             AdaptationConfig(strategy="ttc", rla_enabled=False)], 10)
-        for s in (2, 3):  # the bare stack and the one with the flip
-            adapter.adapt_batch(rng.normal(size=(s, 10, 8)))
-        for s in (1, 4):  # named against the 2 streams, without the flip
+        adapter.adapt_batch(rng.normal(size=(3, 10, 8)))  # with the flip
+        for s in (1, 2, 4):  # named against the 2 streams and the flip
             with pytest.raises(InvalidInput, match="^" + re.escape(
-                    "batch must be a non-empty (S, N, d) array with S=2,"
+                    "batch must be a non-empty (S, N, d) array with S=3,"
                     f" d=8, got shape ({s}, 10, 8)") + "$"):
                 adapter.adapt_batch(rng.normal(size=(s, 10, 8)))
 
@@ -855,7 +895,8 @@ class TestQWindows:
         references = [ReferenceStream(net, c, n) for c in configs]
         batches = batch_slices(m, n)
         for batch in batches:
-            preds, probs = mixed.adapt_batch(data[:, batch])
+            preds, probs = mixed.adapt_batch(
+                with_flips(data[:, batch], mixed.flips))
             for i, ref in enumerate(references):
                 assert ([bits(a) for a in ref.adapt_batch(data[i, batch])]
                         == [bits(preds[i]), bits(probs[i])])
@@ -881,7 +922,8 @@ class TestStackMatchesSequentialReference:
                 assert window_of(adapter, s)[0].rows == slice(s, s + 1)
         references = [ReferenceStream(net, c, n) for c in configs]
         for batch in batch_slices(m, n):
-            preds, probs = adapter.adapt_batch(data[:, batch])
+            preds, probs = adapter.adapt_batch(
+                with_flips(data[:, batch], adapter.flips))
             for s, ref in enumerate(references):
                 assert ([bits(a) for a in ref.adapt_batch(data[s, batch])]
                         == [bits(preds[s]), bits(probs[s])])
@@ -943,5 +985,5 @@ class TestStackMatchesSequentialReference:
         adapter = Adapter(net, configs, 10)
         with pytest.raises(InvalidInput) as stacked:
             for batch in batch_slices(40, 10):
-                adapter.adapt_batch(data[:, batch])
+                adapter.adapt_batch(with_flips(data[:, batch], adapter.flips))
         assert str(stacked.value) == str(alone.value)

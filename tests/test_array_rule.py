@@ -64,6 +64,12 @@ def test_exactly_the_matching_shapes_are_taken(rule, data):
                             rf" {re.escape(str(shape))}", str(err.value))
 
 
+# numpy's message for a list of rows of other lengths
+RAGGED = ("setting an array element with a sequence. The requested array has"
+          " an inhomogeneous shape after 1 dimensions. The detected shape was"
+          " (2,) + inhomogeneous part.")
+
+
 @pytest.mark.parametrize("value, dims, options, message", [
     (np.zeros((1, 2, 5)), "[S] N d", {"d": 4},
      "must be a non-empty (N, d) or (S, N, d) array with d=4, got shape"
@@ -74,7 +80,20 @@ def test_exactly_the_matching_shapes_are_taken(rule, data):
      "must be a (k,) integer array with k=2, got shape (2,) of dtype"
      " float64"),
     ([1.0, np.inf], "n", {"finite": True}, "contains non-finite values"),
-], ids=["optional axis", "may be empty", "integer", "finite"])
+    ([["a", "b"]], "N d", {},
+     "must be a non-empty (N, d) array, got a value numpy cannot convert:"
+     " could not convert string to float: 'a'"),
+    ([[10**400, 1]], "N d", {},
+     "must be a non-empty (N, d) array, got a value numpy cannot convert:"
+     " int too large to convert to float"),
+    ([[1], [1, 2]], "N d", {"kind": "i"},
+     "must be a non-empty (N, d) integer array, got a value numpy cannot"
+     " convert: " + RAGGED),
+    ([[1], [1, 2]], "N d", {"kind": None},
+     "must be a non-empty (N, d) array, got a value numpy cannot convert: "
+     + RAGGED),
+], ids=["optional axis", "may be empty", "integer", "finite", "string",
+        "beyond the float range", "ragged integer", "ragged"])
 def test_the_error_states_the_rule(value, dims, options, message):
     with pytest.raises(InvalidInput, match=f"^x {re.escape(message)}$"):
         _array("x", value, dims, **options)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from ttalab import benchmark
 from ttalab.adaptation import (STRATEGIES, AdaptationConfig, Adapter,
-                               flip_signal)
+                               flip_signal, with_flips)
 from ttalab.benchmark import (CORRUPTION_KINDS, NOISE_SIGMA, SIGNAL_LENGTH,
                               TRAIN_BATCH_SIZE, Corruption, SignalDataset,
                               StreamProtocol, accuracy_score, adapt_streams,
@@ -485,7 +485,8 @@ class TestStreamEval:
         if strategy in ("tent", "ttc"):
             adapter = Adapter(net, [config], n)
             for s in slices:
-                adapter.adapt_batch(dataset.inputs[s][None])
+                adapter.adapt_batch(with_flips(dataset.inputs[s][None],
+                                               adapter.flips))
             steps_every = q if strategy == "ttc" else 1
             (window,) = adapter.windows
             t = window.optimizer.t

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from ttalab import cli
-from ttalab.adaptation import AdaptationConfig
-from ttalab.benchmark import (SignalDataset, batch_slices, collect_features,
-                              feature_histograms, train_source)
+from ttalab.adaptation import AdaptationConfig, Adapter
+from ttalab.benchmark import (SignalDataset, accuracy_score, batch_slices,
+                              collect_features, feature_histograms,
+                              train_source)
 from ttalab.clustering import assign_step
 from ttalab.errors import InvalidInput
 from ttalab.network import (BNMode, checkpoint_text, forward, load_checkpoint,
@@ -39,9 +40,20 @@ MISUSES = {
     "numeric: non-finite logits": (
         lambda tmp: softmax(np.array([0.0, np.nan])),
         "logits contains non-finite values"),
+    "numeric: logits beyond the float range": (
+        lambda tmp: softmax([10**400, 1]),
+        "logits must be a (K,) or (N, K) or (S, N, K) array with K >= 1, got"
+        " a value numpy cannot convert: int too large to convert to float"),
     "adaptation: unknown strategy": (
         lambda tmp: AdaptationConfig(strategy="nope"),
         "unknown strategy 'nope'"),
+    "adaptation: a bare stack to an Adapter with RLA": (
+        lambda tmp: Adapter(NET, [
+            AdaptationConfig(strategy="ttc"),
+            AdaptationConfig(strategy="ttc", rla_enabled=False)], 2,
+        ).adapt_batch(np.zeros((2, 2, 4))),
+        "batch must be a non-empty (S, N, d) array with S=3, d=4, got shape"
+        " (2, 2, 4)"),
     "benchmark: batch size 0": (
         lambda tmp: batch_slices(10, 0),
         "batch_size too small, need >= 1, got 0"),
@@ -69,6 +81,10 @@ MISUSES = {
                                  3, 0),
         "train_source needs m >= 2 rows, as BN batch statistics need two"
         " samples, got m=0"),
+    "benchmark: ragged predictions": (
+        lambda tmp: accuracy_score([[1], [1, 2]], [1, 2]),
+        "predictions must be a non-empty (n,) array, got a value numpy"
+        " cannot convert: setting an array element with a sequence."),
     "clustering: 1-D features": (
         lambda tmp: assign_step(np.zeros(3), np.zeros((2, 3))),
         "features must be a (n, d) array with d=3, got shape (3,)"),
@@ -82,6 +98,10 @@ MISUSES = {
         lambda tmp: forward(NET, np.zeros((2, 4)), BNMode.TEST_BATCH_STATS,
                             affine=np.full(NET.affine.shape, np.nan)),
         "affine contains non-finite values"),
+    "network: a batch of strings": (
+        lambda tmp: forward(NET, [["a"] * 4] * 2, BNMode.EVAL_STATS),
+        "batch must be a non-empty (N, d) array with d=4, got a value numpy"
+        " cannot convert: could not convert string to float: 'a'"),
     "network: truncated checkpoint": (
         lambda tmp: checkpoint(tmp, TEXT[:len(TEXT) // 2]),
         "invalid checkpoint JSON at byte"),

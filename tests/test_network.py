@@ -227,7 +227,9 @@ class TestUncachedForward:
         x = rng.normal(size=(4, 5))
         with pytest.raises(InvalidInput, match="at least 2"):
             forward(net, x[:1], BNMode.TEST_BATCH_STATS, cache=False)
-        with pytest.raises(InvalidInput, match="affine must be"):
+        with pytest.raises(InvalidInput, match="^" + re.escape(
+                "batch must be a non-empty (N, d) array with d=5, got shape"
+                " (1, 4, 5)") + "$"):
             forward(net, x[None], BNMode.EVAL_STATS, cache=False)
         x[0, 0] = np.inf
         with pytest.raises(InvalidInput, match="non-finite values"):
@@ -393,13 +395,15 @@ class TestBatchWidth:
     def test_batch_of_wrong_width_names_both_widths(self, rng):
         net = random_net(rng)  # takes 5 inputs
         with pytest.raises(InvalidInput, match="^" + re.escape(
-                "batch must be a non-empty (N, d) or (S, N, d) array with"
-                " d=5, got shape (4, 7)") + "$"):
+                "batch must be a non-empty (N, d) array with d=5, got shape"
+                " (4, 7)") + "$"):
             forward(net, rng.normal(size=(4, 7)), BNMode.EVAL_STATS)
 
 
 class TestAffineShape:
-    """A stack takes exactly one row of gamma/beta per stream."""
+    """A stack takes exactly one row of gamma/beta per stream. The affine
+    is checked first and decides the batch's layout, so an affine of the
+    right width with a batch of another S names the batch."""
 
     @pytest.mark.parametrize("rows, extra", [(1, 0), (2, 0), (3, 1)],
                              ids=["one-row-for-3-streams",
@@ -409,25 +413,27 @@ class TestAffineShape:
         a = net.affine.size
         affine = np.hstack([np.tile(net.affine, (rows, 1)),
                             np.ones((rows, extra))])
-        with pytest.raises(InvalidInput, match="^" + re.escape(
-                f"affine must be a (S, A) array with S=3, A={a}, got shape"
-                f" ({rows}, {a + extra})") + "$"):
+        message = (f"affine must be a non-empty (A,) or (S, A) array with"
+                   f" A={a}, got shape ({rows}, {a + extra})" if extra else
+                   f"batch must be a non-empty (S, N, d) array with"
+                   f" S={rows}, d=5, got shape (3, 4, 5)")
+        with pytest.raises(InvalidInput, match="^" + re.escape(message)
+                           + "$"):
             forward(net, rng.normal(size=(3, 4, 5)),
                     BNMode.TEST_BATCH_STATS, affine)
 
     def test_affine_vector_rejected(self, rng):
         """An (A,) row goes with an (N, d) batch only, a (1, A) stack with a
-        (1, N, d) stack only."""
+        (1, N, d) stack only; the batch of the other layout is named."""
         net = random_net(rng)
-        a = net.affine.size
         with pytest.raises(InvalidInput, match="^" + re.escape(
-                f"affine must be a (S, A) array with S=1, A={a}, got shape"
-                f" ({a},)") + "$"):
+                "batch must be a non-empty (N, d) array with d=5, got shape"
+                " (1, 4, 5)") + "$"):
             forward(net, rng.normal(size=(1, 4, 5)), BNMode.TEST_BATCH_STATS,
                     net.affine)
         with pytest.raises(InvalidInput, match="^" + re.escape(
-                f"affine must be a (A,) array with A={a}, got shape"
-                f" (1, {a})") + "$"):
+                "batch must be a non-empty (S, N, d) array with S=1, d=5,"
+                " got shape (4, 5)") + "$"):
             forward(net, rng.normal(size=(4, 5)), BNMode.TEST_BATCH_STATS,
                     net.affine[None])
 
@@ -451,9 +457,10 @@ def affine_rows(draw):
 
 
 class TestOneAffineRule:
-    """forward reads gamma/beta from an affine of shape batch.shape[:-2] +
-    (A,): an (N, d) batch with a row is stream 0 of a stack of one, and the
-    network with that row written into its own affine."""
+    """forward reads gamma/beta from an (A,) row for an (N, d) batch and an
+    (S, A) stack for an (S, N, d) stack: an (N, d) batch with a row is
+    stream 0 of a stack of one, and the network with that row written into
+    its own affine."""
 
     @settings(max_examples=80)
     @given(case=affine_rows(),
@@ -490,10 +497,18 @@ class TestOneAffineRule:
         assume(affine.shape != lead + row.shape)  # the one valid pairing
         with pytest.raises(InvalidInput) as err:
             forward(net, batch, BNMode.EVAL_STATS, affine)
-        rule = (f"a (S, A) array with S={lead[0]}, A={row.size}" if lead
-                else f"a (A,) array with A={row.size}")
-        assert str(err.value) == (f"affine must be {rule}, got shape"
-                                  f" {affine.shape}")
+        # the affine is checked first, then the batch against its rows
+        d = x.shape[1]
+        if affine.shape[-1] != row.size:
+            message = (f"affine must be a non-empty (A,) or (S, A) array with"
+                       f" A={row.size}, got shape {affine.shape}")
+        elif rows:
+            message = (f"batch must be a non-empty (S, N, d) array with"
+                       f" S={rows[0]}, d={d}, got shape {batch.shape}")
+        else:
+            message = (f"batch must be a non-empty (N, d) array with d={d},"
+                       f" got shape {batch.shape}")
+        assert str(err.value) == message
 
 
 class TestBlockLayout:

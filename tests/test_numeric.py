@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ttalab import numeric
-from ttalab.errors import InvalidInput
+from ttalab.errors import InvalidInput, TrainingDiverged
 from ttalab.numeric import (EPS_PROB, entropy, entropy_grad_logits,
                             simulate_entropy_descent, softmax,
                             trajectory_csv)
@@ -284,6 +284,9 @@ class TestInPlaceDescent:
     @pytest.mark.parametrize("start", [[0.6, 0.3, 0.1],
                                        [[0.6, 0.3, 0.1], [0.2, 0.2, 0.6]]])
     def test_overflow_raises_the_checked_message(self, monkeypatch, start):
+        """A step that overflows is the descent's own divergence, named by
+        its step; the one-step-at-a-time oracle, whose softmax check sees
+        the overflowed logits, fails after as many gradients."""
         grad = numeric._entropy_grad
         calls = []
 
@@ -295,14 +298,27 @@ class TestInPlaceDescent:
         simulate_entropy_descent(start, lr=1e10, steps=2)
         assert np.geterr() == before
         monkeypatch.setattr(numeric, "_entropy_grad", overflowing)
-        with pytest.raises(InvalidInput) as err:
+        with pytest.raises(TrainingDiverged, match="^" + re.escape(
+                "entropy descent diverged at step 3: overflow encountered in"
+                " multiply") + "$"):
             simulate_entropy_descent(start, lr=1e10, steps=5)
         assert np.geterr() == before
+        assert len(calls) == 3
         calls.clear()
-        with np.errstate(over="ignore"), pytest.raises(InvalidInput) as old:
+        with np.errstate(over="ignore"), pytest.raises(
+                InvalidInput, match="^logits contains non-finite values$"):
             entropy_descent(start, lr=1e10, steps=5)
-        assert str(err.value) == str(old.value)
-        assert str(err.value) == "logits contains non-finite values"
+        assert len(calls) == 3
+
+    def test_an_lr_whose_first_step_overflows_diverges(self):
+        """An lr that ``_real`` accepts, finite and positive, whose first
+        step the descent overflows: the program's fault, not the caller's."""
+        p = np.full(100, 0.5 / 99)
+        p[0] = 0.5
+        with pytest.raises(TrainingDiverged, match="^" + re.escape(
+                "entropy descent diverged at step 1: overflow encountered in"
+                " multiply") + "$"):
+            simulate_entropy_descent(p, 1.7e308, 3)
 
     def test_underflow_stays_silent(self):
         start = [0.6, 0.4]  # lr 1e4 drives the small class's exp below 1e-308

@@ -103,20 +103,19 @@ def test_every_adapter_step_is_inside_accumulate_and_maybe_step(
     data = np.random.default_rng(3).normal(size=(len(configs), m, 8))
     adapter = Adapter(net, configs, n)
     for batch in batch_slices(m, n):
-        adapter.adapt_batch(data[:, batch])
+        adapter.adapt_batch(adaptation.with_flips(data[:, batch],
+                                                  adapter.flips))
     assert steps == [True] * len(steps)
     assert bool(steps) == (name not in ("source", "norm"))
     if name == "sit-out-beside-q3":
         assert adapter.windows[0].rows == slice(0, 1)
 
 
-@pytest.mark.parametrize("pre_flipped", [False, True])
 @pytest.mark.parametrize("name", [*ADAPTERS, "ttc-norla"])
-def test_rla_forward_is_called_once_per_batch_under_rla(monkeypatch, name,
-                                                         pre_flipped):
+def test_rla_forward_is_called_once_per_batch_under_rla(monkeypatch, name):
     """The tracer's ``adaptation.rla_forward`` counts one call per batch of
-    an Adapter with a stream that has RLA, bare stack or pre-flipped, and
-    none otherwise; a forward that bypassed it would read 0 calls."""
+    an Adapter with a stream that has RLA, and none otherwise; a forward
+    that bypassed it would read 0 calls."""
     calls = []
     rla_forward = adaptation.rla_forward
 
@@ -133,8 +132,7 @@ def test_rla_forward_is_called_once_per_batch_under_rla(monkeypatch, name,
     adapter = Adapter(net, configs, n)
     batches = batch_slices(m, n)
     for batch in batches:
-        x = data[:, batch]
-        adapter.adapt_batch(adaptation.with_flips(x, adapter.flips)
-                            if pre_flipped else x)
+        adapter.adapt_batch(adaptation.with_flips(data[:, batch],
+                                                  adapter.flips))
     rla = any(c.strategy == "ttc" and c.rla_enabled for c in configs)
     assert len(calls) == rla * len(batches)
