@@ -1,9 +1,9 @@
 """Entropy-based test-time adaptation on a small batch-normalized network,
 with a mini-batch k-means companion and a synthetic corruption benchmark."""
 
-from .adaptation import (AdaptationConfig, Adapter, GradientAccumulator,
+from .adaptation import (AdaptationConfig, Adapter, Window,
                          accumulate_and_maybe_step, default_q, flip_signal,
-                         rla_forward, sample_weights, tent_loss, ttc_loss)
+                         rla_forward, tent_loss, ttc_loss)
 from .benchmark import (Corruption, RunReport, SignalDataset, StreamProtocol,
                         accuracy_score, adapt_streams, apply_corruption,
                         generate_dataset, stream_eval, train_source)

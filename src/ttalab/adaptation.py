@@ -25,9 +25,9 @@ tent, the filter and every ttc ablation adapt together. Each stream gets
 bit for bit the predictions and parameters it would get alone. A call runs
 one forward, over that stack, and one softmax; a learning plan takes its
 loss gradient from those probabilities.
-Consecutive streams that share Q step as one window; a window steps all of
-its streams or none, so a tent-filtered stream, which sits out a batch whose
-filter accepts no sample, is a window of its own.
+Consecutive streams that share Q step as one ``Window``, with one optimizer;
+a window steps all of its streams or none, so a tent-filtered stream, which
+sits out a batch whose filter accepts no sample, is a window of its own.
 """
 
 from __future__ import annotations
@@ -167,24 +167,15 @@ def tent_loss(logits):
     return ttc_loss(logits, 0.0, logits.shape[-2])
 
 
-def sample_weights(entropies, tau, n):
-    """Entropy-power weights w_i = max(H_i, EPS_ENTROPY)^(-tau) / n.
-
-    Constants under differentiation. tau = 0 recovers uniform weights 1/n;
-    tau > 0 down-weights high-entropy samples.
-    """
-    h = np.maximum(np.asarray(entropies, dtype=np.float64), EPS_ENTROPY)
-    return h ** (-tau) / n
-
-
 def ttc_loss(combined_logits, tau, n):
-    """Weighted entropy loss: sum_i w_i H_i with the weights held constant.
+    """Weighted entropy loss: sum_i w_i H_i with the entropy-power weights
+    w_i = max(H_i, EPS_ENTROPY)^(-tau) / n held constant.
 
     Returns (loss, grad); at tau = 0 this is tent's mean-entropy loss.
     """
     probs = softmax(_array("logits", combined_logits, "[S] N K"))
     h = _entropy(probs)
-    w = sample_weights(h, tau, n)
+    w = np.maximum(h, EPS_ENTROPY) ** (-tau) / n
     return np.sum(w * h, axis=-1), w[..., None] * _entropy_grad(probs)
 
 
@@ -226,39 +217,42 @@ def rla_forward(net, x, affine, flips):
 # gradient accumulation
 # ---------------------------------------------------------------------------
 
-class GradientAccumulator:
-    """Gradient accumulation of length ``q`` for a window of streams that
-    step in phase: ``batches_seen`` counts the window's batches since its
-    last step, ``accumulated`` holds their sum, an (S, P) stack. An Adapter
-    keeps one per ``Window``."""
+class Window:
+    """Gradient accumulation of length ``q`` over ``params``, the (S, P)
+    parameter rows of S streams that step in phase, which ``optimizer``
+    steps in place: ``batches_seen`` counts the window's batches since its
+    last step, ``accumulated`` holds their sum, an (S, P) stack. ``params``
+    is the caller's own float array, never a copy; an Adapter passes each
+    window its rows of ``affine``."""
 
-    def __init__(self, q):
-        self.q = q
+    def __init__(self, params, q, optimizer):
+        self.params = _array("params", params, "S* P*", kind="out")
+        self.q = _integer("q", q, 1)
+        self.optimizer = optimizer
         self.batches_seen = 0
         self.accumulated = None
 
 
-def accumulate_and_maybe_step(acc, grad, optimizer, params):
+def accumulate_and_maybe_step(window, grad):
     """Add the window's (already 1/Q-scaled) gradient, an (S, P) stack like
-    ``params``, and step every stream of the window on its Q-th batch.
+    its ``params``, and step every stream of the window on its Q-th batch.
 
     The first batch of a window is copied, not added to zero, so a -0.0
-    entry stays -0.0; after a step ``acc.accumulated`` still holds the
-    gradient that was applied. Returns whether the window stepped.
+    entry stays -0.0; after a step ``window.accumulated`` still holds the
+    gradient that was applied; a refused ``grad`` leaves the window as it
+    was. Returns whether the window stepped.
     """
-    # the window's rows, as held since its last step
-    held = dict(zip("SP", acc.accumulated.shape)) if acc.batches_seen else {}
-    s, p = _array("params", params, "S* P*", **held).shape
-    grad = _array("grad", grad, "S* P*", S=s, P=p)
-    if acc.batches_seen:
-        acc.accumulated += grad
+    s, p = window.params.shape
+    grad = _array("grad", grad, "S P", S=s, P=p)
+    if window.batches_seen:
+        window.accumulated += grad
     else:
-        acc.accumulated = grad.copy()
-    acc.batches_seen += 1
-    if acc.batches_seen < acc.q:
+        window.accumulated = grad.copy()
+    window.batches_seen += 1
+    if window.batches_seen < window.q:
         return False
-    acc.batches_seen = 0
-    optimizer.step(params, acc.accumulated)
+    window.batches_seen = 0
+    window.optimizer.step(window.params, window.accumulated)
     return True
 
 
@@ -286,16 +280,6 @@ class StreamRow(NamedTuple):
     threshold: float          # the tent-filtered entropy cutoff; +inf
                               # otherwise: every sample accepted
     q: int                    # the accumulation length
-
-
-class Window(NamedTuple):
-    """A maximal run of an Adapter's streams that share Q, or one
-    ``tent-filtered`` stream alone, with the accumulator and optimizer it
-    steps them with."""
-
-    rows: slice               # of the Adapter's streams
-    accumulator: GradientAccumulator
-    optimizer: SGD | Adam
 
 
 def stream_plan(config):
@@ -336,22 +320,23 @@ class Adapter:
     stacked forward. Every stream reads the weights and running statistics
     of ``net``, which is never modified; its gamma/beta are row s of
     ``affine`` (S, A), laid out like ``net.affine`` and updated in place.
-    Per-stream state, the optimizer's and the accumulator's, persists across
+    Per-stream state, the optimizer's and the window's, persists across
     batches. Calls are strictly sequential: reproducibility comes from
     fixing each stream's order. Stream s gets bit for bit the predictions,
     probabilities, ``affine`` row and optimizer state it gets in an Adapter
     of its own.
 
-    That state lives in ``windows``, one ``Window`` per maximal run of
-    consecutive streams that share Q: its own ``GradientAccumulator`` and
-    optimizer over its rows of ``affine``. A window steps all of its streams
-    or none, so the accumulator adds and the optimizer corrects its bias
-    once for the whole window. With gradient accumulation a stream steps on
-    every Q-th batch only; gradients accumulated after its last step are
-    discarded. A ``tent-filtered`` stream (always Q = 1) sits out a batch
-    whose filter accepts no sample, so it is a window of its own. Configs
-    sorted by Q give one window per distinct Q and filtered stream; any
-    order gives the same bits.
+    That state lives in ``windows``, one (rows, ``Window``) pair per maximal
+    run of consecutive streams that share Q: ``rows`` slices the streams,
+    and the Window holds Q, the batch count, the sum and an optimizer over
+    ``affine[rows]``, a view, so its steps land in ``affine``. A window
+    steps all of its streams or none, so it adds and the optimizer corrects
+    its bias once for the whole window. With gradient accumulation a
+    stream steps on every Q-th batch only; gradients accumulated after its
+    last step are discarded. A ``tent-filtered`` stream (always Q = 1) sits
+    out a batch whose filter accepts no sample, so it is a window of its
+    own. Configs sorted by Q give one window per distinct Q and filtered
+    stream; any order gives the same bits.
     """
 
     def __init__(self, net, configs, batch_size):
@@ -380,8 +365,9 @@ class Adapter:
         starts = [s for s in range(len(rows)) if s == 0 or alone[s]
                   or alone[s - 1] or rows[s].q != rows[s - 1].q]
         self.windows = [
-            Window(slice(lo, hi), GradientAccumulator(rows[lo].q),
-                   make_optimizer(self.plan.optimizer, self.plan.lr))
+            (slice(lo, hi), Window(self.affine[lo:hi], rows[lo].q,
+                                   make_optimizer(self.plan.optimizer,
+                                                  self.plan.lr)))
             for lo, hi in zip(starts, starts[1:] + [len(rows)])]
         # under RLA the live logits get half the combined-logit gradient
         self.grad_scale = np.array([(0.5 if row.rla else 1.0) / row.q
@@ -430,7 +416,6 @@ class Adapter:
         grad = backward_bn_affine(self.net, cache, self.grad_scale
                                   * (w[..., None] * _entropy_grad(probs)))
         # only a filtered stream, alone in its window, can sit a batch out
-        for rows, accumulator, optimizer in self.windows:
+        for rows, window in self.windows:
             if live[rows.start]:
-                accumulate_and_maybe_step(accumulator, grad[rows], optimizer,
-                                          self.affine[rows])
+                accumulate_and_maybe_step(window, grad[rows])

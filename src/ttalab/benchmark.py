@@ -172,7 +172,7 @@ def apply_corruption(x, corruption, seed):
     contrast scales deviations from the per-signal mean by (1 - 0.15 s);
     brightness adds 0.2 s.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _array("x", x, "[m] d")
     s = corruption.severity
     rng = np.random.default_rng(_integer("seed", seed, 0))
     if corruption.kind == "gaussian_noise":
@@ -370,7 +370,7 @@ def adapt_streams(net, inputs, labels, streams):
     adapt in one Adapter, at most ``MAX_TRIP_ROWS // N`` at a time, so
     tent, tent-filtered and every ttc ablation of one N share each call.
     Each group is stably sorted by Q before it is cut into trips, so the
-    streams of one Q form one accumulation window (``Adapter.windows``),
+    streams of one Q form one ``Window`` over their rows of the affine,
     but for each tent-filtered stream, which is a window of its own.
     Returns one (accuracy, per_batch_accuracy, adapted gamma/beta
     row laid out like ``net.affine``) per stream, in order.

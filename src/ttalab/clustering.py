@@ -138,6 +138,6 @@ def run_minibatch_kmeans(stream, k, init="first_k", seed=0,
         trace.append(kmeans_objective(batch, labels, centers))
 
     one_batch(first)
-    for batch in batches:
-        one_batch(np.asarray(batch, dtype=np.float64))
+    for batch in batches:  # assign_step's rule converts it
+        one_batch(batch)
     return centers, trace

@@ -100,8 +100,9 @@ def _array(name, value, dims, finite=False, kind="f", **sizes):
     brackets are optional leading axes: ``"[S] N d"`` takes (N, d) and
     (S, N, d). A size passed by name binds its axis, as ``d=4``; any other
     axis must be non-empty unless its name ends in ``*``, as in ``"[R*] K"``.
-    ``kind`` "f" converts to float64, "i" takes an integer dtype only, and
-    None takes any dtype as it is. With ``finite``, a NaN or an infinity
+    ``kind`` "f" converts to float64, "i" takes an integer dtype only, None
+    any dtype as it is, and "out" the caller's own float ndarray, never a
+    copy, as numpy's ``out=`` does. With ``finite``, a NaN or an infinity
     raises ``<name> contains non-finite values``. A value numpy cannot
     convert raises the rule with numpy's message.
     """
@@ -123,13 +124,21 @@ def _array(name, value, dims, finite=False, kind="f", **sizes):
                     else not n and "*" not in axis):
                 fits = False
                 break
-    if fits and (kind != "i" or array.dtype.kind in "iu"):
+    if kind == "i":
+        fits = fits and array.dtype.kind in "iu"
+    elif kind == "out":
+        fits = fits and array is value and array.dtype.kind == "f"
+    if fits:
         if finite and not np.isfinite(array).all():
             raise InvalidInput(f"{name} contains non-finite values")
         return array
+    got = f"shape {shape}"
+    if kind == "out" and array is not value:
+        got = f"a {type(value).__name__} of {got}"
+    elif kind in ("i", "out"):
+        got += f" of dtype {array.dtype}"
     raise InvalidInput(f"{name} must be {_array_rule(axes, kind, sizes)},"
-                       f" got shape {shape}"
-                       + (f" of dtype {array.dtype}" if kind == "i" else ""))
+                       f" got {got}")
 
 
 def _array_rule(axes, kind, sizes):
@@ -147,6 +156,6 @@ def _array_rule(axes, kind, sizes):
     everywhere = nonempty and len(nonempty) == len(free)
     if not everywhere:
         rules += [f"{name} >= 1" for name in nonempty]
-    return (f"a {'non-empty ' if everywhere else ''}{shapes}"
-            f" {'integer ' if kind == 'i' else ''}array"
+    dtype = {"i": "integer ", "out": "float "}.get(kind, "")
+    return (f"a {'non-empty ' if everywhere else ''}{shapes} {dtype}array"
             + (f" with {', '.join(rules)}" if rules else ""))

@@ -322,10 +322,13 @@ def _backward(net, cache, loss_grad_logits, affine_only):
     lowest BN layer, as nothing reads a gradient below it; a network
     without BN layers runs no pass at all.
 
-    Each piece is written into its block's slice of the result. ``g`` starts
-    as a copy of the caller's gradient and is written in place, never a
-    cache record."""
-    g = np.array(loss_grad_logits, dtype=np.float64)
+    ``loss_grad_logits`` has the shape of the cache's logits. Each piece is
+    written into its block's slice of the result. ``g`` starts as a copy of
+    the caller's gradient and is written in place, never a cache record."""
+    g = _array("loss_grad_logits", loss_grad_logits,
+               "S N K" if cache.affine.ndim == 2 else "N K",
+               S=len(cache.affine), N=cache.records[0][0].shape[-2],
+               K=net.k).copy()
     blocks = list(zip(net.blocks, net.dense_slices, cache.records))
     if affine_only:
         lowest = [i for i, b in enumerate(net.blocks) if b.bn is not None]

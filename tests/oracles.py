@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from ttalab.adaptation import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
-                               AdaptationConfig, default_q,
+                               EPS_ENTROPY, AdaptationConfig, default_q,
                                default_filter_threshold, flip_signal,
                                tent_loss, ttc_loss)
 from ttalab.benchmark import (NOISE_SIGMA, SIGNAL_LENGTH, TRAIN_BATCH_SIZE,
@@ -136,6 +136,14 @@ class ReferenceAdam:
         mhat = self.m / (1.0 - ADAM_BETA1 ** self.t)
         vhat = self.v / (1.0 - ADAM_BETA2 ** self.t)
         params -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+
+
+def sample_weights(entropies, tau, n):
+    """Entropy-power weights w_i = max(H_i, EPS_ENTROPY)^(-tau) / n, the
+    WA weights that ``ttc_loss`` holds constant: tau = 0 gives uniform
+    weights 1/n, tau > 0 down-weights high-entropy samples."""
+    h = np.maximum(np.asarray(entropies, dtype=np.float64), EPS_ENTROPY)
+    return h ** (-tau) / n
 
 
 class ReferenceAccumulator:

@@ -11,9 +11,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ttalab.adaptation import (AdaptationConfig, Adapter, GradientAccumulator,
-                               SGD, accumulate_and_maybe_step, sample_weights,
-                               tent_loss, ttc_loss)
+from ttalab.adaptation import (SGD, AdaptationConfig, Adapter, Window,
+                               accumulate_and_maybe_step, tent_loss, ttc_loss)
 from ttalab.benchmark import (CORRUPTION_KINDS, Corruption, StreamProtocol,
                               adapt_streams, apply_corruption)
 from ttalab.clustering import (FULL_BATCH, assign_step, kmeans_objective,
@@ -23,7 +22,7 @@ from ttalab.network import (BNMode, backward_bn_affine, forward, make_network,
                             save_checkpoint)
 from ttalab.numeric import entropy, simulate_entropy_descent, softmax
 
-from oracles import brute_force_assign, finite_diff_check
+from oracles import brute_force_assign, finite_diff_check, sample_weights
 
 SEEDS = range(5)
 
@@ -147,14 +146,12 @@ def test_criterion_04_accumulation_union_batch():
             net_acc = make_network(input_dim=6, hidden=5, k=3, seed=instance)
             net_union = make_network(input_dim=6, hidden=5, k=3, seed=instance)
             batches = [rng.normal(size=(n, 6)) for _ in range(q)]
-            acc = GradientAccumulator(q)
-            opt = SGD(lr=0.2)
+            window = Window(net_acc.affine[None], q, SGD(lr=0.2))
             for b in batches:
                 logits, cache = forward(net_acc, b, BNMode.EVAL_STATS)
                 _, gl = tent_loss(logits)
                 accumulate_and_maybe_step(
-                    acc, backward_bn_affine(net_acc, cache, gl / q)[None],
-                    opt, net_acc.affine[None])
+                    window, backward_bn_affine(net_acc, cache, gl / q)[None])
             union = np.vstack(batches)
             logits, cache = forward(net_union, union, BNMode.EVAL_STATS)
             _, gl = tent_loss(logits)

@@ -6,19 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ttalab.adaptation import (EPS_ENTROPY, STRATEGIES, SGD,
-                               AdaptationConfig, Adam, Adapter,
-                               GradientAccumulator, accumulate_and_maybe_step,
+from ttalab.adaptation import (STRATEGIES, SGD, AdaptationConfig, Adam,
+                               Adapter, Window, accumulate_and_maybe_step,
                                default_q, flip_signal, rla_forward,
-                               sample_weights, tent_loss, ttc_loss,
-                               with_flips)
+                               tent_loss, ttc_loss, with_flips)
 from ttalab.errors import InvalidInput
 from ttalab.network import BNMode, backward_bn_affine, forward, make_network
-from ttalab.numeric import entropy, softmax
+from ttalab.numeric import entropy, entropy_grad_logits, softmax
 
 from oracles import (ReferenceAccumulator, ReferenceAdam, ReferenceSGD,
                      ReferenceStream, bits, finite_diff_check,
-                     network_to_dict, q_configs, two_forward_rla)
+                     network_to_dict, q_configs, sample_weights,
+                     two_forward_rla)
 
 
 def small_net(seed=0):
@@ -69,30 +68,17 @@ class TestTentLoss:
         assert err < 1e-5
 
 
-class TestSampleWeights:
-    def test_tau_zero_recovers_uniform(self, rng):
-        w = sample_weights(rng.uniform(0.05, 2.0, size=7), tau=0.0, n=4)
-        np.testing.assert_allclose(w, 0.25, atol=1e-15)
-
-    def test_unit_entropy_is_scale_free(self):
-        np.testing.assert_allclose(sample_weights([1.0], tau=0.5, n=4), 0.25)
-
-    def test_analytic_value(self):
-        # 0.25^(-0.5) = 2 exactly
-        np.testing.assert_allclose(sample_weights([0.25], tau=0.5, n=1), 2.0)
-
-    def test_strictly_decreasing_in_entropy(self, rng):
-        for tau in (0.1, 0.5, 1.0, 5.0):
-            h = np.sort(rng.uniform(1e-4, 2.0, size=20))
-            w = sample_weights(h, tau=tau, n=20)
-            assert np.all(np.diff(w) < 0)
-
-    def test_entropy_clamp_bounds_weights(self):
-        w = sample_weights([0.0], tau=2.0, n=1)
-        np.testing.assert_allclose(w, EPS_ENTROPY ** -2.0)
-
-
 class TestTtcLoss:
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 3.0])
+    def test_weights_are_the_oracle_bit_for_bit(self, rng, tau):
+        z = rng.normal(scale=3.0, size=(2, 6, 4))
+        z[0, 0] = [60.0, 0.0, 0.0, 0.0]  # an entropy below EPS_ENTROPY
+        h = entropy(softmax(z))
+        w = sample_weights(h, tau, 6)
+        loss, grad = ttc_loss(z, tau, 6)
+        assert bits(loss) == bits(np.sum(w * h, axis=-1))
+        assert bits(grad) == bits(w[..., None] * entropy_grad_logits(z))
+
     def test_tau_zero_degenerates_to_tent(self, rng):
         z = rng.normal(size=(6, 4))
         loss_t, grad_t = tent_loss(z)
@@ -144,7 +130,7 @@ class TestEntropyFilter:
         adapter = Adapter(net, [config], 10)
         adapter.adapt_batch(small_batch(rng)[None])
         assert adapter.affine.tobytes() == net.affine.tobytes()
-        assert window_of(adapter, 0)[0].accumulator.batches_seen == 0
+        assert window_of(adapter, 0)[1].batches_seen == 0
 
 
 class TestRlaForward:
@@ -399,10 +385,12 @@ SITTING_OUT = AdaptationConfig(strategy="tent-filtered", filter_threshold=1e-3)
 def test_array_rule_passes_per_adapted_batch(monkeypatch, rng, configs,
                                              windows):
     """Each adapted batch passes the array rule once per argument that
-    ``forward``, ``softmax`` and each window that steps or accumulates on
-    it take: forward's affine and batch, softmax's logits, and the params
-    and grad of ``accumulate_and_maybe_step``. A check added to the
-    per-batch path fails this count, not only a timing."""
+    ``forward``, ``softmax``, the backward pass and each window that steps
+    or accumulates on it take: forward's affine and batch, softmax's
+    logits, then, if some stream learns on the batch, the backward pass's
+    loss gradient and the grad of ``accumulate_and_maybe_step`` per window.
+    A check added to the per-batch path fails this count, not only a
+    timing."""
     from ttalab import adaptation, errors, network, numeric
 
     passes = []
@@ -418,8 +406,8 @@ def test_array_rule_passes_per_adapted_batch(monkeypatch, rng, configs,
         x = with_flips(rng.normal(size=(len(configs), 10, 8)), adapter.flips)
         passes.clear()
         adapter.adapt_batch(x)
-        assert passes == ["affine", "batch", "logits"] + ["params",
-                                                          "grad"] * windows
+        learned = ["loss_grad_logits"] + ["grad"] * windows if windows else []
+        assert passes == ["affine", "batch", "logits"] + learned
     for config, row in zip(configs, adapter.affine):
         if config is SITTING_OUT:
             assert row.tobytes() == net.affine.tobytes()
@@ -427,40 +415,64 @@ def test_array_rule_passes_per_adapted_batch(monkeypatch, rng, configs,
 
 class TestGradientAccumulation:
     def test_q_one_steps_every_call(self):
-        acc = GradientAccumulator(1)
         params = np.zeros((1, 2))
-        opt = SGD(lr=1.0)
+        window = Window(params, 1, SGD(lr=1.0))
         for _ in range(3):
-            assert accumulate_and_maybe_step(acc, np.ones((1, 2)), opt,
-                                             params) is True
+            assert accumulate_and_maybe_step(window, np.ones((1, 2))) is True
         np.testing.assert_array_equal(params, -3.0)
 
     def test_q_two_identical_gradients_apply_once(self):
         # gradients arrive already scaled by 1/Q, so the applied update is
         # exactly -lr * g
         g = np.array([[2.0, -1.0]])
-        acc = GradientAccumulator(2)
         params = np.zeros((1, 2))
-        opt = SGD(lr=0.5)
-        assert accumulate_and_maybe_step(acc, g / 2, opt, params) is False
+        window = Window(params, 2, SGD(lr=0.5))
+        assert accumulate_and_maybe_step(window, g / 2) is False
         np.testing.assert_array_equal(params, 0.0)
-        assert accumulate_and_maybe_step(acc, g / 2, opt, params) is True
+        assert accumulate_and_maybe_step(window, g / 2) is True
         np.testing.assert_array_equal(params, -0.5 * g)
         # the next window starts afresh from its first gradient
-        assert acc.batches_seen == 0
-        assert accumulate_and_maybe_step(acc, g, opt, params) is False
-        np.testing.assert_array_equal(acc.accumulated, g)
+        assert window.batches_seen == 0
+        assert accumulate_and_maybe_step(window, g) is False
+        np.testing.assert_array_equal(window.accumulated, g)
 
-    @pytest.mark.parametrize("shape, params_shape", [
-        ((3,), (3,)), ((2, 3), (1, 3)), ((1, 3, 1), (1, 3, 1))],
-        ids=["vector", "two-rows-for-one", "3-d"])
-    def test_only_a_stack_of_one_row_per_stream_is_taken(self, shape,
-                                                         params_shape):
-        acc = GradientAccumulator(2)
-        with pytest.raises(InvalidInput, match=re.escape(str(shape))):
-            accumulate_and_maybe_step(acc, np.ones(shape), SGD(lr=1.0),
-                                      np.zeros(params_shape))
-        assert acc.accumulated is None and acc.batches_seen == 0
+    def test_a_float32_params_is_stepped_in_place(self):
+        params = np.zeros((1, 2), dtype=np.float32)
+        window = Window(params, 1, SGD(lr=1.0))
+        assert window.params is params
+        accumulate_and_maybe_step(window, np.ones((1, 2)))
+        assert params.dtype == np.float32 and params.tolist() == [[-1, -1]]
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (1, 3, 1)],
+                             ids=["vector", "two-rows-for-one", "3-d"])
+    def test_only_a_stack_of_one_row_per_stream_is_taken(self, shape):
+        window = Window(np.zeros((1, 3)), 2, SGD(lr=1.0))
+        for _ in range(2):  # refused at the first batch and at a later one
+            state = window.batches_seen, bits(window.accumulated)
+            with pytest.raises(InvalidInput, match="^" + re.escape(
+                    f"grad must be a (S, P) array with S=1, P=3, got shape"
+                    f" {shape}") + "$"):
+                accumulate_and_maybe_step(window, np.ones(shape))
+            assert (window.batches_seen, bits(window.accumulated)) == state
+            assert window.params.tolist() == [[0.0] * 3]
+            accumulate_and_maybe_step(window, np.full((1, 3), -0.0))
+
+    @pytest.mark.parametrize("params, got", [
+        (np.zeros(3), "shape (3,) of dtype float64"),
+        (np.zeros((1, 3, 1)), "shape (1, 3, 1) of dtype float64"),
+        (np.zeros((1, 3), dtype=np.int64), "shape (1, 3) of dtype int64"),
+        ([[0.0, 0.0]], "a list of shape (1, 2)"),
+    ], ids=["vector", "3-d", "integer", "list"])
+    def test_params_the_window_cannot_step_in_place_are_refused(self, params,
+                                                                got):
+        with pytest.raises(InvalidInput, match="^" + re.escape(
+                f"params must be a (S, P) float array, got {got}") + "$"):
+            Window(params, 1, SGD(lr=1.0))
+
+    @pytest.mark.parametrize("q", [0, 1.5, True])
+    def test_a_q_below_one_or_not_an_integer_is_refused(self, q):
+        with pytest.raises(InvalidInput, match=rf"^q .*{re.escape(repr(q))}$"):
+            Window(np.zeros((1, 3)), q, SGD(lr=1.0))
 
 
 def signed_zeros(rng, shape):
@@ -486,14 +498,14 @@ class TestAccumulateAndStepMatchReference:
         params = signed_zeros(rng, (s, p))
         ref_params = params.copy()
         opt, ref_opt = cls(lr), ref_cls(lr)
-        acc, ref_acc = GradientAccumulator(q), ReferenceAccumulator(q)
+        window, ref_acc = Window(params, q, opt), ReferenceAccumulator(q)
         for _ in range(length):  # stream lengths cross window boundaries
             grad = signed_zeros(rng, (s, p))
-            assert (accumulate_and_maybe_step(acc, grad, opt, params)
+            assert (accumulate_and_maybe_step(window, grad)
                     is ref_acc.add(grad, ref_opt, ref_params))
-            assert acc.batches_seen == ref_acc.seen
+            assert window.batches_seen == ref_acc.seen
             # after a step, the sum holds the gradient the step applied
-            assert bits(acc.accumulated) == bits(ref_acc.accumulated)
+            assert bits(window.accumulated) == bits(ref_acc.accumulated)
             assert bits(params) == bits(ref_params)
         if optimizer == "adam":
             assert opt.t == ref_opt.t == length // q
@@ -501,10 +513,9 @@ class TestAccumulateAndStepMatchReference:
                                                   bits(ref_opt.v)]
 
     def test_first_gradient_of_a_window_keeps_negative_zero(self):
-        acc = GradientAccumulator(1)
-        accumulate_and_maybe_step(acc, np.array([[-0.0, 1.0]]), SGD(1.0),
-                                  np.zeros((1, 2)))
-        assert np.signbit(acc.accumulated[0, 0])  # the gradient applied
+        window = Window(np.zeros((1, 2)), 1, SGD(1.0))
+        accumulate_and_maybe_step(window, np.array([[-0.0, 1.0]]))
+        assert np.signbit(window.accumulated[0, 0])  # the gradient applied
 
 
 @st.composite
@@ -601,9 +612,8 @@ class TestAdaptBatch:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_q_resolved_at_construction(self, strategy, ga):
         config = AdaptationConfig(strategy=strategy, ga_enabled=ga)
-        (window,) = Adapter(small_net(), [config], 10).windows
-        assert window.accumulator.q == (default_q(10)
-                                        if strategy == "ttc" and ga else 1)
+        ((_, window),) = Adapter(small_net(), [config], 10).windows
+        assert window.q == (default_q(10) if strategy == "ttc" and ga else 1)
 
     @pytest.mark.parametrize("batch_size", [0, -1, 2.5, True,
                                             np.float64(4)], ids=repr)
@@ -633,7 +643,7 @@ class TestAdaptBatch:
     def test_adam_moments_persist_across_batches(self, rng):
         adapter, adapt = one_stream(small_net(seed=9), AdaptationConfig(
             strategy="tent", optimizer="adam"))
-        optimizer = window_of(adapter, 0)[0].optimizer
+        optimizer = window_of(adapter, 0)[1].optimizer
         adapt(small_batch(rng))
         assert optimizer.t == 1
         adapt(small_batch(rng))
@@ -772,20 +782,20 @@ def stacked_runs(draw):
 
 
 def window_of(adapter, s):
-    """The Window of an Adapter that holds stream s, and s's row in it."""
-    (window,) = [w for w in adapter.windows
-                 if w.rows.start <= s < w.rows.stop]
-    return window, s - window.rows.start
+    """The (rows, Window) pair of an Adapter that holds stream s."""
+    (pair,) = [(rows, window) for rows, window in adapter.windows
+               if rows.start <= s < rows.stop]
+    return pair
 
 
 def assert_matches_reference(adapter, s, ref):
     """Stream s of ``adapter`` holds the affine row, window count and sum,
     and Adam t, m and v, of ``ref``, a ReferenceStream fed its batches."""
-    window, row = window_of(adapter, s)
-    acc, opt = window.accumulator, window.optimizer
+    rows, window = window_of(adapter, s)
+    row, opt = s - rows.start, window.optimizer
     assert bits(adapter.affine[s]) == bits(ref.net.affine)
-    assert acc.batches_seen == ref.accumulator.seen
-    pairs = [(acc.accumulated, ref.accumulator.accumulated)]
+    assert window.batches_seen == ref.accumulator.seen
+    pairs = [(window.accumulated, ref.accumulator.accumulated)]
     if isinstance(opt, Adam):
         assert opt.t == ref.optimizer.t
         pairs += [(opt.m, ref.optimizer.m), (opt.v, ref.optimizer.v)]
@@ -844,10 +854,21 @@ class TestPreFlippedStack:
 class TestQWindows:
     def test_q_sorted_configs_give_one_window_per_distinct_q(self):
         adapter = Adapter(small_net(), q_configs([1, 1, 1, 3, 3, 5]), 10)
-        assert [(w.rows.start, w.rows.stop, w.accumulator.q)
-                for w in adapter.windows] == [(0, 3, 1), (3, 5, 3), (5, 6, 5)]
-        assert [w.accumulator.batches_seen for w in adapter.windows] == [
-            0, 0, 0]
+        assert [(rows.start, rows.stop, w.q)
+                for rows, w in adapter.windows] == [(0, 3, 1), (3, 5, 3),
+                                                    (5, 6, 5)]
+        assert [w.batches_seen for _, w in adapter.windows] == [0, 0, 0]
+
+    def test_each_window_steps_its_rows_of_the_adapters_affine(self, rng):
+        net = small_net()
+        adapter = Adapter(net, q_configs([1, 1, 3], optimizer="sgd"), 10)
+        adapter.adapt_batch(rng.normal(size=(3, 10, 8)))
+        for rows, window in adapter.windows:
+            assert np.shares_memory(window.params, adapter.affine)
+            assert bits(window.params) == bits(adapter.affine[rows])
+        # the Q = 1 window stepped, in the Adapter's rows; Q = 3 waits
+        assert [row.tobytes() != net.affine.tobytes()
+                for row in adapter.affine] == [True, True, False]
 
     def test_adapt_streams_sorts_each_group_by_q(self, rng):
         from unittest import mock
@@ -869,9 +890,9 @@ class TestQWindows:
         with mock.patch.object(benchmark, "Adapter", Recorded):
             adapt_streams(small_net(), inputs, labels, streams)
         (adapter,) = built
-        assert [w.accumulator.q for w in adapter.windows] == [1, 3, 5]
-        assert [w.rows.stop - w.rows.start
-                for w in adapter.windows] == [3, 2, 1]
+        assert [w.q for _, w in adapter.windows] == [1, 3, 5]
+        assert [rows.stop - rows.start
+                for rows, _ in adapter.windows] == [3, 2, 1]
 
     def test_interleaved_q_with_a_skipping_filter_matches_each_alone(self):
         from ttalab.benchmark import batch_slices
@@ -889,9 +910,9 @@ class TestQWindows:
         net, n, m = small_net(), 4, 36
         data = np.random.default_rng(3).normal(size=(len(configs), m, 8))
         mixed = Adapter(net, configs, n)
-        assert [(w.rows.stop - w.rows.start, w.accumulator.q)
-                for w in mixed.windows] == [(1, 1), (1, 1), (1, 3), (1, 1),
-                                            (1, 3)]
+        assert [(rows.stop - rows.start, w.q)
+                for rows, w in mixed.windows] == [(1, 1), (1, 1), (1, 3),
+                                                  (1, 1), (1, 3)]
         references = [ReferenceStream(net, c, n) for c in configs]
         batches = batch_slices(m, n)
         for batch in batches:
@@ -919,7 +940,7 @@ class TestStackMatchesSequentialReference:
         adapter = Adapter(net, configs, n)
         for s, config in enumerate(configs):
             if config.strategy == "tent-filtered":
-                assert window_of(adapter, s)[0].rows == slice(s, s + 1)
+                assert window_of(adapter, s)[0] == slice(s, s + 1)
         references = [ReferenceStream(net, c, n) for c in configs]
         for batch in batch_slices(m, n):
             preds, probs = adapter.adapt_batch(

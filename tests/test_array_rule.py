@@ -92,8 +92,17 @@ RAGGED = ("setting an array element with a sequence. The requested array has"
     ([[1], [1, 2]], "N d", {"kind": None},
      "must be a non-empty (N, d) array, got a value numpy cannot convert: "
      + RAGGED),
+    (np.zeros((2, 3), dtype=np.int32), "S P", {"kind": "out"},
+     "must be a non-empty (S, P) float array, got shape (2, 3) of dtype"
+     " int32"),
+    ([[0.0, 1.0]], "S P", {"kind": "out"},
+     "must be a non-empty (S, P) float array, got a list of shape (1, 2)"),
+    (np.zeros((2, 3)), "S P", {"kind": "out", "S": 3},
+     "must be a non-empty (S, P) float array with S=3, got shape (2, 3) of"
+     " dtype float64"),
 ], ids=["optional axis", "may be empty", "integer", "finite", "string",
-        "beyond the float range", "ragged integer", "ragged"])
+        "beyond the float range", "ragged integer", "ragged",
+        "integer out", "list out", "shape out"])
 def test_the_error_states_the_rule(value, dims, options, message):
     with pytest.raises(InvalidInput, match=f"^x {re.escape(message)}$"):
         _array("x", value, dims, **options)
@@ -104,6 +113,8 @@ def test_an_array_of_any_dtype_is_taken_as_it_is():
     assert _array("labels", labels, "n", kind=None) is labels
     counts = np.array([2, 1], dtype=np.uint8)
     assert _array("counts", counts, "k", kind="i", k=2) is counts
+    rows = np.zeros((2, 3), dtype=np.float32)[:, 1:]
+    assert _array("rows", rows, "S P", kind="out") is rows
 
 
 def hand_written_checks(path):

@@ -488,7 +488,7 @@ class TestStreamEval:
                 adapter.adapt_batch(with_flips(dataset.inputs[s][None],
                                                adapter.flips))
             steps_every = q if strategy == "ttc" else 1
-            (window,) = adapter.windows
+            ((_, window),) = adapter.windows
             t = window.optimizer.t
             assert (0 if t is None else t) == len(slices) // steps_every
 

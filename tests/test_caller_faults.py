@@ -10,17 +10,23 @@ import pytest
 
 from ttalab import cli
 from ttalab.adaptation import AdaptationConfig, Adapter
-from ttalab.benchmark import (SignalDataset, accuracy_score, batch_slices,
+from ttalab.benchmark import (Corruption, SignalDataset, accuracy_score,
+                              apply_corruption, batch_slices,
                               collect_features, feature_histograms,
                               train_source)
-from ttalab.clustering import assign_step
+from ttalab.clustering import assign_step, run_minibatch_kmeans
 from ttalab.errors import InvalidInput
-from ttalab.network import (BNMode, checkpoint_text, forward, load_checkpoint,
-                            make_network)
+from ttalab.network import (BNMode, backward_bn_affine, checkpoint_text,
+                            forward, load_checkpoint, make_network)
 from ttalab.numeric import softmax
 
 NET = make_network(input_dim=4, hidden=3, k=2, seed=0)
 TEXT = checkpoint_text(NET).encode()
+# the backward cache of a (3, 4) batch, whose logits are (3, 2)
+CACHE = forward(NET, np.zeros((3, 4)), BNMode.TEST_BATCH_STATS)[1]
+# numpy's message for a list of rows of other lengths
+RAGGED = ("setting an array element with a sequence. The requested array has"
+          " an inhomogeneous shape after 1 dimensions.")
 
 
 def checkpoint(tmp_path, data):
@@ -54,6 +60,17 @@ MISUSES = {
         ).adapt_batch(np.zeros((2, 2, 4))),
         "batch must be a non-empty (S, N, d) array with S=3, d=4, got shape"
         " (2, 2, 4)"),
+    "benchmark: corrupting a string": (
+        lambda tmp: apply_corruption("abc", Corruption("gaussian_noise", 1),
+                                     0),
+        "x must be a non-empty (d,) or (m, d) array, got a value numpy"
+        " cannot convert: could not convert string to float: 'abc'"),
+    "benchmark: blurring a 0-d value": (
+        lambda tmp: apply_corruption(1.0, Corruption("smooth_blur", 1), 0),
+        "x must be a non-empty (d,) or (m, d) array, got shape ()"),
+    "benchmark: contrast of a 0-d value": (
+        lambda tmp: apply_corruption(1.0, Corruption("contrast", 1), 0),
+        "x must be a non-empty (d,) or (m, d) array, got shape ()"),
     "benchmark: batch size 0": (
         lambda tmp: batch_slices(10, 0),
         "batch_size too small, need >= 1, got 0"),
@@ -91,6 +108,37 @@ MISUSES = {
     "clustering: 1-D centers": (
         lambda tmp: assign_step(np.zeros((4, 3)), np.zeros(3)),
         "centers must be a non-empty (k, d) array, got shape (3,)"),
+    "clustering: a later batch of strings": (
+        lambda tmp: run_minibatch_kmeans([np.zeros((3, 2)), [["a", "b"]]], 2),
+        "features must be a (n, d) array with d=2, got a value numpy cannot"
+        " convert: could not convert string to float: 'a'"),
+    "clustering: a ragged later batch": (
+        lambda tmp: run_minibatch_kmeans([np.zeros((3, 2)),
+                                          [[1.0], [1.0, 2.0]]], 2),
+        "features must be a (n, d) array with d=2, got a value numpy cannot"
+        " convert: " + RAGGED),
+    "clustering: an empty later batch": (
+        lambda tmp: run_minibatch_kmeans([np.zeros((3, 2)), np.zeros((0, 2))],
+                                         2),
+        "no points to score: features (0, 2), centers (2, 2)"),
+    "network: a stack's loss gradient for a batch's cache": (
+        lambda tmp: backward_bn_affine(NET, CACHE, np.ones((2, 3, 2))),
+        "loss_grad_logits must be a (N, K) array with N=3, K=2, got shape"
+        " (2, 3, 2)"),
+    "network: a loss gradient of another N": (
+        lambda tmp: backward_bn_affine(NET, CACHE, np.ones((4, 2))),
+        "loss_grad_logits must be a (N, K) array with N=3, K=2, got shape"
+        " (4, 2)"),
+    "network: a loss gradient of another K": (
+        lambda tmp: backward_bn_affine(NET, CACHE, np.ones((3, 3))),
+        "loss_grad_logits must be a (N, K) array with N=3, K=2, got shape"
+        " (3, 3)"),
+    "network: a batch's loss gradient for a stack's cache": (
+        lambda tmp: backward_bn_affine(NET, forward(
+            NET, np.zeros((2, 3, 4)), BNMode.TEST_BATCH_STATS,
+            np.tile(NET.affine, (2, 1)))[1], np.ones((3, 2))),
+        "loss_grad_logits must be a (S, N, K) array with S=2, N=3, K=2, got"
+        " shape (3, 2)"),
     "network: 1-row batch under TEST_BATCH_STATS": (
         lambda tmp: forward(NET, np.zeros((1, 4)), BNMode.TEST_BATCH_STATS),
         "TEST_BATCH_STATS needs a batch of at least 2"),

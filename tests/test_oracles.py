@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ttalab.adaptation import ADAM_EPS, AdaptationConfig
+from ttalab.adaptation import ADAM_EPS, EPS_ENTROPY, AdaptationConfig
 from ttalab.benchmark import SignalDataset, class_templates
 from ttalab.errors import InvalidInput
 from ttalab.network import (BatchNormLayer, BNMode, DenseLayer, Network,
@@ -24,7 +24,8 @@ from oracles import (ReferenceAccumulator, ReferenceAdam, ReferenceSGD,
                      document_digest, entropy_descent, finite_diff_check,
                      network_to_dict, per_batch_train_source,
                      per_point_update, per_scalar_csv, q_configs,
-                     reference_dataset, reference_forward, two_forward_rla)
+                     reference_dataset, reference_forward, sample_weights,
+                     two_forward_rla)
 
 TESTS = Path(__file__).resolve().parent
 
@@ -102,6 +103,29 @@ def test_adam_steps_lr_g_over_abs_g_plus_eps_on_a_constant_gradient():
         np.testing.assert_allclose(params, -t * 0.1 * g / (np.abs(g)
                                                            + ADAM_EPS),
                                    rtol=1e-9, atol=0)
+
+
+class TestSampleWeights:
+    def test_tau_zero_recovers_uniform(self, rng):
+        w = sample_weights(rng.uniform(0.05, 2.0, size=7), tau=0.0, n=4)
+        np.testing.assert_allclose(w, 0.25, atol=1e-15)
+
+    def test_unit_entropy_is_scale_free(self):
+        np.testing.assert_allclose(sample_weights([1.0], tau=0.5, n=4), 0.25)
+
+    def test_analytic_value(self):
+        # 0.25^(-0.5) = 2 exactly
+        np.testing.assert_allclose(sample_weights([0.25], tau=0.5, n=1), 2.0)
+
+    def test_strictly_decreasing_in_entropy(self, rng):
+        for tau in (0.1, 0.5, 1.0, 5.0):
+            h = np.sort(rng.uniform(1e-4, 2.0, size=20))
+            w = sample_weights(h, tau=tau, n=20)
+            assert np.all(np.diff(w) < 0)
+
+    def test_entropy_clamp_bounds_weights(self):
+        w = sample_weights([0.0], tau=2.0, n=1)
+        np.testing.assert_allclose(w, EPS_ENTROPY ** -2.0)
 
 
 def test_accumulator_copies_the_first_gradient_and_steps_on_the_qth():

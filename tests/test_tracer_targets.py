@@ -108,7 +108,7 @@ def test_every_adapter_step_is_inside_accumulate_and_maybe_step(
     assert steps == [True] * len(steps)
     assert bool(steps) == (name not in ("source", "norm"))
     if name == "sit-out-beside-q3":
-        assert adapter.windows[0].rows == slice(0, 1)
+        assert adapter.windows[0][0] == slice(0, 1)
 
 
 @pytest.mark.parametrize("name", [*ADAPTERS, "ttc-norla"])
