@@ -35,9 +35,9 @@ EXIT_PROPERTY = 1
 EXIT_TRAINING = 2
 EXIT_SPEC = 3
 
-# Byte budget of the trajectories of one lemma-check descent call: the
-# starts of a call descend in lock-step, split into calls only past this
-# size, and a start or stack over it descends alone.
+# Byte budget of one window of lemma-check's random starts: a window holds
+# as many starts of each K as keep its trajectories within it, and at least
+# one, and one window is alive at a time. The k-list descends in one call.
 LEMMA_STACK_BYTES = 16 * 2**20
 
 
@@ -304,22 +304,21 @@ def _tilted_start(k):
     return p / p.sum()
 
 
-def _descend(starts, lr, steps):
-    """simulate_entropy_descent of the mapping starts, {key: trajectory} in
-    its order, in as few calls as keep each call's trajectories within
-    LEMMA_STACK_BYTES: consecutive starts share a call while they fit, and
-    a start or stack over the budget descends alone."""
-    trajs, group, held = {}, {}, 0
-    for key, p0 in starts.items():
-        size = (steps + 1) * p0.size * 8
-        if group and held + size > LEMMA_STACK_BYTES:
-            trajs.update(simulate_entropy_descent(group, lr, steps))
-            group, held = {}, 0
-        group[key] = p0
-        held += size
-    if group:
-        trajs.update(simulate_entropy_descent(group, lr, steps))
-    return trajs
+def _tilted_rows(k_list, lr, steps, out):
+    """Write each lemma_k{K}.csv from one descent of the tilted starts, whose
+    trajectories die on return; the summary's lines so far and failures."""
+    rows, failures = ["k,final_max_prob,monotone"], []
+    for k, traj in simulate_entropy_descent(
+            {k: _tilted_start(k) for k in k_list}, lr, steps).items():
+        with open(out / f"lemma_k{k}.csv", "w", encoding="utf-8") as fh:
+            trajectory_csv(traj, fh)
+        top = traj[:, 0]  # class 0 starts largest
+        monotone = bool(np.all(np.diff(top) >= 0.0))
+        if not monotone:
+            failures.append(f"k={k}: max probability decreased")
+        rows.append(f"{k},{float(top[-1])!r},{str(monotone).lower()}")
+        print(f"k={k}: final max prob {top[-1]:.6f} monotone={monotone}")
+    return rows, failures
 
 
 def _random_start_violations(k_list, count, lr, steps, rng):
@@ -327,25 +326,31 @@ def _random_start_violations(k_list, count, lr, steps, rng):
 
     Start i is a Dirichlet draw of size K = k_list[i % len(k_list)], drawn
     from rng in index order. Starts run in windows of consecutive indices,
-    holding as many starts of each K as keep the window's trajectories,
-    sized from the sum of the k-list, within LEMMA_STACK_BYTES (at least
-    one). A window's starts of one K (k_list repeats none) form one (R, K)
-    stack, and its stacks of every K descend in lock-step through _descend.
+    each holding as many starts of each K as keep its trajectories, sized
+    from the sum of the k-list, within LEMMA_STACK_BYTES, and at least one
+    start of each K. One window is alive at a time.
     """
     per_window = max(1, LEMMA_STACK_BYTES // ((steps + 1) * sum(k_list) * 8))
     window = per_window * len(k_list)
+    return sum(_window_violations(
+        [k_list[i % len(k_list)] for i in range(lo, min(lo + window, count))],
+        lr, steps, rng) for lo in range(0, count, window))
+
+
+def _window_violations(ks, lr, steps, rng):
+    """Draw one window's starts, of sizes ks, and count its violations. Its
+    starts of one K (a k-list repeats none) form one (R, K) stack, and its
+    stacks descend in one call, whose trajectories die on return."""
+    stacks = {}
+    for k in ks:
+        stacks.setdefault(k, []).append(rng.dirichlet(np.ones(k)))
+    stacks = {k: np.array(rows) for k, rows in stacks.items()}
     violations = 0
-    for lo in range(0, count, window):
-        stacks = {}
-        for i in range(lo, min(lo + window, count)):
-            k = k_list[i % len(k_list)]
-            stacks.setdefault(k, []).append(rng.dirichlet(np.ones(k)))
-        stacks = {k: np.array(rows) for k, rows in stacks.items()}
-        for k, traj in _descend(stacks, lr, steps).items():
-            p0 = stacks[k]
-            top = traj[:, np.arange(len(p0)), p0.argmax(axis=1)]
-            violations += int(np.count_nonzero(
-                ~np.all(np.diff(top, axis=0) >= 0.0, axis=0)))
+    for k, traj in simulate_entropy_descent(stacks, lr, steps).items():
+        p0 = stacks[k]
+        top = traj[:, np.arange(len(p0)), p0.argmax(axis=1)]
+        violations += int(np.count_nonzero(
+            ~np.all(np.diff(top, axis=0) >= 0.0, axis=0)))
     return violations
 
 
@@ -359,20 +364,7 @@ def cmd_lemma_check(args):
             _integer(name, vars(args)[name], 0)
         _real("lr", args.lr, "finite and positive")
     out = _outdir(args)
-    failures = []
-    summary = ["k,final_max_prob,monotone"]
-    trajs = _descend({k: _tilted_start(k) for k in args.k_list}, args.lr,
-                     args.steps)
-    for k, traj in trajs.items():
-        with open(out / f"lemma_k{k}.csv", "w", encoding="utf-8") as fh:
-            trajectory_csv(traj, fh)
-        top = traj[:, 0]  # class 0 starts largest
-        monotone = bool(np.all(np.diff(top) >= 0.0))
-        if not monotone:
-            failures.append(f"k={k}: max probability decreased")
-        summary.append(f"{k},{float(top[-1])!r},{str(monotone).lower()}")
-        print(f"k={k}: final max prob {top[-1]:.6f} monotone={monotone}")
-
+    summary, failures = _tilted_rows(args.k_list, args.lr, args.steps, out)
     random_failures = _random_start_violations(
         args.k_list, args.random_starts, args.lr, args.random_steps,
         np.random.default_rng(args.seed))

@@ -54,8 +54,8 @@ def update_step(features, assignment, centers, mode=FULL_BATCH, counts=None):
     FULL_BATCH sets each assigned center to the mean of its members and
     leaves empty clusters in place. MINIBATCH_RUNNING applies the streaming
     per-point rule center += (x - center) / count with per-center counts;
-    pass the same counts array (k integers, updated in place) across batches
-    to continue a stream.
+    pass the same counts (k integers in a list or a writeable array, updated
+    in place) across batches to continue a stream.
     """
     features, assignment, centers = _checked(features, assignment, centers)
     new_centers = centers.copy()
@@ -66,10 +66,12 @@ def update_step(features, assignment, centers, mode=FULL_BATCH, counts=None):
             if len(members):
                 new_centers[c] = members.mean(axis=0)
     elif mode == MINIBATCH_RUNNING:
-        if counts is None:
-            n = [0] * k
-        else:
-            n = _array("counts", counts, "k", kind="i", k=k).tolist()
+        n = ([0] * k if counts is None
+             else _array("counts", counts, "k", kind="i", k=k).tolist())
+        if counts is not None and not (isinstance(counts, list) or isinstance(
+                counts, np.ndarray) and counts.flags.writeable):
+            raise InvalidInput("counts must be a list or a writeable array,"
+                               f" got a read-only {type(counts).__name__}")
         # one point at a time, as three ufuncs into one reused row: the same
         # arithmetic as c += (x - c) / n without a temporary per point. The
         # count goes in as a float, exact below 2**53, and out by position,

@@ -101,10 +101,10 @@ def _array(name, value, dims, finite=False, kind="f", **sizes):
     (S, N, d). A size passed by name binds its axis, as ``d=4``; any other
     axis must be non-empty unless its name ends in ``*``, as in ``"[R*] K"``.
     ``kind`` "f" converts to float64, "i" takes an integer dtype only, None
-    any dtype as it is, and "out" the caller's own float ndarray, never a
-    copy, as numpy's ``out=`` does. With ``finite``, a NaN or an infinity
-    raises ``<name> contains non-finite values``. A value numpy cannot
-    convert raises the rule with numpy's message.
+    any dtype as it is, and "out" the caller's own writeable float ndarray,
+    never a copy, as numpy's ``out=`` does. With ``finite``, a NaN or an
+    infinity raises ``<name> contains non-finite values``. A value numpy
+    cannot convert raises the rule with numpy's message.
     """
     axes = dims.split()
     try:
@@ -127,7 +127,8 @@ def _array(name, value, dims, finite=False, kind="f", **sizes):
     if kind == "i":
         fits = fits and array.dtype.kind in "iu"
     elif kind == "out":
-        fits = fits and array is value and array.dtype.kind == "f"
+        fits = (fits and array is value and array.dtype.kind == "f"
+                and array.flags.writeable)
     if fits:
         if finite and not np.isfinite(array).all():
             raise InvalidInput(f"{name} contains non-finite values")
@@ -137,6 +138,8 @@ def _array(name, value, dims, finite=False, kind="f", **sizes):
         got = f"a {type(value).__name__} of {got}"
     elif kind in ("i", "out"):
         got += f" of dtype {array.dtype}"
+        if not array.flags.writeable and kind == "out":
+            got = f"a read-only array of {got}"
     raise InvalidInput(f"{name} must be {_array_rule(axes, kind, sizes)},"
                        f" got {got}")
 
@@ -156,6 +159,6 @@ def _array_rule(axes, kind, sizes):
     everywhere = nonempty and len(nonempty) == len(free)
     if not everywhere:
         rules += [f"{name} >= 1" for name in nonempty]
-    dtype = {"i": "integer ", "out": "float "}.get(kind, "")
+    dtype = {"i": "integer ", "out": "writeable float "}.get(kind, "")
     return (f"a {'non-empty ' if everywhere else ''}{shapes} {dtype}array"
             + (f" with {', '.join(rules)}" if rules else ""))

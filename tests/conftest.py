@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -12,6 +14,18 @@ K = 3
 # their time varies with the machine's load, not with the code
 settings.register_profile("ttalab", deadline=None)
 settings.load_profile("ttalab")
+
+
+def traced_peak(call):
+    """call() under tracemalloc: its result and the peak bytes traced while
+    it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture(scope="session")

@@ -413,6 +413,11 @@ def test_array_rule_passes_per_adapted_batch(monkeypatch, rng, configs,
             assert row.tobytes() == net.affine.tobytes()
 
 
+def read_only(array):
+    array.flags.writeable = False
+    return array
+
+
 class TestGradientAccumulation:
     def test_q_one_steps_every_call(self):
         params = np.zeros((1, 2))
@@ -462,11 +467,14 @@ class TestGradientAccumulation:
         (np.zeros((1, 3, 1)), "shape (1, 3, 1) of dtype float64"),
         (np.zeros((1, 3), dtype=np.int64), "shape (1, 3) of dtype int64"),
         ([[0.0, 0.0]], "a list of shape (1, 2)"),
-    ], ids=["vector", "3-d", "integer", "list"])
+        (read_only(np.zeros((1, 2))),
+         "a read-only array of shape (1, 2) of dtype float64"),
+    ], ids=["vector", "3-d", "integer", "list", "read-only"])
     def test_params_the_window_cannot_step_in_place_are_refused(self, params,
                                                                 got):
         with pytest.raises(InvalidInput, match="^" + re.escape(
-                f"params must be a (S, P) float array, got {got}") + "$"):
+                f"params must be a (S, P) writeable float array, got {got}")
+                + "$"):
             Window(params, 1, SGD(lr=1.0))
 
     @pytest.mark.parametrize("q", [0, 1.5, True])

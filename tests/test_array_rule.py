@@ -93,13 +93,14 @@ RAGGED = ("setting an array element with a sequence. The requested array has"
      "must be a non-empty (N, d) array, got a value numpy cannot convert: "
      + RAGGED),
     (np.zeros((2, 3), dtype=np.int32), "S P", {"kind": "out"},
-     "must be a non-empty (S, P) float array, got shape (2, 3) of dtype"
-     " int32"),
+     "must be a non-empty (S, P) writeable float array, got shape (2, 3) of"
+     " dtype int32"),
     ([[0.0, 1.0]], "S P", {"kind": "out"},
-     "must be a non-empty (S, P) float array, got a list of shape (1, 2)"),
+     "must be a non-empty (S, P) writeable float array, got a list of shape"
+     " (1, 2)"),
     (np.zeros((2, 3)), "S P", {"kind": "out", "S": 3},
-     "must be a non-empty (S, P) float array with S=3, got shape (2, 3) of"
-     " dtype float64"),
+     "must be a non-empty (S, P) writeable float array with S=3, got shape"
+     " (2, 3) of dtype float64"),
 ], ids=["optional axis", "may be empty", "integer", "finite", "string",
         "beyond the float range", "ragged integer", "ragged",
         "integer out", "list out", "shape out"])

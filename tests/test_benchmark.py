@@ -27,6 +27,7 @@ from ttalab.network import (BatchNormLayer, BNMode, DenseLayer, Network,
                             forward, make_network, network_from_dict,
                             save_checkpoint)
 
+from conftest import traced_peak
 from oracles import (document_digest, network_to_dict, per_batch_train_source,
                      reference_dataset)
 
@@ -58,12 +59,7 @@ class TestGenerateDataset:
     def test_traced_peak_is_one_array(self):
         """The inputs are permuted in place, so the peak is the (m, 32)
         array plus (m,) labels; a permuted copy read 2.09 times it."""
-        tracemalloc.start()
-        try:
-            ds = generate_dataset(3, 30000, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        ds, peak = traced_peak(lambda: generate_dataset(3, 30000, 0))
         assert peak <= 1.25 * ds.inputs.nbytes
 
     def test_same_seed_is_bit_identical(self):
@@ -308,12 +304,7 @@ class TestTrainSource:
         into one (m, 32) buffer and flipped through two half-size
         temporaries traced 2.08 times the inputs."""
         ds = generate_dataset(3, 30000, seed=0)
-        tracemalloc.start()
-        try:
-            train_source(ds, epochs=1, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: train_source(ds, epochs=1, seed=0))
         assert peak <= 0.25 * ds.inputs.nbytes
 
     def test_running_stats_populated(self, source_net):
@@ -391,12 +382,7 @@ class TestAccuracyMetric:
         net = make_network(input_dim=SIGNAL_LENGTH, hidden=64, k=3, seed=0)
         expected = accuracy_score(np.argmax(
             forward(net, ds.inputs, BNMode.EVAL_STATS)[0], axis=1), ds.labels)
-        tracemalloc.start()
-        try:
-            acc = evaluate_accuracy(net, ds)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        acc, peak = traced_peak(lambda: evaluate_accuracy(net, ds))
         assert acc == expected
         assert peak <= 0.25 * ds.inputs.nbytes
 

@@ -14,7 +14,8 @@ from ttalab.benchmark import (Corruption, SignalDataset, accuracy_score,
                               apply_corruption, batch_slices,
                               collect_features, feature_histograms,
                               train_source)
-from ttalab.clustering import assign_step, run_minibatch_kmeans
+from ttalab.clustering import (MINIBATCH_RUNNING, assign_step,
+                               run_minibatch_kmeans, update_step)
 from ttalab.errors import InvalidInput
 from ttalab.network import (BNMode, backward_bn_affine, checkpoint_text,
                             forward, load_checkpoint, make_network)
@@ -121,6 +122,16 @@ MISUSES = {
         lambda tmp: run_minibatch_kmeans([np.zeros((3, 2)), np.zeros((0, 2))],
                                          2),
         "no points to score: features (0, 2), centers (2, 2)"),
+    "clustering: counts as a tuple": (
+        lambda tmp: update_step(np.zeros((3, 2)), [0, 1, 1], np.zeros((2, 2)),
+                                MINIBATCH_RUNNING, counts=(0, 0)),
+        "counts must be a list or a writeable array, got a read-only tuple"),
+    "clustering: read-only counts": (
+        lambda tmp: update_step(np.zeros((3, 2)), [0, 1, 1], np.zeros((2, 2)),
+                                MINIBATCH_RUNNING,
+                                counts=np.frombuffer(bytes(16), np.int64)),
+        "counts must be a list or a writeable array, got a read-only"
+        " ndarray"),
     "network: a stack's loss gradient for a batch's cache": (
         lambda tmp: backward_bn_affine(NET, CACHE, np.ones((2, 3, 2))),
         "loss_grad_logits must be a (N, K) array with N=3, K=2, got shape"

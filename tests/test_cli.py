@@ -8,8 +8,8 @@ import os
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,8 @@ from ttalab.benchmark import generate_dataset, evaluate_accuracy
 from ttalab.cli import main
 from ttalab.network import load_checkpoint
 from ttalab.numeric import simulate_entropy_descent, trajectory_csv
+
+from conftest import traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -105,13 +107,9 @@ class TestTrainSource:
         training on an epoch buffer and scoring in one forward traced 5.4
         times the dataset."""
         m = 30000
-        tracemalloc.start()
-        try:
-            code = main(["train-source", "--m", str(m), "--epochs", "1",
-                         "--out", str(tmp_path)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(lambda: main([
+            "train-source", "--m", str(m), "--epochs", "1",
+            "--out", str(tmp_path)]))
         assert code == 0
         assert peak <= 1.5 * m * 32 * 8
 
@@ -508,20 +506,26 @@ class TestLemmaCheck:
         assert calls == [{2: 11, 5: 10, 9: 10}]  # one call, one stack per K
         monkeypatch.setattr(cli, "LEMMA_STACK_BYTES", 1)
         calls, one_row = run("one-row")
-        assert calls == [{k_list[i % len(k_list)]: 1} for i in range(starts)]
+        # one call per window of one start of each K
+        assert calls == [{2: 1, 5: 1, 9: 1}] * 10 + [{2: 1}]
         assert one_row == summary
 
-
     @pytest.mark.parametrize("budget", [1, 2000, 6000, 30000])
-    def test_no_call_exceeds_the_budget_unless_alone(self, tmp_path,
-                                                     monkeypatch, budget):
+    def test_one_window_is_alive_at_a_time(self, tmp_path, monkeypatch,
+                                           budget):
+        """Every descent call starts after the trajectories of each earlier
+        call have died: the k-list's once its CSVs are written, a window's
+        before the next window descends. The files keep their bytes."""
         real = cli.simulate_entropy_descent
-        held = []
+        buffers = []  # a weak reference to each call's trajectory buffer
 
-        def measuring(starts, lr, steps):
+        def watching(starts, lr, steps):
+            assert [buffer() for buffer in buffers] == [None] * len(buffers)
             trajs = real(starts, lr, steps)
-            held.append((len(starts),
-                         sum(traj.nbytes for traj in trajs.values())))
+            for traj in trajs.values():
+                while traj.base is not None:
+                    traj = traj.base
+                buffers.append(weakref.ref(traj))
             return trajs
 
         def run(name):
@@ -532,12 +536,27 @@ class TestLemmaCheck:
                     for path in (tmp_path / name).iterdir()}
 
         expected = run("default")
-        monkeypatch.setattr(cli, "simulate_entropy_descent", measuring)
+        monkeypatch.setattr(cli, "simulate_entropy_descent", watching)
         monkeypatch.setattr(cli, "LEMMA_STACK_BYTES", budget)
         assert run("budget") == expected
-        assert held
-        for count, nbytes in held:
-            assert count == 1 or nbytes <= budget
+        assert len(buffers) >= 2  # the k-list and at least one window
+
+    def test_traced_peak_is_one_window(self, tmp_path, monkeypatch):
+        """Under a 1-byte budget a window is one start of each K, whose
+        (3001, 2 + 5 + 9) trajectories are 384 KB, and the run traces 1.33
+        windows. Keeping the last window's trajectories alive through the
+        next window's descent traced 1.85."""
+        monkeypatch.setattr(cli, "LEMMA_STACK_BYTES", 1)
+        # a process's first run imports modules, ~0.9 MB traced: not the run's
+        assert main(["lemma-check", "--out", str(tmp_path / "warm"),
+                     "--k-list", "2", "--steps", "1", "--random-starts", "1",
+                     "--random-steps", "1"]) == 0
+        code, peak = traced_peak(lambda: main([
+            "lemma-check", "--out", str(tmp_path / "run"), "--k-list", "2",
+            "5", "9", "--steps", "30", "--random-starts", "12",
+            "--random-steps", "3000"]))
+        assert code == 0
+        assert peak <= 1.5 * 3001 * (2 + 5 + 9) * 8
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_benchmark_arguments_descend_in_two_calls(self, tmp_path,

@@ -51,14 +51,15 @@ class TestUpdateStep:
         np.testing.assert_array_equal(new[0], [1.0, 2.0])
         np.testing.assert_array_equal(new[1], [5.0, 5.0])  # empty, unchanged
 
-    def test_minibatch_running_counts_form_streaming_mean(self):
+    @pytest.mark.parametrize("counts", [np.zeros(2, dtype=np.int64), [0, 0]],
+                             ids=["array", "list"])
+    def test_minibatch_running_counts_form_streaming_mean(self, counts):
         centers = np.zeros((2, 1))
-        counts = np.zeros(2, dtype=np.int64)
         pts = np.array([[4.0], [8.0], [6.0]])
         centers = update_step(pts, np.array([0, 0, 0]), centers,
                               mode=MINIBATCH_RUNNING, counts=counts)
         np.testing.assert_allclose(centers[0], 6.0)  # exact running mean
-        assert counts.tolist() == [3, 0]
+        assert list(counts) == [3, 0]
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(InvalidInput):

@@ -1,6 +1,5 @@
 import io
 import re
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +12,7 @@ from ttalab.numeric import (EPS_PROB, entropy, entropy_grad_logits,
                             simulate_entropy_descent, softmax,
                             trajectory_csv)
 
+from conftest import traced_peak
 from oracles import bits, entropy_descent, finite_diff_check, per_scalar_csv
 
 
@@ -456,12 +456,7 @@ class TestTrajectoryCsv:
         assert len({col.tobytes() for col in traj.T}) == 100
         path = tmp_path / "trajectory.csv"
         with open(path, "w", encoding="utf-8") as fh:
-            tracemalloc.start()
-            try:
-                trajectory_csv(traj, fh)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            _, peak = traced_peak(lambda: trajectory_csv(traj, fh))
         assert path.read_bytes() == per_scalar_csv(traj).encode()
         assert peak < 64 * 2**10
 
