@@ -39,8 +39,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInput, _array, _bool, _integer, _real
-from .network import BNMode, backward_bn_affine, forward
-from .numeric import _entropy, _entropy_grad, softmax
+from .network import BNMode, _backward, _checked_batch, _forward
+from .numeric import _entropy, _entropy_grad, _softmax, softmax
 
 STRATEGIES = ("source", "norm", "tent", "tent-filtered", "ttc")
 OPTIMIZERS = ("sgd", "adam")
@@ -61,12 +61,12 @@ def flip_signal(x):
 
 def default_q(batch_size):
     """Accumulation length matching an effective batch of about 200 samples."""
-    return max(1, round(200 / batch_size))
+    return max(1, round(200 / _integer("batch_size", batch_size, 1)))
 
 
 def default_filter_threshold(k):
     """Entropy cutoff for the filtered strategy: a fixed fraction of log K."""
-    return 0.4 * math.log(k)
+    return 0.4 * math.log(_integer("k", k, 2))
 
 
 @dataclass
@@ -198,15 +198,17 @@ def with_flips(stack, flips, out=None):
 
 
 def rla_forward(net, x, affine, flips):
-    """Robust label assignment: one TEST_BATCH_STATS ``forward`` (ttc's
-    plan) over the (S + R, N, d) stack ``with_flips`` builds, which it
-    checks against its (S + R, A) affine rows, each branch getting bit for
-    bit its own logits.
+    """Robust label assignment: one TEST_BATCH_STATS forward (ttc's plan)
+    over the (S + R, N, d) stack ``with_flips`` builds and its (S + R, A)
+    affine rows, each branch getting bit for bit its own logits. Like a
+    ``Window``, which takes its caller's rows, it takes the stack and rows
+    as its caller checked them (``Adapter.adapt_batch`` checks the stack as
+    ``forward`` does) and runs the forward core with no check of its own.
     Returns the S streams' logits, averaged with their flip's for the
     streams ``flips`` indexes; the cache of the S streams, the only gradient
     path, so a flipping stream's live logits get half its combined-logit
     gradient; and the R flips' logits."""
-    logits, cache = forward(net, x, BNMode.TEST_BATCH_STATS, affine)
+    logits, cache = _forward(net, x, BNMode.TEST_BATCH_STATS, affine)
     s = len(logits) - len(flips)
     combined, aug_logits = logits[:s].copy(), logits[s:]
     combined[flips] = 0.5 * (combined[flips] + aug_logits)
@@ -349,7 +351,9 @@ class Adapter:
                 f" {len(plans)}")
         (self.plan,) = plans
         self.net = net
-        self.affine = np.tile(net.affine, (len(configs), 1))
+        # checked once: steps under the floating-point rule keep it finite
+        self.affine = np.tile(_array("affine", net.affine, "A", finite=True,
+                                     A=net.affine.size), (len(configs), 1))
         rows = [stream_row(c, net.k, batch_size) for c in configs]
         # the R streams with RLA; the affine row each stream with_flips reads
         self.flips = np.flatnonzero([row.rla for row in rows])
@@ -379,17 +383,22 @@ class Adapter:
 
         ``batch`` is ``with_flips(stack, self.flips)`` of an (S, N, d) stack
         of one batch per stream (a lone stream's is ``batch[None]``), as a
-        trip's slice holds it; ``forward`` checks it. Returns (predictions,
-        probs), shaped (S, N) and (S, N, K), from the pre-update forward; a
-        stream with RLA gets them from its flip-averaged logits.
+        trip's slice holds it. It is checked here, once, as ``forward``
+        checks a stack of ``len(self.stack_rows)`` streams; the forward,
+        softmax and backward pass below run their unchecked cores. Returns
+        (predictions, probs), shaped (S, N) and (S, N, K), from the
+        pre-update forward; a stream with RLA gets them from its
+        flip-averaged logits.
         """
+        x = _checked_batch(self.net, batch, self.plan.mode,
+                           len(self.stack_rows))
         if not len(self.flips):  # a plan that does not learn keeps no cache
-            logits, cache = forward(self.net, batch, self.plan.mode,
-                                    self.affine, cache=self.plan.learns)
+            logits, cache = _forward(self.net, x, self.plan.mode,
+                                     self.affine, cache=self.plan.learns)
         else:
             logits, cache, _ = rla_forward(
-                self.net, batch, self.affine[self.stack_rows], self.flips)
-        probs = softmax(logits)
+                self.net, x, self.affine[self.stack_rows], self.flips)
+        probs = _softmax(logits)
         if self.plan.learns:
             self._learn(probs, cache)
         return np.argmax(probs, axis=-1), probs
@@ -413,8 +422,9 @@ class Adapter:
             for tau, rows in self.wa:
                 powers[rows] = np.maximum(h[rows], EPS_ENTROPY) ** (-tau)
         w = mask * powers / np.maximum(accepted, 1)[:, None]
-        grad = backward_bn_affine(self.net, cache, self.grad_scale
-                                  * (w[..., None] * _entropy_grad(probs)))
+        grad = _backward(self.net, cache, self.grad_scale
+                         * (w[..., None] * _entropy_grad(probs)),
+                         affine_only=True)
         # only a filtered stream, alone in its window, can sit a batch out
         for rows, window in self.windows:
             if live[rows.start]:

@@ -11,6 +11,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from contextlib import contextmanager
@@ -457,10 +458,16 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser():
+    """The parser of ``build_parser``, built once per process: parsing keeps
+    no state in it, as every parse starts a namespace of its own."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except TrainingDiverged as e:
         print(f"training failed: {e}", file=sys.stderr)

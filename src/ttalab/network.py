@@ -248,11 +248,26 @@ def forward(net, batch, mode, affine=None, cache=True):
         raise InvalidInput("TRAIN_STATS updates the network's own gamma/beta")
     affine = _array("affine", net.affine if affine is None else affine,
                     "[S] A", finite=True, A=net.affine.size)
-    x = _array("batch", batch, "S N d" if affine.ndim == 2 else "N d",
-               finite=True, S=len(affine), d=net.input_dim)
+    x = _checked_batch(net, batch, mode,
+                       len(affine) if affine.ndim == 2 else None)
+    return _forward(net, x, mode, affine, cache)
+
+
+def _checked_batch(net, batch, mode, streams):
+    """``batch`` as ``forward`` takes it under ``mode``: finite, a (N, d)
+    batch if ``streams`` is None and an (S, N, d) stack of that many
+    streams otherwise, with at least 2 rows under TEST_BATCH_STATS."""
+    x = _array("batch", batch, "N d" if streams is None else "S N d",
+               finite=True, S=streams, d=net.input_dim)
     if mode is BNMode.TEST_BATCH_STATS and x.shape[-2] < 2:
         raise InvalidInput("TEST_BATCH_STATS needs a batch of at least 2")
+    return x
 
+
+def _forward(net, x, mode, affine, cache=True):
+    """``forward`` of a float64 batch ``x`` and its affine rows, both
+    already checked as ``forward`` checks them: the same bits, without the
+    checks. The logits are still checked, as the program computed them."""
     records = []
     for dense, bn, relu, gamma, beta in net.blocks:
         layer = net.layers[dense]
@@ -313,7 +328,16 @@ def _bn_forward(layer, x, mode, gamma, beta, cache):
     return out, (xhat, inv_std, mode is not BNMode.EVAL_STATS)
 
 
-def _backward(net, cache, loss_grad_logits, affine_only):
+def _loss_grad(net, cache, loss_grad_logits):
+    """A copy of ``loss_grad_logits``, which must have the shape of the
+    cache's logits, for ``_backward`` to write into."""
+    return _array("loss_grad_logits", loss_grad_logits,
+                  "S N K" if cache.affine.ndim == 2 else "N K",
+                  S=len(cache.affine), N=cache.records[0][0].shape[-2],
+                  K=net.k).copy()
+
+
+def _backward(net, cache, g, affine_only):
     """Reverse pass over the blocks: one gradient vector laid out like
     ``net.params``, or like ``net.affine`` if ``affine_only``. For a stack
     of streams (affine only), one such row per stream.
@@ -322,13 +346,10 @@ def _backward(net, cache, loss_grad_logits, affine_only):
     lowest BN layer, as nothing reads a gradient below it; a network
     without BN layers runs no pass at all.
 
-    ``loss_grad_logits`` has the shape of the cache's logits. Each piece is
-    written into its block's slice of the result. ``g`` starts as a copy of
-    the caller's gradient and is written in place, never a cache record."""
-    g = _array("loss_grad_logits", loss_grad_logits,
-               "S N K" if cache.affine.ndim == 2 else "N K",
-               S=len(cache.affine), N=cache.records[0][0].shape[-2],
-               K=net.k).copy()
+    ``g``, the loss gradient of the cache's logits, is a float64 array the
+    caller hands over and does not read again: the pass writes into it and
+    its own scratch, never into a cache record. Each piece is written into
+    its block's slice of the result."""
     blocks = list(zip(net.blocks, net.dense_slices, cache.records))
     if affine_only:
         lowest = [i for i, b in enumerate(net.blocks) if b.bn is not None]
@@ -368,7 +389,8 @@ def _backward(net, cache, loss_grad_logits, affine_only):
 
 def backward_bn_affine(net, cache, loss_grad_logits):
     """Gradient of the loss with respect to ``net.affine``."""
-    return _backward(net, cache, loss_grad_logits, affine_only=True)
+    return _backward(net, cache, _loss_grad(net, cache, loss_grad_logits),
+                     affine_only=True)
 
 
 def backward_all(net, cache, loss_grad_logits):
@@ -378,7 +400,8 @@ def backward_all(net, cache, loss_grad_logits):
         raise InvalidInput(f"backward_all takes the cache of an (N, d) batch,"
                            f" got one of an (S, N, d) stack of shape"
                            f" {cache.records[0][0].shape}")
-    return _backward(net, cache, loss_grad_logits, affine_only=False)
+    return _backward(net, cache, _loss_grad(net, cache, loss_grad_logits),
+                     affine_only=False)
 
 
 def penultimate_features(net, batch, mode, affine=None):

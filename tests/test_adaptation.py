@@ -316,8 +316,8 @@ class TestOneForwardOneSoftmaxPerBatch:
         net = small_net()
         adapter = Adapter(net, [config] * 2, 10)
         counts = {}
-        for name in ("forward", "rla_forward", "softmax", "ttc_loss",
-                     "tent_loss"):
+        for name in ("_forward", "rla_forward", "_softmax", "forward",
+                     "softmax", "ttc_loss", "tent_loss"):
             counting(monkeypatch, adaptation, name, counts)
         for module in (adaptation, numeric):  # the adapter binds neither
             for name in ("entropy", "entropy_grad_logits"):
@@ -327,9 +327,12 @@ class TestOneForwardOneSoftmaxPerBatch:
             adapter.adapt_batch(with_flips(rng.normal(size=(2, 10, 8)),
                                            adapter.flips))
         rla = config.strategy == "ttc" and config.rla_enabled
-        assert counts == {"forward": batches, "rla_forward": rla * batches,
-                          "softmax": batches, "ttc_loss": 0, "tent_loss": 0,
-                          "entropy": 0, "entropy_grad_logits": 0}
+        # the cores run once per batch, under rla_forward or not; the
+        # checked public functions not at all
+        assert counts == {"_forward": batches, "rla_forward": rla * batches,
+                          "_softmax": batches, "forward": 0, "softmax": 0,
+                          "ttc_loss": 0, "tent_loss": 0, "entropy": 0,
+                          "entropy_grad_logits": 0}
         learns = config.strategy not in ("source", "norm")
         assert (adapter.affine != net.affine).any() == learns
 
@@ -338,17 +341,19 @@ class TestOneForwardOneSoftmaxPerBatch:
                                       "tent-filtered"])
 def test_only_a_learning_plan_keeps_a_backward_cache(monkeypatch, rng,
                                                      strategy):
-    """Without RLA the adapter runs ``forward`` with a cache exactly when
-    its plan learns: source and norm predict from an uncached forward."""
+    """Without RLA the adapter runs the forward core with a cache exactly
+    when its plan learns: source and norm predict from an uncached
+    forward."""
     from ttalab import adaptation
 
     caches = []
+    core = adaptation._forward
 
     def recording(*args, **kwargs):
-        logits, cache = forward(*args, **kwargs)
+        logits, cache = core(*args, **kwargs)
         caches.append(cache is not None)
         return logits, cache
-    monkeypatch.setattr(adaptation, "forward", recording)
+    monkeypatch.setattr(adaptation, "_forward", recording)
     adapter = Adapter(small_net(), [AdaptationConfig(strategy=strategy)] * 2,
                       10)
     for _ in range(3):
@@ -384,13 +389,12 @@ SITTING_OUT = AdaptationConfig(strategy="tent-filtered", filter_threshold=1e-3)
         "filter-sits-out-beside-tent"])
 def test_array_rule_passes_per_adapted_batch(monkeypatch, rng, configs,
                                              windows):
-    """Each adapted batch passes the array rule once per argument that
-    ``forward``, ``softmax``, the backward pass and each window that steps
-    or accumulates on it take: forward's affine and batch, softmax's
-    logits, then, if some stream learns on the batch, the backward pass's
-    loss gradient and the grad of ``accumulate_and_maybe_step`` per window.
-    A check added to the per-batch path fails this count, not only a
-    timing."""
+    """Each adapted batch passes the array rule once for its stack, which
+    ``adapt_batch`` checks, then once per window that steps or accumulates
+    on it, for the grad of ``accumulate_and_maybe_step``; the forward,
+    softmax and backward pass below run their unchecked cores, and the
+    Adapter checked its affine at construction. A check added to the
+    per-batch path fails this count, not only a timing."""
     from ttalab import adaptation, errors, network, numeric
 
     passes = []
@@ -406,8 +410,7 @@ def test_array_rule_passes_per_adapted_batch(monkeypatch, rng, configs,
         x = with_flips(rng.normal(size=(len(configs), 10, 8)), adapter.flips)
         passes.clear()
         adapter.adapt_batch(x)
-        learned = ["loss_grad_logits"] + ["grad"] * windows if windows else []
-        assert passes == ["affine", "batch", "logits"] + learned
+        assert passes == ["batch"] + ["grad"] * windows
     for config, row in zip(configs, adapter.affine):
         if config is SITTING_OUT:
             assert row.tobytes() == net.affine.tobytes()
@@ -836,8 +839,8 @@ class TestPreFlippedStack:
         for x in data:
             want, _, _ = rla_of(net, x, flipped.affine.copy(),
                                 np.flatnonzero(rla))
-            with mock.patch.object(adaptation, "softmax",
-                                   wraps=softmax) as spy:
+            with mock.patch.object(adaptation, "_softmax",
+                                   wraps=adaptation._softmax) as spy:
                 preds, probs = flipped.adapt_batch(
                     np.concatenate([x, flip_signal(x[rla])]))
             assert bits(spy.call_args.args[0]) == bits(want)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from ttalab import cli
-from ttalab.adaptation import AdaptationConfig, Adapter
+from ttalab.adaptation import (AdaptationConfig, Adapter, default_q,
+                               default_filter_threshold)
 from ttalab.benchmark import (Corruption, SignalDataset, accuracy_score,
                               apply_corruption, batch_slices,
                               collect_features, feature_histograms,
@@ -37,6 +38,13 @@ def checkpoint(tmp_path, data):
     return load_checkpoint(path)
 
 
+def nan_gamma_net():
+    """A network built as NET is, whose first gamma entry is a NaN."""
+    net = make_network(input_dim=4, hidden=3, k=2, seed=0)
+    net.layers[1].gamma[0] = np.nan
+    return net
+
+
 def flagged(**config):
     """An AdaptationConfig built the way the command line builds one."""
     with cli._flags("lr", accumulation_q="--q"):
@@ -61,6 +69,19 @@ MISUSES = {
         ).adapt_batch(np.zeros((2, 2, 4))),
         "batch must be a non-empty (S, N, d) array with S=3, d=4, got shape"
         " (2, 2, 4)"),
+    "adaptation: an Adapter over a NaN gamma": (
+        lambda tmp: Adapter(nan_gamma_net(),
+                            [AdaptationConfig(strategy="tent")], 2),
+        "affine contains non-finite values"),
+    "adaptation: default Q at batch size 0": (
+        lambda tmp: default_q(0),
+        "batch_size too small, need >= 1, got 0"),
+    "adaptation: default Q at batch size 2.5": (
+        lambda tmp: default_q(2.5),
+        "batch_size must be an integer, got 2.5"),
+    "adaptation: default filter threshold at k=1": (
+        lambda tmp: default_filter_threshold(1),
+        "k too small, need >= 2, got 1"),
     "benchmark: corrupting a string": (
         lambda tmp: apply_corruption("abc", Corruption("gaussian_noise", 1),
                                      0),

@@ -153,6 +153,28 @@ class TestAdapt:
             (tmp_path / "report_ttc_gaussian_noise5_seed0.json").read_text())
         assert report["config"] == AdaptationConfig().to_json()
 
+    def test_the_one_parser_keeps_nothing_between_calls(self, workdir,
+                                                        tmp_path, capsys):
+        """main parses every argv of a process with one parser: a flag of
+        one call, or an argv refused half-way through, leaves nothing for
+        the next call."""
+        name = "report_ttc_gaussian_noise5_seed0"
+        assert cli._parser() is cli._parser()
+        assert run_adapt(workdir, tmp_path / "a", "--no-rla") == 0
+        assert run_adapt(workdir, tmp_path / "b") == 0
+        for sub, rla in (("a", False), ("b", True)):
+            report = json.loads((tmp_path / sub / f"{name}.json").read_text())
+            assert report["config"]["rla_enabled"] is rla
+        printed = capsys.readouterr().out.splitlines()[1]
+        assert run_adapt(workdir, tmp_path / "c", "--no-rla", "--strategy",
+                         "cotta") == 3
+        assert not (tmp_path / "c").exists()
+        assert run_adapt(workdir, tmp_path / "c") == 0
+        assert capsys.readouterr().out.splitlines() == [printed]
+        for suffix in (".json", "_batches.csv"):
+            assert ((tmp_path / "c" / f"{name}{suffix}").read_bytes()
+                    == (tmp_path / "b" / f"{name}{suffix}").read_bytes())
+
     def test_missing_checkpoint_exits_three(self, tmp_path, capsys):
         code = main(["adapt", "--checkpoint", str(tmp_path / "nope.json")])
         assert code == 3
@@ -376,10 +398,11 @@ class TestSweepBatchSize:
                                                      monkeypatch):
         """tent, tent+GA, ttc-GA and ttc at one N share one plan, so every
         stream of that N adapts in one trip: one Adapter call (and one
-        softmax) per batch, and no stream's parameters are hashed."""
+        softmax core) per batch, and no stream's parameters are hashed."""
         from ttalab import adaptation
 
-        counts = dict.fromkeys(["adapt_batch", "softmax", "params_digest"], 0)
+        counts = dict.fromkeys(["adapt_batch", "_softmax", "params_digest"],
+                               0)
 
         def counting(owner, name):
             fn = getattr(owner, name)
@@ -389,7 +412,7 @@ class TestSweepBatchSize:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(owner, name, wrapper)
         counting(adaptation.Adapter, "adapt_batch")
-        counting(adaptation, "softmax")
+        counting(adaptation, "_softmax")
         counting(benchmark, "params_digest")
         code = main(["sweep-batch-size",
                      "--checkpoint", str(workdir / "source.json"),
@@ -397,7 +420,7 @@ class TestSweepBatchSize:
                      "--seeds", "2", "--test-m", "40"])
         assert code == 0
         calls = sum(len(benchmark.batch_slices(40, n)) for n in (2, 10))
-        assert counts == {"adapt_batch": calls, "softmax": calls,
+        assert counts == {"adapt_batch": calls, "_softmax": calls,
                           "params_digest": 0}
 
 

@@ -11,8 +11,8 @@ from ttalab.adaptation import AdaptationConfig, tent_loss
 from ttalab.benchmark import StreamProtocol, adapt_streams, params_digest
 from ttalab.errors import InvalidInput
 from ttalab.network import (BatchNormLayer, BNMode, DenseLayer, Network,
-                            _batch_stats, backward_all, backward_bn_affine,
-                            forward, load_checkpoint,
+                            _backward, _batch_stats, _forward, backward_all,
+                            backward_bn_affine, forward, load_checkpoint,
                             make_network, network_from_dict,
                             checkpoint_text, penultimate_features,
                             save_checkpoint)
@@ -882,6 +882,48 @@ class TestNoWriteToCallerArrays:
         logits, cache = forward(net, x, BNMode.TEST_BATCH_STATS)
         grads = backward_all(net, cache, tent_loss(logits)[1])
         assert finite_diff_check(loss_at, net.params.copy(), grads) < 1e-4
+
+
+class TestCores:
+    """On valid input, the unchecked cores the Adapter runs give the public
+    functions' bits: ``_forward`` the logits, cache and running statistics
+    of ``forward``, and ``_backward`` on a gradient handed over the
+    gradient ``backward_bn_affine`` returns for a copy of it."""
+
+    @settings(max_examples=80)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7),
+           streams=st.sampled_from([None, 1, 3]),
+           mode=st.sampled_from(list(BNMode)), keep=st.booleans(),
+           layout=st.sampled_from(["bn-on-top", "bn-in-every-block",
+                                   "no-bn-in-lowest-block", "no-bn"]))
+    def test_forward_core_equals_forward(self, seed, n, streams, mode, keep,
+                                         layout):
+        assume(streams is None or mode is not BNMode.TRAIN_STATS)
+        rng = np.random.default_rng(seed)
+        net = (top_bn_net(rng) if layout == "bn-on-top"
+               else random_net(rng, bn=BN_LAYOUTS[layout]))
+        lead = () if streams is None else (streams,)
+        x = rng.normal(size=lead + (n, 5))
+        affine = None if streams is None else net.affine + rng.normal(
+            scale=0.1, size=lead + net.affine.shape)
+        public, core = copy.deepcopy(net), copy.deepcopy(net)
+        logits, cache = forward(public, x, mode, affine, cache=keep)
+        core_logits, core_cache = _forward(
+            core, x, mode, core.affine if affine is None else affine,
+            cache=keep)
+        assert bits(core_logits) == bits(logits)
+        for a, b in zip(public.layers, core.layers):
+            if isinstance(a, BatchNormLayer):
+                assert bits(a.running_mean) == bits(b.running_mean)
+                assert bits(a.running_var) == bits(b.running_var)
+        assert (core_cache is None) == (cache is None) == (not keep)
+        if keep:
+            assert (record_bytes(core_cache.records)
+                    == record_bytes(cache.records))
+            assert bits(core_cache.affine) == bits(cache.affine)
+            g = rng.normal(size=logits.shape)
+            assert (bits(_backward(core, core_cache, g.copy(), True))
+                    == bits(backward_bn_affine(public, cache, g)))
 
 
 class TestDenseSlices:
